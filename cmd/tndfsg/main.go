@@ -41,8 +41,8 @@ import (
 // progressLine renders one completed mining level for -progress,
 // writing to stderr so the stdout tables CI diffs are untouched.
 func progressLine(stage string, ev fsg.LevelProgress) {
-	line := fmt.Sprintf("%s: level %d: candidates=%d frequent=%d embeddings=%d patterns=%d elapsed=%s",
-		stage, ev.Edges, ev.Candidates, ev.Frequent, ev.Embeddings, ev.Patterns,
+	line := fmt.Sprintf("%s: level %d: candidates=%d frequent=%d embeddings=%d iso_tests=%d budgeted=%d patterns=%d elapsed=%s",
+		stage, ev.Edges, ev.Candidates, ev.Frequent, ev.Embeddings, ev.IsoTests, ev.BudgetedTests, ev.Patterns,
 		ev.Elapsed.Round(time.Millisecond))
 	if ev.Delta {
 		line += fmt.Sprintf(" reused=%d promoted=%d", ev.Reused, ev.Promoted)

@@ -55,8 +55,8 @@ import (
 // writes through the stderr logger, so stdout (the experiment tables
 // CI diffs) is untouched.
 func progressLine(stage string, ev fsg.LevelProgress) {
-	line := fmt.Sprintf("%s: level %d: candidates=%d frequent=%d embeddings=%d patterns=%d elapsed=%s",
-		stage, ev.Edges, ev.Candidates, ev.Frequent, ev.Embeddings, ev.Patterns,
+	line := fmt.Sprintf("%s: level %d: candidates=%d frequent=%d embeddings=%d iso_tests=%d budgeted=%d patterns=%d elapsed=%s",
+		stage, ev.Edges, ev.Candidates, ev.Frequent, ev.Embeddings, ev.IsoTests, ev.BudgetedTests, ev.Patterns,
 		ev.Elapsed.Round(time.Millisecond))
 	if ev.Delta {
 		line += fmt.Sprintf(" reused=%d promoted=%d", ev.Reused, ev.Promoted)

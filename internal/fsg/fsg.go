@@ -128,6 +128,10 @@ type LevelStats struct {
 	Candidates int // candidates generated after dedup + closure pruning
 	Frequent   int // candidates meeting MinSupport
 	IsoTests   int // full isomorphism searches run (fallback path only)
+	// BudgetedTests counts this level's isomorphism searches that hit
+	// MaxSteps before finding an embedding and were treated as
+	// non-containment; Result.BudgetedTests is the sum over levels.
+	BudgetedTests int
 	// Embeddings counts the embeddings enumerated while support
 	// counting the level — the memory unit MaxEmbeddings budgets, so
 	// blow-up experiments report candidate volume and embedding
@@ -152,7 +156,7 @@ type Result struct {
 	Aborted     bool
 	AbortReason string
 	// BudgetedTests counts iso tests that hit MaxSteps and were
-	// treated as non-containment.
+	// treated as non-containment, summed over Levels.
 	BudgetedTests int
 }
 
@@ -691,9 +695,10 @@ func (m *miner) extendLevel(current []Pattern, k int) []Pattern {
 		return pat
 	})
 	stats.IsoTests = isoTests.Load()
+	stats.BudgetedTests = budgetedTests.Load()
 	stats.Embeddings = generated.Load()
 	stats.Reused = reused.Load()
-	m.res.BudgetedTests += budgetedTests.Load()
+	m.res.BudgetedTests += stats.BudgetedTests
 
 	var next []Pattern
 	for _, pat := range counted {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -144,5 +145,52 @@ func TestDeltaProgressAndProvenanceLog(t *testing.T) {
 	}
 	if _, ok := done["reused"]; !ok {
 		t.Fatalf("done record missing reuse tally: %v", done)
+	}
+}
+
+// TestBudgetedTestsPerLevel: with a tiny MaxSteps every fallback
+// search aborts, and the per-level BudgetedTests (as reported to
+// Progress) must sum to the run's Result.BudgetedTests.
+func TestBudgetedTestsPerLevel(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var txns []*graph.Graph
+	for i := 0; i < 6; i++ {
+		var edges [][3]interface{}
+		seen := map[[3]interface{}]bool{}
+		for len(edges) < 14 {
+			e := [3]interface{}{rng.Intn(7), rng.Intn(7), []string{"a", "b"}[rng.Intn(2)]}
+			if e[0] != e[1] && !seen[e] {
+				seen[e] = true
+				edges = append(edges, e)
+			}
+		}
+		txns = append(txns, mkTxn(edges))
+	}
+	var events []LevelProgress
+	res, err := Mine(txns, Options{
+		MinSupport: 3, MaxEdges: 4, MaxEmbeddings: 1, MaxSteps: 3, Parallelism: 1,
+		Progress: func(ev LevelProgress) { events = append(events, ev) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, levels := 0, 0
+	for i, ev := range events {
+		if ev.BudgetedTests != res.Levels[i].BudgetedTests {
+			t.Fatalf("level %d: event reports %d budgeted tests, Result.Levels %d", ev.Edges, ev.BudgetedTests, res.Levels[i].BudgetedTests)
+		}
+		if ev.BudgetedTests > ev.IsoTests {
+			t.Fatalf("level %d: %d budgeted of %d iso tests", ev.Edges, ev.BudgetedTests, ev.IsoTests)
+		}
+		sum += ev.BudgetedTests
+		if ev.BudgetedTests > 0 {
+			levels++
+		}
+	}
+	if res.BudgetedTests == 0 || levels < 2 {
+		t.Fatalf("fixture too easy: %d budgeted tests over %d levels", res.BudgetedTests, levels)
+	}
+	if sum != res.BudgetedTests {
+		t.Fatalf("per-level budgeted tests sum to %d, Result.BudgetedTests = %d", sum, res.BudgetedTests)
 	}
 }

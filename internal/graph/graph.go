@@ -57,82 +57,12 @@ type Graph struct {
 	numVertices int
 	numEdges    int
 
-	// idx caches the per-label adjacency index. It is built lazily on
-	// first labeled lookup and dropped on any mutation. The pointer is
+	// idx caches the integer-label CSR index (see Index). It is built
+	// lazily on first use and dropped on any mutation. The pointer is
 	// atomic so concurrent read-only users (parallel mining workers)
 	// can share one graph: racing builders construct identical
 	// indices, and whichever Store lands last wins.
-	idx atomic.Pointer[labelIndex]
-}
-
-// labelIndex accelerates label-constrained lookups: live outgoing and
-// incoming edges grouped by edge label per vertex, and live vertices
-// grouped by vertex label. All slices are in ascending ID order.
-type labelIndex struct {
-	out             []map[string][]EdgeID
-	in              []map[string][]EdgeID
-	verticesByLabel map[string][]VertexID
-}
-
-// labelIdx returns the current index, building it if needed.
-func (g *Graph) labelIdx() *labelIndex {
-	if idx := g.idx.Load(); idx != nil {
-		return idx
-	}
-	idx := &labelIndex{
-		out:             make([]map[string][]EdgeID, len(g.vertices)),
-		in:              make([]map[string][]EdgeID, len(g.vertices)),
-		verticesByLabel: make(map[string][]VertexID),
-	}
-	for i, alive := range g.vertexAlive {
-		if alive {
-			v := &g.vertices[i]
-			idx.verticesByLabel[v.Label] = append(idx.verticesByLabel[v.Label], v.ID)
-		}
-	}
-	for i, alive := range g.edgeAlive {
-		if !alive {
-			continue
-		}
-		e := &g.edges[i]
-		if idx.out[e.From] == nil {
-			idx.out[e.From] = make(map[string][]EdgeID)
-		}
-		idx.out[e.From][e.Label] = append(idx.out[e.From][e.Label], e.ID)
-		if idx.in[e.To] == nil {
-			idx.in[e.To] = make(map[string][]EdgeID)
-		}
-		idx.in[e.To][e.Label] = append(idx.in[e.To][e.Label], e.ID)
-	}
-	g.idx.Store(idx)
-	return idx
-}
-
-// invalidateIdx drops the cached label index after a mutation.
-func (g *Graph) invalidateIdx() { g.idx.Store(nil) }
-
-// OutEdgesLabeled returns the live outgoing edges of v carrying the
-// given label, in ascending ID order.
-func (g *Graph) OutEdgesLabeled(v VertexID, label string) []EdgeID {
-	if m := g.labelIdx().out[v]; m != nil {
-		return m[label]
-	}
-	return nil
-}
-
-// InEdgesLabeled returns the live incoming edges of v carrying the
-// given label, in ascending ID order.
-func (g *Graph) InEdgesLabeled(v VertexID, label string) []EdgeID {
-	if m := g.labelIdx().in[v]; m != nil {
-		return m[label]
-	}
-	return nil
-}
-
-// VerticesWithLabel returns the live vertices carrying the given
-// label, in ascending ID order.
-func (g *Graph) VerticesWithLabel(label string) []VertexID {
-	return g.labelIdx().verticesByLabel[label]
+	idx atomic.Pointer[Index]
 }
 
 // VertexCap returns an exclusive upper bound on vertex IDs in g
@@ -250,6 +180,23 @@ func (g *Graph) liveEdges(ids []EdgeID) []EdgeID {
 		}
 	}
 	return res
+}
+
+// FirstIncidentEdge returns the first live outgoing edge of v in
+// OutEdges order, else the first live incoming edge in InEdges order,
+// without materialising either list.
+func (g *Graph) FirstIncidentEdge(v VertexID) (EdgeID, bool) {
+	for _, id := range g.out[v] {
+		if g.edgeAlive[id] {
+			return id, true
+		}
+	}
+	for _, id := range g.in[v] {
+		if g.edgeAlive[id] {
+			return id, true
+		}
+	}
+	return 0, false
 }
 
 // OutDegree returns the number of live outgoing edges of v.

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -105,4 +107,86 @@ func TestLabelIndexConcurrentReads(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestIndexMatchesAdjacency checks the CSR index against the plain
+// adjacency lists on random multigraphs with self-loops, tombstoned
+// edges and vertices: every labeled run, its far endpoints, the live
+// degrees, the per-label vertex lists and FirstIncidentEdge.
+func TestIndexMatchesAdjacency(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		g := New("t")
+		nv := 1 + rng.Intn(9)
+		for i := 0; i < nv; i++ {
+			g.AddVertex(fmt.Sprintf("v%d", rng.Intn(3)))
+		}
+		for i, ne := 0, rng.Intn(25); i < ne; i++ {
+			g.AddEdge(VertexID(rng.Intn(nv)), VertexID(rng.Intn(nv)), fmt.Sprintf("e%d", rng.Intn(3)))
+		}
+		for i, n := 0, rng.Intn(4); i < n && g.EdgeCap() > 0; i++ {
+			g.RemoveEdge(EdgeID(rng.Intn(g.EdgeCap())))
+		}
+		if rng.Intn(3) == 0 {
+			g.RemoveVertex(VertexID(rng.Intn(nv)))
+		}
+		ix := g.Index()
+		labels := append(g.EdgeLabels(), "missing")
+		for _, v := range g.Vertices() {
+			if ix.OutDegree(v) != g.OutDegree(v) || ix.InDegree(v) != g.InDegree(v) {
+				t.Fatalf("trial %d: degrees of v%d differ", trial, v)
+			}
+			if ix.VertexLabel(v) != ix.VertexLabelID(g.Vertex(v).Label) {
+				t.Fatalf("trial %d: label ID of v%d differs", trial, v)
+			}
+			for _, l := range labels {
+				var wantOut, wantIn []EdgeID
+				for _, e := range g.OutEdges(v) {
+					if g.Edge(e).Label == l {
+						wantOut = append(wantOut, e)
+					}
+				}
+				for _, e := range g.InEdges(v) {
+					if g.Edge(e).Label == l {
+						wantIn = append(wantIn, e)
+					}
+				}
+				out, heads := ix.Out(v, ix.EdgeLabelID(l))
+				in, tails := ix.In(v, ix.EdgeLabelID(l))
+				if !reflect.DeepEqual(out, wantOut) || !reflect.DeepEqual(in, wantIn) {
+					t.Fatalf("trial %d: v%d label %s: out %v in %v, want %v %v", trial, v, l, out, in, wantOut, wantIn)
+				}
+				for i, e := range out {
+					if heads[i] != g.Edge(e).To {
+						t.Fatalf("trial %d: head of e%d is %d, want %d", trial, e, heads[i], g.Edge(e).To)
+					}
+				}
+				for i, e := range in {
+					if tails[i] != g.Edge(e).From {
+						t.Fatalf("trial %d: tail of e%d is %d, want %d", trial, e, tails[i], g.Edge(e).From)
+					}
+				}
+			}
+			want, wantOK := EdgeID(0), false
+			if outs := g.OutEdges(v); len(outs) > 0 {
+				want, wantOK = outs[0], true
+			} else if ins := g.InEdges(v); len(ins) > 0 {
+				want, wantOK = ins[0], true
+			}
+			if e, ok := g.FirstIncidentEdge(v); e != want || ok != wantOK {
+				t.Fatalf("trial %d: FirstIncidentEdge(v%d) = %d,%v, want %d,%v", trial, v, e, ok, want, wantOK)
+			}
+		}
+		for _, l := range append(g.VertexLabels(), "missing") {
+			var want []VertexID
+			for _, v := range g.Vertices() {
+				if g.Vertex(v).Label == l {
+					want = append(want, v)
+				}
+			}
+			if got := ix.WithLabel(ix.VertexLabelID(l)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: WithLabel(%s) = %v, want %v", trial, l, got, want)
+			}
+		}
+	}
 }

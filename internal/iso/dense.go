@@ -77,19 +77,13 @@ func (e DenseEmbedding) extended(nv graph.VertexID, te graph.EdgeID) DenseEmbedd
 }
 
 // Embeddings enumerates the embeddings of pattern into target in
-// dense form, on the same slice-backed matcher state FindEmbeddings
-// uses. The pattern must have dense IDs. The second result reports
-// whether the search ran to completion (false when Options.MaxSteps
-// aborted it, in which case the list may be incomplete).
+// dense form. The pattern must have dense IDs. The second result
+// reports whether the search ran to completion (false when
+// Options.MaxSteps aborted it, in which case the list may be
+// incomplete). Callers searching one pattern against many targets
+// should compile it once with NewMatcher instead.
 func Embeddings(target, pattern *graph.Graph, opts Options) ([]DenseEmbedding, bool) {
-	if pattern.NumVertices() == 0 || pattern.NumVertices() > target.NumVertices() ||
-		pattern.NumEdges() > target.NumEdges() {
-		return nil, true
-	}
-	m := newMatcher(pattern, target, opts)
-	m.dense = true
-	m.search(0)
-	return m.denseResults, !m.aborted
+	return NewMatcher(pattern).Embeddings(target, opts)
 }
 
 // ExtendEmbedding enumerates the one-edge extensions of emb: given an
@@ -116,14 +110,17 @@ func ExtendEmbedding(target, child *graph.Graph, emb DenseEmbedding, newEdge gra
 	ed := child.Edge(newEdge)
 	fromNew := int(ed.From) >= len(emb.Verts)
 	toNew := int(ed.To) >= len(emb.Verts)
+	ix := target.Index()
+	l := ix.EdgeLabelID(ed.Label)
 	switch {
 	case !fromNew && !toNew:
 		// New edge between mapped endpoints: the vertex map is already
 		// fixed, so the first unused target edge on that lane with the
 		// right label is the single witness.
-		tf, tt := emb.Verts[ed.From], emb.Verts[ed.To]
-		for _, te := range target.OutEdgesLabeled(tf, ed.Label) {
-			if target.Edge(te).To != tt || emb.UsesEdge(te) {
+		tt := emb.Verts[ed.To]
+		edges, heads := ix.Out(emb.Verts[ed.From], l)
+		for i, te := range edges {
+			if heads[i] != tt || emb.UsesEdge(te) {
 				continue
 			}
 			out = append(out, emb.extended(-1, te))
@@ -135,43 +132,34 @@ func ExtendEmbedding(target, child *graph.Graph, emb DenseEmbedding, newEdge gra
 		// witness). A target edge into an unmapped vertex cannot
 		// already be used (used edges connect mapped vertices), so
 		// only injectivity and the endpoint label need checking.
-		start := len(out)
-		tf := emb.Verts[ed.From]
-		label := child.Vertex(ed.To).Label
-		for _, te := range target.OutEdgesLabeled(tf, ed.Label) {
-			tv := target.Edge(te).To
-			if target.Vertex(tv).Label != label || emb.UsesVertex(tv) {
-				continue
-			}
-			if endpointSeen(out[start:], tv) {
-				continue
-			}
-			out = append(out, emb.extended(tv, te))
-			if limit > 0 && len(out) >= limit {
-				return out
-			}
-		}
+		edges, heads := ix.Out(emb.Verts[ed.From], l)
+		out = extendToNew(ix, edges, heads, ix.VertexLabelID(child.Vertex(ed.To).Label), emb, limit, out)
 	case !toNew:
 		// New edge into a mapped vertex from a new endpoint.
-		start := len(out)
-		tt := emb.Verts[ed.To]
-		label := child.Vertex(ed.From).Label
-		for _, te := range target.InEdgesLabeled(tt, ed.Label) {
-			tv := target.Edge(te).From
-			if target.Vertex(tv).Label != label || emb.UsesVertex(tv) {
-				continue
-			}
-			if endpointSeen(out[start:], tv) {
-				continue
-			}
-			out = append(out, emb.extended(tv, te))
-			if limit > 0 && len(out) >= limit {
-				return out
-			}
-		}
+		edges, tails := ix.In(emb.Verts[ed.To], l)
+		out = extendToNew(ix, edges, tails, ix.VertexLabelID(child.Vertex(ed.From).Label), emb, limit, out)
 	}
 	// Both endpoints new would mean a disconnected extension; one-edge
 	// candidate generation never produces one.
+	return out
+}
+
+// extendToNew appends one extension of emb per distinct far endpoint
+// among the given target edges that carries vertex label want and is
+// not yet mapped, witnessed by its first edge, stopping once out holds
+// limit embeddings (limit > 0).
+func extendToNew(ix *graph.Index, edges []graph.EdgeID, ends []graph.VertexID, want int32, emb DenseEmbedding, limit int, out []DenseEmbedding) []DenseEmbedding {
+	start := len(out)
+	for i, te := range edges {
+		tv := ends[i]
+		if ix.VertexLabel(tv) != want || emb.UsesVertex(tv) || endpointSeen(out[start:], tv) {
+			continue
+		}
+		out = append(out, emb.extended(tv, te))
+		if limit > 0 && len(out) >= limit {
+			return out
+		}
+	}
 	return out
 }
 
@@ -231,30 +219,13 @@ func GreedyNonOverlapDense(embs []DenseEmbedding) []DenseEmbedding {
 // embedding of some isomorphic construction of the pattern),
 // returning an embedding keyed to the pattern's own dense IDs.
 func (r *Reanchorer) ReanchorDense(emb DenseEmbedding) (DenseEmbedding, bool) {
-	m := r.m
-	if m.pattern.NumVertices() != len(emb.Verts) {
+	if r.m.pattern.NumVertices() != len(emb.Verts) {
 		return DenseEmbedding{}, false
 	}
-	for _, tv := range emb.Verts {
-		m.restrictVertex[tv] = true
+	r.restrictTo(emitDense, emb.Verts, emb.Edges)
+	defer r.m.finish()
+	if len(r.m.dense) == 0 {
+		return DenseEmbedding{}, false
 	}
-	for _, te := range emb.Edges {
-		m.restrictEdge[te] = true
-	}
-	m.dense = true
-	m.search(0)
-	var out DenseEmbedding
-	ok := len(m.denseResults) > 0
-	if ok {
-		out = m.denseResults[0]
-	}
-	for _, tv := range emb.Verts {
-		m.restrictVertex[tv] = false
-	}
-	for _, te := range emb.Edges {
-		m.restrictEdge[te] = false
-	}
-	m.dense = false
-	m.resetSearch()
-	return out, ok
+	return r.m.dense[0], true
 }

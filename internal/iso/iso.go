@@ -12,8 +12,6 @@
 package iso
 
 import (
-	"sort"
-
 	"tnkd/internal/graph"
 )
 
@@ -24,157 +22,6 @@ import (
 type Embedding struct {
 	Vertices map[graph.VertexID]graph.VertexID // pattern vertex -> target vertex
 	Edges    map[graph.EdgeID]graph.EdgeID     // pattern edge -> target edge
-}
-
-// matcher holds the state of one backtracking search. All per-step
-// state lives in dense slice-backed arrays sized to the pattern and
-// target graphs (indexed by vertex/edge ID), replacing the map-backed
-// state that dominated the profile of support counting: assignment,
-// rollback and membership tests are plain array stores with no
-// hashing and no allocation on the search path.
-type matcher struct {
-	pattern, target *graph.Graph
-
-	order  []graph.VertexID // pattern vertex assignment order
-	pEdges []graph.EdgeID   // live pattern edges, ascending
-
-	assigned   []graph.VertexID // pattern vertex ID -> target vertex (-1 unassigned)
-	usedVertex []bool           // target vertex ID in use
-	usedEdge   []bool           // target edge ID in use
-	edgeMap    []graph.EdgeID   // pattern edge ID -> target edge (-1 unassigned)
-
-	// excluded/restrict are the Options sets densified over target
-	// IDs; hasRestrict* distinguishes "no restriction" from an empty
-	// restriction set.
-	excludedEdge    []bool
-	excludedVertex  []bool
-	restrictVertex  []bool
-	restrictEdge    []bool
-	hasRestrictVert bool
-	hasRestrictEdge bool
-
-	// candScratch[d] is reused by candidates() at search depth d to
-	// collect and deduplicate candidate vertices without allocating.
-	// One buffer per depth: an outer depth is still iterating its
-	// slice while deeper recursion levels build theirs.
-	candScratch [][]graph.VertexID
-	candSeen    []bool // target vertex ID already collected (reset per call)
-
-	limit   int
-	results []Embedding
-	// dense switches result collection to DenseEmbedding (requires a
-	// dense-ID pattern); the map-backed results slice stays empty.
-	dense        bool
-	denseResults []DenseEmbedding
-	// maxSteps bounds the number of search-tree nodes expanded; 0
-	// means unbounded. Exceeding the budget aborts the search with
-	// whatever results were found.
-	maxSteps int
-	steps    int
-	aborted  bool
-}
-
-// newMatcher builds the dense search state for one pattern/target
-// pair.
-func newMatcher(pattern, target *graph.Graph, opts Options) *matcher {
-	m := &matcher{
-		pattern:    pattern,
-		target:     target,
-		order:      searchOrder(pattern),
-		pEdges:     pattern.Edges(),
-		assigned:   make([]graph.VertexID, pattern.VertexCap()),
-		usedVertex: make([]bool, target.VertexCap()),
-		usedEdge:   make([]bool, target.EdgeCap()),
-		edgeMap:    make([]graph.EdgeID, pattern.EdgeCap()),
-		candSeen:   make([]bool, target.VertexCap()),
-		limit:      opts.Limit,
-		maxSteps:   opts.MaxSteps,
-	}
-	m.candScratch = make([][]graph.VertexID, len(m.order))
-	for i := range m.assigned {
-		m.assigned[i] = -1
-	}
-	for i := range m.edgeMap {
-		m.edgeMap[i] = -1
-	}
-	if len(opts.ExcludedEdges) > 0 {
-		m.excludedEdge = densifyEdges(opts.ExcludedEdges, target.EdgeCap())
-	}
-	if len(opts.ExcludedVertices) > 0 {
-		m.excludedVertex = densifyVertices(opts.ExcludedVertices, target.VertexCap())
-	}
-	if opts.RestrictVertices != nil {
-		m.hasRestrictVert = true
-		m.restrictVertex = densifyVertices(opts.RestrictVertices, target.VertexCap())
-	}
-	if opts.RestrictEdges != nil {
-		m.hasRestrictEdge = true
-		m.restrictEdge = densifyEdges(opts.RestrictEdges, target.EdgeCap())
-	}
-	return m
-}
-
-func densifyVertices(set map[graph.VertexID]bool, cap int) []bool {
-	dense := make([]bool, cap)
-	for id, ok := range set {
-		if ok && int(id) < cap && id >= 0 {
-			dense[id] = true
-		}
-	}
-	return dense
-}
-
-func densifyEdges(set map[graph.EdgeID]bool, cap int) []bool {
-	dense := make([]bool, cap)
-	for id, ok := range set {
-		if ok && int(id) < cap && id >= 0 {
-			dense[id] = true
-		}
-	}
-	return dense
-}
-
-// excludeEmbedding bars emb's target edges (and, when vertices is
-// set, its target vertices) from subsequent searches on this matcher.
-func (m *matcher) excludeEmbedding(emb Embedding, vertices bool) {
-	if m.excludedEdge == nil {
-		m.excludedEdge = make([]bool, m.target.EdgeCap())
-	}
-	for _, te := range emb.Edges {
-		m.excludedEdge[te] = true
-	}
-	if vertices {
-		if m.excludedVertex == nil {
-			m.excludedVertex = make([]bool, m.target.VertexCap())
-		}
-		for _, tv := range emb.Vertices {
-			m.excludedVertex[tv] = true
-		}
-	}
-}
-
-// resetSearch clears per-search state in O(pattern) — after a search
-// ends, the only live entries in the dense arrays are the current
-// (possibly partial, on abort) assignment — so the matcher can run
-// again against the same target without reallocating its graph-sized
-// state. Exclusions persist.
-func (m *matcher) resetSearch() {
-	for _, pv := range m.order {
-		if tv := m.assigned[pv]; tv >= 0 {
-			m.usedVertex[tv] = false
-			m.assigned[pv] = -1
-		}
-	}
-	for _, pe := range m.pEdges {
-		if te := m.edgeMap[pe]; te >= 0 {
-			m.usedEdge[te] = false
-			m.edgeMap[pe] = -1
-		}
-	}
-	m.results = nil
-	m.denseResults = nil
-	m.steps = 0
-	m.aborted = false
 }
 
 // Options tunes a matching call.
@@ -201,305 +48,33 @@ type Options struct {
 // Section 4 matching relation. The pattern must have at least one
 // vertex. Results are deterministic for identical inputs.
 func FindEmbeddings(pattern, target *graph.Graph, opts Options) []Embedding {
-	if pattern.NumVertices() == 0 || pattern.NumVertices() > target.NumVertices() ||
-		pattern.NumEdges() > target.NumEdges() {
+	m := NewMatcher(pattern)
+	if !m.fits(target) {
 		return nil
 	}
-	m := newMatcher(pattern, target, opts)
-	m.search(0)
-	return m.results
+	return m.find(target, opts)
 }
 
 // Contains reports whether target contains at least one embedding of
 // pattern.
 func Contains(target, pattern *graph.Graph) bool {
-	return len(FindEmbeddings(pattern, target, Options{Limit: 1})) > 0
+	found, _ := ContainsBudget(target, pattern, 0)
+	return found
 }
 
 // ContainsBudget is Contains with a step budget; it returns
 // (found, completed) where completed is false if the search aborted
 // on budget before finding anything.
 func ContainsBudget(target, pattern *graph.Graph, maxSteps int) (found, completed bool) {
-	if pattern.NumVertices() == 0 || pattern.NumVertices() > target.NumVertices() ||
-		pattern.NumEdges() > target.NumEdges() {
+	m := NewMatcher(pattern)
+	if !m.fits(target) {
 		return false, true
 	}
-	m := newMatcher(pattern, target, Options{Limit: 1, MaxSteps: maxSteps})
+	m.begin(target, Options{Limit: 1, MaxSteps: maxSteps}, emitNone)
 	m.search(0)
-	return len(m.results) > 0, !m.aborted
-}
-
-// searchOrder returns the pattern vertices ordered so that after the
-// first, every vertex is adjacent to an earlier one when possible
-// (connected patterns then never branch on disconnected candidates).
-// Ties break toward higher degree for earlier pruning.
-func searchOrder(p *graph.Graph) []graph.VertexID {
-	vs := p.Vertices()
-	if len(vs) == 0 {
-		return nil
-	}
-	sort.Slice(vs, func(i, j int) bool {
-		di, dj := p.Degree(vs[i]), p.Degree(vs[j])
-		if di != dj {
-			return di > dj
-		}
-		return vs[i] < vs[j]
-	})
-	order := []graph.VertexID{vs[0]}
-	placed := map[graph.VertexID]bool{vs[0]: true}
-	for len(order) < len(vs) {
-		best := graph.VertexID(-1)
-		bestDeg := -1
-		// Prefer vertices adjacent to the placed set.
-		for _, v := range vs {
-			if placed[v] {
-				continue
-			}
-			adj := false
-			for _, u := range p.Neighbors(v) {
-				if placed[u] {
-					adj = true
-					break
-				}
-			}
-			if adj && p.Degree(v) > bestDeg {
-				best, bestDeg = v, p.Degree(v)
-			}
-		}
-		if best == -1 {
-			for _, v := range vs {
-				if !placed[v] {
-					best = v
-					break
-				}
-			}
-		}
-		order = append(order, best)
-		placed[best] = true
-	}
-	return order
-}
-
-func (m *matcher) search(depth int) bool {
-	if m.maxSteps > 0 {
-		m.steps++
-		if m.steps > m.maxSteps {
-			m.aborted = true
-			return true // stop everything
-		}
-	}
-	if depth == len(m.order) {
-		if m.dense {
-			m.denseResults = append(m.denseResults, m.emitDense())
-		} else {
-			m.results = append(m.results, m.emit())
-		}
-		return m.limit > 0 && len(m.results)+len(m.denseResults) >= m.limit
-	}
-	pv := m.order[depth]
-	for _, tv := range m.candidates(depth, pv) {
-		if m.usedVertex[tv] || (m.excludedVertex != nil && m.excludedVertex[tv]) {
-			continue
-		}
-		if m.hasRestrictVert && !m.restrictVertex[tv] {
-			continue
-		}
-		chosen, ok := m.tryAssign(pv, tv)
-		if !ok {
-			continue
-		}
-		m.assigned[pv] = tv
-		m.usedVertex[tv] = true
-		if m.search(depth + 1) {
-			return true
-		}
-		m.unassign(pv, tv, chosen)
-	}
-	return false
-}
-
-// emit materialises the current dense assignment as a map-backed
-// Embedding (the public result shape).
-func (m *matcher) emit() Embedding {
-	e := Embedding{
-		Vertices: make(map[graph.VertexID]graph.VertexID, len(m.order)),
-		Edges:    make(map[graph.EdgeID]graph.EdgeID, len(m.pEdges)),
-	}
-	for _, pv := range m.order {
-		e.Vertices[pv] = m.assigned[pv]
-	}
-	for _, pe := range m.pEdges {
-		if te := m.edgeMap[pe]; te >= 0 {
-			e.Edges[pe] = te
-		}
-	}
-	return e
-}
-
-// emitDense materialises the current assignment in dense form. The
-// pattern must have dense IDs (assigned/edgeMap fully populated over
-// [0, cap)), which holds for every pattern graph the miners build.
-func (m *matcher) emitDense() DenseEmbedding {
-	e := DenseEmbedding{
-		Verts: make([]graph.VertexID, len(m.assigned)),
-		Edges: make([]graph.EdgeID, len(m.edgeMap)),
-	}
-	copy(e.Verts, m.assigned)
-	copy(e.Edges, m.edgeMap)
-	return e
-}
-
-// candidates returns plausible target vertices for pattern vertex pv.
-// If pv has an already-assigned neighbor, candidates come from that
-// neighbor's label-indexed adjacency (only target edges carrying the
-// anchoring pattern edge's label are considered); otherwise the
-// target's vertices with pv's label are scanned. The returned slice
-// is the depth's scratch buffer, valid until the next call at the
-// same depth.
-func (m *matcher) candidates(depth int, pv graph.VertexID) []graph.VertexID {
-	plabel := m.pattern.Vertex(pv).Label
-	// Find an assigned pattern neighbor to anchor the candidate set.
-	for _, pe := range m.pattern.OutEdges(pv) {
-		ped := m.pattern.Edge(pe)
-		if tv := m.assigned[ped.To]; tv >= 0 {
-			return m.collectAnchored(depth, m.target.InEdgesLabeled(tv, ped.Label), true, plabel, pv)
-		}
-	}
-	for _, pe := range m.pattern.InEdges(pv) {
-		ped := m.pattern.Edge(pe)
-		if tv := m.assigned[ped.From]; tv >= 0 {
-			return m.collectAnchored(depth, m.target.OutEdgesLabeled(tv, ped.Label), false, plabel, pv)
-		}
-	}
-	return m.filterCands(depth, m.target.VerticesWithLabel(plabel), plabel, pv)
-}
-
-// collectAnchored gathers the distinct endpoints (From when fromSide,
-// else To) of the given target edges into the depth's scratch slice,
-// then filters by label and degree.
-func (m *matcher) collectAnchored(depth int, edges []graph.EdgeID, fromSide bool, plabel string, pv graph.VertexID) []graph.VertexID {
-	cands := m.candScratch[depth][:0]
-	for _, e := range edges {
-		ed := m.target.Edge(e)
-		v := ed.To
-		if fromSide {
-			v = ed.From
-		}
-		if !m.candSeen[v] {
-			m.candSeen[v] = true
-			cands = append(cands, v)
-		}
-	}
-	for _, v := range cands {
-		m.candSeen[v] = false
-	}
-	m.candScratch[depth] = cands
-	return m.filterCands(depth, cands, plabel, pv)
-}
-
-// filterCands keeps candidates whose label and degrees are compatible
-// with pv, writing into the depth's scratch buffer. When cands is
-// that same buffer the filter runs in place (the write index never
-// passes the read index); index-owned slices are never modified.
-func (m *matcher) filterCands(depth int, cands []graph.VertexID, plabel string, pv graph.VertexID) []graph.VertexID {
-	pOut, pIn := m.pattern.OutDegree(pv), m.pattern.InDegree(pv)
-	res := m.candScratch[depth][:0]
-	if cap(res) < len(cands) {
-		res = make([]graph.VertexID, 0, len(cands))
-	}
-	for _, tv := range cands {
-		if m.target.Vertex(tv).Label != plabel {
-			continue
-		}
-		if m.target.OutDegree(tv) < pOut || m.target.InDegree(tv) < pIn {
-			continue
-		}
-		res = append(res, tv)
-	}
-	m.candScratch[depth] = res
-	return res
-}
-
-// tryAssign checks that mapping pv -> tv is consistent with edges to
-// already-assigned vertices, greedily reserving one unused target
-// edge per pattern edge. It returns the reserved pattern edges for
-// rollback.
-func (m *matcher) tryAssign(pv, tv graph.VertexID) ([]graph.EdgeID, bool) {
-	var reserved []graph.EdgeID
-	rollback := func() {
-		for _, pe := range reserved {
-			te := m.edgeMap[pe]
-			m.edgeMap[pe] = -1
-			m.usedEdge[te] = false
-		}
-	}
-	// Outgoing pattern edges pv -> assigned. A self-loop's endpoint is
-	// pv itself, not yet in m.assigned (search records the assignment
-	// only after tryAssign succeeds), so it anchors on tv directly —
-	// loop edges must reserve distinct target loops like any other
-	// parallel edge class, or multiplicities would go unchecked.
-	for _, pe := range m.pattern.OutEdges(pv) {
-		ped := m.pattern.Edge(pe)
-		tu := m.assigned[ped.To]
-		if ped.To == pv {
-			tu = tv
-		}
-		if tu < 0 {
-			continue
-		}
-		if !m.reserveEdge(pe, tv, tu, ped.Label, &reserved) {
-			rollback()
-			return nil, false
-		}
-	}
-	// Incoming pattern edges assigned -> pv.
-	for _, pe := range m.pattern.InEdges(pv) {
-		ped := m.pattern.Edge(pe)
-		tu := m.assigned[ped.From]
-		if tu < 0 {
-			continue
-		}
-		if m.edgeMap[pe] >= 0 {
-			continue // self-loop already reserved via the OutEdges pass
-		}
-		if !m.reserveEdge(pe, tu, tv, ped.Label, &reserved) {
-			rollback()
-			return nil, false
-		}
-	}
-	return reserved, true
-}
-
-// reserveEdge finds an unused target edge from -> to with the given
-// label and reserves it for pattern edge pe. The label index narrows
-// the scan to correctly labeled edges up front.
-func (m *matcher) reserveEdge(pe graph.EdgeID, from, to graph.VertexID, label string, reserved *[]graph.EdgeID) bool {
-	for _, te := range m.target.OutEdgesLabeled(from, label) {
-		if m.target.Edge(te).To != to {
-			continue
-		}
-		if m.usedEdge[te] || (m.excludedEdge != nil && m.excludedEdge[te]) {
-			continue
-		}
-		if m.hasRestrictEdge && !m.restrictEdge[te] {
-			continue
-		}
-		m.usedEdge[te] = true
-		m.edgeMap[pe] = te
-		*reserved = append(*reserved, pe)
-		return true
-	}
-	return false
-}
-
-func (m *matcher) unassign(pv, tv graph.VertexID, reserved []graph.EdgeID) {
-	for _, pe := range reserved {
-		te := m.edgeMap[pe]
-		m.edgeMap[pe] = -1
-		m.usedEdge[te] = false
-	}
-	m.assigned[pv] = -1
-	m.usedVertex[tv] = false
+	found = m.found > 0
+	m.finish()
+	return found, !m.aborted
 }
 
 // Isomorphic reports whether a and b are isomorphic labeled directed
@@ -529,24 +104,25 @@ func CountEmbeddings(pattern, target *graph.Graph, limit int) int {
 // allowing overlap"); greedy extraction gives the standard lower
 // bound used by the original system.
 func CountNonOverlapping(pattern, target *graph.Graph, maxSteps int) int {
-	if pattern.NumVertices() == 0 || pattern.NumVertices() > target.NumVertices() ||
-		pattern.NumEdges() > target.NumEdges() {
+	m := NewMatcher(pattern)
+	if !m.fits(target) {
 		return 0
 	}
 	// One matcher serves every extraction round: exclusions
 	// accumulate in its dense state and each round resets in
 	// O(pattern), instead of rebuilding graph-sized state per
 	// instance.
-	m := newMatcher(pattern, target, Options{Limit: 1, MaxSteps: maxSteps})
+	m.begin(target, Options{Limit: 1, MaxSteps: maxSteps}, emitNone)
+	defer m.finish()
 	count := 0
 	for {
 		m.search(0)
-		if len(m.results) == 0 {
+		if m.found == 0 {
 			return count
 		}
 		count++
-		m.excludeEmbedding(m.results[0], false)
-		m.resetSearch()
+		m.excludeCurrent(false)
+		m.nextRound()
 	}
 }
 
@@ -558,18 +134,30 @@ func CountNonOverlapping(pattern, target *graph.Graph, maxSteps int) int {
 // one big target, many candidate subgraphs. Not safe for concurrent
 // use; create one per goroutine.
 type Reanchorer struct {
-	m *matcher
+	m        *Matcher
+	target   *graph.Graph
+	maxSteps int
 }
 
 // NewReanchorer prepares re-anchoring of subgraphs of target onto
 // pattern. maxSteps bounds each search (<= 0 unbounded).
 func NewReanchorer(pattern, target *graph.Graph, maxSteps int) *Reanchorer {
-	m := newMatcher(pattern, target, Options{Limit: 1, MaxSteps: maxSteps})
-	m.restrictVertex = make([]bool, target.VertexCap())
-	m.restrictEdge = make([]bool, target.EdgeCap())
-	m.hasRestrictVert = true
-	m.hasRestrictEdge = true
-	return &Reanchorer{m: m}
+	return &Reanchorer{m: NewMatcher(pattern), target: target, maxSteps: maxSteps}
+}
+
+// restrictTo starts one re-anchoring search confined to exactly the
+// given target vertices and edges.
+func (r *Reanchorer) restrictTo(emit emitMode, verts []graph.VertexID, edges []graph.EdgeID) {
+	m := r.m
+	m.begin(r.target, Options{Limit: 1, MaxSteps: r.maxSteps}, emit)
+	m.hasRestrictV, m.hasRestrictE = true, true
+	for _, tv := range verts {
+		m.restrictV.add(int(tv))
+	}
+	for _, te := range edges {
+		m.restrictE.add(int(te))
+	}
+	m.search(0)
 }
 
 // Reanchor maps the pattern onto exactly the target vertices and
@@ -577,30 +165,23 @@ func NewReanchorer(pattern, target *graph.Graph, maxSteps int) *Reanchorer {
 // of the pattern), returning an embedding keyed to the pattern's own
 // vertex/edge IDs.
 func (r *Reanchorer) Reanchor(emb Embedding) (Embedding, bool) {
-	m := r.m
-	if m.pattern.NumVertices() != len(emb.Vertices) {
+	if r.m.pattern.NumVertices() != len(emb.Vertices) {
 		return Embedding{}, false
 	}
+	verts := make([]graph.VertexID, 0, len(emb.Vertices))
 	for _, tv := range emb.Vertices {
-		m.restrictVertex[tv] = true
+		verts = append(verts, tv)
 	}
+	edges := make([]graph.EdgeID, 0, len(emb.Edges))
 	for _, te := range emb.Edges {
-		m.restrictEdge[te] = true
+		edges = append(edges, te)
 	}
-	m.search(0)
-	var out Embedding
-	ok := len(m.results) > 0
-	if ok {
-		out = m.results[0]
+	r.restrictTo(emitMap, verts, edges)
+	defer r.m.finish()
+	if len(r.m.results) == 0 {
+		return Embedding{}, false
 	}
-	for _, tv := range emb.Vertices {
-		m.restrictVertex[tv] = false
-	}
-	for _, te := range emb.Edges {
-		m.restrictEdge[te] = false
-	}
-	m.resetSearch()
-	return out, ok
+	return r.m.results[0], true
 }
 
 // EmbedInSubgraph finds one embedding of pattern using only the given
@@ -663,23 +244,23 @@ func GreedyNonOverlap(embs []Embedding) []Embedding {
 // the paper's SUBDUE runs and guarantees termination even for
 // edgeless patterns.
 func FindNonOverlapping(pattern, target *graph.Graph, maxInstances, maxSteps int) []Embedding {
-	if pattern.NumVertices() == 0 || pattern.NumVertices() > target.NumVertices() ||
-		pattern.NumEdges() > target.NumEdges() {
+	m := NewMatcher(pattern)
+	if !m.fits(target) {
 		return nil
 	}
 	// One matcher serves every extraction round (see
 	// CountNonOverlapping).
-	m := newMatcher(pattern, target, Options{Limit: 1, MaxSteps: maxSteps})
+	m.begin(target, Options{Limit: 1, MaxSteps: maxSteps}, emitMap)
+	defer m.finish()
 	var result []Embedding
 	for maxInstances <= 0 || len(result) < maxInstances {
 		m.search(0)
 		if len(m.results) == 0 {
 			return result
 		}
-		emb := m.results[0]
-		result = append(result, emb)
-		m.excludeEmbedding(emb, true)
-		m.resetSearch()
+		result = append(result, m.results[0])
+		m.excludeCurrent(true)
+		m.nextRound()
 	}
 	return result
 }

@@ -1,0 +1,586 @@
+package iso
+
+import (
+	"sort"
+
+	"tnkd/internal/graph"
+)
+
+// Matcher is a pattern compiled for repeated subgraph-isomorphism
+// searches, plus the reusable state those searches run on.
+//
+// Compilation (NewMatcher) fixes everything about the search that
+// depends on the pattern alone: the vertex assignment order, and for
+// each search depth the pattern vertex placed there, its label and
+// degree requirements, the already-placed neighbour its candidates are
+// drawn from, and the pattern edges to verify against placed vertices.
+// A search then only translates the plan's distinct labels into the
+// target's interned label IDs (O(pattern) map probes) and walks the
+// target's CSR index (graph.Index): candidate generation, degree
+// filters and edge reservation are integer compares over dense arrays.
+//
+// The target-sized scratch (vertex/edge use marks, candidate dedup,
+// exclusion and restriction sets) is allocated once per Matcher, grown
+// when a larger target arrives, and returned to all-false after every
+// call in time proportional to what the call touched, so a Matcher
+// reused across a candidate's transactions allocates only its results.
+//
+// The search tree is the classic one of this package: at every depth
+// the same candidates are visited in the same order, the lowest-ID
+// compatible target edge is reserved for each pattern edge, and every
+// expanded node counts one step against Options.MaxSteps — so two
+// searches of the same inputs expand the same nodes, emit the same
+// embeddings in the same order and abort at the same point.
+//
+// A Matcher is not safe for concurrent use.
+type Matcher struct {
+	pattern *graph.Graph
+
+	// The compiled plan (immutable after NewMatcher).
+	order   []graph.VertexID // pattern vertex assignment order
+	pEdges  []graph.EdgeID   // live pattern edges, ascending
+	levels  []level          // levels[d] places order[d]
+	vLabels []string         // distinct pattern vertex labels
+	eLabels []string         // distinct pattern edge labels
+
+	// The bound target and the plan's labels in its ID space
+	// (graph.NoLabel where the target lacks a label).
+	target *graph.Graph
+	ix     *graph.Index
+	vLab   []int32
+	eLab   []int32
+
+	// Pattern-sized search state; -1 marks unassigned.
+	assigned []graph.VertexID // pattern vertex ID -> target vertex
+	edgeMap  []graph.EdgeID   // pattern edge ID -> target edge
+
+	// Target-sized scratch, all clear between calls.
+	usedVertex []bool
+	usedEdge   []bool
+	candSeen   []bool
+	excludedV  idSet
+	excludedE  idSet
+	restrictV  idSet
+	restrictE  idSet
+	// hasRestrict* distinguish "no restriction" from an empty
+	// restriction set.
+	hasRestrictV, hasRestrictE bool
+
+	// candScratch[d] holds depth d's candidate list: an outer depth is
+	// still iterating its list while deeper levels build theirs.
+	candScratch [][]graph.VertexID
+
+	limit    int
+	maxSteps int
+	steps    int
+	aborted  bool
+	emit     emitMode
+	found    int
+	results  []Embedding
+	dense    []DenseEmbedding
+}
+
+// level is the compiled plan of one search depth.
+type level struct {
+	pv            graph.VertexID
+	vlabel        int // index into vLabels
+	outDeg, inDeg int
+	// anchor is a placed pattern neighbour of pv whose labeled target
+	// adjacency supplies pv's candidates (-1: scan by label). The
+	// anchoring edge runs pv -> anchor when anchorOut (candidates are
+	// tails of the anchor's in-edges), else anchor -> pv.
+	anchor      graph.VertexID
+	anchorOut   bool
+	anchorLabel int // index into eLabels
+	// checks are the pattern edges between pv and placed vertices
+	// (self-loops included), in reservation order.
+	checks []edgeCheck
+}
+
+// edgeCheck is one pattern edge reserved when its level places pv.
+type edgeCheck struct {
+	pe    graph.EdgeID
+	other graph.VertexID // placed endpoint, or pv itself for a self-loop
+	out   bool           // pv -> other; else other -> pv
+	label int            // index into eLabels
+}
+
+// emitMode selects what a completed embedding produces.
+type emitMode uint8
+
+const (
+	emitNone  emitMode = iota // only count it; a stopped search leaves it assigned
+	emitMap                   // append an Embedding to results
+	emitDense                 // append a DenseEmbedding to dense
+)
+
+// idSet is a target-sized membership array that remembers what it set,
+// so clearing costs O(members) rather than O(target).
+type idSet struct {
+	on  []bool
+	ids []int
+}
+
+func (s *idSet) add(id int) {
+	if id >= 0 && id < len(s.on) && !s.on[id] {
+		s.on[id] = true
+		s.ids = append(s.ids, id)
+	}
+}
+
+func (s *idSet) clear() {
+	for _, id := range s.ids {
+		s.on[id] = false
+	}
+	s.ids = s.ids[:0]
+}
+
+// grow sizes an empty set for IDs below n.
+func (s *idSet) grow(n int) {
+	if len(s.on) < n {
+		s.on = make([]bool, n)
+	}
+}
+
+// NewMatcher compiles pattern into a search plan. The pattern must not
+// be mutated while the Matcher is in use.
+func NewMatcher(pattern *graph.Graph) *Matcher {
+	m := &Matcher{
+		pattern:  pattern,
+		order:    searchOrder(pattern),
+		pEdges:   pattern.Edges(),
+		assigned: make([]graph.VertexID, pattern.VertexCap()),
+		edgeMap:  make([]graph.EdgeID, pattern.EdgeCap()),
+	}
+	for i := range m.assigned {
+		m.assigned[i] = -1
+	}
+	for i := range m.edgeMap {
+		m.edgeMap[i] = -1
+	}
+	vIdx, eIdx := map[string]int{}, map[string]int{}
+	internV := func(l string) int {
+		if i, ok := vIdx[l]; ok {
+			return i
+		}
+		vIdx[l] = len(m.vLabels)
+		m.vLabels = append(m.vLabels, l)
+		return vIdx[l]
+	}
+	internE := func(l string) int {
+		if i, ok := eIdx[l]; ok {
+			return i
+		}
+		eIdx[l] = len(m.eLabels)
+		m.eLabels = append(m.eLabels, l)
+		return eIdx[l]
+	}
+	placed := make([]bool, pattern.VertexCap())
+	m.levels = make([]level, len(m.order))
+	for d, pv := range m.order {
+		lv := level{
+			pv:     pv,
+			vlabel: internV(pattern.Vertex(pv).Label),
+			outDeg: pattern.OutDegree(pv),
+			inDeg:  pattern.InDegree(pv),
+			anchor: -1,
+		}
+		outs, ins := pattern.OutEdges(pv), pattern.InEdges(pv)
+		// The anchor is the first out-edge (ascending ID) to a placed
+		// vertex, else the first such in-edge; a self-loop never
+		// anchors, since pv itself is not yet placed.
+		for _, pe := range outs {
+			if ed := pattern.Edge(pe); placed[ed.To] {
+				lv.anchor, lv.anchorOut, lv.anchorLabel = ed.To, true, internE(ed.Label)
+				break
+			}
+		}
+		if lv.anchor < 0 {
+			for _, pe := range ins {
+				if ed := pattern.Edge(pe); placed[ed.From] {
+					lv.anchor, lv.anchorOut, lv.anchorLabel = ed.From, false, internE(ed.Label)
+					break
+				}
+			}
+		}
+		// Out-edges to placed vertices and self-loops first, then
+		// in-edges from placed vertices, each ascending: a self-loop
+		// is reserved once, as an out-edge.
+		for _, pe := range outs {
+			if ed := pattern.Edge(pe); placed[ed.To] || ed.To == pv {
+				lv.checks = append(lv.checks, edgeCheck{pe: pe, other: ed.To, out: true, label: internE(ed.Label)})
+			}
+		}
+		for _, pe := range ins {
+			if ed := pattern.Edge(pe); placed[ed.From] {
+				lv.checks = append(lv.checks, edgeCheck{pe: pe, other: ed.From, label: internE(ed.Label)})
+			}
+		}
+		m.levels[d] = lv
+		placed[pv] = true
+	}
+	m.vLab = make([]int32, len(m.vLabels))
+	m.eLab = make([]int32, len(m.eLabels))
+	m.candScratch = make([][]graph.VertexID, len(m.order))
+	return m
+}
+
+// searchOrder returns the pattern vertices ordered so that after the
+// first, every vertex is adjacent to an earlier one when possible
+// (connected patterns then never branch on disconnected candidates).
+// Ties break toward higher degree for earlier pruning.
+func searchOrder(p *graph.Graph) []graph.VertexID {
+	vs := p.Vertices()
+	if len(vs) == 0 {
+		return nil
+	}
+	sort.Slice(vs, func(i, j int) bool {
+		di, dj := p.Degree(vs[i]), p.Degree(vs[j])
+		if di != dj {
+			return di > dj
+		}
+		return vs[i] < vs[j]
+	})
+	order := []graph.VertexID{vs[0]}
+	placed := map[graph.VertexID]bool{vs[0]: true}
+	for len(order) < len(vs) {
+		best := graph.VertexID(-1)
+		bestDeg := -1
+		// Prefer vertices adjacent to the placed set.
+		for _, v := range vs {
+			if placed[v] {
+				continue
+			}
+			adj := false
+			for _, u := range p.Neighbors(v) {
+				if placed[u] {
+					adj = true
+					break
+				}
+			}
+			if adj && p.Degree(v) > bestDeg {
+				best, bestDeg = v, p.Degree(v)
+			}
+		}
+		if best == -1 {
+			for _, v := range vs {
+				if !placed[v] {
+					best = v
+					break
+				}
+			}
+		}
+		order = append(order, best)
+		placed[best] = true
+	}
+	return order
+}
+
+// fits reports whether target is large enough to hold the pattern at
+// all; callers short-circuit to "no embeddings, search complete"
+// otherwise.
+func (m *Matcher) fits(target *graph.Graph) bool {
+	p := m.pattern
+	return p.NumVertices() > 0 && p.NumVertices() <= target.NumVertices() &&
+		p.NumEdges() <= target.NumEdges()
+}
+
+// Embeddings enumerates the embeddings of the compiled pattern into
+// target in dense form (the pattern must have dense IDs). The second
+// result reports whether the search ran to completion (false when
+// opts.MaxSteps aborted it, in which case the list may be incomplete).
+func (m *Matcher) Embeddings(target *graph.Graph, opts Options) ([]DenseEmbedding, bool) {
+	if !m.fits(target) {
+		return nil, true
+	}
+	embs := m.embeddings(target, opts)
+	return embs, !m.aborted
+}
+
+// embeddings runs one dense search with no size precheck.
+func (m *Matcher) embeddings(target *graph.Graph, opts Options) []DenseEmbedding {
+	m.begin(target, opts, emitDense)
+	m.search(0)
+	embs := m.dense
+	m.finish()
+	return embs
+}
+
+// find runs one map-form search.
+func (m *Matcher) find(target *graph.Graph, opts Options) []Embedding {
+	m.begin(target, opts, emitMap)
+	m.search(0)
+	embs := m.results
+	m.finish()
+	return embs
+}
+
+// bind points the matcher at target: the plan's labels are translated
+// into target's label IDs and the scratch grows to target's ID space.
+// Rebinding the same unmutated target is free.
+func (m *Matcher) bind(target *graph.Graph) {
+	ix := target.Index()
+	if target == m.target && ix == m.ix {
+		return
+	}
+	m.target, m.ix = target, ix
+	for i, l := range m.vLabels {
+		m.vLab[i] = ix.VertexLabelID(l)
+	}
+	for i, l := range m.eLabels {
+		m.eLab[i] = ix.EdgeLabelID(l)
+	}
+	if nv := target.VertexCap(); len(m.usedVertex) < nv {
+		m.usedVertex = make([]bool, nv)
+		m.candSeen = make([]bool, nv)
+	}
+	if ne := target.EdgeCap(); len(m.usedEdge) < ne {
+		m.usedEdge = make([]bool, ne)
+	}
+	m.excludedV.grow(target.VertexCap())
+	m.restrictV.grow(target.VertexCap())
+	m.excludedE.grow(target.EdgeCap())
+	m.restrictE.grow(target.EdgeCap())
+}
+
+// begin prepares one call against target: binds it, loads opts' limit,
+// budget and sets into the dense scratch, and selects what completed
+// embeddings emit.
+func (m *Matcher) begin(target *graph.Graph, opts Options, emit emitMode) {
+	m.bind(target)
+	m.limit, m.maxSteps, m.emit = opts.Limit, opts.MaxSteps, emit
+	m.steps, m.aborted, m.found = 0, false, 0
+	for id, ok := range opts.ExcludedVertices {
+		if ok {
+			m.excludedV.add(int(id))
+		}
+	}
+	for id, ok := range opts.ExcludedEdges {
+		if ok {
+			m.excludedE.add(int(id))
+		}
+	}
+	if opts.RestrictVertices != nil {
+		m.hasRestrictV = true
+		for id, ok := range opts.RestrictVertices {
+			if ok {
+				m.restrictV.add(int(id))
+			}
+		}
+	}
+	if opts.RestrictEdges != nil {
+		m.hasRestrictE = true
+		for id, ok := range opts.RestrictEdges {
+			if ok {
+				m.restrictE.add(int(id))
+			}
+		}
+	}
+}
+
+// nextRound readies another search against the bound target within
+// the same call: the last (possibly partial) assignment is undone and
+// the step budget restarts; exclusions and restrictions persist.
+func (m *Matcher) nextRound() {
+	m.unassignAll()
+	m.steps, m.aborted, m.found = 0, false, 0
+}
+
+// finish returns every piece of scratch a call touched to its clear
+// state. The step count and abort flag of the last search survive for
+// inspection.
+func (m *Matcher) finish() {
+	m.unassignAll()
+	m.excludedV.clear()
+	m.excludedE.clear()
+	m.restrictV.clear()
+	m.restrictE.clear()
+	m.hasRestrictV, m.hasRestrictE = false, false
+}
+
+// unassignAll undoes the live assignment — after a search stops, the
+// only marks left in the target-sized arrays are its own — in
+// O(pattern), and drops the results.
+func (m *Matcher) unassignAll() {
+	for _, pv := range m.order {
+		if tv := m.assigned[pv]; tv >= 0 {
+			m.usedVertex[tv] = false
+			m.assigned[pv] = -1
+		}
+	}
+	for _, pe := range m.pEdges {
+		if te := m.edgeMap[pe]; te >= 0 {
+			m.usedEdge[te] = false
+			m.edgeMap[pe] = -1
+		}
+	}
+	m.results, m.dense = nil, nil
+}
+
+// search expands the node at depth, returning true to stop the whole
+// search (limit reached or budget exhausted). The assignment of a
+// stopped search stays live until nextRound or finish.
+func (m *Matcher) search(depth int) bool {
+	if m.maxSteps > 0 {
+		m.steps++
+		if m.steps > m.maxSteps {
+			m.aborted = true
+			return true
+		}
+	}
+	if depth == len(m.levels) {
+		m.found++
+		switch m.emit {
+		case emitMap:
+			m.results = append(m.results, m.mapEmbedding())
+		case emitDense:
+			m.dense = append(m.dense, m.denseEmbedding())
+		}
+		return m.limit > 0 && m.found >= m.limit
+	}
+	lv := &m.levels[depth]
+	for _, tv := range m.candidates(depth, lv) {
+		if m.usedVertex[tv] || m.excludedV.on[tv] || (m.hasRestrictV && !m.restrictV.on[tv]) {
+			continue
+		}
+		if !m.reserve(lv, tv) {
+			continue
+		}
+		m.assigned[lv.pv] = tv
+		m.usedVertex[tv] = true
+		if m.search(depth + 1) {
+			return true
+		}
+		m.release(lv.checks)
+		m.assigned[lv.pv] = -1
+		m.usedVertex[tv] = false
+	}
+	return false
+}
+
+// candidates returns the target vertices that may take lv's pattern
+// vertex, in visiting order: the distinct far endpoints of the
+// anchor's target edges carrying the anchoring label (first occurrence
+// order), or every target vertex with the right label when the level
+// has no anchor — each filtered by label and by live in/out degree at
+// least the pattern vertex's. The slice is the depth's scratch buffer,
+// valid until the next call at the same depth.
+func (m *Matcher) candidates(depth int, lv *level) []graph.VertexID {
+	ix := m.ix
+	want := m.vLab[lv.vlabel]
+	res := m.candScratch[depth][:0]
+	if lv.anchor < 0 {
+		for _, tv := range ix.WithLabel(want) {
+			if ix.OutDegree(tv) >= lv.outDeg && ix.InDegree(tv) >= lv.inDeg {
+				res = append(res, tv)
+			}
+		}
+		m.candScratch[depth] = res
+		return res
+	}
+	at, l := m.assigned[lv.anchor], m.eLab[lv.anchorLabel]
+	var ends []graph.VertexID
+	if lv.anchorOut {
+		_, ends = ix.In(at, l)
+	} else {
+		_, ends = ix.Out(at, l)
+	}
+	for _, tv := range ends {
+		if m.candSeen[tv] || ix.VertexLabel(tv) != want ||
+			ix.OutDegree(tv) < lv.outDeg || ix.InDegree(tv) < lv.inDeg {
+			continue
+		}
+		m.candSeen[tv] = true
+		res = append(res, tv)
+	}
+	for _, tv := range res {
+		m.candSeen[tv] = false
+	}
+	m.candScratch[depth] = res
+	return res
+}
+
+// reserve verifies lv's pattern edges for pv -> tv, reserving for each
+// the lowest-ID unused compatible target edge; on failure it releases
+// what it reserved and reports false.
+func (m *Matcher) reserve(lv *level, tv graph.VertexID) bool {
+	for i := range lv.checks {
+		c := &lv.checks[i]
+		other := tv
+		if c.other != lv.pv {
+			other = m.assigned[c.other]
+		}
+		from, to := tv, other
+		if !c.out {
+			from, to = other, tv
+		}
+		if !m.reserveEdge(c.pe, from, to, m.eLab[c.label]) {
+			m.release(lv.checks[:i])
+			return false
+		}
+	}
+	return true
+}
+
+// reserveEdge maps pattern edge pe onto the lowest-ID unused,
+// permitted target edge from -> to with label l.
+func (m *Matcher) reserveEdge(pe graph.EdgeID, from, to graph.VertexID, l int32) bool {
+	edges, heads := m.ix.Out(from, l)
+	for i, te := range edges {
+		if heads[i] != to || m.usedEdge[te] || m.excludedE.on[te] || (m.hasRestrictE && !m.restrictE.on[te]) {
+			continue
+		}
+		m.usedEdge[te] = true
+		m.edgeMap[pe] = te
+		return true
+	}
+	return false
+}
+
+// release undoes the reservations of checks.
+func (m *Matcher) release(checks []edgeCheck) {
+	for _, c := range checks {
+		m.usedEdge[m.edgeMap[c.pe]] = false
+		m.edgeMap[c.pe] = -1
+	}
+}
+
+// mapEmbedding materialises the current assignment in map form.
+func (m *Matcher) mapEmbedding() Embedding {
+	e := Embedding{
+		Vertices: make(map[graph.VertexID]graph.VertexID, len(m.order)),
+		Edges:    make(map[graph.EdgeID]graph.EdgeID, len(m.pEdges)),
+	}
+	for _, pv := range m.order {
+		e.Vertices[pv] = m.assigned[pv]
+	}
+	for _, pe := range m.pEdges {
+		e.Edges[pe] = m.edgeMap[pe]
+	}
+	return e
+}
+
+// denseEmbedding materialises the current assignment in dense form
+// (meaningful for dense-ID patterns, where every slot is assigned).
+func (m *Matcher) denseEmbedding() DenseEmbedding {
+	e := DenseEmbedding{
+		Verts: make([]graph.VertexID, len(m.assigned)),
+		Edges: make([]graph.EdgeID, len(m.edgeMap)),
+	}
+	copy(e.Verts, m.assigned)
+	copy(e.Edges, m.edgeMap)
+	return e
+}
+
+// excludeCurrent bars the live assignment's target edges (and, when
+// vertices is set, its target vertices) from the rest of the call.
+func (m *Matcher) excludeCurrent(vertices bool) {
+	for _, pe := range m.pEdges {
+		m.excludedE.add(int(m.edgeMap[pe]))
+	}
+	if vertices {
+		for _, pv := range m.order {
+			m.excludedV.add(int(m.assigned[pv]))
+		}
+	}
+}

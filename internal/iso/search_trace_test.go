@@ -1,0 +1,299 @@
+package iso
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"tnkd/internal/graph"
+)
+
+// The search-trace golden pins the matcher's search tree, not just its
+// answers: for ~300 seeded (pattern, target, options) cases it records
+// the number of search-tree nodes expanded, whether MaxSteps aborted the
+// search, and every embedding in emission order, plus the greedy
+// non-overlap and re-anchoring results built on the same matcher. Any
+// change to candidate order, edge reservation or step accounting shows
+// up as a byte difference. Regenerate (only when the search tree is
+// meant to change) with
+//
+//	go test ./internal/iso -run TestSearchTraceGolden -update-trace
+var updateTrace = flag.Bool("update-trace", false, "rewrite testdata/search_trace.golden from the current matcher")
+
+const searchTraceCases = 300
+
+// traceGraph builds a random graph with dense IDs from rng alone.
+// Self-loops and parallel edges appear when loops is set (parallel
+// edges arise naturally from repeated endpoint draws).
+func traceGraph(rng *rand.Rand, nv, ne, vLabels, eLabels int, loops bool) *graph.Graph {
+	g := graph.New("t")
+	for i := 0; i < nv; i++ {
+		g.AddVertex(fmt.Sprintf("v%d", rng.Intn(vLabels)))
+	}
+	for i := 0; i < ne; i++ {
+		a, b := graph.VertexID(rng.Intn(nv)), graph.VertexID(rng.Intn(nv))
+		if a == b && !loops {
+			continue
+		}
+		g.AddEdge(a, b, fmt.Sprintf("e%d", rng.Intn(eLabels)))
+	}
+	return g
+}
+
+// traceSubgraph extracts a connected subgraph of g by a seeded walk
+// over its edges (in ascending ID order, so the result depends on rng
+// only), renumbered densely in order of first touch.
+func traceSubgraph(rng *rand.Rand, g *graph.Graph, edges int) *graph.Graph {
+	all := g.Edges()
+	if len(all) == 0 {
+		return nil
+	}
+	chosen := []graph.EdgeID{all[rng.Intn(len(all))]}
+	in := map[graph.EdgeID]bool{chosen[0]: true}
+	touched := map[graph.VertexID]bool{}
+	ed := g.Edge(chosen[0])
+	touched[ed.From], touched[ed.To] = true, true
+	for len(chosen) < edges {
+		var frontier []graph.EdgeID
+		for _, e := range all {
+			eed := g.Edge(e)
+			if !in[e] && (touched[eed.From] || touched[eed.To]) {
+				frontier = append(frontier, e)
+			}
+		}
+		if len(frontier) == 0 {
+			break
+		}
+		e := frontier[rng.Intn(len(frontier))]
+		chosen = append(chosen, e)
+		in[e] = true
+		eed := g.Edge(e)
+		touched[eed.From], touched[eed.To] = true, true
+	}
+	sub := graph.New("p")
+	remap := map[graph.VertexID]graph.VertexID{}
+	vtx := func(v graph.VertexID) graph.VertexID {
+		if id, ok := remap[v]; ok {
+			return id
+		}
+		id := sub.AddVertex(g.Vertex(v).Label)
+		remap[v] = id
+		return id
+	}
+	for _, e := range chosen {
+		eed := g.Edge(e)
+		sub.AddEdge(vtx(eed.From), vtx(eed.To), eed.Label)
+	}
+	return sub
+}
+
+// traceCase is one seeded search of the golden.
+type traceCase struct {
+	pattern, target *graph.Graph
+	opts            Options
+}
+
+// traceCases derives the golden's cases from one seed. Targets are
+// sometimes mutated after construction (edges and vertices removed) so
+// the label index's live-only view is exercised; patterns are either
+// extracted from the target (positive instances) or random (mostly
+// negative, sometimes disconnected).
+func traceCases() []traceCase {
+	rng := rand.New(rand.NewSource(20050405))
+	cases := make([]traceCase, 0, searchTraceCases)
+	for len(cases) < searchTraceCases {
+		vl := 1 + rng.Intn(3) // 1 = uniform vertex labels
+		el := 1 + rng.Intn(3)
+		loops := rng.Intn(3) == 0
+		nv := 2 + rng.Intn(11)
+		ne := rng.Intn(3 * nv)
+		target := traceGraph(rng, nv, ne, vl, el, loops)
+
+		var pat *graph.Graph
+		if rng.Intn(3) > 0 {
+			pat = traceSubgraph(rng, target, 1+rng.Intn(5))
+		}
+		if pat == nil {
+			pat = traceGraph(rng, 1+rng.Intn(4), rng.Intn(6), vl, el, loops)
+		}
+
+		if rng.Intn(4) == 0 {
+			for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+				if e := graph.EdgeID(rng.Intn(target.EdgeCap() + 1)); target.HasEdge(e) {
+					target.RemoveEdge(e)
+				}
+			}
+			if rng.Intn(2) == 0 {
+				target.RemoveVertex(graph.VertexID(rng.Intn(target.VertexCap())))
+			}
+			if rng.Intn(2) == 0 {
+				target.RemoveOrphans()
+			}
+		}
+
+		opts := Options{Limit: []int{0, 1, 1, 3}[rng.Intn(4)]}
+		switch rng.Intn(3) {
+		case 0:
+			opts.MaxSteps = 1 + rng.Intn(12) // tiny: many searches abort
+		case 1:
+			opts.MaxSteps = 10 + rng.Intn(200)
+		default:
+			opts.MaxSteps = 2000
+		}
+		if rng.Intn(5) == 0 {
+			opts.ExcludedEdges = map[graph.EdgeID]bool{}
+			for _, e := range target.Edges() {
+				if rng.Intn(4) == 0 {
+					opts.ExcludedEdges[e] = true
+				}
+			}
+		}
+		if rng.Intn(6) == 0 {
+			opts.ExcludedVertices = map[graph.VertexID]bool{}
+			for _, v := range target.Vertices() {
+				if rng.Intn(5) == 0 {
+					opts.ExcludedVertices[v] = true
+				}
+			}
+		}
+		if rng.Intn(6) == 0 {
+			opts.RestrictVertices = map[graph.VertexID]bool{}
+			for _, v := range target.Vertices() {
+				if rng.Intn(3) > 0 {
+					opts.RestrictVertices[v] = true
+				}
+			}
+		}
+		if rng.Intn(6) == 0 {
+			opts.RestrictEdges = map[graph.EdgeID]bool{}
+			for _, e := range target.Edges() {
+				if rng.Intn(3) > 0 {
+					opts.RestrictEdges[e] = true
+				}
+			}
+		}
+		cases = append(cases, traceCase{pattern: pat, target: target, opts: opts})
+	}
+	return cases
+}
+
+// traceSearch runs one dense search on the matcher directly (no
+// size precheck, so the search itself is traced even when a public
+// entry point would short-circuit) and reports its step count.
+func traceSearch(pattern, target *graph.Graph, opts Options) (steps int, aborted bool, embs []DenseEmbedding) {
+	m := NewMatcher(pattern)
+	embs = m.embeddings(target, opts)
+	return m.steps, m.aborted, embs
+}
+
+func setSize[K comparable](m map[K]bool) string {
+	if m == nil {
+		return "-"
+	}
+	return fmt.Sprint(len(m))
+}
+
+func renderMapEmbedding(p *graph.Graph, e Embedding) string {
+	dense := DenseEmbedding{
+		Verts: make([]graph.VertexID, p.VertexCap()),
+		Edges: make([]graph.EdgeID, p.EdgeCap()),
+	}
+	for pv, tv := range e.Vertices {
+		dense.Verts[pv] = tv
+	}
+	for pe, te := range e.Edges {
+		dense.Edges[pe] = te
+	}
+	return fmt.Sprintf("v=%v e=%v", dense.Verts, dense.Edges)
+}
+
+// renderSearchTrace runs every case and renders the golden text.
+func renderSearchTrace() []byte {
+	var b bytes.Buffer
+	for i, c := range traceCases() {
+		h := fnv.New32a()
+		h.Write([]byte(c.pattern.Dump()))
+		h.Write([]byte(c.target.Dump()))
+		steps, aborted, embs := traceSearch(c.pattern, c.target, c.opts)
+		fmt.Fprintf(&b, "case %d in=%08x p=%dv/%de t=%dv/%de limit=%d maxsteps=%d excl=%s/%s restrict=%s/%s steps=%d aborted=%v embs=%d\n",
+			i, h.Sum32(), c.pattern.NumVertices(), c.pattern.NumEdges(),
+			c.target.NumVertices(), c.target.NumEdges(), c.opts.Limit, c.opts.MaxSteps,
+			setSize(c.opts.ExcludedVertices), setSize(c.opts.ExcludedEdges),
+			setSize(c.opts.RestrictVertices), setSize(c.opts.RestrictEdges),
+			steps, aborted, len(embs))
+		for _, e := range embs {
+			fmt.Fprintf(&b, "  v=%v e=%v\n", e.Verts, e.Edges)
+		}
+		if c.pattern.NumEdges() > 0 {
+			// Edge-disjoint extraction never ends on an edgeless pattern.
+			fmt.Fprintf(&b, "  nonoverlap count=%d\n", CountNonOverlapping(c.pattern, c.target, c.opts.MaxSteps))
+		}
+		for _, e := range FindNonOverlapping(c.pattern, c.target, 0, c.opts.MaxSteps) {
+			fmt.Fprintf(&b, "  disjoint %s\n", renderMapEmbedding(c.pattern, e))
+		}
+		if len(embs) > 0 {
+			re := NewReanchorer(c.pattern, c.target, c.opts.MaxSteps)
+			last := embs[len(embs)-1]
+			got, ok := re.ReanchorDense(last)
+			fmt.Fprintf(&b, "  reanchor ok=%v v=%v e=%v\n", ok, got.Verts, got.Edges)
+		}
+	}
+	return b.Bytes()
+}
+
+// TestMatcherReuseMatchesFresh: one Matcher searched against a run of
+// different targets (larger and smaller, with and without option
+// sets, some searches aborting mid-tree) must behave exactly like a
+// fresh Matcher per search — the reset after each call leaves no
+// marks behind.
+func TestMatcherReuseMatchesFresh(t *testing.T) {
+	cases := traceCases()
+	for i, c := range cases {
+		reused := NewMatcher(c.pattern)
+		for j := i; j < i+8 && j < len(cases); j++ {
+			target, opts := cases[j].target, cases[j].opts
+			want := fmt.Sprint(traceSearch(c.pattern, target, opts))
+			embs := reused.embeddings(target, opts)
+			if got := fmt.Sprint(reused.steps, reused.aborted, embs); got != want {
+				t.Fatalf("pattern of case %d on target of case %d: reused matcher gave %s, fresh %s", i, j, got, want)
+			}
+		}
+	}
+}
+
+// TestSearchTraceGolden replays the golden against the matcher byte
+// for byte: same nodes expanded, same embeddings in the same order,
+// same abort points.
+func TestSearchTraceGolden(t *testing.T) {
+	path := filepath.Join("testdata", "search_trace.golden")
+	got := renderSearchTrace()
+	if *updateTrace {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update-trace)", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("search trace diverges at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("search trace length differs: got %d lines, want %d", len(gl), len(wl))
+}

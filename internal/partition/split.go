@@ -143,7 +143,7 @@ func extractOne(work *graph.Graph, budget int, strat Strategy, rng *rand.Rand) *
 		v := pop()
 		pv := addVertex(v)
 		for edges > 0 {
-			e, ok := anyIncidentEdge(work, v)
+			e, ok := work.FirstIncidentEdge(v)
 			if !ok {
 				break
 			}
@@ -164,17 +164,6 @@ func extractOne(work *graph.Graph, budget int, strat Strategy, rng *rand.Rand) *
 		}
 	}
 	return part
-}
-
-// anyIncidentEdge returns a live edge incident on v (outgoing first).
-func anyIncidentEdge(work *graph.Graph, v graph.VertexID) (graph.EdgeID, bool) {
-	if outs := work.OutEdges(v); len(outs) > 0 {
-		return outs[0], true
-	}
-	if ins := work.InEdges(v); len(ins) > 0 {
-		return ins[0], true
-	}
-	return 0, false
 }
 
 // randomVertexWithEdges picks a uniformly random live vertex that has

@@ -343,6 +343,9 @@ func countExtensionInto(out *Pattern, retained int, txns []*graph.Graph, parent 
 	fcur := tidFilter.Cursor()
 	pcur := parent.Partial.Cursor()
 	var buf []iso.DenseEmbedding
+	// The fallback search's plan is compiled on first use and reused
+	// across the rest of the candidate's transactions.
+	var matcher *iso.Matcher
 	for pi, tid := range parent.TIDs.All() {
 		if tid > fmax {
 			break
@@ -392,7 +395,10 @@ func countExtensionInto(out *Pattern, retained int, txns []*graph.Graph, parent 
 			// Seeds missed: a classic search decides, harvesting the
 			// child's seed on success.
 			st.IsoTests++
-			embs, completed := iso.Embeddings(txn, child, iso.Options{Limit: 1, MaxSteps: opts.MaxSteps})
+			if matcher == nil {
+				matcher = iso.NewMatcher(child)
+			}
+			embs, completed := matcher.Embeddings(txn, iso.Options{Limit: 1, MaxSteps: opts.MaxSteps})
 			if len(embs) == 0 {
 				if !completed {
 					st.BudgetedTests++
