@@ -182,23 +182,6 @@ func (g *Graph) liveEdges(ids []EdgeID) []EdgeID {
 	return res
 }
 
-// FirstIncidentEdge returns the first live outgoing edge of v in
-// OutEdges order, else the first live incoming edge in InEdges order,
-// without materialising either list.
-func (g *Graph) FirstIncidentEdge(v VertexID) (EdgeID, bool) {
-	for _, id := range g.out[v] {
-		if g.edgeAlive[id] {
-			return id, true
-		}
-	}
-	for _, id := range g.in[v] {
-		if g.edgeAlive[id] {
-			return id, true
-		}
-	}
-	return 0, false
-}
-
 // OutDegree returns the number of live outgoing edges of v.
 func (g *Graph) OutDegree(v VertexID) int {
 	n := 0

@@ -77,8 +77,14 @@ func (g *Graph) Index() *Index {
 	return ix
 }
 
-// invalidateIdx drops the cached index after a mutation.
-func (g *Graph) invalidateIdx() { g.idx.Store(nil) }
+// invalidateIdx drops the cached index after a mutation. It loads
+// first so graphs that never built an index (the common case while a
+// graph is being constructed) skip the write-barriered pointer store.
+func (g *Graph) invalidateIdx() {
+	if g.idx.Load() != nil {
+		g.idx.Store(nil)
+	}
+}
 
 func intern(ids map[string]int32, label string) int32 {
 	if id, ok := ids[label]; ok {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -220,8 +219,7 @@ func (s *Server) handleRemount(w http.ResponseWriter, r *http.Request) {
 		Store string `json:"store"`
 		Path  string `json:"path"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid remount request: %v", err)
+	if !decodeBody(w, r, "remount", &req) {
 		return
 	}
 	if req.Path == "" {

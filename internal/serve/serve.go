@@ -480,6 +480,30 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorJSON{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxRequestBody caps the JSON body of every POST endpoint. A full
+// batch of maxBatchCodes codes of about 135 bytes (the longest code in
+// the stores CI mines) is about 140 KiB with its JSON framing; the cap
+// leaves room for stores with longer codes while refusing clients that
+// stream an unbounded body into the decoder.
+const maxRequestBody = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most
+// maxRequestBody bytes. It answers 413 for a larger body and 400 for
+// malformed JSON, and reports whether v was decoded.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "%s request body exceeds the %d-byte limit", what, tooLarge.Limit)
+	default:
+		writeError(w, http.StatusBadRequest, "invalid %s request: %v", what, err)
+	}
+	return false
+}
+
 // --- handlers ---
 
 func (s *Server) handleStores(st *state, w http.ResponseWriter, r *http.Request) {
@@ -628,8 +652,7 @@ func (s *Server) handleBatch(st *state, w http.ResponseWriter, r *http.Request) 
 	var req struct {
 		Codes []string `json:"codes"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid batch request: %v", err)
+	if !decodeBody(w, r, "batch", &req) {
 		return
 	}
 	if len(req.Codes) == 0 {
