@@ -97,16 +97,8 @@ func main() {
 		}
 		used[strings.TrimSuffix(filepath.Base(p), filepath.Ext(p))]++
 		mounts = append(mounts, serve.Mount{Name: name, Reader: r})
-		codes := "exact codes"
-		if !r.Exact() {
-			codes = "legacy v1 codes (approximate matches possible)"
-		}
-		locIdx := "lazy location index"
-		if _, _, ok := r.LocationIndex(); ok {
-			locIdx = "persisted location index"
-		}
-		log.Printf("mounted %s: format v%d (%s, %s), %d transactions, %d patterns across %d levels",
-			p, r.Version(), codes, locIdx, r.NumTransactions(), r.NumPatterns(), len(r.Levels()))
+		log.Printf("mounted %s: format v%d (exact codes, persisted location index), %d transactions, %d patterns across %d levels",
+			p, store.FormatVersion, r.NumTransactions(), r.NumPatterns(), len(r.Levels()))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -7,7 +7,6 @@ import (
 
 	"tnkd/internal/dataset"
 	"tnkd/internal/partition"
-	"tnkd/internal/pattern"
 	"tnkd/internal/store"
 )
 
@@ -137,13 +136,7 @@ func TestMineStructuralPersistsStore(t *testing.T) {
 	for _, sp := range res.Patterns {
 		maxSupport := 0
 		for _, ri := range r.FindByCode(sp.Code) {
-			got, err := r.Pattern(ri)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pattern.SameGraph(got.Code, got.Graph, sp.Code, sp.Graph) && got.Support > maxSupport {
-				maxSupport = got.Support
-			}
+			maxSupport = max(maxSupport, r.Info(ri).Support)
 		}
 		if maxSupport != sp.Support {
 			t.Fatalf("pattern %q: store max support %d, union support %d", sp.Code, maxSupport, sp.Support)

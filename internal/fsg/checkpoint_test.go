@@ -15,9 +15,8 @@ import (
 // graph, code, support, TID list, embeddings and overflow flag. This
 // is the mined-output half of the store round-trip property (the
 // randomised half lives in internal/store); it runs once with
-// complete embedding lists and once with a budget of 1, so
-// "~"-approximate codes, overflowed patterns and seed lists all cross
-// the disk boundary.
+// complete embedding lists and once with a budget of 1, so overflowed
+// patterns and seed lists cross the disk boundary.
 func TestCheckpointStreamsLevelsToStore(t *testing.T) {
 	txns := motifTxns(24, 7)
 	for _, budget := range []int{0, 1} {

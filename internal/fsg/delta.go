@@ -42,8 +42,8 @@ import (
 )
 
 // ErrDeltaPrior reports a Prior that cannot seed a delta fold:
-// approximate legacy codes, patterns filed under the wrong level, or
-// duplicate codes within a level. It marks the *prior* (the persisted
+// patterns filed under the wrong level, or duplicate codes within a
+// level. It marks the *prior* (the persisted
 // run being folded into) as unusable, never the appended
 // transactions — callers like the ingest daemon use it to distinguish
 // "my store is bad" from "this batch is bad" when deciding whether to
@@ -89,9 +89,8 @@ type Prior struct {
 // drops stored patterns that no longer qualify, a lower one promotes
 // aggressively — both stay exact, the store only ever accelerates).
 //
-// Prior patterns must carry exact canonical codes (legacy "~" codes
-// from version-1 stores cannot key the dedup) and at most one pattern
-// per code per level (true of every single-run store; Algorithm 1
+// Prior patterns must carry exact canonical codes (every store does)
+// and at most one pattern per code per level (true of every single-run store; Algorithm 1
 // stores keep one record per repetition and are not delta inputs).
 func MineDelta(prior Prior, added []*graph.Graph, opts Options) (*Result, error) {
 	opts, err := normalizeOptions(opts)
@@ -146,9 +145,9 @@ func MineDelta(prior Prior, added []*graph.Graph, opts Options) (*Result, error)
 }
 
 // validatePrior checks the structural preconditions every incremental
-// run (MineDelta, RetireDelta) shares — exact canonical codes,
-// patterns filed under their own edge count, at most one pattern per
-// code per level — and returns the prior indexed by level and code.
+// run (MineDelta, RetireDelta) shares — patterns filed under their
+// own edge count, at most one pattern per code per level — and
+// returns the prior indexed by level and code.
 // Violations wrap ErrDeltaPrior: the persisted run is unusable, not
 // the incoming change.
 func validatePrior(prior Prior) (map[int]map[string]*Pattern, error) {
@@ -157,9 +156,6 @@ func validatePrior(prior Prior) (map[int]map[string]*Pattern, error) {
 		lvl := make(map[string]*Pattern, len(pats))
 		for i := range pats {
 			p := &pats[i]
-			if pattern.ApproxCode(p.Code) {
-				return nil, fmt.Errorf("%w: level %d holds approximate code %q (a version-1 store?) — delta mining needs exact canonical codes", ErrDeltaPrior, edges, p.Code)
-			}
 			if p.Graph == nil || p.Graph.NumEdges() != edges {
 				return nil, fmt.Errorf("%w: pattern %q filed under level %d has %d edges", ErrDeltaPrior, p.Code, edges, p.Graph.NumEdges())
 			}

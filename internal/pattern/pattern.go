@@ -28,8 +28,6 @@
 package pattern
 
 import (
-	"strings"
-
 	"tnkd/internal/graph"
 	"tnkd/internal/iso"
 )
@@ -42,10 +40,7 @@ type Pattern struct {
 	Graph *graph.Graph
 	// Code is the exact canonical code of Graph (iso.Code): equal
 	// codes certify isomorphism, so every dedup site keys patterns by
-	// plain string equality. Patterns decoded from legacy version-1
-	// stores may instead carry an approximate "~"-prefixed code
-	// (pre-canonical miners); only that compat path still needs the
-	// SameGraph fallback on equality.
+	// plain string equality.
 	Code string
 	// Support is the number of supporting transactions, TIDs.Len().
 	Support int
@@ -191,29 +186,6 @@ func (p *Pattern) Instances() []iso.DenseEmbedding {
 	}
 	return p.Embs[0]
 }
-
-// SameGraph reports whether two pattern graphs with the given codes
-// are isomorphic. It exists only for legacy version-1 stores (and as
-// a test oracle): the mining path emits exact canonical codes, whose
-// plain equality decides isomorphism, but v1 stores may hold the old
-// approximate "~"-prefixed codes, which collide between
-// non-isomorphic graphs and need an explicit isomorphism check on
-// equality.
-func SameGraph(codeA string, a *graph.Graph, codeB string, b *graph.Graph) bool {
-	if codeA != codeB {
-		return false
-	}
-	if ApproxCode(codeA) {
-		return iso.Isomorphic(a, b)
-	}
-	return true
-}
-
-// ApproxCode reports whether code is a legacy approximate code (the
-// "~"-prefixed hashed invariants of pre-canonical miners, still
-// found in version-1 stores), which needs the SameGraph isomorphism
-// fallback on equality. No current miner emits one.
-func ApproxCode(code string) bool { return strings.HasPrefix(code, "~") }
 
 // CountOptions tunes CountExtension.
 type CountOptions struct {

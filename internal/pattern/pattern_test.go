@@ -25,67 +25,34 @@ func cycle(g *graph.Graph, n int) {
 
 // TestExactCodesSeparateFormerCollision is the engineered collision
 // of the pre-canonical era: C12 and C6+C6 are non-isomorphic but
-// share vertex and edge invariants, so their hashed "~" codes used
-// to collide and dedup leaned on the SameGraph isomorphism fallback.
-// Exact canonical codes must separate the pair outright — and
-// SameGraph (now the v1-store compat oracle) must agree with plain
-// code equality on exact codes.
+// share vertex and edge invariants, so hashed codes used to collide.
+// Exact canonical codes must separate the pair outright, and code
+// equality must agree with isomorphism on both the pair and an
+// isomorphic copy.
 func TestExactCodesSeparateFormerCollision(t *testing.T) {
 	c12 := graph.New("c12")
 	cycle(c12, 12)
 	twoC6 := graph.New("2c6")
 	cycle(twoC6, 6)
 	cycle(twoC6, 6)
+	c12b := graph.New("c12b")
+	cycle(c12b, 12)
 
-	codeA, codeB := iso.Code(c12), iso.Code(twoC6)
-	if ApproxCode(codeA) || ApproxCode(codeB) {
-		t.Fatalf("the mining path must not emit approximate codes, got %q / %q", codeA, codeB)
-	}
-	if codeA == codeB {
+	if iso.Code(c12) == iso.Code(twoC6) {
 		t.Fatal("exact codes failed to separate C12 from C6+C6")
 	}
-	if SameGraph(codeA, c12, codeB, twoC6) {
-		t.Fatal("SameGraph merged non-isomorphic graphs with distinct exact codes")
-	}
-	c12b := graph.New("c12b")
-	cycle(c12b, 12)
-	if !SameGraph(codeA, c12, iso.Code(c12b), c12b) {
-		t.Fatal("SameGraph split isomorphic graphs with equal exact codes")
+	for _, pair := range [][2]*graph.Graph{{c12, twoC6}, {c12, c12b}} {
+		a, b := pair[0], pair[1]
+		if same, isomorphic := iso.Code(a) == iso.Code(b), iso.Isomorphic(a, b); same != isomorphic {
+			t.Fatalf("%s/%s: equal codes %v but isomorphic %v", a.Name, b.Name, same, isomorphic)
+		}
 	}
 }
 
-// TestSameGraphLegacyApproxSemantics pins the v1-store compat path:
-// legacy "~" codes collide between non-isomorphic graphs, so
-// SameGraph must confirm equality with an isomorphism check instead
-// of trusting the code.
-func TestSameGraphLegacyApproxSemantics(t *testing.T) {
-	c12 := graph.New("c12")
-	cycle(c12, 12)
-	twoC6 := graph.New("2c6")
-	cycle(twoC6, 6)
-	cycle(twoC6, 6)
-	c12b := graph.New("c12b")
-	cycle(c12b, 12)
-
-	// A v1 store could hold both graphs under one colliding "~" code.
-	legacy := "~2kp0mbcgyyppw"
-	if !ApproxCode(legacy) {
-		t.Fatal("legacy code not recognised as approximate")
-	}
-	if SameGraph(legacy, c12, legacy, twoC6) {
-		t.Fatal("SameGraph trusted a colliding legacy code")
-	}
-	if !SameGraph(legacy, c12, legacy, c12b) {
-		t.Fatal("SameGraph split isomorphic graphs sharing a legacy code")
-	}
-	if SameGraph(legacy, c12, "~other", c12b) {
-		t.Fatal("SameGraph merged distinct legacy codes")
-	}
-}
-
-// TestSameGraphMatchesIsomorphicOnSynthPairs cross-checks the compat
-// oracle against exact isomorphism on seeded random graph pairs from
-// the synth generator.
+// TestSameGraphMatchesIsomorphicOnSynthPairs cross-checks code
+// equality against exact isomorphism on seeded random graph pairs
+// from the synth generator: (iso.Code(a) == iso.Code(b)) ==
+// iso.Isomorphic(a, b).
 func TestSameGraphMatchesIsomorphicOnSynthPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(20050405))
 	patterns := synth.DefaultPatterns()
@@ -109,10 +76,8 @@ func TestSameGraphMatchesIsomorphicOnSynthPairs(t *testing.T) {
 		a := build(seedA, copies, noise)
 		b := build(seedB, copies, noise)
 		codeA, codeB := iso.Code(a), iso.Code(b)
-		got := SameGraph(codeA, a, codeB, b)
-		want := iso.Isomorphic(a, b)
-		if got != want {
-			t.Fatalf("trial %d: SameGraph=%v but Isomorphic=%v (codes %q / %q)",
+		if got, want := codeA == codeB, iso.Isomorphic(a, b); got != want {
+			t.Fatalf("trial %d: equal codes %v but Isomorphic=%v (codes %q / %q)",
 				trial, got, want, codeA, codeB)
 		}
 	}

@@ -13,18 +13,17 @@ import (
 	"tnkd/internal/store"
 )
 
-// benchLocation measures the cold /v1/locations path end to end:
-// open the store, mount it, answer one location query. With a v4
-// store the index comes persisted from the footer; with the v3
-// re-encoding the same query pays the lazy full-store scan — the
-// difference is the whole point of the persisted section.
-func benchLocation(b *testing.B, path, label string) {
-	b.Helper()
+// BenchmarkLocationsColdPersisted measures the cold /v1/locations
+// path end to end: open the store, mount it, answer one location
+// query from the index persisted in the footer.
+func BenchmarkLocationsColdPersisted(b *testing.B) {
+	fx := newMinedFixture(b)
+	label := fx.txns[0].Vertex(fx.txns[0].Vertices()[0]).Label
 	target := "/v1/locations/" + url.PathEscape(label) + "/patterns"
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := store.Open(path)
+		r, err := store.Open(fx.path)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -38,18 +37,6 @@ func benchLocation(b *testing.B, path, label string) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkLocationsColdPersisted(b *testing.B) {
-	fx := newMinedFixture(b)
-	benchLocation(b, fx.path, fx.txns[0].Vertex(fx.txns[0].Vertices()[0]).Label)
-}
-
-func BenchmarkLocationsColdLazy(b *testing.B) {
-	fx := newMinedFixture(b)
-	v3Path := filepath.Join(b.TempDir(), "v3.tnd")
-	rewriteAsLayout(b, fx.path, v3Path, 3)
-	benchLocation(b, v3Path, fx.txns[0].Vertex(fx.txns[0].Vertices()[0]).Label)
 }
 
 func BenchmarkLocationsWarm(b *testing.B) {

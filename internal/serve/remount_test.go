@@ -360,109 +360,6 @@ func TestBatchMatchesPointQueries(t *testing.T) {
 	postBatch(t, fx.ts, huge, http.StatusBadRequest)
 }
 
-// rewriteAsLayout re-encodes a store's full content at an older
-// layout version — the cross-package twin of the store package's
-// legacy synthesis, used to prove the serving layer treats persisted
-// and lazy location indices identically.
-func rewriteAsLayout(t testing.TB, srcPath, dstPath string, layout int) {
-	t.Helper()
-	src, err := store.Open(srcPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close() //nolint:errcheck
-	w, err := store.Create(dstPath, src.Meta())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.SetLayout(layout); err != nil {
-		t.Fatal(err)
-	}
-	txns := make([]*graph.Graph, src.NumTransactions())
-	for i := range txns {
-		if txns[i], err = src.Transaction(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.WriteTransactions(txns); err != nil {
-		t.Fatal(err)
-	}
-	for _, lv := range src.Levels() {
-		start, end := src.LevelRange(lv.Edges)
-		pats := make([]pattern.Pattern, 0, end-start)
-		for i := start; i < end; i++ {
-			p, err := src.Pattern(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pats = append(pats, *p)
-		}
-		if err := w.WriteLevel(lv.Edges, pats); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLocationPersistedMatchesLazyFallback serves the same mining
-// content from a v4 store (persisted index) and a v3 re-encoding
-// (lazy scan) and requires byte-identical /v1/locations responses
-// for every label, plus truthful /v1/stores reporting of which path
-// answered.
-func TestLocationPersistedMatchesLazyFallback(t *testing.T) {
-	fx := newMinedFixture(t)
-	v3Path := filepath.Join(t.TempDir(), "v3.tnd")
-	rewriteAsLayout(t, fx.path, v3Path, 3)
-	r3, err := store.Open(v3Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { r3.Close() }) //nolint:errcheck
-	// Same mount name so response bodies can be compared bytewise.
-	ts3 := httptest.NewServer(New([]Mount{{Name: "mined", Reader: r3}}, Options{Parallelism: 4}).Handler())
-	t.Cleanup(ts3.Close)
-
-	var stores4, stores3 []StoreJSON
-	getJSON(t, fx.ts, "/v1/stores", &stores4)
-	getJSON(t, ts3, "/v1/stores", &stores3)
-	if stores4[0].LocationIndex != "persisted" || stores4[0].Version != 4 {
-		t.Fatalf("v4 mount reports %q (v%d)", stores4[0].LocationIndex, stores4[0].Version)
-	}
-	if stores3[0].LocationIndex != "lazy" || stores3[0].Version != 3 {
-		t.Fatalf("v3 mount reports %q (v%d)", stores3[0].LocationIndex, stores3[0].Version)
-	}
-
-	labels := map[string]bool{}
-	for _, txn := range fx.txns {
-		for _, v := range txn.Vertices() {
-			labels[txn.Vertex(v).Label] = true
-		}
-	}
-	labels["no-such-place"] = true
-	get := func(ts *httptest.Server, label string) []byte {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/locations/" + url.PathEscape(label) + "/patterns")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close() //nolint:errcheck
-		body, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("label %q: status %d: %s", label, resp.StatusCode, body)
-		}
-		return body
-	}
-	for label := range labels {
-		b4 := get(fx.ts, label)
-		b3 := get(ts3, label)
-		if !bytes.Equal(b4, b3) {
-			t.Fatalf("label %q: persisted and lazy responses diverge:\npersisted: %s\nlazy: %s", label, b4, b3)
-		}
-	}
-}
-
 func TestEligibleSpoolName(t *testing.T) {
 	for name, want := range map[string]bool{
 		"gen-000001.tnd":     true,

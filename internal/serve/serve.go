@@ -26,21 +26,14 @@
 // Pattern codes are the miners' exact canonical codes (iso.Code):
 // equal code means the same pattern, and an Algorithm 1 store keeps
 // one record per repetition, so code-keyed endpoints return every
-// matching record of that one pattern. Legacy version-1 stores may
-// hold the old approximate "~" codes, which can additionally collide
-// between non-isomorphic patterns; their matches are served through
-// the same multi-record responses (the old disambiguation path —
-// callers separate collisions by the returned graphs).
+// matching record of that one pattern.
 //
 // Location queries are answered from a per-mount inverted index
-// (vertex label -> patterns whose stored embeddings touch it).
-// Format-v4 stores persist the index at write time, so mounting one
-// loads it straight from the footer — the first location query is a
-// map hit, not a store scan. Older stores (and v4 stores whose
-// writer could not invert the embeddings) fall back to the lazy
-// build: one full scan on the first /v1/locations query, fanned out
-// per record on the shared internal/engine pool, memoized for the
-// life of the mount.
+// (vertex label -> patterns whose stored embeddings touch it) that
+// every store persists at write time, so mounting one loads it
+// straight from the footer — the first location query is a map hit,
+// not a store scan. Every request's work therefore scales with its
+// response, which is what lets ListenAndServe bound response writes.
 //
 // Mounted stores are immutable, but the set of mounts is not: a
 // remount (POST /v1/admin/remount, or the tndserve -watch spool)
@@ -74,8 +67,9 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// Parallelism is the engine worker count for store scans (<= 0
-	// selects GOMAXPROCS).
+	// Parallelism is the engine worker count for the per-request
+	// record fan-out of batch and occurrence queries (<= 0 selects
+	// GOMAXPROCS).
 	Parallelism int
 	// ShutdownGrace bounds how long ListenAndServe waits for in-
 	// flight requests after its context is cancelled (0 = 5s).
@@ -265,6 +259,27 @@ func (s *Server) pinned(h func(st *state, w http.ResponseWriter, r *http.Request
 	}
 }
 
+// writeTimeout bounds how long one request may take from the end of
+// its headers to the end of its response. No handler scans a store:
+// each one's work scales with its response, which stays far below
+// this bound. A client that stops reading, or a handler that stalls
+// past it, loses the connection instead of holding it open.
+const writeTimeout = 30 * time.Second
+
+// httpServer builds the listener-side server ListenAndServe runs.
+func (s *Server) httpServer(addr string) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: timeoutOr(s.opts.ReadHeaderTimeout, 5*time.Second),
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       timeoutOr(s.opts.IdleTimeout, 120*time.Second),
+		// Accept/TLS/panic noise goes through the structured logger
+		// instead of the stdlib's default stderr formatting.
+		ErrorLog: slog.NewLogLogger(s.logger.Handler(), slog.LevelError),
+	}
+}
+
 // ListenAndServe serves until ctx is cancelled, then shuts down
 // gracefully: the listener closes, in-flight requests get
 // ShutdownGrace to finish, and nil is returned for a clean shutdown.
@@ -272,15 +287,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	// Request contexts deliberately do not derive from ctx: its
 	// cancellation means "stop accepting and wind down", not "abort
 	// in-flight work" — Shutdown's grace window governs those.
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: timeoutOr(s.opts.ReadHeaderTimeout, 5*time.Second),
-		IdleTimeout:       timeoutOr(s.opts.IdleTimeout, 120*time.Second),
-		// Accept/TLS/panic noise goes through the structured logger
-		// instead of the stdlib's default stderr formatting.
-		ErrorLog: slog.NewLogLogger(s.logger.Handler(), slog.LevelError),
-	}
+	srv := s.httpServer(addr)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	select {
@@ -367,9 +374,8 @@ type StoreJSON struct {
 	Transactions int               `json:"transactions"`
 	Patterns     int               `json:"patterns"`
 	Levels       []store.LevelInfo `json:"levels"`
-	// LocationIndex says how /v1/locations is answered for this
-	// mount: "persisted" (loaded from the v4 store section) or
-	// "lazy" (built by scanning on first query).
+	// LocationIndex is always "persisted": /v1/locations is answered
+	// from the index section every store carries.
 	LocationIndex string `json:"location_index"`
 	// Cache reports the pattern-body LRU; absent when disabled.
 	Cache *CacheStatsJSON `json:"cache,omitempty"`
@@ -510,20 +516,16 @@ func (s *Server) handleStores(st *state, w http.ResponseWriter, r *http.Request)
 	out := make([]StoreJSON, 0, len(st.entries))
 	for _, e := range st.entries {
 		rd := e.m.Reader
-		source := "lazy"
-		if _, _, ok := rd.LocationIndex(); ok {
-			source = "persisted"
-		}
 		sj := StoreJSON{
 			Name:          e.m.Name,
 			Path:          rd.Path(),
-			Version:       rd.Version(),
+			Version:       store.FormatVersion,
 			Generation:    rd.Meta().Generation,
 			Meta:          rd.Meta(),
 			Transactions:  rd.NumTransactions(),
 			Patterns:      rd.NumPatterns(),
 			Levels:        rd.Levels(),
-			LocationIndex: source,
+			LocationIndex: "persisted",
 		}
 		if e.cache != nil {
 			cs := e.cache.stats()
@@ -842,135 +844,41 @@ func occurrenceJSON(txn *graph.Graph, emb iso.DenseEmbedding) (OccurrenceJSON, e
 	return out, nil
 }
 
-// locIndex is the memoized inverted location index of one mount: for
-// every vertex label touched by any stored embedding, the patterns
-// occurring there in record order. A mount's records are immutable,
-// so the index is built at most once (sync.Once) and never
-// invalidated; build errors (corrupt stores) are memoized too — they
-// are permanent properties of the file.
+// locIndex is the memoized JSON view of one mount's persisted
+// location index: for every vertex label touched by any stored
+// embedding, the patterns occurring there in record order. A mount's
+// records are immutable, so the view is built at most once
+// (sync.Once) and never invalidated.
 type locIndex struct {
 	once    sync.Once
-	err     error
-	source  string // "persisted" (v4 section) or "lazy" (full scan)
 	byLabel map[string][]LocationPatternJSON
 	noEmb   int // records with no stored embedding lists at all
 }
 
-// locationIndex returns a mount's inverted index, loading it on
-// first use. Format-v4 stores carry the index persisted at write
-// time, so loading is a footer walk with no record decodes; older
-// stores scan every record once, fanned out on the engine pool. The
-// lazy build deliberately runs under context.Background — the index
-// outlives the triggering request, so that request's cancellation
-// must not poison the memo for everyone after it.
-func (s *Server) locationIndex(e *mountEntry) (*locIndex, error) {
+// locationIndex returns a mount's inverted index, converting the
+// store's persisted section on first use: a footer walk with no
+// record decodes.
+func (e *mountEntry) locationIndex() *locIndex {
 	idx := &e.loc
 	idx.once.Do(func() {
 		rd := e.m.Reader
-		if byLabel, noEmb, ok := rd.LocationIndex(); ok {
-			idx.source = "persisted"
-			idx.noEmb = noEmb
-			idx.byLabel = make(map[string][]LocationPatternJSON, len(byLabel))
-			for label, hits := range byLabel {
-				lps := make([]LocationPatternJSON, 0, len(hits))
-				for _, h := range hits {
-					info := rd.Info(h.Record)
-					lps = append(lps, LocationPatternJSON{
-						Store: e.m.Name, Index: h.Record, Code: info.Code,
-						Edges: info.Edges, Support: info.Support,
-						Occurrences: h.Occurrences, TIDs: h.TIDs.Slice(),
-					})
-				}
-				idx.byLabel[label] = lps
+		byLabel, noEmb, _ := rd.LocationIndex()
+		idx.noEmb = noEmb
+		idx.byLabel = make(map[string][]LocationPatternJSON, len(byLabel))
+		for label, hits := range byLabel {
+			lps := make([]LocationPatternJSON, 0, len(hits))
+			for _, h := range hits {
+				info := rd.Info(h.Record)
+				lps = append(lps, LocationPatternJSON{
+					Store: e.m.Name, Index: h.Record, Code: info.Code,
+					Edges: info.Edges, Support: info.Support,
+					Occurrences: h.Occurrences, TIDs: h.TIDs.Slice(),
+				})
 			}
-			return
-		}
-		idx.source = "lazy"
-		n := rd.NumPatterns()
-		hits, err := engine.MapCtx(context.Background(), s.opts.Parallelism, n,
-			func(ctx context.Context, i int) (map[string]*LocationPatternJSON, error) {
-				return scanRecordLocations(e.m, i)
-			})
-		if err != nil {
-			idx.err = err
-			return
-		}
-		idx.byLabel = make(map[string][]LocationPatternJSON)
-		for _, perLabel := range hits { // record order: engine.MapCtx preserves input order
-			if perLabel == nil {
-				idx.noEmb++
-				continue
-			}
-			for label, h := range perLabel {
-				idx.byLabel[label] = append(idx.byLabel[label], *h)
-			}
+			idx.byLabel[label] = lps
 		}
 	})
-	return idx, idx.err
-}
-
-// scanRecordLocations decodes one record and inverts its embeddings:
-// for each vertex label they touch, the occurrence count (embeddings
-// containing at least one vertex with the label) and the supporting
-// TIDs. Returns nil for records with no stored lists (which cannot
-// be checked without re-matching). This is the lazy twin of the
-// write-time inversion persisted in v4 stores; the store package's
-// property tests hold the two equal.
-func scanRecordLocations(m Mount, i int) (map[string]*LocationPatternJSON, error) {
-	if m.Reader.Info(i).Embeddings == 0 {
-		return nil, nil
-	}
-	p, err := m.Reader.Pattern(i)
-	if err != nil {
-		return nil, err
-	}
-	info := m.Reader.Info(i)
-	out := make(map[string]*LocationPatternJSON)
-	var embLabels []string // distinct labels within one embedding
-	for j, tid := range p.TIDs.All() {
-		if len(p.Embs[j]) == 0 {
-			continue
-		}
-		txn, err := m.Reader.Transaction(tid)
-		if err != nil {
-			return nil, err
-		}
-		for _, emb := range p.Embs[j] {
-			embLabels = embLabels[:0]
-			for _, tv := range emb.Verts {
-				if !txn.HasVertex(tv) {
-					return nil, fmt.Errorf("corrupt store: %s record %d references missing vertex %d in %s",
-						m.Name, i, tv, txn.Name)
-				}
-				label := txn.Vertex(tv).Label
-				seen := false
-				for _, l := range embLabels {
-					if l == label {
-						seen = true
-						break
-					}
-				}
-				if !seen {
-					embLabels = append(embLabels, label)
-				}
-			}
-			for _, label := range embLabels {
-				h := out[label]
-				if h == nil {
-					h = &LocationPatternJSON{
-						Store: m.Name, Index: i, Code: info.Code,
-						Edges: info.Edges, Support: info.Support,
-					}
-					out[label] = h
-				}
-				h.Occurrences++
-				if len(h.TIDs) == 0 || h.TIDs[len(h.TIDs)-1] != tid {
-					h.TIDs = append(h.TIDs, tid)
-				}
-			}
-		}
-	}
-	return out, nil
+	return idx
 }
 
 // handleLocation answers "which patterns occur at this location?"
@@ -987,11 +895,7 @@ func (s *Server) handleLocation(st *state, w http.ResponseWriter, r *http.Reques
 	}
 	out := LocationJSON{Label: label, Patterns: []LocationPatternJSON{}}
 	for _, e := range st.entries {
-		idx, err := s.locationIndex(e)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
+		idx := e.locationIndex()
 		out.PatternsWithoutEmbeddings += idx.noEmb
 		out.Patterns = append(out.Patterns, idx.byLabel[label]...)
 	}

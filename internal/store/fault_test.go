@@ -23,10 +23,11 @@ type faultFixture struct {
 
 func newFaultFixture() *faultFixture {
 	rng := rand.New(rand.NewSource(7))
+	txns := []*graph.Graph{randGraph(rng, "t0"), randGraph(rng, "t1"), randGraph(rng, "t2")}
 	return &faultFixture{
-		txns:   []*graph.Graph{randGraph(rng, "t0"), randGraph(rng, "t1"), randGraph(rng, "t2")},
-		level1: []pattern.Pattern{randPattern(rng, 1, 3), randPattern(rng, 1, 3)},
-		level2: []pattern.Pattern{randPattern(rng, 2, 3)},
+		txns:   txns,
+		level1: []pattern.Pattern{randPattern(rng, 1, txns), randPattern(rng, 1, txns)},
+		level2: []pattern.Pattern{randPattern(rng, 2, txns)},
 	}
 }
 

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -14,9 +15,7 @@ import (
 
 // locatablePattern builds a random pattern whose embeddings reference
 // only vertices that exist in their transactions — the well-formed
-// mining output shape the location index is defined over (randPattern
-// from store_test.go deliberately produces dangling references to
-// exercise the opaque codec; those disable the index instead).
+// mining output shape the location index is defined over.
 func locatablePattern(rng *rand.Rand, edges int, txns []*graph.Graph) pattern.Pattern {
 	g := graph.New("pat")
 	nv := 1 + rng.Intn(3)
@@ -63,34 +62,9 @@ func locatablePattern(rng *rand.Rand, edges int, txns []*graph.Graph) pattern.Pa
 	return p
 }
 
-func writeLocStore(t *testing.T, path string, layout int, txns []*graph.Graph, levels map[int][]pattern.Pattern) {
-	t.Helper()
-	w, err := Create(path, Meta{Name: "loc", Kind: "fsg", MinSupport: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if layout != FormatVersion {
-		if err := w.SetLayout(layout); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.WriteTransactions(txns); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteLevels(levels); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLocationIndexMatchesLazyInversion is the v4↔v3 property: over
-// random well-formed stores, the persisted location index must equal
-// the inversion a reader computes record by record from the decoded
-// embeddings (the serving layer's lazy path), and the v3 encoding of
-// the same content must (a) carry no index and (b) dump
-// byte-identically — the index is purely additive.
+// TestLocationIndexMatchesLazyInversion: over random well-formed
+// stores, the persisted location index must equal the inversion a
+// reader computes record by record from the decoded embeddings.
 func TestLocationIndexMatchesLazyInversion(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(int64(500 + trial)))
@@ -110,44 +84,27 @@ func TestLocationIndexMatchesLazyInversion(t *testing.T) {
 			}
 		}
 
-		dir := t.TempDir()
-		v4Path := filepath.Join(dir, "v4.tnd")
-		v3Path := filepath.Join(dir, "v3.tnd")
-		writeLocStore(t, v4Path, FormatVersion, txns, levels)
-		writeLocStore(t, v3Path, 3, txns, levels)
-
-		r4, err := Open(v4Path)
+		path := filepath.Join(t.TempDir(), "loc.tnd")
+		writeStore(t, path, Meta{Name: "loc", Kind: "fsg", MinSupport: 1}, txns, levels)
+		r, err := Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer r4.Close()
-		r3, err := Open(v3Path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r3.Close()
-
-		if r3.Version() != 3 {
-			t.Fatalf("trial %d: SetLayout(3) store opened as v%d", trial, r3.Version())
-		}
-		if _, _, ok := r3.LocationIndex(); ok {
-			t.Fatalf("trial %d: v3 store reports a persisted location index", trial)
-		}
-		byLabel, noEmb, ok := r4.LocationIndex()
+		defer r.Close()
+		byLabel, noEmb, ok := r.LocationIndex()
 		if !ok {
-			t.Fatalf("trial %d: v4 store has no location index", trial)
+			t.Fatalf("trial %d: store has no location index", trial)
 		}
 
-		// Independent inversion from the decoded records — exactly
-		// what a lazy server computes.
+		// Inversion from the decoded records and transactions.
 		wantByLabel := map[string][]LocationHit{}
 		wantNoEmb := 0
-		for i := 0; i < r4.NumPatterns(); i++ {
-			p, err := r4.Pattern(i)
+		for i := 0; i < r.NumPatterns(); i++ {
+			p, err := r.Pattern(i)
 			if err != nil {
 				t.Fatal(err)
 			}
-			perLabel, err := invertEmbeddings(p, i, r4.Transaction)
+			perLabel, err := invertEmbeddings(p, i, r.Transaction)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,10 +117,10 @@ func TestLocationIndexMatchesLazyInversion(t *testing.T) {
 			}
 		}
 		if noEmb != wantNoEmb {
-			t.Fatalf("trial %d: persisted noEmb=%d, lazy inversion %d", trial, noEmb, wantNoEmb)
+			t.Fatalf("trial %d: persisted noEmb=%d, inversion %d", trial, noEmb, wantNoEmb)
 		}
 		if len(byLabel) != len(wantByLabel) {
-			t.Fatalf("trial %d: persisted %d labels, lazy inversion %d", trial, len(byLabel), len(wantByLabel))
+			t.Fatalf("trial %d: persisted %d labels, inversion %d", trial, len(byLabel), len(wantByLabel))
 		}
 		for label, want := range wantByLabel {
 			got := byLabel[label]
@@ -173,108 +130,89 @@ func TestLocationIndexMatchesLazyInversion(t *testing.T) {
 			for i := range want {
 				if got[i].Record != want[i].Record || got[i].Occurrences != want[i].Occurrences ||
 					!got[i].TIDs.Equal(want[i].TIDs) {
-					t.Fatalf("trial %d label %q hit %d: persisted %+v (tids %v), lazy %+v (tids %v)",
+					t.Fatalf("trial %d label %q hit %d: persisted %+v (tids %v), inverted %+v (tids %v)",
 						trial, label, i, got[i], got[i].TIDs.Slice(), want[i], want[i].TIDs.Slice())
 				}
 			}
 		}
-
-		// The index is additive: mining content identical across v3/v4.
-		d3, err := DumpPatterns(r3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d4, err := DumpPatterns(r4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d3 != d4 {
-			t.Fatalf("trial %d: v3 and v4 dumps diverge", trial)
-		}
 	}
 }
 
-// TestLocationIndexDisabledOnDanglingEmbeddings: a record whose
-// embeddings reference vertices missing from their transaction still
-// round-trips (the codec treats embeddings as opaque), but the
-// optional index section is dropped for the whole store and the stats
-// report says so.
-func TestLocationIndexDisabledOnDanglingEmbeddings(t *testing.T) {
-	txn := graph.New("t0")
-	txn.AddVertex("A")
+// TestWriteLevelRejectsDanglingEmbedding: a record whose embeddings
+// reference a vertex missing from its transaction cannot be located,
+// so WriteLevel refuses it with an error naming the pattern, the
+// vertex and the TID.
+func TestWriteLevelRejectsDanglingEmbedding(t *testing.T) {
+	txns := []*graph.Graph{graph.New("t0"), graph.New("t1")}
+	txns[0].AddVertex("A")
+	txns[1].AddVertex("A")
 	g := graph.New("pat")
 	v := g.AddVertex("A")
 	g.AddEdge(v, v, "e")
-	p := pattern.Pattern{Graph: g, Code: "dangling", Support: 1, TIDs: pattern.NewTIDSet(0),
-		Embs: [][]iso.DenseEmbedding{{{Verts: []graph.VertexID{99}, Edges: []graph.EdgeID{0}}}}}
+	p := pattern.Pattern{Graph: g, Code: "dangling", Support: 2, TIDs: pattern.NewTIDSet(0, 1),
+		Embs: [][]iso.DenseEmbedding{
+			{{Verts: []graph.VertexID{0}, Edges: []graph.EdgeID{0}}},
+			{{Verts: []graph.VertexID{99}, Edges: []graph.EdgeID{0}}},
+		}}
 
-	path := filepath.Join(t.TempDir(), "dangling.tnd")
-	w, err := Create(path, Meta{Name: "dangling"})
+	w, err := Create(tmpStore(t), Meta{Name: "dangling"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteTransactions([]*graph.Graph{txn}); err != nil {
+	defer w.Abort() //nolint:errcheck
+	if err := w.WriteTransactions(txns); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteLevel(1, []pattern.Pattern{p}); err != nil {
-		t.Fatal(err)
+	err = w.WriteLevel(1, []pattern.Pattern{p})
+	if err == nil {
+		t.Fatal("WriteLevel accepted an embedding of a missing vertex")
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if _, _, ok := r.LocationIndex(); ok {
-		t.Fatal("store with dangling embeddings kept a location index")
-	}
-	got, err := r.Pattern(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Embs) != 1 || got.Embs[0][0].Verts[0] != 99 {
-		t.Fatalf("dangling embedding did not round-trip: %+v", got.Embs)
-	}
-	if s := ReadStats(r).String(); !strings.Contains(s, "location index: absent (some embeddings could not be inverted") {
-		t.Fatalf("stats missing the disabled-index caption:\n%s", s)
+	for _, want := range []string{`"dangling"`, "vertex 99", "transaction 1"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %s", err, want)
+		}
 	}
 }
 
-// TestSetLayoutContract pins the exported legacy-synthesis hook: only
-// before writing, only within the writable range, and the header
-// version follows the layout.
-func TestSetLayoutContract(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "layout.tnd")
-	w, err := Create(path, Meta{})
+// TestOpenRequiresLocationIndex: the location index is mandatory, so
+// a footer whose section does not open with presence byte 1 fails
+// Open as a corrupt index.
+func TestOpenRequiresLocationIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	txns := []*graph.Graph{randGraph(rng, "t0"), randGraph(rng, "t1")}
+	w, err := Create(tmpStore(t), Meta{Name: "loc"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.SetLayout(1); err == nil {
-		t.Fatal("SetLayout(1) accepted (v1 needs layout 2 plus a header patch)")
-	}
-	if err := w.SetLayout(FormatVersion + 1); err == nil {
-		t.Fatal("SetLayout accepted a future version")
-	}
-	if err := w.SetLayout(3); err != nil {
+	defer w.Abort() //nolint:errcheck
+	if err := w.WriteTransactions(txns); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteTransactions(nil); err != nil {
+	if err := w.WriteLevel(1, []pattern.Pattern{locatablePattern(rng, 1, txns)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.SetLayout(3); err == nil {
-		t.Fatal("SetLayout accepted after WriteTransactions")
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(path)
+	// WriteLevel ended with a flushed footer.
+	data, err := os.ReadFile(w.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	if r.Version() != 3 {
-		t.Fatalf("SetLayout(3) store opened as v%d", r.Version())
+	body, index := splitStore(data)
+	var section enc
+	encodeLocIndex(&section, w.locHits, w.locNoEmb)
+	presence := len(index) - len(section.buf)
+	if index[presence] != 1 {
+		t.Fatalf("presence byte %d, want 1", index[presence])
+	}
+	for _, b := range []byte{0, 2} {
+		bad := append([]byte(nil), index...)
+		bad[presence] = b
+		path := filepath.Join(t.TempDir(), "bad.tnd")
+		if err := os.WriteFile(path, frameStore(body, bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(path)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("corrupt location index (presence byte %d)", b)) {
+			t.Fatalf("presence byte %d: want corrupt-index error, got %v", b, err)
+		}
 	}
 }

@@ -43,13 +43,12 @@ type Reader struct {
 	data    []byte // nil when mmap is unavailable
 	munmap  func() error
 	size    int64
-	version uint32
 	meta    Meta
 	txnSpan []span
 	levels  []levelInfo
 	recs    []recInfo
 	byCode  map[string][]int
-	loc     *locIndex // persisted location index (format v4+), nil before
+	loc     locIndex
 
 	mu       sync.Mutex
 	closed   bool
@@ -77,13 +76,13 @@ func Open(path string) (*Reader, error) {
 		readerOpenErrors.Inc()
 		return nil, fmt.Errorf("store: open: %w", err)
 	}
-	size, version, err := checkHeader(path, f)
+	size, err := checkHeader(path, f)
 	if err != nil {
 		f.Close()
 		readerOpenErrors.Inc()
 		return nil, err
 	}
-	r, err := readerAt(path, f, size, size, version)
+	r, err := readerAt(path, f, size, size)
 	if err != nil {
 		f.Close()
 		readerOpenErrors.Inc()
@@ -103,18 +102,18 @@ func Recover(path string) (*Reader, error) {
 		readerOpenErrors.Inc()
 		return nil, fmt.Errorf("store: open: %w", err)
 	}
-	size, version, err := checkHeader(path, f)
+	size, err := checkHeader(path, f)
 	if err != nil {
 		f.Close()
 		readerOpenErrors.Inc()
 		return nil, err
 	}
-	if r, err := readerAt(path, f, size, size, version); err == nil {
+	if r, err := readerAt(path, f, size, size); err == nil {
 		return r.opened(), nil
 	}
 	end, err := lastFooterEnd(f, size, size)
 	for err == nil && end > 0 {
-		if r, rerr := readerAt(path, f, size, end, version); rerr == nil {
+		if r, rerr := readerAt(path, f, size, end); rerr == nil {
 			return r.opened(), nil
 		}
 		// A false marker hit (magic bytes inside record data) or a
@@ -129,30 +128,28 @@ func Recover(path string) (*Reader, error) {
 	return nil, fmt.Errorf("store: %s: no intact checkpoint footer found — nothing to recover", path)
 }
 
-// checkHeader validates magic and version, returning the file size
-// and the store's format version.
-func checkHeader(path string, f *os.File) (int64, uint32, error) {
+// checkHeader validates magic and version, returning the file size.
+func checkHeader(path string, f *os.File) (int64, error) {
 	st, err := f.Stat()
 	if err != nil {
-		return 0, 0, fmt.Errorf("store: stat %s: %w", path, err)
+		return 0, fmt.Errorf("store: stat %s: %w", path, err)
 	}
 	size := st.Size()
 	if size < int64(headerSize+trailerSize) {
-		return 0, 0, fmt.Errorf("store: %s: file too short (%d bytes) to be a store", path, size)
+		return 0, fmt.Errorf("store: %s: file too short (%d bytes) to be a store", path, size)
 	}
 	var hdr [headerSize]byte
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return 0, 0, fmt.Errorf("store: read header of %s: %w", path, err)
+		return 0, fmt.Errorf("store: read header of %s: %w", path, err)
 	}
 	if string(hdr[:len(magic)]) != magic {
-		return 0, 0, fmt.Errorf("store: %s: bad magic %q (want %q) — not a store file", path, hdr[:len(magic)], magic)
+		return 0, fmt.Errorf("store: %s: bad magic %q (want %q) — not a store file", path, hdr[:len(magic)], magic)
 	}
-	v := binary.LittleEndian.Uint32(hdr[len(magic):])
-	if v < MinReadVersion || v > FormatVersion {
-		return 0, 0, fmt.Errorf("store: %s: unsupported format version %d (this build reads versions %d through %d)",
-			path, v, MinReadVersion, FormatVersion)
+	if v := binary.LittleEndian.Uint32(hdr[len(magic):]); v != FormatVersion {
+		return 0, fmt.Errorf("store: %s: unsupported format version %d (this build reads only version %d; re-mine the store)",
+			path, v, FormatVersion)
 	}
-	return size, v, nil
+	return size, nil
 }
 
 // lastFooterEnd scans backwards from limit for the latest end-magic
@@ -195,7 +192,7 @@ func lastFooterEnd(f *os.File, size, limit int64) (int64, error) {
 // logicalEnd (== fileSize for a cleanly closed store; earlier for a
 // recovered checkpoint). All offsets are validated against
 // logicalEnd, wraparound included.
-func readerAt(path string, f *os.File, fileSize, logicalEnd int64, version uint32) (*Reader, error) {
+func readerAt(path string, f *os.File, fileSize, logicalEnd int64) (*Reader, error) {
 	if logicalEnd < int64(headerSize+trailerSize) || logicalEnd > fileSize {
 		return nil, fmt.Errorf("store: %s: invalid footer position %d", path, logicalEnd)
 	}
@@ -220,7 +217,7 @@ func readerAt(path string, f *os.File, fileSize, logicalEnd int64, version uint3
 	if crc := crc32.ChecksumIEEE(idx); crc != idxCRC {
 		return nil, fmt.Errorf("store: %s: index checksum mismatch (file %08x, computed %08x) — corrupt store", path, idxCRC, crc)
 	}
-	r := &Reader{path: path, f: f, size: int64(idxOff), version: version}
+	r := &Reader{path: path, f: f, size: int64(idxOff)}
 	if err := r.parseIndex(idx); err != nil {
 		return nil, err
 	}
@@ -266,10 +263,8 @@ func (r *Reader) parseIndex(idx []byte) error {
 		}
 		r.levels = append(r.levels, lv)
 	}
-	if d.err == nil && r.version >= 4 {
-		if idx, present := decodeLocIndex(d, len(r.recs), numTxns); present {
-			r.loc = &idx
-		}
+	if d.err == nil {
+		r.loc = decodeLocIndex(d, len(r.recs), numTxns)
 	}
 	if err := d.done(); err != nil {
 		return fmt.Errorf("store: %s: corrupt index: %w", r.path, err)
@@ -316,17 +311,6 @@ func (r *Reader) Close() error {
 
 // Path returns the file path the reader was opened from.
 func (r *Reader) Path() string { return r.path }
-
-// Version returns the store's format version. Version 2 stores carry
-// exact canonical codes (FindByCode is an exact lookup); version 1
-// stores may carry legacy approximate "~" codes whose matches need
-// pattern.SameGraph disambiguation.
-func (r *Reader) Version() int { return int(r.version) }
-
-// Exact reports whether the store's codes are exact canonical codes
-// (format version >= 2): equal code ⟺ isomorphic pattern, no
-// disambiguation needed on FindByCode hits.
-func (r *Reader) Exact() bool { return r.version >= 2 }
 
 // Meta returns the run-level metadata persisted with the store.
 func (r *Reader) Meta() Meta { return r.meta }
@@ -400,22 +384,19 @@ func (r *Reader) edgesOf(i int) int {
 	return 0
 }
 
-// LocationIndex returns the persisted per-location inverted index of
-// a format-v4 store: hits per vertex label in ascending record order,
-// plus the count of records that store no embeddings at all. ok is
-// false for stores written before v4 — callers fall back to a lazy
-// full-store scan (the serving layer's pre-v4 path). The returned map
-// and hit slices are the reader's own: treat them as read-only.
+// LocationIndex returns the persisted per-location inverted index:
+// hits per vertex label in ascending record order, plus the count of
+// records that store no embeddings at all. Every store carries the
+// index, so ok is always true. The returned map and hit slices are
+// the reader's own: treat them as read-only.
 func (r *Reader) LocationIndex() (byLabel map[string][]LocationHit, noEmb int, ok bool) {
-	if r.loc == nil {
-		return nil, 0, false
-	}
 	return r.loc.byLabel, r.loc.noEmb, true
 }
 
 // LocationIndexInfo describes the persisted location-index section
-// for the stats report: presence, label and hit counts, and its exact
-// encoded size inside the footer index block.
+// for the stats report: label and hit counts, and its exact encoded
+// size inside the footer index block. Present is always true; it
+// keeps the stats JSON shape.
 type LocationIndexInfo struct {
 	Present bool `json:"present"`
 	Labels  int  `json:"labels"`
@@ -424,12 +405,8 @@ type LocationIndexInfo struct {
 	Bytes   int  `json:"bytes"`
 }
 
-// LocationIndexStats summarises the persisted location index (zero
-// Present for pre-v4 stores).
+// LocationIndexStats summarises the persisted location index.
 func (r *Reader) LocationIndexStats() LocationIndexInfo {
-	if r.loc == nil {
-		return LocationIndexInfo{}
-	}
 	info := LocationIndexInfo{Present: true, Labels: len(r.loc.byLabel), NoEmb: r.loc.noEmb, Bytes: r.loc.bytes}
 	for _, hits := range r.loc.byLabel {
 		info.Hits += len(hits)
@@ -438,13 +415,9 @@ func (r *Reader) LocationIndexStats() LocationIndexInfo {
 }
 
 // FindByCode returns the global record indices whose code equals the
-// given code, in store order. On version 2 stores this is an exact
-// lookup: every returned record holds the same pattern (Algorithm 1
-// stores keep one record per repetition, so several exact hits are
-// still normal). On legacy version 1 stores an approximate "~" code
-// may collide between non-isomorphic patterns — callers that need
-// one specific graph disambiguate with pattern.SameGraph, the
-// retained compat path.
+// given code, in store order. Codes are exact, so every returned
+// record holds the same pattern (Algorithm 1 stores keep one record
+// per repetition, so several hits are still normal).
 func (r *Reader) FindByCode(code string) []int {
 	return r.byCode[code]
 }
@@ -473,7 +446,7 @@ func (r *Reader) Pattern(i int) (*pattern.Pattern, error) {
 		return nil, err
 	}
 	d := &dec{buf: buf}
-	p := decodePattern(d, int(r.version))
+	p := decodePattern(d)
 	if err := d.done(); err != nil {
 		return nil, fmt.Errorf("store: %s record %d: %w", r.path, i, err)
 	}
@@ -495,7 +468,7 @@ func (r *Reader) PatternLite(i int) (*pattern.Pattern, error) {
 		return nil, err
 	}
 	d := &dec{buf: buf}
-	p, _, _ := decodePatternHead(d, int(r.version))
+	p, _, _ := decodePatternHead(d)
 	if d.err != nil {
 		return nil, fmt.Errorf("store: %s record %d: %w", r.path, i, d.err)
 	}
@@ -510,7 +483,7 @@ func (r *Reader) columnInfo(i int) (tidColumnInfo, error) {
 		return tidColumnInfo{}, err
 	}
 	d := &dec{buf: buf}
-	_, _, info := decodePatternHead(d, int(r.version))
+	_, _, info := decodePatternHead(d)
 	if d.err != nil {
 		return tidColumnInfo{}, fmt.Errorf("store: %s record %d: %w", r.path, i, d.err)
 	}
@@ -567,13 +540,11 @@ func (r *Reader) AllLevelPatterns() (map[int][]pattern.Pattern, error) {
 // ValidateDeltaSource checks the properties every delta consumer
 // needs from an opened source store, in one place so the flag-time
 // pre-flights (cmd/tndtemporal, cmd/tndfsg) and the mining-time
-// checks (core's DeltaFrom paths) cannot drift: exact canonical
-// codes (format v2+ — approximate v1 codes cannot key delta dedup),
-// and the right store kind — structural (Algorithm 1, which also
-// needs repetition provenance to continue the RNG stream) or a
-// transaction-set store (fsg/temporal). Deeper validation (prefix
-// match, parameter match) needs the run's own inputs and stays with
-// the pipelines.
+// checks (core's DeltaFrom paths) cannot drift: the right store
+// kind — structural (Algorithm 1, which also needs repetition
+// provenance to continue the RNG stream) or a transaction-set store
+// (fsg/temporal). Deeper validation (prefix match, parameter match)
+// needs the run's own inputs and stays with the pipelines.
 func (r *Reader) ValidateDeltaSource(structural bool) error {
 	kind := r.meta.Kind
 	if structural {
@@ -582,9 +553,6 @@ func (r *Reader) ValidateDeltaSource(structural bool) error {
 		}
 	} else if kind == "structural" {
 		return fmt.Errorf("store: delta source %s is an Algorithm 1 store (one record per repetition) — fold repetitions into it with the structural delta path instead", r.path)
-	}
-	if !r.Exact() {
-		return fmt.Errorf("store: delta source %s is a version-%d store with approximate codes — re-mine it with this build first", r.path, r.Version())
 	}
 	if structural && r.meta.Repetitions < 1 {
 		return fmt.Errorf("store: delta source %s records no repetition provenance — written before delta mining existed; re-mine it with this build first", r.path)

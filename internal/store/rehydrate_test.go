@@ -19,8 +19,8 @@ func TestRehydrationRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	txns := []*graph.Graph{randGraph(rng, "t0"), randGraph(rng, "t1"), randGraph(rng, "t2")}
 	levels := map[int][]pattern.Pattern{
-		1: {randPattern(rng, 1, len(txns)), randPattern(rng, 1, len(txns))},
-		2: {randPattern(rng, 2, len(txns))},
+		1: {randPattern(rng, 1, txns), randPattern(rng, 1, txns)},
+		2: {randPattern(rng, 2, txns)},
 	}
 	path := tmpStore(t)
 	writeStore(t, path, Meta{Name: "rehydrate", Kind: "fsg"}, txns, levels)
@@ -140,7 +140,7 @@ func TestMetaProvenanceRoundTrip(t *testing.T) {
 func TestDumpPatternsEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	txns := []*graph.Graph{randGraph(rng, "a"), randGraph(rng, "b")}
-	levels := map[int][]pattern.Pattern{1: {randPattern(rng, 1, len(txns))}}
+	levels := map[int][]pattern.Pattern{1: {randPattern(rng, 1, txns)}}
 
 	dump := func(meta Meta, lv map[int][]pattern.Pattern) string {
 		path := filepath.Join(t.TempDir(), "d.tnd")

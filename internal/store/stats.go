@@ -22,9 +22,8 @@ type LevelStats struct {
 	Seeded   int `json:"seeded"`
 	Bare     int `json:"bare"`
 	// TID-column encoding: ListCols and BitsetCols count records by
-	// the encoding the writer picked (v3 stores; everything before v3
-	// is a delta-coded list). ArrayCons and BitmapCons count the
-	// containers inside bitset columns, and ColumnBytes is the
+	// the encoding the writer picked. ArrayCons and BitmapCons count
+	// the containers inside bitset columns, and ColumnBytes is the
 	// on-disk size of every TID column in the level.
 	ListCols    int `json:"list_cols"`
 	BitsetCols  int `json:"bitset_cols"`
@@ -36,6 +35,8 @@ type LevelStats struct {
 // Stats is the whole-store statistics report backing `tndstats
 // -store`. The JSON shape (tndstats -json) is the machine-readable
 // twin of the String table and is what CI asserts on with jq.
+// Version is always FormatVersion and LocIndex.Present always true;
+// both keep the JSON shape.
 type Stats struct {
 	Path         string       `json:"path"`
 	Version      int          `json:"version"`
@@ -45,7 +46,7 @@ type Stats struct {
 	Embeddings   int          `json:"embeddings"`
 	Levels       []LevelStats `json:"levels"`
 	// LocIndex describes the persisted per-location inverted index
-	// section (format v4+; zero Present before).
+	// section.
 	LocIndex LocationIndexInfo `json:"location_index"`
 }
 
@@ -53,7 +54,7 @@ type Stats struct {
 func ReadStats(r *Reader) Stats {
 	st := Stats{
 		Path:         r.Path(),
-		Version:      r.Version(),
+		Version:      FormatVersion,
 		Meta:         r.Meta(),
 		Transactions: r.NumTransactions(),
 		Patterns:     r.NumPatterns(),
@@ -140,24 +141,14 @@ func (s Stats) String() string {
 			lv.Edges, lv.Patterns, lv.MinSupport, avg, lv.MaxSupport,
 			lv.Embeddings, lv.Complete, lv.Seeded, lv.Bare)
 	}
-	if s.Version >= 3 {
-		b.WriteString("TID columns (writer picks the smaller encoding per record):\n")
-	} else {
-		b.WriteString("TID columns (pre-v3 store: delta-coded lists only):\n")
-	}
+	b.WriteString("TID columns (writer picks the smaller encoding per record):\n")
 	b.WriteString("edges  list-cols  bitset-cols  array-cons  bitmap-cons  column-bytes\n")
 	for _, lv := range s.Levels {
 		fmt.Fprintf(&b, "%5d  %9d  %11d  %10d  %11d  %12d\n",
 			lv.Edges, lv.ListCols, lv.BitsetCols, lv.ArrayCons, lv.BitmapCons, lv.ColumnBytes)
 	}
-	if s.LocIndex.Present {
-		fmt.Fprintf(&b, "location index (v4, persisted at write time): labels=%d hits=%d no-embedding-records=%d bytes=%d\n",
-			s.LocIndex.Labels, s.LocIndex.Hits, s.LocIndex.NoEmb, s.LocIndex.Bytes)
-	} else if s.Version >= 4 {
-		b.WriteString("location index: absent (some embeddings could not be inverted at write time; servers build it lazily)\n")
-	} else {
-		b.WriteString("location index: absent (pre-v4 store: servers build it lazily on the first location query)\n")
-	}
+	fmt.Fprintf(&b, "location index (v4, persisted at write time): labels=%d hits=%d no-embedding-records=%d bytes=%d\n",
+		s.LocIndex.Labels, s.LocIndex.Hits, s.LocIndex.NoEmb, s.LocIndex.Bytes)
 	return b.String()
 }
 

@@ -27,19 +27,33 @@
 //     the stored embeddings without ever re-running an isomorphism
 //     search.
 //
-// File layout (all integers little-endian or uvarint):
+// File layout, format version 4 (all integers little-endian or
+// uvarint):
 //
 //	header   magic "TNDSTOR1" (8 bytes) | format version (uint32)
 //	body     transaction records, then pattern records in level order
 //	         (with a superseded footer after each checkpoint)
 //	index    meta JSON | transaction spans | level directory with
 //	         per-record (offset, length, code, support, embeddings,
-//	         flags)
+//	         flags) | location index
 //	trailer  index offset (uint64) | index length (uint64) |
 //	         index CRC-32 (uint32) | end magic "TNDSTEND"
 //
-// Wrong magic, unknown version, a missing trailer or a CRC mismatch
-// all fail Open with a clear error — never a garbage decode.
+// A pattern record holds the graph, its exact canonical code
+// (iso.Code: equal code ⟺ isomorphic pattern), support, flags, a
+// self-describing TID column (delta-coded list or roaring-style
+// bitset containers, whichever is smaller — see encodeTIDColumn),
+// the embedding lists and, for overflowed records, a column marking
+// which per-TID lists are seeds (pattern.Pattern.Partial). The
+// location index maps every vertex label to the records whose stored
+// embeddings touch it (see encodeLocIndex); the writer computes it
+// from the embeddings it is already serialising, so a mounted store
+// answers location queries without a scan.
+//
+// Stores written in older format versions are refused with an error
+// naming the version; re-mine them with this build. Wrong magic, a
+// missing trailer or a CRC mismatch likewise fail Open with a clear
+// error — never a garbage decode.
 package store
 
 import (
@@ -59,42 +73,9 @@ const (
 	// endMagic closes every complete store file; its absence means
 	// the writing run died before Close.
 	endMagic = "TNDSTEND"
-	// FormatVersion is the version written by this build. Version
-	// history:
-	//
-	//	1  original layout; pattern codes are the pre-canonical
-	//	   miners' quasi-canonical strings — approximate "~"-prefixed
-	//	   codes may collide between non-isomorphic patterns, so code
-	//	   lookups bucket and callers disambiguate with
-	//	   pattern.SameGraph.
-	//	2  identical byte layout; pattern codes are exact canonical
-	//	   codes (iso.Code) — equal code ⟺ isomorphic, so code lookup
-	//	   is an exact map hit with no disambiguation.
-	//	3  pattern records move the flags byte before the TID column,
-	//	   the column becomes self-describing (delta-coded list or
-	//	   roaring-style bitset containers, whichever is smaller — see
-	//	   encodeTIDColumn), and overflowed records with lists may
-	//	   carry a second column marking which per-TID lists are seeds
-	//	   (pattern.Pattern.Partial). Graph, code, support and
-	//	   embedding encodings are unchanged, so transaction records —
-	//	   and therefore delta-prefix verification — are byte-identical
-	//	   across v2/v3.
-	//	4  record and transaction layouts identical to v3; the footer
-	//	   index gains a per-location inverted index section after the
-	//	   level directory (vertex label -> records whose stored
-	//	   embeddings touch it, with occurrence counts and TID
-	//	   columns — see encodeLocIndex). The writer computes the
-	//	   section from the embeddings it is already serialising, so
-	//	   servers mount new stores instantly warm instead of paying a
-	//	   full-store scan on the first location query; v3-and-older
-	//	   stores fall back to that lazy scan.
-	//
-	// Readers accept versions [MinReadVersion, FormatVersion] and
-	// expose the opened version via Reader.Version so serving layers
-	// can keep the legacy disambiguation path for v1 stores.
+	// FormatVersion is the only format version this build reads or
+	// writes (see the package doc).
 	FormatVersion = 4
-	// MinReadVersion is the oldest version Open still reads.
-	MinReadVersion = 1
 
 	headerSize  = len(magic) + 4
 	trailerSize = 8 + 8 + 4 + len(endMagic)
@@ -188,11 +169,11 @@ type Meta struct {
 const (
 	flagHasEmbs    = 1 << 0 // Embs lists present (complete or seeds)
 	flagOverflowed = 1 << 1 // some lists are seeds / absent, not complete
-	// v3 additions. flagTIDBitset mirrors the TID column's on-disk
-	// encoding choice (the column is self-describing; the flag copy
-	// makes the encoding visible from the footer index alone, for
-	// tndstats). flagPartial announces the per-TID completeness
-	// column after the embedding section.
+	// flagTIDBitset mirrors the TID column's on-disk encoding choice
+	// (the column is self-describing; the flag copy makes the
+	// encoding visible from the footer index alone, for tndstats).
+	// flagPartial announces the per-TID completeness column after the
+	// embedding section.
 	flagTIDBitset = 1 << 2 // TID column stored as bitset containers
 	flagPartial   = 1 << 3 // per-TID partial-completeness column present
 )
@@ -479,6 +460,10 @@ func encodeTIDColumn(e *enc, s pattern.TIDSet) bool {
 	return true
 }
 
+// maxTID is the largest TID a pattern.TIDSet represents: a uint32
+// chunk key over 16 low bits.
+const maxTID = 1<<48 - 1
+
 // tidColumnInfo describes one decoded column's on-disk shape — the
 // raw material of the tndstats encoding report.
 type tidColumnInfo struct {
@@ -497,7 +482,14 @@ func decodeTIDColumn(d *dec) (pattern.TIDSet, tidColumnInfo) {
 		n := d.count()
 		prev := 0
 		for i := 0; i < n && d.err == nil; i++ {
-			prev += int(d.uvarint())
+			// Members ascend strictly from a first delta off 0, and
+			// must stay representable.
+			delta := d.uvarint()
+			if d.err == nil && (i > 0 && delta == 0 || delta > maxTID-uint64(prev)) {
+				d.fail("store: corrupt TID column (delta %d after TID %d)", delta, prev)
+				break
+			}
+			prev += int(delta)
 			s.Add(prev)
 		}
 	case tidColBitset:
@@ -554,33 +546,16 @@ func decodeTIDColumn(d *dec) (pattern.TIDSet, tidColumnInfo) {
 
 // --- pattern codec ---
 
-// encodePattern serialises one pattern record in the given layout
-// version and returns the flags byte written (the index stores a
-// copy). Layout 3 — the current one — writes graph, code, support,
-// flags, the self-describing TID column, the embedding section, then
-// the Partial column when flagPartial is set. Layout 2 (kept for the
-// compat tests that synthesize legacy stores) writes the historical
-// order — TID list as a plain delta-coded list, then flags, then
-// embeddings — and cannot represent per-TID partial marks.
-// Embedding lists are written as flat uvarint runs, one list per TID,
-// identically in both layouts.
-func encodePattern(e *enc, p *pattern.Pattern, layout int) byte {
+// encodePattern serialises one pattern record and returns the flags
+// byte written (the index stores a copy): graph, code, support,
+// flags, the self-describing TID column, the embedding section (flat
+// uvarint runs, one list per TID), then the Partial column when
+// flagPartial is set.
+func encodePattern(e *enc, p *pattern.Pattern) byte {
 	encodeGraph(e, p.Graph)
 	e.str(p.Code)
 	e.uvarint(uint64(p.Support))
 	flags := patternFlags(p)
-	if layout < 3 {
-		flags &= flagHasEmbs | flagOverflowed
-		e.uvarint(uint64(p.TIDs.Len()))
-		prev := 0
-		for tid := range p.TIDs.Values() {
-			e.uvarint(uint64(tid - prev))
-			prev = tid
-		}
-		e.byte(flags)
-		encodeEmbSection(e, p)
-		return flags
-	}
 	// The flags byte must precede the column it describes, so decide
 	// the encoding (a size computation, no second buffer) first.
 	listSize, bitsetSize := tidColumnSizes(p.TIDs)
@@ -618,43 +593,21 @@ func encodeEmbSection(e *enc, p *pattern.Pattern) {
 // decodePatternHead rebuilds everything up to the embedding section —
 // graph, code, support, flags, TID column — leaving the decoder
 // positioned at the embedding section (if the flags announce one).
-// On overflowed legacy records (version < 3) with lists, every list
-// is conservatively marked partial: the legacy writers demoted
-// wholesale, so that is also exact.
-func decodePatternHead(d *dec, version int) (*pattern.Pattern, byte, tidColumnInfo) {
+func decodePatternHead(d *dec) (*pattern.Pattern, byte, tidColumnInfo) {
 	p := &pattern.Pattern{Graph: decodeGraph(d)}
 	p.Code = d.str()
 	p.Support = int(d.uvarint())
-	if d.err != nil {
-		return nil, 0, tidColumnInfo{}
-	}
-	if version >= 3 {
-		flags := d.byte()
-		p.Overflowed = flags&flagOverflowed != 0
-		tids, info := decodeTIDColumn(d)
-		p.TIDs = tids
-		return p, flags, info
-	}
-	start := d.off
-	n := d.count()
-	if d.err != nil {
-		return nil, 0, tidColumnInfo{}
-	}
-	prev := 0
-	for i := 0; i < n; i++ {
-		prev += int(d.uvarint())
-		p.TIDs.Add(prev)
-	}
-	info := tidColumnInfo{bytes: d.off - start}
 	flags := d.byte()
-	p.Overflowed = flags&flagOverflowed != 0
-	if p.Overflowed && flags&flagHasEmbs != 0 {
-		p.Partial = p.TIDs.Clone()
+	if d.err != nil {
+		return nil, 0, tidColumnInfo{}
 	}
+	p.Overflowed = flags&flagOverflowed != 0
+	tids, info := decodeTIDColumn(d)
+	p.TIDs = tids
 	return p, flags, info
 }
 
-// --- location index codec (format v4) ---
+// --- location index codec ---
 
 // LocationHit is one entry of the persisted per-location inverted
 // index: a pattern record whose stored embeddings touch the label,
@@ -678,18 +631,12 @@ type locIndex struct {
 	bytes   int // encoded size, for the stats report
 }
 
-// encodeLocIndex serialises the section: a presence byte (the section
-// is optional — a writer that cannot invert a record's embeddings,
-// e.g. because they dangle outside their transactions, omits the
-// index and lets servers fall back to the lazy build), then the
-// no-embeddings record count, then per label (ascending) its hit list
-// with delta-coded record indices, occurrence counts and
+// encodeLocIndex serialises the section: a presence byte (always 1;
+// kept so the byte layout stays that of every store written so far),
+// then the no-embeddings record count, then per label (ascending) its
+// hit list with delta-coded record indices, occurrence counts and
 // self-describing TID columns.
-func encodeLocIndex(e *enc, byLabel map[string][]LocationHit, noEmb int, present bool) {
-	if !present {
-		e.byte(0)
-		return
-	}
+func encodeLocIndex(e *enc, byLabel map[string][]LocationHit, noEmb int) {
 	e.byte(1)
 	e.uvarint(uint64(noEmb))
 	labels := make([]string, 0, len(byLabel))
@@ -716,21 +663,15 @@ func encodeLocIndex(e *enc, byLabel map[string][]LocationHit, noEmb int, present
 // the already-parsed record and transaction counts — a store is
 // external input, so a corrupt index must fail Open, not serve
 // out-of-range record references.
-func decodeLocIndex(d *dec, numRecs, numTxns int) (locIndex, bool) {
+func decodeLocIndex(d *dec, numRecs, numTxns int) locIndex {
 	start := d.off
 	idx := locIndex{byLabel: map[string][]LocationHit{}}
-	switch present := d.byte(); present {
-	case 0:
-		return idx, false
-	case 1:
-	default:
+	if present := d.byte(); d.err == nil && present != 1 {
 		d.fail("store: corrupt location index (presence byte %d)", present)
-		return idx, false
 	}
 	noEmb := d.uvarint()
 	if d.err == nil && noEmb > uint64(numRecs) {
 		d.fail("store: corrupt location index (%d no-embedding records of %d)", noEmb, numRecs)
-		return idx, false
 	}
 	idx.noEmb = int(noEmb)
 	nLabels := d.count()
@@ -738,23 +679,20 @@ func decodeLocIndex(d *dec, numRecs, numTxns int) (locIndex, bool) {
 		label := d.str()
 		nHits := d.count()
 		hits := make([]LocationHit, 0, nHits)
-		rec := -1
+		rec := 0
 		for j := 0; j < nHits && d.err == nil; j++ {
-			delta := int(d.uvarint())
-			if j == 0 {
-				rec = delta
-			} else {
-				rec += delta
-			}
+			// Record indices ascend strictly from a first delta off 0.
+			delta := d.uvarint()
 			occ := int(d.uvarint())
 			tids, _ := decodeTIDColumn(d)
 			if d.err != nil {
 				break
 			}
-			if rec >= numRecs {
-				d.fail("store: corrupt location index (label %q references record %d of %d)", label, rec, numRecs)
+			if j > 0 && delta == 0 || delta >= uint64(numRecs-rec) {
+				d.fail("store: corrupt location index (label %q references record %d+%d of %d)", label, rec, delta, numRecs)
 				break
 			}
+			rec += int(delta)
 			if occ < 1 || tids.Len() < 1 || tids.Len() > occ {
 				d.fail("store: corrupt location index (label %q record %d: %d occurrences over %d TIDs)", label, rec, occ, tids.Len())
 				break
@@ -770,14 +708,13 @@ func decodeLocIndex(d *dec, numRecs, numTxns int) (locIndex, bool) {
 		}
 	}
 	idx.bytes = d.off - start
-	return idx, d.err == nil
+	return idx
 }
 
 // invertEmbeddings computes one record's contribution to the
 // location index: for every vertex label its stored embeddings touch,
-// the occurrence count and supporting TIDs — exactly the inversion
-// the serving layer's lazy scan performs, done once at write time.
-// txn resolves a TID to its transaction graph. Records storing no
+// the occurrence count (embeddings containing at least one vertex of
+// the label) and the supporting TIDs. txn resolves a TID to its transaction graph. Records storing no
 // embeddings return nil (they cannot be located without re-matching).
 func invertEmbeddings(p *pattern.Pattern, rec int, txn func(tid int) (*graph.Graph, error)) (map[string]*LocationHit, error) {
 	if p.NumEmbeddings() == 0 {
@@ -830,12 +767,18 @@ func invertEmbeddings(p *pattern.Pattern, rec int, txn func(tid int) (*graph.Gra
 // decodePattern rebuilds one pattern record. Per-TID lists written
 // empty decode as nil slots inside a non-nil Embs, preserving the
 // HasSeeds/HasEmbeddings semantics of the in-memory store.
-func decodePattern(d *dec, version int) *pattern.Pattern {
-	p, flags, _ := decodePatternHead(d, version)
+func decodePattern(d *dec) *pattern.Pattern {
+	p, flags, _ := decodePatternHead(d)
 	if p == nil || flags&flagHasEmbs == 0 || d.err != nil {
 		return p
 	}
+	// Each per-TID list costs at least its count byte, so a corrupt
+	// column cannot make this allocation outgrow the record.
 	n := p.TIDs.Len()
+	if rem := len(d.buf) - d.off; n > rem {
+		d.fail("store: corrupt record (%d embedding lists exceed %d remaining bytes)", n, rem)
+		return nil
+	}
 	p.Embs = make([][]iso.DenseEmbedding, n)
 	for i := range p.Embs {
 		cnt := d.count()
@@ -867,7 +810,7 @@ func decodePattern(d *dec, version int) *pattern.Pattern {
 		}
 		p.Embs[i] = list
 	}
-	if version >= 3 && flags&flagPartial != 0 {
+	if flags&flagPartial != 0 {
 		p.Partial, _ = decodeTIDColumn(d)
 	}
 	return p

@@ -37,10 +37,11 @@ func randGraph(rng *rand.Rand, name string) *graph.Graph {
 	return g
 }
 
-// randPattern builds a random pattern record exercising every flag
-// combination: nil lists, seed lists, complete lists, empty per-TID
-// lists, exact and "~"-approximate codes.
-func randPattern(rng *rand.Rand, edges, numTxns int) pattern.Pattern {
+// randPattern builds a random pattern record over txns exercising
+// every flag combination: nil lists, seed lists, complete lists and
+// empty per-TID lists. Embeddings reference vertices that exist in
+// their transactions, as the writer requires.
+func randPattern(rng *rand.Rand, edges int, txns []*graph.Graph) pattern.Pattern {
 	g := graph.New("pat")
 	nv := 1 + rng.Intn(4)
 	for i := 0; i < nv; i++ {
@@ -49,27 +50,24 @@ func randPattern(rng *rand.Rand, edges, numTxns int) pattern.Pattern {
 	for i := 0; i < edges; i++ {
 		g.AddEdge(graph.VertexID(rng.Intn(nv)), graph.VertexID(rng.Intn(nv)), "e")
 	}
-	code := fmt.Sprintf("~%x", rng.Uint64()) // fsg-style approximate code
-	if rng.Intn(3) == 0 {
-		code = fmt.Sprintf("v%d:exact(%d)", nv, rng.Intn(100)) // exact-style code
-	}
+	code := fmt.Sprintf("c%d:%x", nv, rng.Uint64()) // codes are opaque to the store
 	var tids []int
-	for t := 0; t < numTxns; t++ {
+	for t := range txns {
 		if rng.Intn(2) == 0 {
 			tids = append(tids, t)
 		}
 	}
 	if len(tids) == 0 {
-		tids = []int{rng.Intn(numTxns)}
+		tids = []int{rng.Intn(len(txns))}
 	}
 	p := pattern.Pattern{Graph: g, Code: code, Support: len(tids), TIDs: pattern.TIDSetFromSlice(tids)}
 	switch rng.Intn(4) {
 	case 0: // no lists, overflowed (DropEmbeddings shape)
 		p.Overflowed = true
 	case 1: // complete lists, possibly with empty per-TID slots
-		p.Embs = randEmbs(rng, len(tids), nv, edges, true)
+		p.Embs = randEmbs(rng, txns, tids, nv, edges, true)
 	case 2: // seed lists (budget-overflowed pattern)
-		p.Embs = randEmbs(rng, len(tids), nv, edges, false)
+		p.Embs = randEmbs(rng, txns, tids, nv, edges, false)
 		p.Overflowed = true
 		if rng.Intn(2) == 0 {
 			// Per-TID partial retention: mark a nonempty subset of the
@@ -88,9 +86,12 @@ func randPattern(rng *rand.Rand, edges, numTxns int) pattern.Pattern {
 	return p
 }
 
-func randEmbs(rng *rand.Rand, n, nv, ne int, allowEmpty bool) [][]iso.DenseEmbedding {
-	out := make([][]iso.DenseEmbedding, n)
+// randEmbs builds one embedding list per TID, drawing vertex IDs from
+// the live vertices of that TID's transaction.
+func randEmbs(rng *rand.Rand, txns []*graph.Graph, tids []int, nv, ne int, allowEmpty bool) [][]iso.DenseEmbedding {
+	out := make([][]iso.DenseEmbedding, len(tids))
 	for i := range out {
+		live := txns[tids[i]].Vertices()
 		cnt := rng.Intn(4)
 		if !allowEmpty && cnt == 0 {
 			cnt = 1
@@ -98,7 +99,7 @@ func randEmbs(rng *rand.Rand, n, nv, ne int, allowEmpty bool) [][]iso.DenseEmbed
 		for j := 0; j < cnt; j++ {
 			verts := make([]graph.VertexID, nv)
 			for k := range verts {
-				verts[k] = graph.VertexID(rng.Intn(50))
+				verts[k] = live[rng.Intn(len(live))]
 			}
 			edges := make([]graph.EdgeID, ne)
 			for k := range edges {
@@ -202,8 +203,7 @@ func writeStore(t *testing.T, path string, meta Meta, txns []*graph.Graph, level
 // TestRoundTripProperty drives the codec with randomised patterns
 // covering every storage shape: save→load must reproduce
 // byte-identical graphs, codes, TID lists and dense embeddings,
-// including "~"-approximate codes and budget-overflowed patterns with
-// empty or absent lists.
+// including budget-overflowed patterns with empty or absent lists.
 func TestRoundTripProperty(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
@@ -216,7 +216,7 @@ func TestRoundTripProperty(t *testing.T) {
 		for _, edges := range []int{1, 2, 3} {
 			n := rng.Intn(5)
 			for i := 0; i < n; i++ {
-				levels[edges] = append(levels[edges], randPattern(rng, edges, numTxns))
+				levels[edges] = append(levels[edges], randPattern(rng, edges, txns))
 			}
 			if len(levels[edges]) == 0 {
 				delete(levels, edges)
@@ -356,7 +356,7 @@ func validStorePath(t *testing.T) string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	txns := []*graph.Graph{randGraph(rng, "t0"), randGraph(rng, "t1")}
-	pats := map[int][]pattern.Pattern{1: {randPattern(rng, 1, 2)}}
+	pats := map[int][]pattern.Pattern{1: {randPattern(rng, 1, txns)}}
 	path := tmpStore(t)
 	writeStore(t, path, Meta{Name: "v"}, txns, pats)
 	return path
@@ -439,8 +439,8 @@ func TestRejectTruncated(t *testing.T) {
 func TestCheckpointRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	txns := []*graph.Graph{randGraph(rng, "t0"), randGraph(rng, "t1"), randGraph(rng, "t2")}
-	level1 := []pattern.Pattern{randPattern(rng, 1, 3), randPattern(rng, 1, 3)}
-	level2 := []pattern.Pattern{randPattern(rng, 2, 3)}
+	level1 := []pattern.Pattern{randPattern(rng, 1, txns), randPattern(rng, 1, txns)}
+	level2 := []pattern.Pattern{randPattern(rng, 2, txns)}
 
 	path := tmpStore(t)
 	w, err := Create(path, Meta{Name: "crashy", Kind: "fsg"})

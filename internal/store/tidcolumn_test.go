@@ -150,84 +150,3 @@ func TestTIDColumnArrayContainers(t *testing.T) {
 		t.Fatal("mixed column mangled by the array-container round trip")
 	}
 }
-
-// TestV2ListRehydratesToBitset is the upgrade path: a legacy-layout
-// store (delta-coded TID lists) opens, its patterns rehydrate into
-// TIDSets, and rewriting them through the current writer produces
-// bitset columns where they are smaller — without changing the mined
-// facts.
-func TestV2ListRehydratesToBitset(t *testing.T) {
-	const numTxns = 9000
-	dense := pattern.NewTIDSet()
-	for tid := 0; tid < numTxns; tid++ {
-		dense.Add(tid)
-	}
-	txns := tinyTxns(numTxns)
-
-	legacy := tmpStore(t)
-	w, err := Create(legacy, Meta{Name: "old", Kind: "fsg"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.layout = 2
-	if err := w.WriteTransactions(txns); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteLevel(1, []pattern.Pattern{edgePattern("p", dense)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	patchVersion(t, legacy, 2)
-
-	r, err := Open(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Version() != 2 {
-		t.Fatalf("legacy store opened as v%d", r.Version())
-	}
-	oldDump, err := DumpPatterns(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lv := ReadStats(r).Levels[0]
-	if lv.BitsetCols != 0 || lv.ListCols != 1 {
-		t.Fatalf("v2 store reports bitset columns (%d/%d)", lv.BitsetCols, lv.ListCols)
-	}
-	pats, err := r.LevelPatterns(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotTxns, err := r.Transactions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
-	if !pats[0].TIDs.Equal(dense) {
-		t.Fatal("v2 list did not rehydrate into the full TIDSet")
-	}
-
-	rewritten := tmpStore(t)
-	writeStore(t, rewritten, Meta{Name: "new", Kind: "fsg"}, gotTxns,
-		map[int][]pattern.Pattern{1: pats})
-	r2, err := Open(rewritten)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	if r2.Version() != FormatVersion {
-		t.Fatalf("rewritten store is v%d", r2.Version())
-	}
-	if lv := ReadStats(r2).Levels[0]; lv.BitsetCols != 1 {
-		t.Fatalf("dense rewritten column not bitset-encoded: %+v", lv)
-	}
-	newDump, err := DumpPatterns(r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldDump != newDump {
-		t.Fatalf("rehydration changed the mined facts:\n%s\nvs\n%s", oldDump, newDump)
-	}
-}

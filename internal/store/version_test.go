@@ -1,0 +1,85 @@
+package store
+
+import (
+	"encoding/binary"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// patchVersion rewrites the format-version field of a store file in
+// place — the uint32 following the magic.
+func patchVersion(t *testing.T, path string, version uint32) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var v [4]byte
+	binary.LittleEndian.PutUint32(v[:], version)
+	if _, err := f.WriteAt(v[:], int64(len(magic))); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCurrentWriterProducesCurrentVersion pins the header: a fresh
+// store carries FormatVersion and opens at it.
+func TestCurrentWriterProducesCurrentVersion(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cur.tnd")
+	w, err := Create(path, Meta{Name: "cur"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(data[len(magic):]); v != FormatVersion {
+		t.Fatalf("header version %d, want %d", v, FormatVersion)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if v := ReadStats(r).Version; v != FormatVersion {
+		t.Fatalf("stats version %d, want %d", v, FormatVersion)
+	}
+}
+
+// TestRejectUnknownVersionNamesRange: every version other than
+// FormatVersion — the retired 1 through 3, a future one and 0 — fails
+// Open with an error naming the version found and the one this build
+// reads.
+func TestRejectUnknownVersionNamesRange(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "other.tnd")
+	w, err := Create(path, Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint32{1, 2, 3, FormatVersion + 1, 0} {
+		patchVersion(t, path, v)
+		_, err := Open(path)
+		if err == nil {
+			t.Fatalf("opened a version-%d store", v)
+		}
+		for _, want := range []string{
+			fmt.Sprintf("unsupported format version %d ", v),
+			fmt.Sprintf("reads only version %d", FormatVersion),
+			"re-mine",
+		} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("version %d: error %q does not name %q", v, err, want)
+			}
+		}
+	}
+}

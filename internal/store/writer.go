@@ -39,25 +39,13 @@ type Writer struct {
 	recs    []recInfo
 	footers int
 	state   writerState
-	// layout selects the pattern-record byte layout, normally
-	// FormatVersion. The store compat tests set it to an older value
-	// (before patching the header) to synthesize genuine legacy files
-	// with the current writer machinery.
-	layout int
 
-	// Location-index accumulation (layout >= 4): WriteTransactions
-	// retains the transaction graphs so WriteLevel can invert each
-	// record's embeddings into per-label hits as it serialises them.
+	// Location-index accumulation: WriteTransactions retains the
+	// transaction graphs so WriteLevel can invert each record's
+	// embeddings into per-label hits as it serialises them.
 	locTxns  []*graph.Graph
 	locHits  map[string][]LocationHit
 	locNoEmb int
-	// locDisabled drops the (optional) index section for the whole
-	// store: set when some record's embeddings cannot be inverted
-	// (references outside their transactions — the codec round-trips
-	// such records faithfully, but they cannot be located). Readers of
-	// a store without the section fall back to the lazy scan, which
-	// surfaces the same records as corrupt at query time.
-	locDisabled bool
 }
 
 type writerState int
@@ -88,7 +76,7 @@ func CreateFS(fsys faultfs.FS, path string, meta Meta) (*Writer, error) {
 	if meta.CreatedUnix == 0 {
 		meta.CreatedUnix = time.Now().Unix()
 	}
-	w := &Writer{path: path, fs: fsys, f: f, bw: bufio.NewWriterSize(f, 1<<16), meta: meta, layout: FormatVersion}
+	w := &Writer{path: path, fs: fsys, f: f, bw: bufio.NewWriterSize(f, 1<<16), meta: meta}
 	var hdr [headerSize]byte
 	copy(hdr[:], magic)
 	binary.LittleEndian.PutUint32(hdr[len(magic):], FormatVersion)
@@ -101,38 +89,6 @@ func CreateFS(fsys faultfs.FS, path string, meta Meta) (*Writer, error) {
 
 // Path returns the file path the writer was created with.
 func (w *Writer) Path() string { return w.path }
-
-// SetLayout pins the writer to an older format version: record and
-// index byte layout plus the header version field. It exists for the
-// cross-package compat tests that need genuine legacy files produced
-// by the current writer machinery (the in-package tests reach the
-// layout field directly); version 2 is the floor because v1 and v2
-// share one byte layout — synthesize a v1 store by writing layout 2
-// and patching the header afterwards. Must be called before any
-// WriteTransactions/WriteLevel.
-func (w *Writer) SetLayout(version int) error {
-	if w.state != writerOpen {
-		return fmt.Errorf("store: SetLayout on closed writer")
-	}
-	if w.txns != nil || len(w.recs) > 0 {
-		return fmt.Errorf("store: SetLayout after writing began")
-	}
-	if version < 2 || version > FormatVersion {
-		return fmt.Errorf("store: SetLayout(%d) outside writable range [2, %d]", version, FormatVersion)
-	}
-	w.layout = version
-	// The header was written (buffered) by Create; rewrite its version
-	// field in place. Flush first so the WriteAt lands after it.
-	if err := w.flush(); err != nil {
-		return err
-	}
-	var v [4]byte
-	binary.LittleEndian.PutUint32(v[:], uint32(version))
-	if _, err := w.f.WriteAt(v[:], int64(len(magic))); err != nil {
-		return fmt.Errorf("store: SetLayout %s: %w", w.path, err)
-	}
-	return nil
-}
 
 func (w *Writer) write(b []byte) error {
 	n, err := w.bw.Write(b)
@@ -156,13 +112,11 @@ func (w *Writer) WriteTransactions(txns []*graph.Graph) error {
 	if len(w.recs) > 0 {
 		return fmt.Errorf("store: WriteTransactions after WriteLevel")
 	}
-	if w.layout >= 4 {
-		// Retained for the location-index inversion in WriteLevel; the
-		// caller already holds these graphs, so this is a slice of
-		// pointers, not a copy.
-		w.locTxns = txns
-		w.locHits = make(map[string][]LocationHit)
-	}
+	// Retained for the location-index inversion in WriteLevel; the
+	// caller already holds these graphs, so this is a slice of
+	// pointers, not a copy.
+	w.locTxns = txns
+	w.locHits = make(map[string][]LocationHit)
 	w.txns = make([]span, 0, len(txns))
 	var e enc
 	for _, t := range txns {
@@ -181,7 +135,8 @@ func (w *Writer) WriteTransactions(txns []*graph.Graph) error {
 // lists (when present) aligned with the TID list. Levels are expected
 // in increasing edge order, each at most once — the layout invariant
 // that makes the level directory a contiguous partition of the
-// record space.
+// record space. Every stored embedding must reference vertices of its
+// transaction: the location index is built from them.
 func (w *Writer) WriteLevel(edges int, pats []pattern.Pattern) error {
 	if w.state != writerOpen {
 		return fmt.Errorf("store: WriteLevel on closed writer")
@@ -199,11 +154,11 @@ func (w *Writer) WriteLevel(edges int, pats []pattern.Pattern) error {
 		if err := validatePattern(p, edges, len(w.txns)); err != nil {
 			return err
 		}
-		if w.layout >= 4 && !w.locDisabled {
-			w.indexLocations(p, len(w.recs))
+		if err := w.indexLocations(p, len(w.recs)); err != nil {
+			return err
 		}
 		e.buf = e.buf[:0]
-		flags := encodePattern(&e, p, w.layout)
+		flags := encodePattern(&e, p)
 		w.recs = append(w.recs, recInfo{
 			span:       span{off: w.off, len: uint64(len(e.buf))},
 			code:       p.Code,
@@ -221,29 +176,26 @@ func (w *Writer) WriteLevel(edges int, pats []pattern.Pattern) error {
 }
 
 // indexLocations folds record rec's embeddings into the location
-// index being accumulated for the v4 footer section. Appending per
-// record keeps each label's hit list in ascending record order — the
-// order the serving layer's lazy scan produces, so a persisted index
-// is interchangeable with a lazily built one. A record whose
-// embeddings cannot be inverted (dangling references) disables the
-// whole optional section rather than failing the write: the codec's
-// contract is to round-trip records faithfully, locatable or not.
-func (w *Writer) indexLocations(p *pattern.Pattern, rec int) {
+// index being accumulated for the footer section. Appending per
+// record keeps each label's hit list in ascending record order. A
+// record whose embeddings reference a vertex missing from their
+// transaction cannot be located and fails the write as malformed
+// input.
+func (w *Writer) indexLocations(p *pattern.Pattern, rec int) error {
 	perLabel, err := invertEmbeddings(p, rec, func(tid int) (*graph.Graph, error) {
 		return w.locTxns[tid], nil // validatePattern already bounded the TIDs
 	})
 	if err != nil {
-		w.locDisabled = true
-		w.locHits = nil
-		return
+		return err
 	}
 	if perLabel == nil {
 		w.locNoEmb++
-		return
+		return nil
 	}
 	for label, h := range perLabel {
 		w.locHits[label] = append(w.locHits[label], *h)
 	}
+	return nil
 }
 
 // patternFlags computes the semantic flag bits of a record (the
@@ -381,7 +333,8 @@ func (w *Writer) Abort() error {
 }
 
 // encodeIndex serialises the footer index block: meta JSON,
-// transaction spans, level directory and per-record index entries.
+// transaction spans, level directory with per-record index entries,
+// and the location index.
 func (w *Writer) encodeIndex() []byte {
 	var e enc
 	metaJSON, err := json.Marshal(w.meta)
@@ -409,9 +362,7 @@ func (w *Writer) encodeIndex() []byte {
 			e.byte(r.flags)
 		}
 	}
-	if w.layout >= 4 {
-		encodeLocIndex(&e, w.locHits, w.locNoEmb, !w.locDisabled)
-	}
+	encodeLocIndex(&e, w.locHits, w.locNoEmb)
 	return e.buf
 }
 
