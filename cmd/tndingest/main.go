@@ -163,7 +163,8 @@ func main() {
 
 // httpRemount returns a Remount callback that POSTs the published
 // path to tndserve's admin endpoint. A 409 means the server already
-// serves an equal-or-newer generation (e.g. its own -watch spool got
+// serves an equal-or-newer generation (e.g. the startup re-announce of
+// a generation it already mounted, or a manual admin remount got
 // there first) — reported as ErrRemountStale, which the daemon treats
 // as success.
 func httpRemount(url string) func(path string) error {

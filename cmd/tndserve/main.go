@@ -8,10 +8,8 @@
 //
 // Usage:
 //
-//	tndserve -store out.tnd [-store more.tnd ...] [-addr :8321]
-//	         [-parallelism N] [-cache-bytes N]
-//	         [-watch spool/ [-watch-interval 1s]]
-//	         [-access-log=false] [-pprof-addr 127.0.0.1:6060]
+//	tndserve -store out.tnd [-store more.tnd ...] [-addr :8321] [-parallelism N]
+//	         [-cache-bytes N] [-access-log=false] [-pprof-addr 127.0.0.1:6060]
 //
 // Endpoints:
 //
@@ -27,12 +25,10 @@
 //	GET  /v1/locations/{label}/patterns
 //	POST /v1/admin/remount             {"store": "name", "path": "new.tnd"}
 //
-// A running daemon can hot-swap a mounted store for a newer
-// generation of the same lineage (a delta-mined descendant) without
-// a restart and without dropping requests: POST /v1/admin/remount,
-// or point -watch at a spool directory and drop new store files in —
-// each is validated for provenance (generation must advance, lineage
-// must match) and mounted when its file stops changing.
+// A running daemon hot-swaps a mounted store for a newer generation
+// of its lineage with no restart and no dropped request: the
+// publisher POSTs the path to /v1/admin/remount (tndingest -remount
+// does so after each durable publish); stale or foreign ones get 409.
 //
 // Every request is counted and timed into the built-in metrics
 // registry, exposed in Prometheus text form at GET /metrics, and
@@ -57,7 +53,6 @@ import (
 	"path/filepath"
 	"strings"
 	"syscall"
-	"time"
 
 	"tnkd/internal/obs"
 	"tnkd/internal/serve"
@@ -75,8 +70,6 @@ func main() {
 	addr := flag.String("addr", ":8321", "listen address")
 	parallelism := flag.Int("parallelism", 0, "worker count for store scans (0 = all CPUs)")
 	cacheBytes := flag.Int("cache-bytes", 0, "per-mount pattern-body cache budget (0 = 8 MiB, negative disables)")
-	watch := flag.String("watch", "", "spool directory to poll for newer-generation stores to hot-swap in")
-	watchInterval := flag.Duration("watch-interval", time.Second, "spool poll interval")
 	accessLog := flag.Bool("access-log", true, "log one JSON line per request on stderr")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. 127.0.0.1:6060; empty disables)")
 	flag.Parse()
@@ -122,10 +115,6 @@ func main() {
 				log.Printf("pprof listener: %v", err)
 			}
 		}()
-	}
-	if *watch != "" {
-		log.Printf("watching %s for newer-generation stores (every %s)", *watch, *watchInterval)
-		go srv.WatchSpool(ctx, *watch, *watchInterval, log.Printf)
 	}
 	log.Printf("listening on %s", *addr)
 	if err := srv.ListenAndServe(ctx, *addr); err != nil {

@@ -70,8 +70,10 @@ func genName(gen int) string { return fmt.Sprintf("gen-%06d.tnd", gen) }
 
 // ErrRemountStale tells the retry loop a remount "failure" actually
 // means the serving layer is already at or past the published
-// generation (its own spool watch may have raced us there) — success,
-// not an error. The cmd layer maps tndserve's 409 responses to it.
+// generation (the startup re-announce of a generation it already
+// serves, or an operator's manual admin remount got there first) —
+// success, not an error. The cmd layer maps tndserve's 409 responses
+// to it.
 var ErrRemountStale = errors.New("ingest: serving layer already at or past this generation")
 
 // errBadBatch marks a batch that can never succeed (undecodable,
@@ -680,9 +682,9 @@ func (d *Daemon) Tick() error {
 	return nil
 }
 
-// eligibleBatchName mirrors the serve spool rule: no dotfiles, no
-// temp markers — POSTed batches are staged under dotted names and
-// renamed in atomically.
+// eligibleBatchName admits a spool entry only once it is in place: no
+// dotfiles, no temp markers — POSTed batches are staged under dotted
+// names and renamed in atomically.
 func eligibleBatchName(name string) bool {
 	return !strings.HasPrefix(name, ".") &&
 		!strings.Contains(name, ".tmp") && !strings.Contains(name, ".partial")

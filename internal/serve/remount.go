@@ -1,13 +1,10 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"tnkd/internal/obs"
@@ -40,8 +37,9 @@ type RemountResult struct {
 // The generation must strictly increase (PR 5's delta miner stamps
 // Generation = parent+1), and the candidate must descend from the
 // mounted lineage: its Meta.Parent names the mounted path (directly
-// or by base name — spool directories move files around), or it
-// carries the same Kind and Name.
+// or by base name — tndingest stamps Parent relative to its -dir
+// while its remount push sends absolute paths), or it carries the
+// same Kind and Name.
 func validateLineage(cur, cand *store.Reader) error {
 	cm, nm := cur.Meta(), cand.Meta()
 	if nm.Generation <= cm.Generation {
@@ -81,8 +79,9 @@ func (s *Server) Remount(name, path string) (RemountResult, error) {
 
 // RemountAuto is Remount without a mount name: the candidate at path
 // is matched against every mount's lineage and swaps in for the
-// first one that validates. This is the spool-watch entry point,
-// where only the file is known.
+// first one that validates. This is the path-only entry point used
+// by ingest's remount push and by the admin endpoint when the body
+// names no store.
 func (s *Server) RemountAuto(path string) (RemountResult, error) {
 	rd, err := store.Open(path)
 	if err != nil {
@@ -242,90 +241,5 @@ func (s *Server) handleRemount(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "%v", err)
 	default:
 		writeError(w, http.StatusBadRequest, "%v", err)
-	}
-}
-
-// eligibleSpoolName reports whether a spool entry may be mounted: a
-// *.tnd file that is not a dotfile and carries no temp marker (".tmp"
-// or ".partial") anywhere in its name. Publishers (tndingest, rsync,
-// scp) stage uploads under dotted or .tmp/.partial names and
-// atomically rename them into place, so the watcher must never
-// consider those — a half-written temp file must not be half-mounted
-// even transiently, and the two-stable-polls rule alone cannot
-// guarantee that for a stalled copy.
-func eligibleSpoolName(name string) bool {
-	if strings.HasPrefix(name, ".") {
-		return false
-	}
-	if !strings.HasSuffix(name, ".tnd") {
-		return false
-	}
-	if strings.Contains(name, ".tmp") || strings.Contains(name, ".partial") {
-		return false
-	}
-	return true
-}
-
-// WatchSpool polls dir every interval for candidate store files and
-// hot-swaps any whose lineage validates against a mounted store
-// (RemountAuto). A file is considered only once its name, size and
-// mtime have been stable across two consecutive polls — a copy still
-// in flight must not be mounted half-written. Rejected candidates
-// are remembered and not retried until the file changes. Blocks
-// until ctx is cancelled; logf (may be nil) receives one line per
-// attempt.
-func (s *Server) WatchSpool(ctx context.Context, dir string, interval time.Duration, logf func(format string, args ...any)) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	type fileKey struct {
-		size int64
-		mod  int64
-	}
-	pending := map[string]fileKey{} // seen once, waiting for a stable second look
-	handled := map[string]fileKey{} // mounted or rejected at this key
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-		}
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			logf("watch %s: %v", dir, err)
-			continue
-		}
-		for _, ent := range ents {
-			if ent.IsDir() || !eligibleSpoolName(ent.Name()) {
-				continue
-			}
-			info, err := ent.Info()
-			if err != nil {
-				continue
-			}
-			p := filepath.Join(dir, ent.Name())
-			k := fileKey{size: info.Size(), mod: info.ModTime().UnixNano()}
-			if handled[p] == k {
-				continue
-			}
-			if pending[p] != k {
-				pending[p] = k
-				continue
-			}
-			delete(pending, p)
-			handled[p] = k
-			res, err := s.RemountAuto(p)
-			if err != nil {
-				logf("watch %s: %v", p, err)
-				continue
-			}
-			logf("watch %s: remounted %s generation %d -> %d in %.2fms",
-				p, res.Store, res.OldGeneration, res.NewGeneration, res.SwapMillis)
-		}
 	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -358,83 +357,6 @@ func TestBatchMatchesPointQueries(t *testing.T) {
 		huge[i] = fmt.Sprintf("c%d", i)
 	}
 	postBatch(t, fx.ts, huge, http.StatusBadRequest)
-}
-
-func TestEligibleSpoolName(t *testing.T) {
-	for name, want := range map[string]bool{
-		"gen-000001.tnd":     true,
-		"run.v2.tnd":         true,
-		".hidden.tnd":        false, // dotfile
-		".gen-000002.tnd":    false,
-		"gen-000002.tnd.tmp": false, // write-to-temp staging name
-		"gen-000002.tmp.tnd": false,
-		"upload.tnd.partial": false,
-		"upload.partial.tnd": false,
-		"notes.txt":          false, // not a store file
-		"gen-000003":         false,
-	} {
-		if got := eligibleSpoolName(name); got != want {
-			t.Errorf("eligibleSpoolName(%q) = %v, want %v", name, got, want)
-		}
-	}
-}
-
-// TestWatchSpoolIgnoresTempNames drops valid next-generation store
-// bytes into the spool under dotfile/.tmp/.partial names — which a
-// publisher's staged, not-yet-renamed uploads look like — and proves
-// the watcher never mounts any of them, while the same bytes under a
-// clean name mount promptly.
-func TestWatchSpoolIgnoresTempNames(t *testing.T) {
-	dir := t.TempDir()
-	spool := filepath.Join(dir, "spool")
-	if err := os.Mkdir(spool, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	base := filepath.Join(dir, "gen0.tnd")
-	writeGenStore(t, base, 0, "")
-	srv, _ := mountGen(t, base)
-
-	// Every decoy is a fully valid generation-1 store: if the watcher
-	// ever considered one, the remount would succeed and the test fail.
-	for _, name := range []string{".hidden.tnd", "gen1.tnd.tmp", "gen1.tmp.tnd", "up.tnd.partial", "up.partial.tnd"} {
-		writeGenStore(t, filepath.Join(spool, name), 1, base)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.WatchSpool(ctx, spool, 5*time.Millisecond, t.Logf)
-	}()
-
-	// Give the watcher several polls over the decoys...
-	time.Sleep(60 * time.Millisecond)
-	if gen := currentGeneration(t, srv); gen != 0 {
-		t.Fatalf("a temp-named file was mounted: generation %d", gen)
-	}
-
-	// ...then publish properly: the same store under a clean name.
-	writeGenStore(t, filepath.Join(spool, "gen1.tnd"), 1, base)
-	deadline := time.Now().Add(5 * time.Second)
-	for currentGeneration(t, srv) != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("clean-named store never mounted")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	cancel()
-	<-done
-}
-
-func currentGeneration(t *testing.T, srv *Server) int {
-	t.Helper()
-	srv.mu.RLock()
-	defer srv.mu.RUnlock()
-	if srv.cur == nil || len(srv.cur.entries) == 0 {
-		t.Fatal("no mounts")
-	}
-	return srv.cur.entries[0].m.Reader.Meta().Generation
 }
 
 // TestRemountFailureLabels exercises each failure path and asserts

@@ -36,9 +36,9 @@
 // response, which is what lets ListenAndServe bound response writes.
 //
 // Mounted stores are immutable, but the set of mounts is not: a
-// remount (POST /v1/admin/remount, or the tndserve -watch spool)
-// atomically replaces one mount with a newer generation of the same
-// lineage. Every request pins the mount snapshot it started on, the
+// remount (POST /v1/admin/remount, or an in-process publisher such
+// as ingest calling RemountAuto) atomically replaces one mount with
+// a newer generation of the same lineage. Every request pins the mount snapshot it started on, the
 // swap installs the new snapshot for subsequent requests, and the
 // replaced reader is closed only after the pinned requests drain —
 // no restart, no dropped request. Caches (the location index, the
