@@ -16,7 +16,6 @@ import (
 	"tnkd/internal/experiments"
 	"tnkd/internal/fsg"
 	"tnkd/internal/partition"
-	"tnkd/internal/pattern"
 	"tnkd/internal/subdue"
 )
 
@@ -388,225 +387,6 @@ func BenchmarkTemporalPipelineSerial(b *testing.B) { benchmarkTemporalPipeline(b
 
 // BenchmarkTemporalPipelineParallel uses all CPUs.
 func BenchmarkTemporalPipelineParallel(b *testing.B) { benchmarkTemporalPipeline(b, 0) }
-
-// --- Delta-mining benches: fold appended days vs full re-mine ---
-
-var (
-	deltaOnce  sync.Once
-	deltaPrior fsg.Prior
-	deltaAdded []*Graph
-	deltaOpts  fsg.Options
-)
-
-// deltaWorkload builds the reference temporal workload split at the
-// last day boundary that adds transactions: the prefix is mined once
-// (the persisted state a real deployment would already hold) and the
-// suffix is what MineDelta folds in. Mining-only on purpose — the
-// partition build is identical for both paths and would only dilute
-// the comparison.
-func deltaWorkload(b *testing.B) {
-	b.Helper()
-	deltaOnce.Do(func() {
-		data := pipelineData(b)
-		popts := DefaultTemporalMineOptions().Partition
-		whole := partition.Temporal(data, popts)
-		full := whole.Transactions
-		var prefix []*Graph
-		for back := 1; back < 30; back++ {
-			p := popts
-			p.MaxDays = whole.DaysTotal - back
-			prefix = partition.Temporal(data, p).Transactions
-			if len(prefix) > 0 && len(prefix) < len(full) {
-				break
-			}
-		}
-		if len(prefix) == 0 || len(prefix) == len(full) {
-			b.Fatal("no day boundary splits the temporal workload")
-		}
-		prevOpts := fsg.Options{
-			MinSupport: fsg.MinSupportFraction(len(prefix), 0.05),
-			MaxEdges:   8, MaxSteps: 200000,
-		}
-		prev, err := fsg.Mine(prefix, prevOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		levels := make(map[int][]fsg.Pattern)
-		for i := range prev.Patterns {
-			p := prev.Patterns[i]
-			levels[p.Graph.NumEdges()] = append(levels[p.Graph.NumEdges()], p)
-		}
-		deltaPrior = fsg.Prior{Txns: prefix, Levels: levels, MinSupport: prevOpts.MinSupport}
-		deltaAdded = full[len(prefix):]
-		deltaOpts = fsg.Options{
-			MinSupport: fsg.MinSupportFraction(len(full), 0.05),
-			MaxEdges:   8, MaxSteps: 200000,
-		}
-	})
-}
-
-// BenchmarkTemporalDeltaFold folds the appended days into the
-// persisted prior with MineDelta — compare ns/op against
-// BenchmarkTemporalDeltaRemine for the incremental speedup (the
-// acceptance target is fold < 30% of re-mine).
-func BenchmarkTemporalDeltaFold(b *testing.B) {
-	deltaWorkload(b)
-	b.ResetTimer()
-	var res *fsg.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = fsg.MineDelta(deltaPrior, deltaAdded, deltaOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(res.Patterns)), "patterns")
-	b.ReportMetric(float64(len(deltaAdded)), "added-txns")
-}
-
-// BenchmarkTemporalDeltaRemine mines the combined day set from
-// scratch — the cost a deployment pays without delta mining.
-func BenchmarkTemporalDeltaRemine(b *testing.B) {
-	deltaWorkload(b)
-	all := append(append([]*Graph(nil), deltaPrior.Txns...), deltaAdded...)
-	b.ResetTimer()
-	var res *fsg.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = fsg.Mine(all, deltaOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(res.Patterns)), "patterns")
-}
-
-// --- Sliding-window benches: retire+fold one slide vs fresh window mine ---
-
-var (
-	windowOnce    sync.Once
-	windowPrior   fsg.Prior
-	windowAdded   []*Graph
-	windowRetired pattern.TIDSet
-	windowNext    []*Graph // the slid window's transactions (re-mine input)
-	windowOpts    fsg.Options
-)
-
-// windowWorkload builds the reference sliding-window slide: a mined
-// prior window over the temporal partition, slid forward by the
-// smallest day count that both retires transactions off the front and
-// folds new ones in at the back (the synthetic calendar has empty
-// days, so a one-day slide can be a no-op). Mining-only on purpose,
-// like deltaWorkload.
-func windowWorkload(b *testing.B) {
-	b.Helper()
-	windowOnce.Do(func() {
-		data := pipelineData(b)
-		popts := DefaultTemporalMineOptions().Partition
-		whole := partition.Temporal(data, popts)
-		nDays := len(whole.DayStarts)
-		// Back boundary: the last day split that actually adds
-		// transactions (same rule as deltaWorkload). Front boundary:
-		// the first day split that actually retires some.
-		pHi := 0
-		for back := 1; back < 30 && pHi == 0; back++ {
-			if lo, hi := whole.WindowRange(1, nDays-back); hi > lo && hi < len(whole.Transactions) {
-				pHi = hi
-			}
-		}
-		nLo := 0
-		for front := 1; front < 30 && nLo == 0; front++ {
-			if lo, _ := whole.WindowRange(1+front, nDays); lo > 0 {
-				nLo = lo
-			}
-		}
-		if pHi == 0 || nLo == 0 || nLo >= pHi {
-			b.Fatal("no slide of the temporal workload both retires and adds transactions")
-		}
-		priorTxns := whole.Transactions[:pHi]
-		windowAdded = whole.Transactions[pHi:]
-		windowNext = whole.Transactions[nLo:]
-		for tid := 0; tid < nLo; tid++ {
-			windowRetired.Add(tid)
-		}
-		prevOpts := fsg.Options{
-			MinSupport: fsg.MinSupportFraction(len(priorTxns), 0.05),
-			MaxEdges:   8, MaxSteps: 200000,
-		}
-		prev, err := fsg.Mine(priorTxns, prevOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		levels := make(map[int][]fsg.Pattern)
-		for i := range prev.Patterns {
-			p := prev.Patterns[i]
-			levels[p.Graph.NumEdges()] = append(levels[p.Graph.NumEdges()], p)
-		}
-		windowPrior = fsg.Prior{Txns: priorTxns, Levels: levels, MinSupport: prevOpts.MinSupport}
-		windowOpts = fsg.Options{
-			MinSupport: fsg.MinSupportFraction(len(windowNext), 0.05),
-			MaxEdges:   8, MaxSteps: 200000,
-		}
-	})
-}
-
-// BenchmarkWindowAdvance slides the mined window one step with
-// AdvanceWindow (retire the fallen-off days, fold the arrived ones) —
-// compare ns/op against BenchmarkWindowRemine for the incremental
-// speedup (the acceptance target is slide < 30% of re-mine).
-func BenchmarkWindowAdvance(b *testing.B) {
-	windowWorkload(b)
-	b.ResetTimer()
-	var res *fsg.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = fsg.AdvanceWindow(windowPrior, windowAdded, windowRetired, windowOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(res.Patterns)), "patterns")
-	b.ReportMetric(float64(windowRetired.Len()), "retired-txns")
-	b.ReportMetric(float64(len(windowAdded)), "added-txns")
-}
-
-// BenchmarkWindowRetire isolates the retirement half of a slide —
-// the word-parallel TID-column subtraction, survivor renumbering and
-// embedding pruning, without the fold. Its share of the advance cost
-// is the most a tombstoned store layout (marking TIDs dead in place
-// instead of compacting) could ever save; see DESIGN.md's
-// tombstone-vs-compact discussion.
-func BenchmarkWindowRetire(b *testing.B) {
-	windowWorkload(b)
-	ropts := windowOpts
-	ropts.MinSupport = windowPrior.MinSupport
-	b.ResetTimer()
-	var res *fsg.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = fsg.RetireDelta(windowPrior, windowRetired, ropts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(res.Patterns)), "patterns")
-}
-
-// BenchmarkWindowRemine mines the slid window's transactions from
-// scratch — the cost a deployment pays without retirement.
-func BenchmarkWindowRemine(b *testing.B) {
-	windowWorkload(b)
-	b.ResetTimer()
-	var res *fsg.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = fsg.Mine(windowNext, windowOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(res.Patterns)), "patterns")
-}
 
 // BenchmarkSection9DynamicExtensions regenerates the future-work
 // extension report: repeated connection paths, weekly cadences and

@@ -27,14 +27,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"log/slog"
-	"os"
 	"strings"
 	"time"
 
 	"tnkd/internal/experiments"
 	"tnkd/internal/fsg"
-	"tnkd/internal/obs"
 	"tnkd/internal/store"
 )
 
@@ -44,9 +41,6 @@ func progressLine(stage string, ev fsg.LevelProgress) {
 	line := fmt.Sprintf("%s: level %d: candidates=%d frequent=%d embeddings=%d iso_tests=%d budgeted=%d patterns=%d elapsed=%s",
 		stage, ev.Edges, ev.Candidates, ev.Frequent, ev.Embeddings, ev.IsoTests, ev.BudgetedTests, ev.Patterns,
 		ev.Elapsed.Round(time.Millisecond))
-	if ev.Delta {
-		line += fmt.Sprintf(" reused=%d promoted=%d", ev.Reused, ev.Promoted)
-	}
 	log.Print(line)
 }
 
@@ -83,7 +77,6 @@ func main() {
 	p.DeltaFrom = *deltaFrom
 	if *progress {
 		p.Progress = progressLine
-		p.Logger = obs.NewLogger(os.Stderr, slog.LevelInfo)
 	}
 	switch strings.ToLower(*strategy) {
 	case "bf":

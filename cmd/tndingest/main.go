@@ -1,10 +1,10 @@
 // Command tndingest is the crash-safe continuous-ingest daemon: it
 // watches <dir>/spool for JSON transaction batches (and accepts them
-// over POST /v1/ingest), folds each arrival into the current store
-// generation with the exact delta miner, publishes generation N+1 via
-// write-to-temp + fsync + atomic rename under a journaled intent
-// record, triggers tndserve's hot remount, and garbage-collects
-// generations older than -keep.
+// over POST /v1/ingest), appends each arrival to the current
+// generation's transactions and mines them afresh, publishes
+// generation N+1 via write-to-temp + fsync + atomic rename under a
+// journaled intent record, triggers tndserve's hot remount, and
+// garbage-collects generations older than -keep.
 //
 // Usage:
 //
@@ -22,13 +22,12 @@
 // -window N turns the daemon from append-only into a true sliding
 // window over the last N ingest units (batches; an adopted seed store
 // counts as one unit): each fold retires the units that fall off the
-// front — subtracting their TIDs from every pattern column and
-// renumbering the survivors — before folding the new batch in, so
-// every published generation is byte-identical to a fresh mine of
-// exactly the window's transactions. Retirement publishes go through
-// the same journal protocol as append folds, so the crash guarantees
-// above hold unchanged; `/v1/ingest/status` reports the served
-// window's bounds, unit count and last retired-transaction count.
+// front and appends the new batch, and every published generation is
+// a fresh mine of exactly the window's transactions. Retirement
+// publishes go through the same journal protocol as append folds, so
+// the crash guarantees above hold unchanged; `/v1/ingest/status`
+// reports the served window's bounds, unit count and last
+// retired-transaction count.
 //
 // Batch-stream generator mode (for replaying the Section 6 temporal
 // data as an arrival stream):
@@ -143,7 +142,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: d.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	httpSrv := newHTTPServer(*addr, d.Handler())
 	go func() {
 		log.Printf("listening on %s", *addr)
 		if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -159,6 +158,18 @@ func main() {
 	defer cancel()
 	httpSrv.Shutdown(shutCtx) //nolint:errcheck
 	log.Print("shut down cleanly")
+}
+
+// writeTimeout bounds how long one request may take from the end of
+// its headers to the end of its response, as in tndserve: a client
+// that stops reading, or a handler that stalls past it, loses the
+// connection instead of holding it open.
+const writeTimeout = 30 * time.Second
+
+// newHTTPServer builds the listener-side server for the daemon's
+// endpoints.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 5 * time.Second, WriteTimeout: writeTimeout}
 }
 
 // httpRemount returns a Remount callback that POSTs the published

@@ -3,10 +3,12 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"tnkd/internal/graph"
 	"tnkd/internal/ingest"
@@ -91,5 +93,38 @@ func TestHTTPRemount(t *testing.T) {
 	err = push("missing.tnd")
 	if err == nil || errors.Is(err, ingest.ErrRemountStale) {
 		t.Fatalf("push of a missing file: err = %v, want a retryable non-stale error", err)
+	}
+}
+
+// TestWriteTimeoutClosesStalledConnection: the daemon's server
+// carries the fixed writeTimeout, and a handler that stalls past the
+// write deadline gets its connection closed instead of delivering a
+// late response.
+func TestWriteTimeoutClosesStalledConnection(t *testing.T) {
+	srv := newHTTPServer("127.0.0.1:0", nil)
+	if srv.WriteTimeout != writeTimeout {
+		t.Fatalf("WriteTimeout = %v, want %v", srv.WriteTimeout, writeTimeout)
+	}
+	// Shrink the bound so a stall past it fits in a unit test.
+	srv.WriteTimeout = 50 * time.Millisecond
+	srv.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(4 * srv.WriteTimeout)
+		w.Write([]byte("late")) //nolint:errcheck
+	})
+	ln, err := net.Listen("tcp", srv.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln) //nolint:errcheck
+	defer srv.Close()
+
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Get("http://" + ln.Addr().String() + "/")
+	if err == nil {
+		resp.Body.Close()
+		t.Fatalf("stalled handler delivered a response (status %d)", resp.StatusCode)
+	}
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("client timed out instead of seeing the connection closed: %v", err)
 	}
 }

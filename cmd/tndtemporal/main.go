@@ -11,43 +11,35 @@
 // and the per-day transactions) to an internal/store file that
 // cmd/tndserve can answer queries from.
 //
-// -delta-from folds the days appended since prev.tnd was written into
-// it instead of re-mining every day (incremental delta mining); the
-// output — and the store written by -store — is identical to a full
-// re-mine of the combined days. -days limits the run to the earliest
-// N calendar days, which is how a delta sequence is simulated from a
-// fixed dataset: mine -days K -store a.tnd, then -days K+1
-// -delta-from a.tnd -store b.tnd.
+// -delta-from names the previous generation prev.tnd; the run still
+// mines its days afresh, and the store written by -store records
+// prev.tnd as its parent with the next generation number. prev.tnd's
+// transactions must be an exact slice of this run's days. -days
+// limits the run to the earliest N calendar days, which is how a
+// generation sequence is simulated from a fixed dataset: mine -days K
+// -store a.tnd, then -days K+1 -delta-from a.tnd -store b.tnd.
 //
 // -window N mines only the most recent N calendar days (a sliding
 // window; support is computed over the window's transactions).
-// Combined with -delta-from, the run *slides* the stored window
-// instead of re-mining it: days that fell off the front are retired
-// (their TIDs subtracted from every pattern column) and the newly
-// arrived days are folded in, producing a store byte-identical to a
-// fresh -window mine of the same days — `tndstats -patterns` diffs
-// empty. The window only moves forward: widening it, or dropping
-// -window against a windowed store, requires a fresh mine.
+// Combined with -delta-from, the run is a window *slide*: its store
+// also records how many of the parent's transactions fell off the
+// front. The window only moves forward: widening it, or dropping
+// -window against a windowed store, is refused.
 //
 // -progress streams one line to stderr per mined level as the level
-// completes (candidates, frequent, embeddings, reuse/promotion
-// tallies, elapsed), so a long mine is never silent; stdout stays
-// byte-identical with or without the flag. Delta runs additionally
-// log their fold provenance (generation, appended TIDs, reuse vs
-// recount) as JSON lines on stderr.
+// completes (candidates, frequent, embeddings, elapsed), so a long
+// mine is never silent; stdout stays byte-identical with or without
+// the flag.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"log/slog"
-	"os"
 	"time"
 
 	"tnkd/internal/experiments"
 	"tnkd/internal/fsg"
-	"tnkd/internal/obs"
 	"tnkd/internal/store"
 )
 
@@ -58,9 +50,6 @@ func progressLine(stage string, ev fsg.LevelProgress) {
 	line := fmt.Sprintf("%s: level %d: candidates=%d frequent=%d embeddings=%d iso_tests=%d budgeted=%d patterns=%d elapsed=%s",
 		stage, ev.Edges, ev.Candidates, ev.Frequent, ev.Embeddings, ev.IsoTests, ev.BudgetedTests, ev.Patterns,
 		ev.Elapsed.Round(time.Millisecond))
-	if ev.Delta {
-		line += fmt.Sprintf(" reused=%d promoted=%d", ev.Reused, ev.Promoted)
-	}
 	log.Print(line)
 }
 
@@ -73,9 +62,9 @@ func main() {
 	parallelism := flag.Int("parallelism", 0, "mining worker count (0 = all CPUs, 1 = serial)")
 	maxEmbeddings := flag.Int("maxembeddings", 0, "per-level FSG embedding budget (0 = default, -1 = unlimited); over budget the incremental support counter falls back to full isomorphism")
 	days := flag.Int("days", 0, "limit the run to the earliest N calendar days (0 = all); a -days K run's transactions are an exact prefix of the -days K+1 run's")
-	window := flag.Int("window", 0, "mine only the most recent N calendar days (0 = all); with -delta-from, slides the stored window forward (retire + fold), byte-identical to a fresh -window mine")
+	window := flag.Int("window", 0, "mine only the most recent N calendar days (0 = all); with -delta-from, the window may only move forward from the parent's")
 	storePath := flag.String("store", "", "persist the Figure 4 mine (patterns + embeddings + per-day transactions) to this store file (serve with tndserve)")
-	deltaFrom := flag.String("delta-from", "", "fold the newly arrived days into this previously mined store instead of re-mining from scratch (output identical to a full re-mine)")
+	deltaFrom := flag.String("delta-from", "", "record this previously mined store as the parent generation (its days must be a slice of this run's; patterns are mined afresh)")
 	progress := flag.Bool("progress", false, "stream one line per mined level to stderr while mining (stdout stays byte-identical)")
 	flag.Parse()
 	// Both store paths pre-flight at flag time, so a mistyped path
@@ -101,7 +90,6 @@ func main() {
 	p.DeltaFrom = *deltaFrom
 	if *progress {
 		p.Progress = progressLine
-		p.Logger = obs.NewLogger(os.Stderr, slog.LevelInfo)
 	}
 	fmt.Print(experiments.RunTable2(p))
 	fmt.Println()

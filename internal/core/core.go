@@ -16,7 +16,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -482,38 +481,28 @@ type TemporalMineOptions struct {
 	// the run dies mid-mine (store.Recover / `tndstats -store x
 	// -recover` salvage them). cmd/tndserve serves the file.
 	StorePath string
-	// DeltaFrom, when non-empty, folds the new days into the named
-	// persisted run instead of re-mining every day from scratch: the
-	// store's transactions must be an exact prefix of this run's
-	// partition (verified byte-for-byte), its levels are rehydrated
-	// as the seed, and fsg.MineDelta extends each pattern's support
-	// column only over the appended transactions — promoting patterns
-	// that were sub-threshold before. The result (and the store
-	// written to StorePath, provenance aside) is identical to a full
-	// re-mine of the combined days. The absolute support threshold is
-	// recomputed from SupportFraction over the combined set, so it
-	// may sit above the parent run's — stored patterns that no longer
-	// qualify drop out exactly as a re-mine would drop them.
+	// DeltaFrom, when non-empty, names the parent generation this run
+	// succeeds. It is lineage only: the window is always mined afresh.
+	// The parent's transactions must be an exact slice of this run's
+	// partition (verified byte-for-byte) and the window may only move
+	// forward, so the new store records a true successor — Parent,
+	// Generation = the parent's + 1, and Retired, the parent's
+	// transactions that fell off the window's front.
 	DeltaFrom string
 	// Window, when > 0, mines only the most recent Window days of the
 	// partition (1-based days winStart..winEnd, recorded in the store
 	// as Meta.WindowStart/WindowEnd): the sliding-window regime of the
 	// temporal pipeline. The absolute support threshold is computed
 	// over the window's transactions only. Combined with DeltaFrom the
-	// run becomes a window *slide* — fsg.AdvanceWindow retires the
-	// days that fell off the front of the parent store and folds the
-	// newly arrived days in, producing a store byte-identical to a
-	// fresh -window mine of the same days. The window only moves
-	// forward: a slide that would need days the parent already retired
-	// (a widened window, or Window=0 against a windowed parent) fails
-	// and must be re-mined from scratch. 0 mines every day.
+	// run is a window *slide*: a store of the slid window whose
+	// lineage names the parent. The window only moves forward: a slide
+	// that would need days the parent already retired (a widened
+	// window, or Window=0 against a windowed parent) fails; mine it
+	// without DeltaFrom instead. 0 mines every day.
 	Window int
 	// Progress is handed to the miner (fsg.Options.Progress): one
 	// event per completed Apriori level, emitted while the mine runs.
 	Progress func(fsg.LevelProgress)
-	// Logger receives structured mining logs — the delta fold
-	// provenance when DeltaFrom is set. nil is silent.
-	Logger *slog.Logger
 }
 
 // DefaultTemporalMineOptions mirrors the paper's successful run:
@@ -572,14 +561,10 @@ func MineTemporal(d *dataset.Dataset, opts TemporalMineOptions) (*TemporalMineRe
 		MaxEmbeddings: opts.MaxEmbeddings,
 		Parallelism:   opts.Parallelism,
 		Progress:      opts.Progress,
-		Logger:        opts.Logger,
 	}
 
-	// Delta mode: rehydrate the parent run, retire the days that slid
-	// out of the window, and mine only the appended tail through it.
-	var prior *fsg.Prior
-	var added []*graph.Graph
-	var retired pattern.TIDSet
+	// Lineage: check the parent is a true predecessor of this window
+	// and count the parent transactions that slid out of it.
 	retireCount := 0
 	generation := 0
 	if opts.DeltaFrom != "" {
@@ -613,31 +598,9 @@ func MineTemporal(d *dataset.Dataset, opts TemporalMineOptions) (*TemporalMineRe
 		if lo < priorLo {
 			return nil, fmt.Errorf("core: window start day %d precedes the delta source's day %d — retired days cannot re-enter the window; re-mine without -delta-from", winStart, priorStart)
 		}
-		levels, err := r.AllLevelPatterns()
-		if err != nil {
-			return nil, err
-		}
-		priorHi := priorLo + r.NumTransactions()
-		prior = &fsg.Prior{
-			Txns:       part.Transactions[priorLo:priorHi],
-			Levels:     levels,
-			MinSupport: m.MinSupport,
-			Generation: m.Generation,
-		}
-		retireCount = lo - priorLo
-		if retireCount > len(prior.Txns) {
-			// The window starts past the parent's end: everything the
-			// parent held retires, and the in-between days never enter.
-			retireCount = len(prior.Txns)
-		}
-		for i := 0; i < retireCount; i++ {
-			retired.Add(i)
-		}
-		addedLo := priorHi
-		if lo > addedLo {
-			addedLo = lo
-		}
-		added = part.Transactions[addedLo:]
+		// A window that starts past the parent's end retires
+		// everything the parent held.
+		retireCount = min(lo-priorLo, r.NumTransactions())
 		generation = m.Generation + 1
 	}
 
@@ -668,13 +631,7 @@ func MineTemporal(d *dataset.Dataset, opts TemporalMineOptions) (*TemporalMineRe
 			return w.WriteLevel(lv.Edges, pats)
 		}
 	}
-	var mined *fsg.Result
-	var err error
-	if prior != nil {
-		mined, err = fsg.AdvanceWindow(*prior, added, retired, fsgOpts)
-	} else {
-		mined, err = fsg.Mine(windowTxns, fsgOpts)
-	}
+	mined, err := fsg.Mine(windowTxns, fsgOpts)
 	if err != nil {
 		if w != nil {
 			w.Abort()

@@ -12,7 +12,6 @@ package experiments
 
 import (
 	"fmt"
-	"log/slog"
 	"math"
 
 	"tnkd/internal/dataset"
@@ -66,28 +65,27 @@ type Params struct {
 	// an internal/store file at exactly this path, for cmd/tndserve
 	// to serve. Sweep, recall and blow-up runners never write stores.
 	StorePath string
-	// DeltaFrom, when non-empty, makes the headline figure runners
-	// fold into the named persisted store instead of mining from
-	// scratch: RunFigure4 delta-mines the days appended since the
-	// store was written (core TemporalMineOptions.DeltaFrom), and
-	// RunFigure2/RunFigure3 append one more Algorithm 1 repetition to
-	// a structural store (core StructuralOptions.DeltaFrom). Results
-	// are identical to the corresponding full mine.
+	// DeltaFrom, when non-empty, names the persisted store the
+	// headline figure runners succeed: RunFigure4 mines its window
+	// afresh and records the store as its parent generation (core
+	// TemporalMineOptions.DeltaFrom), and RunFigure2/RunFigure3 append
+	// one more Algorithm 1 repetition to a structural store (core
+	// StructuralOptions.DeltaFrom). Results are identical to the
+	// corresponding full mine.
 	DeltaFrom string
 	// Days, when > 0, limits the temporal runners to the earliest
 	// Days calendar days (partition.TemporalOptions.MaxDays) — the
 	// arrival-simulation knob the delta end-to-end checks use to mine
-	// days 1..k, then fold day k+1 in. The Table 3 vertex-label cap
+	// days 1..k, then days 1..k+1 as the next generation. The Table 3 vertex-label cap
 	// is still computed over the full dataset, so a day-limited run's
 	// transactions stay an exact prefix of the next day's.
 	Days int
 	// Window, when > 0, restricts RunFigure4 to the most recent
 	// Window days of the (possibly Days-limited) partition — the
 	// sliding-window regime (core TemporalMineOptions.Window).
-	// Combined with DeltaFrom the run slides the window: the days
-	// that fell off the front of the stored run are retired and the
-	// newly arrived days folded in, byte-identical to a fresh
-	// -window mine of the same days.
+	// Combined with DeltaFrom the run is a window slide: the new
+	// store is a fresh mine of the window whose lineage names the
+	// stored run and counts the transactions that fell off its front.
 	Window int
 	// Progress, when non-nil, receives one event per completed
 	// Apriori level of the headline figure miners (RunFigure2/3's
@@ -97,9 +95,6 @@ type Params struct {
 	// cmd/tndfsg and cmd/tndtemporal. Structural repetitions mine
 	// concurrently, so the callback must be safe for concurrent use.
 	Progress func(stage string, ev fsg.LevelProgress)
-	// Logger, when non-nil, receives structured mining logs — the
-	// delta fold provenance of DeltaFrom runs. nil is silent.
-	Logger *slog.Logger
 }
 
 // NewParams generates a dataset at the given scale and returns ready

@@ -67,7 +67,7 @@ func labelCap(p Params) int {
 	// Deliberately not day-limited (p.Days): the cap must be the same
 	// number for every prefix of the day sequence, or a day-k run's
 	// transactions would stop being a prefix of the day-k+1 run's and
-	// delta mining could not fold one into the other.
+	// the -delta-from prefix check would refuse the successor.
 	dayOpts := partition.DefaultTemporalOptions()
 	dayOpts.SplitComponents = false
 	dayOpts.DropSingleEdge = false
@@ -151,7 +151,6 @@ func RunFigure4(p Params) *Figure4Result {
 	opts.DeltaFrom = p.DeltaFrom
 	opts.Window = p.Window
 	opts.Progress = p.stageProgress("figure4")
-	opts.Logger = p.Logger
 	res, err := core.MineTemporal(p.Data, opts)
 	if err != nil {
 		panic(err)

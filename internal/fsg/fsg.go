@@ -31,7 +31,6 @@ package fsg
 
 import (
 	"fmt"
-	"log/slog"
 	"sort"
 	"time"
 
@@ -97,10 +96,6 @@ type Options struct {
 	// until Mine returns. The callback must not block for long; it
 	// runs on the mining goroutine.
 	Progress func(LevelProgress)
-	// Logger, when non-nil, receives structured mining logs: today
-	// the MineDelta fold provenance (generation, appended TIDs,
-	// reuse vs recount tallies). nil is silent.
-	Logger *slog.Logger
 }
 
 // LevelProgress is one per-level progress event: the level's stats
@@ -112,8 +107,6 @@ type LevelProgress struct {
 	// Patterns is the cumulative frequent-pattern count including
 	// this level.
 	Patterns int
-	// Delta reports that the event came from a MineDelta fold.
-	Delta bool
 }
 
 // Pattern is one frequent subgraph with its support: the shared
@@ -135,17 +128,8 @@ type LevelStats struct {
 	// Embeddings counts the embeddings enumerated while support
 	// counting the level — the memory unit MaxEmbeddings budgets, so
 	// blow-up experiments report candidate volume and embedding
-	// volume in comparable terms. A delta run (MineDelta) enumerates
-	// only over the appended transactions for reused candidates, so
-	// this undercounts the stored volume there by design.
+	// volume in comparable terms.
 	Embeddings int
-	// Reused counts candidates whose old-transaction column came from
-	// the persisted parent run (MineDelta only; zero in a full mine).
-	Reused int
-	// Promoted counts frequent patterns of this level that were
-	// absent from the parent run — sub-threshold before the appended
-	// transactions arrived (MineDelta only; zero in a full mine).
-	Promoted int
 }
 
 // Result is the outcome of a mining run.
@@ -185,22 +169,8 @@ const DefaultMaxEmbeddings = 1 << 13
 
 // Mine runs the frequent-subgraph search over the transactions.
 func Mine(txns []*graph.Graph, opts Options) (*Result, error) {
-	opts, err := normalizeOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	m := &miner{txns: txns, opts: opts, res: &Result{}}
-	if err := m.run(); err != nil {
-		return nil, err
-	}
-	return m.res, nil
-}
-
-// normalizeOptions validates the options shared by Mine and MineDelta
-// and resolves the MaxEmbeddings sentinel values.
-func normalizeOptions(opts Options) (Options, error) {
 	if opts.MinSupport < 1 {
-		return opts, fmt.Errorf("fsg: MinSupport %d < 1", opts.MinSupport)
+		return nil, fmt.Errorf("fsg: MinSupport %d < 1", opts.MinSupport)
 	}
 	switch {
 	case opts.MaxEmbeddings == 0:
@@ -208,7 +178,11 @@ func normalizeOptions(opts Options) (Options, error) {
 	case opts.MaxEmbeddings < 0:
 		opts.MaxEmbeddings = 0 // unlimited internally
 	}
-	return opts, nil
+	m := &miner{txns: txns, opts: opts, res: &Result{}}
+	if err := m.run(); err != nil {
+		return nil, err
+	}
+	return m.res, nil
 }
 
 // MinSupportFraction converts a fractional support (e.g. 0.05 for the
@@ -229,16 +203,6 @@ type miner struct {
 	txns []*graph.Graph
 	opts Options
 	res  *Result
-
-	// Delta mode (MineDelta): prior holds the parent run's patterns
-	// keyed by level then exact code, and newStart is the first
-	// appended TID — txns[:newStart] are the parent run's transactions
-	// whose support the persisted columns already prove. Nil/0 in a
-	// full mine. priorMinSupport is the parent run's threshold (0 =
-	// unknown), which gates the incremental level-1 path.
-	prior           map[int]map[string]*Pattern
-	newStart        int
-	priorMinSupport int
 
 	frequentTriples []edgeTriple
 
@@ -292,7 +256,6 @@ func (m *miner) emitProgress(levelStart time.Time) {
 		LevelStats: m.res.Levels[len(m.res.Levels)-1],
 		Elapsed:    time.Since(levelStart),
 		Patterns:   len(m.res.Patterns),
-		Delta:      m.prior != nil,
 	})
 }
 
@@ -310,32 +273,22 @@ func (m *miner) checkpoint(pats []Pattern) error {
 	return nil
 }
 
-// tripleScan is the outcome of one single-edge pass: per-triple TID
-// lists and aligned per-TID embedding lists, plus the enumeration
-// count the embedding budget meters.
-type tripleScan struct {
-	tids      map[edgeTriple][]int
-	embs      map[edgeTriple][][]iso.DenseEmbedding
-	generated int
-}
-
-// scanTriples runs the F1 single-edge scan over txns, recording TIDs
-// as index + tidOffset. Embeddings follow the matcher's vertex-map
-// semantics: one embedding per matching vertex pair, the first
-// parallel edge as witness. Self-loop edges support the triple-scan
+// mineSingleEdges computes F1: frequent (fromLabel, edgeLabel,
+// toLabel) triples with their TID lists and per-TID embedding lists,
+// in one pass over every edge. Embeddings follow the matcher's
+// vertex-map semantics: one embedding per matching vertex pair, the
+// first parallel edge as witness. Self-loop edges support the triple
 // count but admit no injective embedding, so they contribute the TID
-// only. A non-nil restrict limits collection to that triple set (the
-// delta path's targeted promotion scan).
-func scanTriples(txns []*graph.Graph, tidOffset int, restrict map[edgeTriple]bool) tripleScan {
+// only.
+func (m *miner) mineSingleEdges() []Pattern {
 	type pairOcc struct {
 		tr       edgeTriple
 		from, to graph.VertexID
 	}
-	sc := tripleScan{
-		tids: make(map[edgeTriple][]int),
-		embs: make(map[edgeTriple][][]iso.DenseEmbedding),
-	}
-	for ti, t := range txns {
+	tids := make(map[edgeTriple][]int)
+	embs := make(map[edgeTriple][][]iso.DenseEmbedding)
+	generated := 0
+	for ti, t := range m.txns {
 		seen := make(map[edgeTriple]bool)
 		seenPair := make(map[pairOcc]bool)
 		for _, e := range t.Edges() {
@@ -345,55 +298,36 @@ func scanTriples(txns []*graph.Graph, tidOffset int, restrict map[edgeTriple]boo
 				edgeLabel: ed.Label,
 				toLabel:   t.Vertex(ed.To).Label,
 			}
-			if restrict != nil && !restrict[tr] {
-				continue
-			}
 			if !seen[tr] {
 				seen[tr] = true
-				sc.tids[tr] = append(sc.tids[tr], ti+tidOffset)
-				sc.embs[tr] = append(sc.embs[tr], nil)
+				tids[tr] = append(tids[tr], ti)
+				embs[tr] = append(embs[tr], nil)
 			}
 			occ := pairOcc{tr: tr, from: ed.From, to: ed.To}
 			if ed.From != ed.To && !seenPair[occ] {
 				seenPair[occ] = true
-				lists := sc.embs[tr]
+				lists := embs[tr]
 				lists[len(lists)-1] = append(lists[len(lists)-1], iso.DenseEmbedding{
 					Verts: []graph.VertexID{ed.From, ed.To},
 					Edges: []graph.EdgeID{e},
 				})
-				sc.generated++
+				generated++
 			}
 		}
 	}
-	return sc
-}
-
-// mineSingleEdges computes F1: frequent (fromLabel, edgeLabel,
-// toLabel) triples with their TID lists and per-TID embedding lists.
-// A delta run takes the incremental path when it can (see
-// mineSingleEdgesDelta); otherwise — and in every full mine — the
-// whole transaction set is scanned.
-func (m *miner) mineSingleEdges() []Pattern {
-	if m.prior != nil {
-		if pats, ok := m.mineSingleEdgesDelta(); ok {
-			return pats
-		}
-	}
-	sc := scanTriples(m.txns, 0, nil)
 	var frequent []Pattern
-	candidates := 0
-	for _, tr := range sortedTriples(sc.tids) {
-		candidates++
-		if len(sc.tids[tr]) < m.opts.MinSupport {
+	triples := sortedTriples(tids)
+	for _, tr := range triples {
+		if len(tids[tr]) < m.opts.MinSupport {
 			continue
 		}
 		g := tripleGraph(tr)
 		p := Pattern{
 			Graph:   g,
 			Code:    iso.Code(g),
-			Support: len(sc.tids[tr]),
-			TIDs:    pattern.TIDSetFromSlice(sc.tids[tr]),
-			Embs:    sc.embs[tr],
+			Support: len(tids[tr]),
+			TIDs:    pattern.TIDSetFromSlice(tids[tr]),
+			Embs:    embs[tr],
 		}
 		if m.opts.MaxEmbeddings > 0 && p.NumEmbeddings() > m.opts.MaxEmbeddings {
 			p.DemoteToSeeds()
@@ -402,167 +336,15 @@ func (m *miner) mineSingleEdges() []Pattern {
 		m.frequentTriples = append(m.frequentTriples, tr)
 	}
 	pattern.EnforceBudget(frequent, m.opts.MaxEmbeddings)
-	lv := LevelStats{
-		Edges: 1, Candidates: candidates, Frequent: len(frequent), Embeddings: sc.generated,
-	}
-	if m.prior != nil {
-		// Fallback rescan in delta mode: only the promotion tally is
-		// delta-specific.
-		for i := range frequent {
-			if m.priorAt(1, frequent[i].Code) == nil {
-				lv.Promoted++
-			}
-		}
-	}
-	m.res.Levels = append(m.res.Levels, lv)
+	m.res.Levels = append(m.res.Levels, LevelStats{
+		Edges: 1, Candidates: len(triples), Frequent: len(frequent), Embeddings: generated,
+	})
 	return frequent
 }
 
-// mineSingleEdgesDelta is the incremental F1 pass: stored level-1
-// columns are reused verbatim, only the appended transactions are
-// scanned in full, and old transactions are re-read only for the
-// triples that appear in the appended transactions without a stored
-// record (promotion candidates). This is exact when the delta
-// threshold is at least the parent run's: a triple absent from the
-// store was sub-threshold over the old transactions, so it can reach
-// the (no lower) new threshold only by gaining support in the
-// appended transactions — in which case the targeted scan sees it.
-// With an unknown prior threshold or a lowered one the premise fails
-// and the caller falls back to the full rescan (ok = false), as it
-// does when a stored level-1 record is not a recognisable
-// single-edge pattern.
-func (m *miner) mineSingleEdgesDelta() ([]Pattern, bool) {
-	if m.priorMinSupport <= 0 || m.opts.MinSupport < m.priorMinSupport {
-		return nil, false
-	}
-	storedByTriple := make(map[edgeTriple]*Pattern, len(m.prior[1]))
-	for _, sp := range m.prior[1] {
-		tr, ok := tripleOf(sp.Graph)
-		if !ok {
-			return nil, false
-		}
-		storedByTriple[tr] = sp
-	}
-	newScan := scanTriples(m.txns[m.newStart:], m.newStart, nil)
-	var restrict map[edgeTriple]bool
-	for tr := range newScan.tids {
-		if storedByTriple[tr] == nil {
-			if restrict == nil {
-				restrict = make(map[edgeTriple]bool)
-			}
-			restrict[tr] = true
-		}
-	}
-	var oldScan tripleScan
-	if len(restrict) > 0 {
-		oldScan = scanTriples(m.txns[:m.newStart], 0, restrict)
-	}
-
-	// The triple universe of this pass: every stored triple plus
-	// every triple seen in the appended transactions. Triples that
-	// occur only in old transactions and were sub-threshold there
-	// cannot qualify now, so they are rightly absent.
-	universe := make(map[edgeTriple]bool, len(storedByTriple)+len(newScan.tids))
-	for tr := range storedByTriple {
-		universe[tr] = true
-	}
-	for tr := range newScan.tids {
-		universe[tr] = true
-	}
-
-	var frequent []Pattern
-	lv := LevelStats{Edges: 1, Candidates: len(universe), Embeddings: newScan.generated + oldScan.generated}
-	for _, tr := range sortedTriples(universe) {
-		sp := storedByTriple[tr]
-		var tids, partial pattern.TIDSet
-		var embs [][]iso.DenseEmbedding
-		overflowed := false
-		bare := false
-		switch {
-		case sp != nil:
-			tids = sp.TIDs.Clone()
-			switch {
-			case sp.Embs != nil:
-				embs = append(embs, sp.Embs...)
-				if sp.Overflowed {
-					// The stored lists keep their per-TID completeness
-					// marks; an overflowed record without marks (legacy
-					// data) treats every stored list as seeds. Appended
-					// lists from the fresh scan below stay complete.
-					overflowed = true
-					partial = sp.Partial.Clone()
-					if partial.Len() == 0 {
-						partial = sp.TIDs.Clone()
-					}
-				}
-			case sp.TIDs.Len() > 0:
-				overflowed, bare = true, true // bare column stays bare
-			default:
-				overflowed = sp.Overflowed
-			}
-		default:
-			tids = pattern.TIDSetFromSlice(oldScan.tids[tr])
-			embs = append(embs, oldScan.embs[tr]...)
-		}
-		for _, tid := range newScan.tids[tr] {
-			tids.Add(tid)
-		}
-		if !bare {
-			embs = append(embs, newScan.embs[tr]...)
-		}
-		if tids.Len() < m.opts.MinSupport {
-			continue
-		}
-		g := tripleGraph(tr)
-		p := Pattern{
-			Graph:      g,
-			Code:       iso.Code(g),
-			Support:    tids.Len(),
-			TIDs:       tids,
-			Embs:       embs,
-			Overflowed: overflowed,
-			Partial:    partial,
-		}
-		if m.opts.MaxEmbeddings > 0 && p.NumEmbeddings() > m.opts.MaxEmbeddings {
-			p.DemoteToSeeds()
-		}
-		if sp != nil {
-			lv.Reused++
-		} else {
-			lv.Promoted++
-		}
-		frequent = append(frequent, p)
-		m.frequentTriples = append(m.frequentTriples, tr)
-	}
-	pattern.EnforceBudget(frequent, m.opts.MaxEmbeddings)
-	lv.Frequent = len(frequent)
-	m.res.Levels = append(m.res.Levels, lv)
-	return frequent, true
-}
-
-// tripleOf recovers the (from, edge, to) triple from a stored
-// single-edge pattern graph, which tripleGraph always builds as
-// vertex 0 -> vertex 1 via edge 0. ok = false for any other shape —
-// the store did not come from this miner's F1 pass.
-func tripleOf(g *graph.Graph) (edgeTriple, bool) {
-	if g == nil || g.VertexCap() != 2 || g.EdgeCap() != 1 ||
-		!g.HasVertex(0) || !g.HasVertex(1) || !g.HasEdge(0) {
-		return edgeTriple{}, false
-	}
-	ed := g.Edge(0)
-	if ed.From != 0 || ed.To != 1 {
-		return edgeTriple{}, false
-	}
-	return edgeTriple{
-		fromLabel: g.Vertex(0).Label,
-		edgeLabel: ed.Label,
-		toLabel:   g.Vertex(1).Label,
-	}, true
-}
-
 // sortedTriples returns the map's keys in lexicographic order — the
-// deterministic F1 output order of both the full and the delta pass.
-func sortedTriples[V any](m map[edgeTriple]V) []edgeTriple {
+// deterministic F1 output order.
+func sortedTriples(m map[edgeTriple][]int) []edgeTriple {
 	out := make([]edgeTriple, 0, len(m))
 	for tr := range m {
 		out = append(out, tr)
@@ -664,30 +446,14 @@ func (m *miner) extendLevel(current []Pattern, k int) []Pattern {
 	// extends its parent's stored embeddings across the one new edge
 	// (pattern.CountExtension), running a full isomorphism search
 	// only when the parent's lists overflowed the embedding budget.
-	// In delta mode a candidate the parent run already proved reuses
-	// its persisted column (TIDs, support, embeddings) rebased onto
-	// this run's candidate graph and extends only over the appended
-	// transactions; a candidate absent from the parent run — sub-
-	// threshold before the append — counts over every transaction,
-	// which is exactly the promotion work a delta cannot skip.
 	// Candidates fan out on the engine worker pool; the merge below
 	// walks them in input order, so the output is identical at every
 	// Parallelism. Tallies are shared atomic counters — their totals
 	// are order-independent.
-	var isoTests, budgetedTests, generated, reused engine.Counter
+	var isoTests, budgetedTests, generated engine.Counter
 	copts := pattern.CountOptions{MaxEmbeddings: m.opts.MaxEmbeddings, MaxSteps: m.opts.MaxSteps}
 	counted := engine.Map(m.opts.Parallelism, len(pruned), func(i int) *Pattern {
 		cand := pruned[i]
-		if stored := m.priorAt(k+1, cand.code); stored != nil {
-			if base, ok := pattern.Rebase(stored, cand.g, cand.code); ok {
-				pat, st := pattern.CountExtensionFrom(base, m.txns, cand.parent, cand.newEdge, m.deltaFilter(cand.tidFilter), copts)
-				isoTests.Add(st.IsoTests)
-				budgetedTests.Add(st.BudgetedTests)
-				generated.Add(st.Generated)
-				reused.Add(1)
-				return pat
-			}
-		}
 		pat, st := pattern.CountExtension(m.txns, cand.parent, cand.g, cand.code, cand.newEdge, cand.tidFilter, copts)
 		isoTests.Add(st.IsoTests)
 		budgetedTests.Add(st.BudgetedTests)
@@ -697,15 +463,11 @@ func (m *miner) extendLevel(current []Pattern, k int) []Pattern {
 	stats.IsoTests = isoTests.Load()
 	stats.BudgetedTests = budgetedTests.Load()
 	stats.Embeddings = generated.Load()
-	stats.Reused = reused.Load()
 	m.res.BudgetedTests += stats.BudgetedTests
 
 	var next []Pattern
 	for _, pat := range counted {
 		if pat.Support >= m.opts.MinSupport {
-			if m.prior != nil && m.priorAt(k+1, pat.Code) == nil {
-				stats.Promoted++
-			}
 			next = append(next, *pat)
 		}
 	}

@@ -1,10 +1,7 @@
 package fsg
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"log/slog"
 	"math/rand"
 	"strings"
 	"testing"
@@ -56,9 +53,6 @@ func TestProgressEmitsOneEventPerLevel(t *testing.T) {
 		if ev.Patterns != cum {
 			t.Fatalf("event %d cumulative patterns = %d, want %d", i, ev.Patterns, cum)
 		}
-		if ev.Delta {
-			t.Fatalf("event %d flagged Delta on a full mine", i)
-		}
 		if ev.Elapsed < 0 {
 			t.Fatalf("event %d negative elapsed", i)
 		}
@@ -91,60 +85,6 @@ func TestProgressFiresOnAbortedLevel(t *testing.T) {
 	}
 	if len(events) != len(res.Levels) {
 		t.Fatalf("events = %d, levels = %d (abort row must emit too)", len(events), len(res.Levels))
-	}
-}
-
-func TestDeltaProgressAndProvenanceLog(t *testing.T) {
-	txns := progressTxns()
-	full, err := Mine(txns[:2], Options{MinSupport: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byEdges := make(map[int][]Pattern)
-	for _, p := range full.Patterns {
-		byEdges[p.Graph.NumEdges()] = append(byEdges[p.Graph.NumEdges()], p)
-	}
-
-	var buf bytes.Buffer
-	var events []LevelProgress
-	prior := Prior{Txns: txns[:2], Levels: byEdges, MinSupport: 2, Generation: 3}
-	res, err := MineDelta(prior, txns[2:], Options{
-		MinSupport: 2,
-		Progress:   func(ev LevelProgress) { events = append(events, ev) },
-		Logger:     slog.New(slog.NewJSONHandler(&buf, nil)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != len(res.Levels) {
-		t.Fatalf("events = %d, levels = %d", len(events), len(res.Levels))
-	}
-	for i, ev := range events {
-		if !ev.Delta {
-			t.Fatalf("event %d not flagged Delta on a fold", i)
-		}
-	}
-
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("fold log lines = %d, want start + done:\n%s", len(lines), buf.String())
-	}
-	var start, done map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &start); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &done); err != nil {
-		t.Fatal(err)
-	}
-	if start["msg"] != "delta fold start" || start["generation"] != float64(4) ||
-		start["appended_txns"] != float64(1) || start["appended_tids"] != "2..2" {
-		t.Fatalf("bad start record: %v", start)
-	}
-	if done["msg"] != "delta fold done" || done["generation"] != float64(4) {
-		t.Fatalf("bad done record: %v", done)
-	}
-	if _, ok := done["reused"]; !ok {
-		t.Fatalf("done record missing reuse tally: %v", done)
 	}
 }
 

@@ -34,14 +34,14 @@ type GraphJSON struct {
 	Edges    []EdgeJSON   `json:"edges"`
 }
 
-// Batch is one ingest unit: the transactions appended to the served
-// store by a single delta fold (one generation).
+// Batch is one ingest unit: the transactions one generation appends
+// to the served window before the window is mined afresh.
 type Batch struct {
 	// Name, when set, names the spool file the batch lands under
 	// (sanitised); unnamed POSTed batches get a timestamped name.
 	Name string `json:"name,omitempty"`
-	// Transactions are folded in listed order; their TIDs continue
-	// the current store's transaction numbering.
+	// Transactions are appended in listed order; their TIDs continue
+	// the surviving window's transaction numbering.
 	Transactions []GraphJSON `json:"transactions"`
 }
 

@@ -1,12 +1,14 @@
 // Package ingest is the crash-safe continuous-ingest daemon behind
 // cmd/tndingest: it watches a spool directory (and accepts POSTed
-// batches) of JSON transaction batches, folds each arrival into the
-// current store generation with fsg.AdvanceWindow (retiring the
-// units that fall off a configured sliding window, or a pure
-// fsg.MineDelta append when Options.Window is 0), publishes
-// generation N+1 via write-to-temp + fsync + atomic rename with a
-// journaled intent record, triggers the serving layer's hot remount,
-// and GCs generations older than K.
+// batches) of JSON transaction batches, appends each arrival to the
+// current generation's transaction window (retiring the units that
+// fall off a configured sliding window), mines the new window afresh
+// with fsg.Mine, publishes generation N+1 via write-to-temp + fsync +
+// atomic rename with a journaled intent record, triggers the serving
+// layer's hot remount, and GCs generations older than K. The
+// window's decoded transactions stay in memory from one generation
+// to the next; they are read back from the store only after a start
+// or restart.
 //
 // Every durability step runs through a faultfs.FS, so the crash-
 // matrix tests can kill the daemon at any filesystem operation and
@@ -20,10 +22,10 @@
 // disk trouble) retry under exponential backoff with jitter;
 // undecodable batches and batches that keep failing are quarantined
 // to poison/ with a structured reason file, so one bad batch cannot
-// wedge the pipeline. A corrupt *prior* (fsg.ErrDeltaPrior) and
-// journal I/O trouble (errJournal) are daemon-level errors: they are
-// surfaced and retried but never charged to the batch that happened
-// to trigger them.
+// wedge the pipeline. An unusable current store (errCurrentStore)
+// and journal I/O trouble (errJournal) are daemon-level errors: they
+// are surfaced and retried but never charged to the batch that
+// happened to trigger them.
 package ingest
 
 import (
@@ -45,8 +47,8 @@ import (
 
 	"tnkd/internal/faultfs"
 	"tnkd/internal/fsg"
+	"tnkd/internal/graph"
 	"tnkd/internal/obs"
-	"tnkd/internal/pattern"
 	"tnkd/internal/store"
 )
 
@@ -79,6 +81,11 @@ var ErrRemountStale = errors.New("ingest: serving layer already at or past this 
 // errBadBatch marks a batch that can never succeed (undecodable,
 // empty): quarantined immediately instead of retried.
 var errBadBatch = errors.New("ingest: bad batch")
+
+// errCurrentStore marks a current generation whose transactions
+// cannot be read back — the daemon's fault, not the arriving batch's,
+// so it is retried without charging or quarantining the batch.
+var errCurrentStore = errors.New("ingest: current store unusable")
 
 // Options configures a Daemon.
 type Options struct {
@@ -116,15 +123,13 @@ type Options struct {
 	// ingest units (batches; whatever the adopted seed store held
 	// counts as one unit). Each fold then *slides* the window: the
 	// arriving batch becomes a new unit, units beyond the cap retire
-	// off the front (their TIDs subtracted from every pattern column
-	// via fsg.AdvanceWindow, survivors renumbered), and the published
-	// generation is byte-identical to a fresh mine of exactly the
-	// window's transactions. The unit composition is persisted in
-	// Meta.WindowSizes, so a restarted daemon rebuilds the window
-	// from the store alone — retirement publishes are journaled and
-	// crash-recovered exactly like append folds. SupportFraction is
-	// computed over the window's transactions. 0 = append-only
-	// (supports only grow; the pre-window behaviour).
+	// off the front, and the published generation is a fresh mine of
+	// exactly the window's transactions. The unit composition is
+	// persisted in Meta.WindowSizes, so a restarted daemon rebuilds
+	// the window from the store alone — retirement publishes are
+	// journaled and crash-recovered exactly like append folds.
+	// SupportFraction is computed over the window's transactions.
+	// 0 = append-only (supports only grow; the pre-window behaviour).
 	Window int
 
 	// KeepGenerations is GC's K: the current generation plus K-1
@@ -189,6 +194,10 @@ type Daemon struct {
 	attempts  map[string]*attempt // batch key -> backoff state
 	remountAt time.Time
 	remountN  int
+	// txns is the current generation's decoded transaction window,
+	// kept across generations so each graph's matcher index stays
+	// built; nil until read back from the store after a (re)mount.
+	txns []*graph.Graph
 
 	// Shared with the HTTP handlers, under mu.
 	mu             sync.Mutex
@@ -463,6 +472,7 @@ func (d *Daemon) genFiles() ([]string, error) {
 }
 
 func (d *Daemon) setCurrent(r *store.Reader) {
+	d.txns = nil
 	d.mu.Lock()
 	old := d.reader
 	d.reader = r
@@ -483,7 +493,7 @@ func (d *Daemon) adoptSeed() error {
 	}
 	if err := r.ValidateDeltaSource(false); err != nil {
 		r.Close() //nolint:errcheck
-		return fmt.Errorf("ingest: seed cannot source delta folds: %w", err)
+		return fmt.Errorf("ingest: seed cannot start a generation chain: %w", err)
 	}
 	name := genName(r.Meta().Generation)
 	data, err := os.ReadFile(d.opts.Seed)
@@ -744,13 +754,13 @@ func (d *Daemon) processSpool() error {
 			delete(d.attempts, key)
 		case errors.Is(err, faultfs.ErrCrashed):
 			return err
-		case errors.Is(err, fsg.ErrDeltaPrior):
-			// The *prior* store is unusable — a daemon-level fault, not
+		case errors.Is(err, errCurrentStore):
+			// The current store is unusable — a daemon-level fault, not
 			// this batch's. Surface it and retry next tick; quarantining
 			// the batch would scapegoat good data.
 			d.mFoldFailures.Inc()
 			d.setLastErr(err)
-			d.logger.Error("ingest: current store cannot seed delta folds", "error", err.Error())
+			d.logger.Error("ingest: current store cannot be read back", "error", err.Error())
 			return nil
 		case errors.Is(err, errJournal):
 			// Journal trouble (disk pressure on the journal file) is
@@ -792,8 +802,8 @@ func (d *Daemon) processSpool() error {
 // order is the crash-safety argument:
 //
 //  1. journal begin (intent durable before any store mutation)
-//  2. fold to store/gen-N+1.tnd.tmp (bufio-buffered; checkpointed
-//     footers but no rename — invisible to everyone)
+//  2. mine the new window to store/gen-N+1.tnd.tmp (bufio-buffered;
+//     checkpointed footers but no rename — invisible to everyone)
 //  3. fsync via Writer.Close, atomic rename into gen-N+1.tnd, fsync dir
 //  4. CURRENT := gen-N+1.tnd via write-temp + rename  ← commit point
 //  5. journal publish (recovery reconstructs it from 4 if we die here)
@@ -815,14 +825,14 @@ func (d *Daemon) applyBatch(name, key, sha string, data []byte) error {
 	start := time.Now()
 
 	m := d.reader.Meta()
-	priorTxns, err := d.reader.Transactions()
-	if err != nil {
-		return fmt.Errorf("%w: rehydrate transactions: %v", fsg.ErrDeltaPrior, err)
+	if d.txns == nil {
+		txns, err := d.reader.Transactions()
+		if err != nil {
+			return fmt.Errorf("%w: %v", errCurrentStore, err)
+		}
+		d.txns = txns
 	}
-	levels, err := d.reader.AllLevelPatterns()
-	if err != nil {
-		return fmt.Errorf("%w: rehydrate levels: %v", fsg.ErrDeltaPrior, err)
-	}
+	priorTxns := d.txns
 	// Window accounting: the prior store's unit composition comes from
 	// its own metadata (a store without WindowSizes — a seed, or a
 	// pre-window generation — is one unit), the arriving batch appends
@@ -858,7 +868,6 @@ func (d *Daemon) applyBatch(name, key, sha string, data []byte) error {
 	} else if d.opts.MinSupport > 0 {
 		support = d.opts.MinSupport
 	}
-	prior := fsg.Prior{Txns: priorTxns, Levels: levels, MinSupport: m.MinSupport, Generation: m.Generation}
 
 	meta := store.Meta{
 		Name:        m.Name,
@@ -894,16 +903,11 @@ func (d *Daemon) applyBatch(name, key, sha string, data []byte) error {
 		MaxCandidates: d.opts.MaxCandidates,
 		MaxEmbeddings: d.opts.MaxEmbeddings,
 		Parallelism:   d.opts.Parallelism,
-		Logger:        d.logger,
 		Checkpoint: func(lv fsg.LevelStats, pats []fsg.Pattern) error {
 			return w.WriteLevel(lv.Edges, pats)
 		},
 	}
-	var retired pattern.TIDSet
-	for i := 0; i < retireCount; i++ {
-		retired.Add(i)
-	}
-	if _, err := fsg.AdvanceWindow(prior, txns, retired, fsgOpts); err != nil {
+	if _, err := fsg.Mine(whole, fsgOpts); err != nil {
 		w.Abort() //nolint:errcheck
 		return err
 	}
@@ -928,6 +932,7 @@ func (d *Daemon) applyBatch(name, key, sha string, data []byte) error {
 		return err
 	}
 	d.setCurrent(nr)
+	d.txns = whole
 	elapsed := time.Since(start)
 	d.mu.Lock()
 	d.lastFold = elapsed

@@ -1,9 +1,13 @@
 package ingest
 
 import (
+	"bytes"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tnkd/internal/faultfs"
@@ -149,6 +153,62 @@ func TestJournalFailureNotChargedToBatch(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(opts.Dir, appliedDir, "b-000001.json")); err != nil {
 		t.Errorf("batch not archived: %v", err)
+	}
+}
+
+// TestUnreadableStoreNotChargedToBatch seeds the daemon with a store
+// whose first transaction no longer decodes (its name's length prefix
+// overruns the record) while the store itself still opens. A POSTed
+// batch then cannot be mined on top of it, but that is the store's
+// fault: with MaxAttempts=1 the batch must stay in the spool,
+// unquarantined and uncharged, and the failure must surface on the
+// fold-failure counter.
+func TestUnreadableStoreNotChargedToBatch(t *testing.T) {
+	d, opts := newTestDaemon(t, func(o *Options) {
+		o.MaxAttempts = 1
+		data, err := os.ReadFile(o.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := []byte("\x02t0") // uvarint length + transaction 0's name
+		if n := bytes.Count(data, name); n != 1 {
+			t.Fatalf("seed holds %d copies of transaction 0's name, want 1", n)
+		}
+		data[bytes.Index(data, name)] = 0x7f
+		if err := os.WriteFile(o.Seed, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
+	ts := httptest.NewServer(d.Handler())
+	defer ts.Close()
+	batch, err := EncodeBatch("posted", testTxns(4, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", bytes.NewReader(batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/ingest = %d, want 202", resp.StatusCode)
+	}
+	if err := d.Tick(); err != nil {
+		t.Fatal(err)
+	}
+
+	st := d.Status()
+	if st.Generation != 0 || st.Quarantines != 0 || st.Poisoned != 0 || st.SpoolBacklog != 1 {
+		t.Fatalf("unreadable store was charged to the batch: %+v", st)
+	}
+	if st.FoldFailures != 1 || !strings.Contains(st.LastError, "current store unusable") {
+		t.Errorf("store failure not surfaced: %+v", st)
+	}
+	if len(d.attempts) != 0 {
+		t.Errorf("batch charged %d attempt records, want none", len(d.attempts))
+	}
+	if _, err := os.Stat(filepath.Join(opts.Dir, spoolDir, "posted.json")); err != nil {
+		t.Errorf("batch left the spool: %v", err)
 	}
 }
 

@@ -126,26 +126,3 @@ func TestPartialRetentionExtendsWithoutSearch(t *testing.T) {
 		t.Fatalf("ran %d fallback searches, want 0: complete lists prove absence, seeds prove presence", st.IsoTests)
 	}
 }
-
-// TestPartialColumnSurvivesRebase checks Rebase carries the Partial
-// set alongside the TIDs when a persisted column is grafted onto a
-// delta run's candidate.
-func TestPartialColumnSurvivesRebase(t *testing.T) {
-	txns := []*graph.Graph{hubTxn("a", 2), hubTxn("b", 40)}
-	parent := singleEdgeParent(txns)
-	child, ne := twoLeafStar(parent)
-	stored, _ := CountExtension(txns, parent, child, iso.Code(child), ne, parent.TIDs, CountOptions{MaxEmbeddings: 4})
-	if stored.Partial.Len() == 0 {
-		t.Fatal("fixture did not produce a partial column")
-	}
-	out, ok := Rebase(stored, child, stored.Code)
-	if !ok {
-		t.Fatal("rebase failed")
-	}
-	if !out.Partial.Equal(stored.Partial) || !out.TIDs.Equal(stored.TIDs) || out.Overflowed != stored.Overflowed {
-		t.Fatalf("rebase dropped the partial column: %+v", out)
-	}
-	if !out.CompleteAt(0) || out.CompleteAt(1) {
-		t.Fatalf("rebased CompleteAt split wrong: %v %v", out.CompleteAt(0), out.CompleteAt(1))
-	}
-}

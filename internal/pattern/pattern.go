@@ -242,54 +242,6 @@ type CountStats struct {
 // intersection of all isomorphic parents' TID columns); it must be a
 // subset of parent.TIDs on the embedding paths. Support counts are
 // exact in every tier.
-func CountExtension(txns []*graph.Graph, parent *Pattern, child *graph.Graph, code string, newEdge graph.EdgeID, tidFilter TIDSet, opts CountOptions) (*Pattern, CountStats) {
-	out := &Pattern{Graph: child, Code: code}
-	st := countExtensionInto(out, 0, txns, parent, newEdge, tidFilter, opts)
-	return out, st
-}
-
-// CountExtensionFrom continues an extension count from a previously
-// counted column: base already holds the child pattern's graph, code,
-// TID list and embedding lists over the transactions of a prior run
-// (a store record rebased onto the child's IDs — see Rebase), and
-// counting proceeds over tidFilter, which must be ascending, disjoint
-// from and strictly after base.TIDs (the delta-appended transaction
-// range). This is the TID-column append of incremental delta mining:
-// a pattern already proven over the old transactions pays only for
-// the new ones.
-//
-// The embedding budget resumes where the base column left off (base's
-// complete-list embeddings count against opts.MaxEmbeddings exactly
-// as if the whole column had been enumerated in one run), appended
-// lists stay complete per transaction exactly when the parent's list
-// there is complete and the budget holds, and a base without lists (a
-// bare store record) keeps the merged column bare — new TIDs are
-// decided by existence only. Supports and TID lists are exact in
-// every case. base is mutated in place and returned.
-func CountExtensionFrom(base *Pattern, txns []*graph.Graph, parent *Pattern, newEdge graph.EdgeID, tidFilter TIDSet, opts CountOptions) (*Pattern, CountStats) {
-	if base.Embs == nil && base.TIDs.Len() > 0 {
-		// No old lists to align appended lists with: the merged
-		// column stays bare (Embs nil) and overflowed.
-		base.Overflowed = true
-	}
-	if opts.MaxEmbeddings > 0 && base.retainedEmbeddings() > opts.MaxEmbeddings {
-		// The resumed column already exceeds this run's budget (the
-		// prior run was mined under a larger or unlimited one).
-		// Demote before resuming, exactly where the one-shot meter
-		// would have tripped — otherwise lim would go non-positive in
-		// the loop, which ExtendEmbedding reads as unlimited, and the
-		// appended transactions would enumerate with no cap at all.
-		base.DemoteToSeeds()
-	}
-	st := countExtensionInto(base, base.retainedEmbeddings(), txns, parent, newEdge, tidFilter, opts)
-	return base, st
-}
-
-// countExtensionInto is the shared counting loop of CountExtension
-// and CountExtensionFrom: it appends the supported transactions of
-// tidFilter (and their embedding lists, when out tracks lists) to
-// out, with retained complete-list embeddings already counted against
-// the budget.
 //
 // Completeness is decided per transaction. A budget trip truncates
 // only the tripping transaction's list to seeds (marking it Partial)
@@ -299,15 +251,13 @@ func CountExtensionFrom(base *Pattern, txns []*graph.Graph, parent *Pattern, new
 // post-trip transactions still extend the parent's complete lists
 // where it has them (absence stays provable without a search); only
 // the parent's own Partial TIDs pay the seeded tier's fallback.
-func countExtensionInto(out *Pattern, retained int, txns []*graph.Graph, parent *Pattern, newEdge graph.EdgeID, tidFilter TIDSet, opts CountOptions) CountStats {
+func CountExtension(txns []*graph.Graph, parent *Pattern, child *graph.Graph, code string, newEdge graph.EdgeID, tidFilter TIDSet, opts CountOptions) (*Pattern, CountStats) {
+	out := &Pattern{Graph: child, Code: code}
 	var st CountStats
 	budget := opts.MaxEmbeddings
-	child := out.Graph
-
-	// A column that starts bare but non-empty (CountExtensionFrom on
-	// a bare base) must stay bare: appended lists could not align
-	// with the TIDs already present.
-	trackLists := out.Embs != nil || out.TIDs.Len() == 0
+	// retained counts the complete-list embeddings stored so far,
+	// against budget.
+	retained := 0
 	// exhausted latches once the budget trips: later transactions
 	// keep seeds only, exactly the demoted worst case of old runs.
 	exhausted := false
@@ -338,12 +288,10 @@ func countExtensionInto(out *Pattern, retained int, txns []*graph.Graph, parent 
 
 		// Extend the parent's embeddings (all of them when the
 		// parent's list here is complete, else up to SeedsPerTID
-		// hits; a single hit decides a column that keeps no lists).
-		storeComplete := parentComplete && trackLists && !exhausted
+		// hits).
+		storeComplete := parentComplete && !exhausted
 		lim := SeedsPerTID
-		if !trackLists {
-			lim = 1
-		} else if storeComplete {
+		if storeComplete {
 			lim = 0
 			if budget > 0 {
 				lim = budget - retained + 1
@@ -379,11 +327,9 @@ func countExtensionInto(out *Pattern, retained int, txns []*graph.Graph, parent 
 			}
 			st.Generated += len(embs)
 			out.TIDs.Add(tid)
-			if trackLists {
-				out.Embs = append(out.Embs, embs)
-				out.Partial.Add(tid)
-				out.Overflowed = true
-			}
+			out.Embs = append(out.Embs, embs)
+			out.Partial.Add(tid)
+			out.Overflowed = true
 			continue
 		}
 
@@ -397,116 +343,16 @@ func countExtensionInto(out *Pattern, retained int, txns []*graph.Graph, parent 
 				buf = buf[:SeedsPerTID]
 			}
 		}
-		if trackLists {
-			out.Embs = append(out.Embs, append([]iso.DenseEmbedding(nil), buf...))
-			if storeComplete && !tripped {
-				retained += len(buf)
-			} else {
-				out.Partial.Add(tid)
-				out.Overflowed = true
-			}
+		out.Embs = append(out.Embs, append([]iso.DenseEmbedding(nil), buf...))
+		if storeComplete && !tripped {
+			retained += len(buf)
+		} else {
+			out.Partial.Add(tid)
+			out.Overflowed = true
 		}
 	}
 	out.Support = out.TIDs.Len()
-	return st
-}
-
-// Rebase re-expresses a stored pattern over child's vertex/edge IDs:
-// child must be isomorphic to stored.Graph (the caller certifies this
-// with equal exact canonical codes), and the result carries child as
-// its graph with every embedding list rewritten into child's dense ID
-// space, so a delta run can graft a persisted TID column onto the
-// candidate graph its own candidate generation produced. TID lists
-// are copied (the delta loop appends to them); embedding contents are
-// shared read-only with stored. A stored record without lists rebases
-// to a bare overflowed column. Returns false when no isomorphism from
-// stored.Graph onto child exists — the codes lied — in which case the
-// caller must fall back to counting from scratch.
-func Rebase(stored *Pattern, child *graph.Graph, code string) (*Pattern, bool) {
-	out := &Pattern{
-		Graph:      child,
-		Code:       code,
-		Support:    stored.Support,
-		TIDs:       stored.TIDs.Clone(),
-		Partial:    stored.Partial.Clone(),
-		Overflowed: stored.Overflowed,
-	}
-	if stored.Embs == nil {
-		if out.TIDs.Len() > 0 {
-			out.Overflowed = true
-		}
-		return out, true
-	}
-	if sameDense(stored.Graph, child) {
-		// The common case: the delta run generated the candidate with
-		// exactly the construction the previous run persisted, so the
-		// ID spaces already agree and the lists transfer as-is.
-		out.Embs = append([][]iso.DenseEmbedding(nil), stored.Embs...)
-		return out, true
-	}
-	// Isomorphic but differently constructed: one small search on the
-	// pattern graphs (equal sizes, so any embedding is an isomorphism)
-	// yields the vertex/edge permutation to rewrite the lists with.
-	maps, _ := iso.Embeddings(child, stored.Graph, iso.Options{Limit: 1})
-	if len(maps) == 0 {
-		return nil, false
-	}
-	vmap, emap := maps[0].Verts, maps[0].Edges // storedID -> childID
-	out.Embs = make([][]iso.DenseEmbedding, len(stored.Embs))
-	for i, list := range stored.Embs {
-		if list == nil {
-			continue
-		}
-		rewritten := make([]iso.DenseEmbedding, len(list))
-		for j, emb := range list {
-			verts := make([]graph.VertexID, len(emb.Verts))
-			for s, tv := range emb.Verts {
-				verts[vmap[s]] = tv
-			}
-			edges := make([]graph.EdgeID, len(emb.Edges))
-			for s, te := range emb.Edges {
-				edges[emap[s]] = te
-			}
-			rewritten[j] = iso.DenseEmbedding{Verts: verts, Edges: edges}
-		}
-		out.Embs[i] = rewritten
-	}
-	return out, true
-}
-
-// sameDense reports whether two dense-ID pattern graphs are identical
-// slot for slot (same labels on the same vertex IDs, same
-// (from, to, label) on the same edge IDs) — the cheap identity test
-// that lets Rebase skip the isomorphism search when the delta run
-// reconstructed a candidate exactly as the previous run built it.
-func sameDense(a, b *graph.Graph) bool {
-	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() ||
-		a.VertexCap() != b.VertexCap() || a.EdgeCap() != b.EdgeCap() {
-		return false
-	}
-	for id := 0; id < a.VertexCap(); id++ {
-		v := graph.VertexID(id)
-		if a.HasVertex(v) != b.HasVertex(v) {
-			return false
-		}
-		if a.HasVertex(v) && a.Vertex(v).Label != b.Vertex(v).Label {
-			return false
-		}
-	}
-	for id := 0; id < a.EdgeCap(); id++ {
-		e := graph.EdgeID(id)
-		if a.HasEdge(e) != b.HasEdge(e) {
-			return false
-		}
-		if !a.HasEdge(e) {
-			continue
-		}
-		ea, eb := a.Edge(e), b.Edge(e)
-		if ea.From != eb.From || ea.To != eb.To || ea.Label != eb.Label {
-			return false
-		}
-	}
-	return true
+	return out, st
 }
 
 // EnforceBudget walks patterns in order and demotes complete

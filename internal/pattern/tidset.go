@@ -14,9 +14,9 @@ import (
 // TIDs are chunked by their high bits (tid >> 16) and each chunk is
 // stored as either a sorted array of the low 16 bits (small chunks)
 // or a 1024-word bitmap (dense chunks), so the set operations the
-// miner's hot loops run — downward-closure intersection, delta-fold
-// trimming, membership probes — work a word at a time instead of an
-// element at a time.
+// miner's hot loops run — downward-closure intersection and
+// membership probes — work a word at a time instead of an element at
+// a time.
 //
 // The container invariant is canonical: a chunk with at most
 // tidArrayMax members is always an array, a larger chunk is always a
@@ -486,91 +486,6 @@ func countArrayInBitmap(arr []uint16, bm []uint64) int {
 	return n
 }
 
-// AndNot returns the set difference s \ o as a new set — the
-// word-parallel TID subtraction behind transaction retirement
-// (fsg.RetireDelta): matching bitmap chunks clear 64 members per
-// AND-NOT. Chunks of s with no counterpart in o copy over whole;
-// chunks whose difference comes out empty are dropped, so the result
-// keeps the canonical container invariant.
-func (s TIDSet) AndNot(o TIDSet) TIDSet {
-	var out TIDSet
-	j := 0
-	for i := range s.keys {
-		for j < len(o.keys) && o.keys[j] < s.keys[i] {
-			j++
-		}
-		if j == len(o.keys) || o.keys[j] != s.keys[i] {
-			c := s.cons[i].clone()
-			out.keys = append(out.keys, s.keys[i])
-			out.cons = append(out.cons, c)
-			out.card += c.n
-			continue
-		}
-		if c := andNotContainers(&s.cons[i], &o.cons[j]); c.n > 0 {
-			out.keys = append(out.keys, s.keys[i])
-			out.cons = append(out.cons, c)
-			out.card += c.n
-		}
-		j++
-	}
-	return out
-}
-
-func andNotContainers(a, b *tidContainer) tidContainer {
-	switch {
-	case a.bits != nil && b.bits != nil:
-		bitsOut := make([]uint64, tidWords)
-		n := 0
-		for w := range bitsOut {
-			bitsOut[w] = a.bits[w] &^ b.bits[w]
-			n += bits.OnesCount64(bitsOut[w])
-		}
-		c := tidContainer{bits: bitsOut, n: n}
-		c.canonical()
-		return c
-	case a.bits != nil:
-		// Bitmap minus array: copy the words, clear each array member.
-		bitsOut := append([]uint64(nil), a.bits...)
-		for _, v := range b.arr {
-			bitsOut[v>>6] &^= uint64(1) << (v & 63)
-		}
-		n := 0
-		for _, w := range bitsOut {
-			n += bits.OnesCount64(w)
-		}
-		c := tidContainer{bits: bitsOut, n: n}
-		c.canonical()
-		return c
-	case b.bits != nil:
-		// Array minus bitmap: keep the probes that miss.
-		arr := make([]uint16, 0, len(a.arr))
-		for _, v := range a.arr {
-			if b.bits[v>>6]&(uint64(1)<<(v&63)) == 0 {
-				arr = append(arr, v)
-			}
-		}
-		return tidContainer{arr: arr, n: len(arr)}
-	default:
-		// Both arrays: sorted merge, skipping common members.
-		arr := make([]uint16, 0, len(a.arr))
-		i, j := 0, 0
-		for i < len(a.arr) && j < len(b.arr) {
-			switch {
-			case a.arr[i] < b.arr[j]:
-				arr = append(arr, a.arr[i])
-				i++
-			case a.arr[i] > b.arr[j]:
-				j++
-			default:
-				i++
-				j++
-			}
-		}
-		arr = append(arr, a.arr[i:]...)
-		return tidContainer{arr: arr, n: len(arr)}
-	}
-}
-
 // Or returns the union of s and o as a new set.
 func (s TIDSet) Or(o TIDSet) TIDSet {
 	var out TIDSet
@@ -651,53 +566,6 @@ func orContainers(a, b *tidContainer) tidContainer {
 	return c
 }
 
-// TrimBelow returns the subset of members >= lo — the delta fold's
-// "appended transactions only" filter.
-func (s TIDSet) TrimBelow(lo int) TIDSet {
-	if lo <= 0 || s.card == 0 {
-		return s
-	}
-	key := uint32(lo >> tidChunkShift)
-	low := uint16(lo & tidChunkMask)
-	ci := sort.Search(len(s.keys), func(i int) bool { return s.keys[i] >= key })
-	var out TIDSet
-	if ci < len(s.keys) && s.keys[ci] == key {
-		c := &s.cons[ci]
-		var keep tidContainer
-		if c.bits != nil {
-			bitsOut := make([]uint64, tidWords)
-			w := int(low >> 6)
-			bitsOut[w] = c.bits[w] &^ (uint64(1)<<(low&63) - 1)
-			copy(bitsOut[w+1:], c.bits[w+1:])
-			n := 0
-			for _, word := range bitsOut {
-				n += bits.OnesCount64(word)
-			}
-			keep = tidContainer{bits: bitsOut, n: n}
-			keep.canonical()
-		} else {
-			i := sort.Search(len(c.arr), func(i int) bool { return c.arr[i] >= low })
-			if i < len(c.arr) {
-				keep = tidContainer{arr: append([]uint16(nil), c.arr[i:]...)}
-				keep.n = len(keep.arr)
-			}
-		}
-		if keep.n > 0 {
-			out.keys = append(out.keys, key)
-			out.cons = append(out.cons, keep)
-			out.card += keep.n
-		}
-		ci++
-	}
-	for ; ci < len(s.keys); ci++ {
-		c := s.cons[ci].clone()
-		out.keys = append(out.keys, s.keys[ci])
-		out.cons = append(out.cons, c)
-		out.card += c.n
-	}
-	return out
-}
-
 func (c *tidContainer) clone() tidContainer {
 	cp := tidContainer{n: c.n}
 	if c.bits != nil {
@@ -708,12 +576,10 @@ func (c *tidContainer) clone() tidContainer {
 	return cp
 }
 
-// Offset returns a new set with k added to every member — the
-// structural store's per-repetition TID shift, and (with negative k)
-// the survivor renumbering after a prefix retirement (every member
-// must then be >= -k; a violation panics, since a negative TID can
-// never be a valid transaction index). Members shift in ascending
-// order, so the rebuild stays on Add's O(1) append fast path.
+// Offset returns a new set with k >= 0 added to every member — the
+// structural store's per-repetition TID shift. Members shift in
+// ascending order, so the rebuild stays on Add's O(1) append fast
+// path.
 func (s TIDSet) Offset(k int) TIDSet {
 	if k == 0 {
 		return s.Clone()

@@ -43,20 +43,6 @@ func unionOracle(a, b []int) []int {
 	return sortedOracle(append(append([]int{}, a...), b...))
 }
 
-func subtractOracle(a, b []int) []int {
-	inB := map[int]bool{}
-	for _, v := range b {
-		inB[v] = true
-	}
-	out := []int{}
-	for _, v := range a {
-		if !inB[v] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 func eqSlices(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -124,33 +110,6 @@ func TestTIDSetAgainstOracle(t *testing.T) {
 		if got := sa.Or(sb); !eqSlices(got.Slice(), unionOracle(oa, ob)) {
 			t.Fatalf("trial %d: Or mismatch", trial)
 		}
-		wantSub := subtractOracle(oa, ob)
-		if got := sa.AndNot(sb); !eqSlices(got.Slice(), wantSub) {
-			t.Fatalf("trial %d: AndNot mismatch (|a|=%d |b|=%d uni=%d): got %d want %d members",
-				trial, len(oa), len(ob), uni, got.Len(), len(wantSub))
-		} else if !got.Equal(TIDSetFromSlice(wantSub)) {
-			t.Fatalf("trial %d: AndNot result not Equal to rebuilt oracle set", trial)
-		} else if got.Len() != len(oa)-sa.AndCard(sb) {
-			t.Fatalf("trial %d: AndNot cardinality inconsistent with AndCard", trial)
-		}
-		if got := sa.AndNot(sa); got.Len() != 0 || len(got.cons) != 0 {
-			t.Fatalf("trial %d: a\\a kept %d members in %d containers", trial, got.Len(), len(got.cons))
-		}
-
-		lo := 0
-		if uni > 1 {
-			lo = rng.Intn(uni)
-		}
-		wantTrim := []int{}
-		for _, v := range oa {
-			if v >= lo {
-				wantTrim = append(wantTrim, v)
-			}
-		}
-		if got := sa.TrimBelow(lo).Slice(); !eqSlices(got, wantTrim) {
-			t.Fatalf("trial %d: TrimBelow(%d) mismatch", trial, lo)
-		}
-
 		off := rng.Intn(100000)
 		shifted := sa.Offset(off)
 		wantShift := make([]int, len(oa))
@@ -229,18 +188,6 @@ func TestTIDSetContainerBoundaries(t *testing.T) {
 		if got.Len() <= tidArrayMax && len(got.cons) > 0 && got.cons[0].bits != nil {
 			t.Fatalf("n=%d: And result kept bitmap container at cardinality %d", n, got.Len())
 		}
-		// Subtracting three quarters of a bitmap container must demote
-		// the remainder back to an array (canonical invariant).
-		rest := s.AndNot(s.AndNot(quarter))
-		if rest.Len() != quarter.Len() {
-			t.Fatalf("n=%d: AndNot complement len=%d want %d", n, rest.Len(), quarter.Len())
-		}
-		if rest.Len() <= tidArrayMax && len(rest.cons) > 0 && rest.cons[0].bits != nil {
-			t.Fatalf("n=%d: AndNot result kept bitmap container at cardinality %d", n, rest.Len())
-		}
-		if !rest.Equal(quarter) {
-			t.Fatalf("n=%d: AndNot complement differs from quarter set", n)
-		}
 	}
 
 	across := NewTIDSet(65534, 65535, 65536, 65537, 131071, 131072)
@@ -249,18 +196,6 @@ func TestTIDSetContainerBoundaries(t *testing.T) {
 	}
 	if got := across.Slice(); !eqSlices(got, []int{65534, 65535, 65536, 65537, 131071, 131072}) {
 		t.Fatalf("chunk boundary slice mismatch: %v", got)
-	}
-	if got := across.TrimBelow(65536).Slice(); !eqSlices(got, []int{65536, 65537, 131071, 131072}) {
-		t.Fatalf("TrimBelow at chunk boundary: %v", got)
-	}
-	// Subtraction that empties a middle chunk must prune its container
-	// entirely, and chunks absent from the subtrahend copy over whole.
-	diff := across.AndNot(NewTIDSet(65536, 65537, 131071, 200000))
-	if got := diff.Slice(); !eqSlices(got, []int{65534, 65535, 131072}) {
-		t.Fatalf("AndNot across chunks: %v", got)
-	}
-	if len(diff.keys) != 2 {
-		t.Fatalf("AndNot kept %d chunks, want 2 (emptied container not pruned)", len(diff.keys))
 	}
 }
 

@@ -492,8 +492,8 @@ func (r *Reader) columnInfo(i int) (tidColumnInfo, error) {
 
 // Transactions decodes the whole stored transaction set in TID order
 // (through the cache, so graphs are shared with other callers and
-// must be treated as read-only) — the bulk half of the reader→writer
-// rehydration path delta mining runs on.
+// must be treated as read-only) — how the ingest daemon reads its
+// window back after a start or restart.
 func (r *Reader) Transactions() ([]*graph.Graph, error) {
 	out := make([]*graph.Graph, len(r.txnSpan))
 	for tid := range r.txnSpan {
@@ -507,9 +507,8 @@ func (r *Reader) Transactions() ([]*graph.Graph, error) {
 }
 
 // LevelPatterns decodes every pattern record of the level with the
-// given edge count, in store order, embeddings included — the pattern
-// half of the rehydration path. A level the store does not hold
-// returns an empty slice.
+// given edge count, in store order, embeddings included. A level the
+// store does not hold returns an empty slice.
 func (r *Reader) LevelPatterns(edges int) ([]pattern.Pattern, error) {
 	start, end := r.LevelRange(edges)
 	out := make([]pattern.Pattern, 0, end-start)
@@ -523,8 +522,7 @@ func (r *Reader) LevelPatterns(edges int) ([]pattern.Pattern, error) {
 	return out, nil
 }
 
-// AllLevelPatterns rehydrates every stored level, keyed by edge
-// count — the Prior.Levels shape delta mining consumes.
+// AllLevelPatterns decodes every stored level, keyed by edge count.
 func (r *Reader) AllLevelPatterns() (map[int][]pattern.Pattern, error) {
 	out := make(map[int][]pattern.Pattern, len(r.levels))
 	for _, lv := range r.levels {
@@ -562,11 +560,11 @@ func (r *Reader) ValidateDeltaSource(structural bool) error {
 
 // VerifyPrefix checks that this store's transaction set is exactly
 // the first NumTransactions entries of txns, byte-for-byte under the
-// store codec. Delta mining rests on stored TID lists staying valid
-// over the combined transaction list, which they only do when the new
-// list extends the old one — a reordered partition, a different
-// dataset or a mismatched filter all fail here with the first
-// offending TID instead of silently mining garbage.
+// store codec. A -delta-from run records this store as its parent
+// only when the new transaction list extends the stored one — a
+// reordered partition, a different dataset or a mismatched filter
+// all fail here with the first offending TID instead of recording a
+// false lineage.
 func (r *Reader) VerifyPrefix(txns []*graph.Graph) error {
 	if len(txns) < len(r.txnSpan) {
 		return fmt.Errorf("store: %s holds %d transactions but only %d were supplied — the new transaction set must extend the stored one", r.path, len(r.txnSpan), len(txns))

@@ -163,9 +163,9 @@ func orUnset(s string) string {
 // mining output — level, canonical code, support, full TID list — in
 // store order, with nothing time-, path- or provenance-dependent.
 // Two stores hold the same mining result if and only if their dumps
-// are equal, which is what the delta-mining end-to-end check diffs
-// (`tndstats -store x -patterns`): a delta fold must be
-// line-for-line identical to the full re-mine it replaces.
+// are equal, which is what the end-to-end checks diff
+// (`tndstats -store x -patterns`): every generation must be
+// line-for-line identical to a one-shot mine of the same window.
 func DumpPatterns(r *Reader) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "transactions=%d patterns=%d\n", r.NumTransactions(), r.NumPatterns())

@@ -100,17 +100,17 @@ type Meta struct {
 	// reasons, ...).
 	Note string `json:"note,omitempty"`
 
-	// Delta provenance. A store produced by folding new transactions
-	// into a previous store (core MineDelta paths) records its parent
-	// chain here; a full mine leaves both zero. Meta is JSON in the
+	// Lineage. A store that succeeds a previous generation (core
+	// DeltaFrom runs, every ingest publish) records its parent chain
+	// here; a first generation leaves both zero. Meta is JSON in the
 	// index block, so these fields read back as zero values from
 	// stores written before they existed — no format-version bump.
 
-	// Parent is the path of the store this one was delta-mined from
-	// ("" for a full mine).
+	// Parent is the path of the generation this one succeeds ("" for
+	// a first generation).
 	Parent string `json:"parent,omitempty"`
-	// Generation counts delta generations: 0 for a full mine, parent
-	// generation + 1 for each fold.
+	// Generation counts generations: 0 for a first generation, parent
+	// generation + 1 for each successor.
 	Generation int `json:"generation,omitempty"`
 
 	// SourceBatch/SourceSHA identify the ingest batch whose fold
@@ -122,10 +122,10 @@ type Meta struct {
 	SourceBatch string `json:"source_batch,omitempty"`
 	SourceSHA   string `json:"source_sha,omitempty"`
 
-	// Window provenance. A store produced by a sliding-window step
-	// (core AdvanceWindow paths) records which stretch of the source
-	// stream its transactions cover; append-only and full-mine stores
-	// leave all of these zero. Like the delta fields, they read back
+	// Window provenance. A store of a sliding window (core Window
+	// runs, ingest with Options.Window) records which stretch of the
+	// source stream its transactions cover; append-only and full-mine stores
+	// leave all of these zero. Like the lineage fields, they read back
 	// as zero values from older stores — no format-version bump.
 
 	// WindowStart/WindowEnd bound the window as 1-based ordinals of
@@ -135,11 +135,10 @@ type Meta struct {
 	// a windowed run that has not yet retired anything.
 	WindowStart int `json:"window_start,omitempty"`
 	WindowEnd   int `json:"window_end,omitempty"`
-	// Retired is the number of prior-generation transactions the step
-	// that wrote this store retired (0 for a pure append). The writer
-	// compacts: retired TIDs are gone and survivors are renumbered
-	// from 0, so the store is indistinguishable from a fresh mine of
-	// the window.
+	// Retired is the number of parent-generation transactions that
+	// fell off the window's front when this store was written (0 for
+	// a pure append). The store holds only the window: survivors are
+	// numbered from 0, exactly as in a fresh mine of the window.
 	Retired int `json:"retired,omitempty"`
 	// WindowSizes is the per-unit transaction count of every unit
 	// still inside the window, oldest first (ingest daemon only). Its
