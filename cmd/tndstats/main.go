@@ -15,8 +15,8 @@
 // store was produced by a windowed run (`window: units=START..END
 // retired=N`, plus the per-unit sizes an ingest daemon records), the
 // Algorithm 1 partitioning parameters for structural stores, and the
-// TID-column encoding split (list vs bitset columns, array vs bitmap
-// containers, on-disk bytes).
+// size of the persisted location index. Everything it prints comes
+// from the footer index; no pattern record is decoded.
 //
 // -recover salvages a store whose writing run died mid-level by
 // reading the last intact checkpoint footer.

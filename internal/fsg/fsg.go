@@ -403,9 +403,9 @@ func (m *miner) extendLevel(current []Pattern, k int) []Pattern {
 			if dup := byCode[code]; dup != nil {
 				// The same pattern reached from another parent: its
 				// support is confined to both parents' TID columns —
-				// a word-parallel bitset intersection (neither input
-				// is modified; candidates share their parents'
-				// columns until a duplicate narrows them).
+				// a sorted-merge intersection (neither input is
+				// modified; candidates share their parents' columns
+				// until a duplicate narrows them).
 				dup.tidFilter = dup.tidFilter.And(p.TIDs)
 				continue
 			}

@@ -44,9 +44,8 @@ type Pattern struct {
 	Code string
 	// Support is the number of supporting transactions, TIDs.Len().
 	Support int
-	// TIDs is the set of supporting transaction indices, stored as
-	// word-parallel roaring-style containers; positional iteration
-	// (TIDs.All) is ascending and aligns with Embs.
+	// TIDs is the set of supporting transaction indices; positional
+	// iteration (TIDs.All) is ascending and aligns with Embs.
 	TIDs TIDSet
 	// Embs, when tracked, holds one embedding list per supporting
 	// transaction, aligned positionally with TIDs. With Overflowed

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// intersectSortedTIDs is the sorted-[]int merge the miner used before
-// TIDSet — kept here verbatim as the benchmark baseline.
+// intersectSortedTIDs is a plain sorted-[]int merge, the benchmark
+// baseline.
 func intersectSortedTIDs(a, b []int) []int {
 	out := make([]int, 0, min(len(a), len(b)))
 	i, j := 0, 0
@@ -27,9 +27,9 @@ func intersectSortedTIDs(a, b []int) []int {
 
 // benchSets draws two random TID sets of the given density over the
 // universe. density 0.5 models the hot fsg case (high-support
-// patterns over the reference workload's transaction count); density
-// 0.01 models sparse low-support columns that stay in array
-// containers.
+// patterns); density 0.01 models sparse low-support columns. The 2k
+// universe covers the benchmark workloads' largest transaction count
+// (1,714); the 128k universe is far past any workload.
 func benchSets(universe int, density float64) (a, b []int) {
 	rng := rand.New(rand.NewSource(1902))
 	for v := 0; v < universe; v++ {
@@ -49,6 +49,9 @@ func BenchmarkTIDIntersect(b *testing.B) {
 		universe int
 		density  float64
 	}{
+		{"dense50pct-2k", 2048, 0.50},
+		{"mid10pct-2k", 2048, 0.10},
+		{"sparse1pct-2k", 2048, 0.01},
 		{"dense50pct-128k", 1 << 17, 0.50},
 		{"mid10pct-128k", 1 << 17, 0.10},
 		{"sparse1pct-128k", 1 << 17, 0.01},

@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -39,10 +40,6 @@ func intersectOracle(a, b []int) []int {
 	return out
 }
 
-func unionOracle(a, b []int) []int {
-	return sortedOracle(append(append([]int{}, a...), b...))
-}
-
 func eqSlices(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -55,10 +52,7 @@ func eqSlices(a, b []int) bool {
 	return true
 }
 
-// randomTIDs draws n TIDs from a universe chosen to stress the
-// container machinery: some draws stay inside one chunk, some span
-// the 65536 chunk boundary, some push single chunks past the 4096
-// array→bitmap threshold.
+// randomTIDs draws n TIDs from [0, universe).
 func randomTIDs(rng *rand.Rand, n, universe int) []int {
 	out := make([]int, n)
 	for i := range out {
@@ -89,12 +83,12 @@ func TestTIDSetAgainstOracle(t *testing.T) {
 		if sa.Len() != len(oa) {
 			t.Fatalf("trial %d: Len=%d want %d", trial, sa.Len(), len(oa))
 		}
-		wantMax, wantMin := -1, -1
+		wantMax := -1
 		if len(oa) > 0 {
-			wantMin, wantMax = oa[0], oa[len(oa)-1]
+			wantMax = oa[len(oa)-1]
 		}
-		if sa.Min() != wantMin || sa.Max() != wantMax {
-			t.Fatalf("trial %d: Min/Max=%d/%d want %d/%d", trial, sa.Min(), sa.Max(), wantMin, wantMax)
+		if sa.Max() != wantMax {
+			t.Fatalf("trial %d: Max=%d want %d", trial, sa.Max(), wantMax)
 		}
 
 		wantAnd := intersectOracle(oa, ob)
@@ -106,9 +100,6 @@ func TestTIDSetAgainstOracle(t *testing.T) {
 		}
 		if got := sa.AndCard(sb); got != len(wantAnd) {
 			t.Fatalf("trial %d: AndCard=%d want %d", trial, got, len(wantAnd))
-		}
-		if got := sa.Or(sb); !eqSlices(got.Slice(), unionOracle(oa, ob)) {
-			t.Fatalf("trial %d: Or mismatch", trial)
 		}
 		off := rng.Intn(100000)
 		shifted := sa.Offset(off)
@@ -152,53 +143,6 @@ func TestTIDSetAgainstOracle(t *testing.T) {
 	}
 }
 
-// TestTIDSetContainerBoundaries pins behaviour exactly at the
-// array→bitmap threshold (4096) and the chunk boundary (65536).
-func TestTIDSetContainerBoundaries(t *testing.T) {
-	for _, n := range []int{tidArrayMax - 1, tidArrayMax, tidArrayMax + 1, 2 * tidArrayMax} {
-		var s TIDSet
-		for i := 0; i < n; i++ {
-			s.Add(i * 2) // spread within one chunk up to 16382
-		}
-		if s.Len() != n {
-			t.Fatalf("n=%d: Len=%d", n, s.Len())
-		}
-		wantBitmap := n > tidArrayMax
-		if got := s.cons[0].bits != nil; got != wantBitmap {
-			t.Fatalf("n=%d: bitmap=%v want %v", n, got, wantBitmap)
-		}
-		for i := 0; i < n; i++ {
-			if !s.Contains(i * 2) {
-				t.Fatalf("n=%d: missing member %d", n, i*2)
-			}
-			if s.Contains(i*2 + 1) {
-				t.Fatalf("n=%d: phantom member %d", n, i*2+1)
-			}
-		}
-		// Intersecting with a set that keeps only every 4th member must
-		// drop back to an array container (canonical invariant).
-		var quarter TIDSet
-		for i := 0; i < n; i += 4 {
-			quarter.Add(i * 2)
-		}
-		got := s.And(quarter)
-		if got.Len() != quarter.Len() {
-			t.Fatalf("n=%d: And quarter len=%d want %d", n, got.Len(), quarter.Len())
-		}
-		if got.Len() <= tidArrayMax && len(got.cons) > 0 && got.cons[0].bits != nil {
-			t.Fatalf("n=%d: And result kept bitmap container at cardinality %d", n, got.Len())
-		}
-	}
-
-	across := NewTIDSet(65534, 65535, 65536, 65537, 131071, 131072)
-	if len(across.keys) != 3 {
-		t.Fatalf("chunk split: %d chunks, want 3", len(across.keys))
-	}
-	if got := across.Slice(); !eqSlices(got, []int{65534, 65535, 65536, 65537, 131071, 131072}) {
-		t.Fatalf("chunk boundary slice mismatch: %v", got)
-	}
-}
-
 func TestTIDSetStringMatchesIntSlice(t *testing.T) {
 	cases := [][]int{nil, {0}, {0, 1}, {3, 70000, 70001}}
 	for _, c := range cases {
@@ -211,4 +155,154 @@ func TestTIDSetStringMatchesIntSlice(t *testing.T) {
 			t.Fatalf("String: got %q want %q", got, want)
 		}
 	}
+}
+
+// TestTIDSetRange pins the representable range: 0 through
+// math.MaxUint32. Add and Offset panic past either end.
+func TestTIDSetRange(t *testing.T) {
+	s := NewTIDSet(0, math.MaxUint32)
+	if got := s.Slice(); !eqSlices(got, []int{0, math.MaxUint32}) {
+		t.Fatalf("edge members = %v", got)
+	}
+	if s.Contains(math.MaxUint32+1) || s.Contains(-1) {
+		t.Fatal("Contains reports a member outside the range")
+	}
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("Add(-1)", func() { var s TIDSet; s.Add(-1) })
+	mustPanic("Add(MaxUint32+1)", func() { var s TIDSet; s.Add(math.MaxUint32 + 1) })
+	mustPanic("Offset past MaxUint32", func() { NewTIDSet(1, math.MaxUint32-1).Offset(2) })
+	if got := NewTIDSet(1, math.MaxUint32-1).Offset(1).Max(); got != math.MaxUint32 {
+		t.Fatalf("Offset to the top: Max=%d", got)
+	}
+}
+
+// decodeFuzzTIDs splits fuzz bytes into an offset and two unsorted TID
+// lists that may repeat members. data[0] picks how many TIDs go to
+// the first list, data[1] a left shift (0..16) spreading the 16-bit
+// values up to near math.MaxUint32, data[2:4] the Offset amount; the
+// rest are little-endian 16-bit TIDs.
+func decodeFuzzTIDs(data []byte) (a, b []int, off int) {
+	if len(data) < 4 {
+		return nil, nil, 0
+	}
+	shift := uint(data[1]) % 17
+	off = int(data[2]) | int(data[3])<<8
+	var all []int
+	for i := 4; i+1 < len(data); i += 2 {
+		all = append(all, (int(data[i])|int(data[i+1])<<8)<<shift)
+	}
+	split := int(data[0]) % (len(all) + 1)
+	return all[:split], all[split:], off
+}
+
+// FuzzTIDSet checks TIDSet against the sorted, duplicate-free []int
+// model (sortedOracle) on every query the miner and the store use.
+// The checked-in corpus under testdata/fuzz/FuzzTIDSet covers repeats,
+// an empty side, members near math.MaxUint32, an Offset past it and
+// the galloping intersection.
+func FuzzTIDSet(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rawA, rawB, off := decodeFuzzTIDs(data)
+		ma, mb := sortedOracle(rawA), sortedOracle(rawB)
+		sa, sb := TIDSetFromSlice(rawA), TIDSetFromSlice(rawB)
+
+		var added TIDSet
+		for _, tid := range rawA {
+			added.Add(tid)
+		}
+		if !added.Equal(sa) {
+			t.Fatalf("Add in input order %v != TIDSetFromSlice %v", added, sa)
+		}
+		if sa.Len() != len(ma) || sa.IsEmpty() != (len(ma) == 0) {
+			t.Fatalf("Len=%d IsEmpty=%v, model has %d", sa.Len(), sa.IsEmpty(), len(ma))
+		}
+		if got := sa.Slice(); !eqSlices(got, ma) {
+			t.Fatalf("Slice=%v model %v", got, ma)
+		}
+		n := 0
+		for pos, tid := range sa.All() {
+			if pos != n || tid != ma[pos] {
+				t.Fatalf("All() yields (%d,%d) at step %d, model %v", pos, tid, n, ma)
+			}
+			n++
+		}
+		if n != len(ma) {
+			t.Fatalf("All() yielded %d members, model %d", n, len(ma))
+		}
+		wantMax := -1
+		if len(ma) > 0 {
+			wantMax = ma[len(ma)-1]
+		}
+		if sa.Max() != wantMax {
+			t.Fatalf("Max=%d model %d", sa.Max(), wantMax)
+		}
+		if got, want := sa.String(), fmt.Sprint(append([]int{}, ma...)); got != want {
+			t.Fatalf("String=%q model %q", got, want)
+		}
+
+		// Membership: probe every member of either list and its
+		// neighbours, ascending, through Contains and one Cursor.
+		inA := map[int]bool{}
+		for _, v := range ma {
+			inA[v] = true
+		}
+		var probes []int
+		for _, v := range append(append([]int{}, ma...), mb...) {
+			probes = append(probes, v-1, v, v+1)
+		}
+		probes = sortedOracle(probes)
+		cur := sa.Cursor()
+		for _, v := range probes {
+			if sa.Contains(v) != inA[v] {
+				t.Fatalf("Contains(%d)=%v model %v", v, sa.Contains(v), inA[v])
+			}
+			if cur.Contains(v) != inA[v] {
+				t.Fatalf("Cursor.Contains(%d) disagrees with the model %v", v, inA[v])
+			}
+		}
+
+		wantAnd := intersectOracle(ma, mb)
+		if got := sa.And(sb); !eqSlices(got.Slice(), wantAnd) || !got.Equal(TIDSetFromSlice(wantAnd)) {
+			t.Fatalf("And=%v model %v", got, wantAnd)
+		}
+		if got := sa.AndCard(sb); got != len(wantAnd) {
+			t.Fatalf("AndCard=%d model %d", got, len(wantAnd))
+		}
+		if sa.Equal(sb) != eqSlices(ma, mb) {
+			t.Fatalf("Equal=%v, model lists equal %v", sa.Equal(sb), eqSlices(ma, mb))
+		}
+
+		cl := sa.Clone()
+		if !cl.Equal(sa) {
+			t.Fatal("Clone not Equal")
+		}
+		cl.Add(0)
+		cl.Add(math.MaxUint32)
+		if got := sa.Slice(); !eqSlices(got, ma) {
+			t.Fatalf("Add to a clone changed the original: %v, model %v", got, ma)
+		}
+
+		if wantMax+off > math.MaxUint32 {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Offset(%d) past math.MaxUint32 did not panic (Max %d)", off, wantMax)
+				}
+			}()
+		}
+		wantShift := make([]int, len(ma))
+		for i, v := range ma {
+			wantShift[i] = v + off
+		}
+		if got := sa.Offset(off).Slice(); !eqSlices(got, wantShift) {
+			t.Fatalf("Offset(%d)=%v model %v", off, got, wantShift)
+		}
+	})
 }

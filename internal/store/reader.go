@@ -260,6 +260,13 @@ func (r *Reader) parseIndex(idx []byte) error {
 				embeddings: uint32(d.uvarint()),
 				flags:      d.byte(),
 			})
+			// A bit this build does not know changes how the record
+			// decodes (bit 2 marked the retired bitset TID column), so
+			// the store is refused whole rather than at first decode.
+			if unknown := r.recs[len(r.recs)-1].flags &^ flagsKnown; d.err == nil && unknown != 0 {
+				return fmt.Errorf("store: %s: record %d has unknown flag bits %#02x (this build knows only %#02x; re-mine the store)",
+					r.path, len(r.recs)-1, unknown, flagsKnown)
+			}
 		}
 		r.levels = append(r.levels, lv)
 	}
@@ -468,26 +475,11 @@ func (r *Reader) PatternLite(i int) (*pattern.Pattern, error) {
 		return nil, err
 	}
 	d := &dec{buf: buf}
-	p, _, _ := decodePatternHead(d)
+	p, _ := decodePatternHead(d)
 	if d.err != nil {
 		return nil, fmt.Errorf("store: %s record %d: %w", r.path, i, d.err)
 	}
 	return p, nil
-}
-
-// columnInfo decodes record i's header just far enough to describe
-// its TID column's on-disk shape — the stats decode pass.
-func (r *Reader) columnInfo(i int) (tidColumnInfo, error) {
-	buf, err := r.readSpan(r.recs[i].span)
-	if err != nil {
-		return tidColumnInfo{}, err
-	}
-	d := &dec{buf: buf}
-	_, _, info := decodePatternHead(d)
-	if d.err != nil {
-		return tidColumnInfo{}, fmt.Errorf("store: %s record %d: %w", r.path, i, d.err)
-	}
-	return info, nil
 }
 
 // Transactions decodes the whole stored transaction set in TID order

@@ -21,15 +21,6 @@ type LevelStats struct {
 	Complete int `json:"complete"`
 	Seeded   int `json:"seeded"`
 	Bare     int `json:"bare"`
-	// TID-column encoding: ListCols and BitsetCols count records by
-	// the encoding the writer picked. ArrayCons and BitmapCons count
-	// the containers inside bitset columns, and ColumnBytes is the
-	// on-disk size of every TID column in the level.
-	ListCols    int `json:"list_cols"`
-	BitsetCols  int `json:"bitset_cols"`
-	ArrayCons   int `json:"array_containers"`
-	BitmapCons  int `json:"bitmap_containers"`
-	ColumnBytes int `json:"column_bytes"`
 }
 
 // Stats is the whole-store statistics report backing `tndstats
@@ -80,18 +71,6 @@ func ReadStats(r *Reader) Stats {
 			default:
 				ls.Bare++
 			}
-			// Encoding split from the index flags alone; the decode
-			// pass below fills in container counts and byte sizes.
-			if r.recs[i].flags&flagTIDBitset != 0 {
-				ls.BitsetCols++
-			} else {
-				ls.ListCols++
-			}
-			if ci, err := r.columnInfo(i); err == nil {
-				ls.ArrayCons += ci.arrays
-				ls.BitmapCons += ci.bitmaps
-				ls.ColumnBytes += ci.bytes
-			}
 		}
 		st.Embeddings += ls.Embeddings
 		st.Levels = append(st.Levels, ls)
@@ -140,12 +119,6 @@ func (s Stats) String() string {
 		fmt.Fprintf(&b, "%5d  %8d  %8d/%6.1f/%4d  %10d  %8d  %6d  %4d\n",
 			lv.Edges, lv.Patterns, lv.MinSupport, avg, lv.MaxSupport,
 			lv.Embeddings, lv.Complete, lv.Seeded, lv.Bare)
-	}
-	b.WriteString("TID columns (writer picks the smaller encoding per record):\n")
-	b.WriteString("edges  list-cols  bitset-cols  array-cons  bitmap-cons  column-bytes\n")
-	for _, lv := range s.Levels {
-		fmt.Fprintf(&b, "%5d  %9d  %11d  %10d  %11d  %12d\n",
-			lv.Edges, lv.ListCols, lv.BitsetCols, lv.ArrayCons, lv.BitmapCons, lv.ColumnBytes)
 	}
 	fmt.Fprintf(&b, "location index (v4, persisted at write time): labels=%d hits=%d no-embedding-records=%d bytes=%d\n",
 		s.LocIndex.Labels, s.LocIndex.Hits, s.LocIndex.NoEmb, s.LocIndex.Bytes)

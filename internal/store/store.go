@@ -40,11 +40,12 @@
 //	         index CRC-32 (uint32) | end magic "TNDSTEND"
 //
 // A pattern record holds the graph, its exact canonical code
-// (iso.Code: equal code ⟺ isomorphic pattern), support, flags, a
-// self-describing TID column (delta-coded list or roaring-style
-// bitset containers, whichever is smaller — see encodeTIDColumn),
-// the embedding lists and, for overflowed records, a column marking
-// which per-TID lists are seeds (pattern.Pattern.Partial). The
+// (iso.Code: equal code ⟺ isomorphic pattern), support, flags, a TID
+// column (a kind byte, always 0, then a uvarint count and the
+// delta-coded members — see encodeTIDColumn), the embedding lists
+// and, for overflowed records, a column marking which per-TID lists
+// are seeds (pattern.Pattern.Partial). Open refuses a record whose
+// flags carry a bit this build does not know. The
 // location index maps every vertex label to the records whose stored
 // embeddings touch it (see encodeLocIndex); the writer computes it
 // from the embeddings it is already serialising, so a mounted store
@@ -59,6 +60,7 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"tnkd/internal/graph"
@@ -168,13 +170,12 @@ type Meta struct {
 const (
 	flagHasEmbs    = 1 << 0 // Embs lists present (complete or seeds)
 	flagOverflowed = 1 << 1 // some lists are seeds / absent, not complete
-	// flagTIDBitset mirrors the TID column's on-disk encoding choice
-	// (the column is self-describing; the flag copy makes the
-	// encoding visible from the footer index alone, for tndstats).
 	// flagPartial announces the per-TID completeness column after the
-	// embedding section.
-	flagTIDBitset = 1 << 2 // TID column stored as bitset containers
-	flagPartial   = 1 << 3 // per-TID partial-completeness column present
+	// embedding section. Bit 2 marked a bitset TID column, an
+	// encoding this build no longer reads.
+	flagPartial = 1 << 3 // per-TID partial-completeness column present
+	// flagsKnown is every bit a record may carry; Open refuses others.
+	flagsKnown = flagHasEmbs | flagOverflowed | flagPartial
 )
 
 // span locates one record in the file body.
@@ -381,166 +382,47 @@ func decodeGraph(d *dec) *graph.Graph {
 
 // --- TID column codec ---
 
-// TID column encodings (the kind byte opening every column).
-const (
-	tidColList   = 0 // uvarint count + delta-coded uvarint members
-	tidColBitset = 1 // uvarint chunk count + per-chunk containers
-)
+// tidColList is the one TID column encoding: the kind byte opening
+// every column, then a uvarint count and the delta-coded uvarint
+// members. The kind byte keeps the column self-describing; any other
+// kind fails decode.
+const tidColList = 0
 
-// bitset container kinds.
-const (
-	tidConArray  = 0 // uvarint count + count × uint16 LE low bits
-	tidConBitmap = 1 // 1024 × uint64 LE (8192 raw bytes)
-)
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// tidColumnSizes computes the encoded byte size of both encodings
-// without materialising either, so the writer can pick the smaller.
-func tidColumnSizes(s pattern.TIDSet) (listSize, bitsetSize int) {
-	listSize = 1 + uvarintLen(uint64(s.Len()))
+// encodeTIDColumn serialises one TID column as a delta list.
+func encodeTIDColumn(e *enc, s pattern.TIDSet) {
+	e.byte(tidColList)
+	e.uvarint(uint64(s.Len()))
 	prev := 0
 	for tid := range s.Values() {
-		listSize += uvarintLen(uint64(tid - prev))
+		e.uvarint(uint64(tid - prev))
 		prev = tid
 	}
-	bitsetSize = 1 + uvarintLen(uint64(s.NumChunks()))
-	for ch := range s.Chunks() {
-		bitsetSize += uvarintLen(uint64(ch.Key)) + 1
-		if ch.Bits != nil {
-			bitsetSize += 8 * len(ch.Bits)
-		} else {
-			bitsetSize += uvarintLen(uint64(len(ch.Arr))) + 2*len(ch.Arr)
-		}
-	}
-	return listSize, bitsetSize
 }
 
-// encodeTIDColumn serialises one TID column self-describingly,
-// choosing whichever of the two encodings is smaller (ties go to the
-// delta-coded list). Returns true when the bitset encoding was
-// chosen, so the record flags can mirror the choice into the index.
-func encodeTIDColumn(e *enc, s pattern.TIDSet) bool {
-	listSize, bitsetSize := tidColumnSizes(s)
-	if listSize <= bitsetSize {
-		e.byte(tidColList)
-		e.uvarint(uint64(s.Len()))
-		prev := 0
-		for tid := range s.Values() {
-			e.uvarint(uint64(tid - prev))
-			prev = tid
-		}
-		return false
-	}
-	e.byte(tidColBitset)
-	e.uvarint(uint64(s.NumChunks()))
-	for ch := range s.Chunks() {
-		e.uvarint(uint64(ch.Key))
-		if ch.Bits != nil {
-			e.byte(tidConBitmap)
-			for _, w := range ch.Bits {
-				e.buf = binary.LittleEndian.AppendUint64(e.buf, w)
-			}
-			continue
-		}
-		e.byte(tidConArray)
-		e.uvarint(uint64(len(ch.Arr)))
-		for _, v := range ch.Arr {
-			e.buf = binary.LittleEndian.AppendUint16(e.buf, v)
-		}
-	}
-	return true
-}
+// maxTID is the largest TID a pattern.TIDSet represents.
+const maxTID = math.MaxUint32
 
-// maxTID is the largest TID a pattern.TIDSet represents: a uint32
-// chunk key over 16 low bits.
-const maxTID = 1<<48 - 1
-
-// tidColumnInfo describes one decoded column's on-disk shape — the
-// raw material of the tndstats encoding report.
-type tidColumnInfo struct {
-	bitset          bool
-	bytes           int
-	arrays, bitmaps int
-}
-
-// decodeTIDColumn rebuilds one self-describing TID column.
-func decodeTIDColumn(d *dec) (pattern.TIDSet, tidColumnInfo) {
+// decodeTIDColumn rebuilds one TID column.
+func decodeTIDColumn(d *dec) pattern.TIDSet {
 	var s pattern.TIDSet
-	info := tidColumnInfo{}
-	start := d.off
-	switch kind := d.byte(); kind {
-	case tidColList:
-		n := d.count()
-		prev := 0
-		for i := 0; i < n && d.err == nil; i++ {
-			// Members ascend strictly from a first delta off 0, and
-			// must stay representable.
-			delta := d.uvarint()
-			if d.err == nil && (i > 0 && delta == 0 || delta > maxTID-uint64(prev)) {
-				d.fail("store: corrupt TID column (delta %d after TID %d)", delta, prev)
-				break
-			}
-			prev += int(delta)
-			s.Add(prev)
-		}
-	case tidColBitset:
-		info.bitset = true
-		chunks := d.count()
-		for i := 0; i < chunks && d.err == nil; i++ {
-			key := d.uvarint()
-			var ch pattern.TIDChunk
-			ch.Key = uint32(key)
-			switch ckind := d.byte(); ckind {
-			case tidConArray:
-				n := d.count()
-				if d.err != nil {
-					return s, info
-				}
-				if rem := len(d.buf) - d.off; 2*n > rem {
-					d.fail("store: corrupt TID column (array container %d×2 bytes exceeds %d remaining)", n, rem)
-					return s, info
-				}
-				arr := make([]uint16, n)
-				for j := range arr {
-					arr[j] = binary.LittleEndian.Uint16(d.buf[d.off:])
-					d.off += 2
-				}
-				ch.Arr = arr
-				info.arrays++
-			case tidConBitmap:
-				if rem := len(d.buf) - d.off; 8*1024 > rem {
-					d.fail("store: corrupt TID column (bitmap container exceeds %d remaining bytes)", rem)
-					return s, info
-				}
-				words := make([]uint64, 1024)
-				for j := range words {
-					words[j] = binary.LittleEndian.Uint64(d.buf[d.off:])
-					d.off += 8
-				}
-				ch.Bits = words
-				info.bitmaps++
-			default:
-				d.fail("store: unknown TID container kind %d", ckind)
-				return s, info
-			}
-			if err := s.AddChunk(ch); err != nil {
-				d.fail("store: corrupt TID column: %v", err)
-				return s, info
-			}
-		}
-	default:
+	if kind := d.byte(); d.err == nil && kind != tidColList {
 		d.fail("store: unknown TID column encoding %d", kind)
+		return s
 	}
-	info.bytes = d.off - start
-	return s, info
+	n := d.count()
+	prev := 0
+	for i := 0; i < n && d.err == nil; i++ {
+		// Members ascend strictly from a first delta off 0, and must
+		// stay representable.
+		delta := d.uvarint()
+		if d.err == nil && (i > 0 && delta == 0 || delta > maxTID-uint64(prev)) {
+			d.fail("store: corrupt TID column (delta %d after TID %d)", delta, prev)
+			break
+		}
+		prev += int(delta)
+		s.Add(prev)
+	}
+	return s
 }
 
 // --- pattern codec ---
@@ -555,12 +437,6 @@ func encodePattern(e *enc, p *pattern.Pattern) byte {
 	e.str(p.Code)
 	e.uvarint(uint64(p.Support))
 	flags := patternFlags(p)
-	// The flags byte must precede the column it describes, so decide
-	// the encoding (a size computation, no second buffer) first.
-	listSize, bitsetSize := tidColumnSizes(p.TIDs)
-	if bitsetSize < listSize {
-		flags |= flagTIDBitset
-	}
 	e.byte(flags)
 	encodeTIDColumn(e, p.TIDs)
 	encodeEmbSection(e, p)
@@ -592,18 +468,17 @@ func encodeEmbSection(e *enc, p *pattern.Pattern) {
 // decodePatternHead rebuilds everything up to the embedding section —
 // graph, code, support, flags, TID column — leaving the decoder
 // positioned at the embedding section (if the flags announce one).
-func decodePatternHead(d *dec) (*pattern.Pattern, byte, tidColumnInfo) {
+func decodePatternHead(d *dec) (*pattern.Pattern, byte) {
 	p := &pattern.Pattern{Graph: decodeGraph(d)}
 	p.Code = d.str()
 	p.Support = int(d.uvarint())
 	flags := d.byte()
 	if d.err != nil {
-		return nil, 0, tidColumnInfo{}
+		return nil, 0
 	}
 	p.Overflowed = flags&flagOverflowed != 0
-	tids, info := decodeTIDColumn(d)
-	p.TIDs = tids
-	return p, flags, info
+	p.TIDs = decodeTIDColumn(d)
+	return p, flags
 }
 
 // --- location index codec ---
@@ -683,7 +558,7 @@ func decodeLocIndex(d *dec, numRecs, numTxns int) locIndex {
 			// Record indices ascend strictly from a first delta off 0.
 			delta := d.uvarint()
 			occ := int(d.uvarint())
-			tids, _ := decodeTIDColumn(d)
+			tids := decodeTIDColumn(d)
 			if d.err != nil {
 				break
 			}
@@ -767,7 +642,7 @@ func invertEmbeddings(p *pattern.Pattern, rec int, txn func(tid int) (*graph.Gra
 // empty decode as nil slots inside a non-nil Embs, preserving the
 // HasSeeds/HasEmbeddings semantics of the in-memory store.
 func decodePattern(d *dec) *pattern.Pattern {
-	p, flags, _ := decodePatternHead(d)
+	p, flags := decodePatternHead(d)
 	if p == nil || flags&flagHasEmbs == 0 || d.err != nil {
 		return p
 	}
@@ -810,7 +685,7 @@ func decodePattern(d *dec) *pattern.Pattern {
 		p.Embs[i] = list
 	}
 	if flags&flagPartial != 0 {
-		p.Partial, _ = decodeTIDColumn(d)
+		p.Partial = decodeTIDColumn(d)
 	}
 	return p
 }

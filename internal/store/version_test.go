@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tnkd/internal/pattern"
 )
 
 // patchVersion rewrites the format-version field of a store file in
@@ -79,6 +81,43 @@ func TestRejectUnknownVersionNamesRange(t *testing.T) {
 		} {
 			if !strings.Contains(err.Error(), want) {
 				t.Fatalf("version %d: error %q does not name %q", v, err, want)
+			}
+		}
+	}
+}
+
+// TestRejectUnknownFlagBits: a record whose index flags carry a bit
+// outside flagHasEmbs|flagOverflowed|flagPartial — bit 2 marked the
+// retired bitset TID column — fails Open with an error naming the
+// record and the bits, not at its first decode.
+func TestRejectUnknownFlagBits(t *testing.T) {
+	for _, bit := range []byte{1 << 2, 1 << 4, 1 << 7} {
+		path := filepath.Join(t.TempDir(), "flags.tnd")
+		w, err := Create(path, Meta{Kind: "fsg"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteTransactions(tinyTxns(2)); err != nil {
+			t.Fatal(err)
+		}
+		pats := []pattern.Pattern{edgePattern("a", pattern.NewTIDSet(0)), edgePattern("b", pattern.NewTIDSet(0, 1))}
+		if err := w.WriteLevel(1, pats); err != nil {
+			t.Fatal(err)
+		}
+		w.recs[1].flags |= bit
+		if err := w.writeFooter(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Open(path)
+		if err == nil {
+			t.Fatalf("opened a store whose record 1 carries flag bit %#02x", bit)
+		}
+		for _, want := range []string{"record 1 ", fmt.Sprintf("unknown flag bits %#02x", bit), "re-mine"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("bit %#02x: error %q does not name %q", bit, err, want)
 			}
 		}
 	}

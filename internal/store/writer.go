@@ -198,9 +198,7 @@ func (w *Writer) indexLocations(p *pattern.Pattern, rec int) error {
 	return nil
 }
 
-// patternFlags computes the semantic flag bits of a record (the
-// encoding bit flagTIDBitset is added by encodePattern, which is
-// where the choice is made).
+// patternFlags computes the flag bits of a record.
 func patternFlags(p *pattern.Pattern) byte {
 	var flags byte
 	if p.Embs != nil {
