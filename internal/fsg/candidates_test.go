@@ -1,0 +1,264 @@
+package fsg
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"tnkd/internal/dataset"
+	"tnkd/internal/graph"
+	"tnkd/internal/iso"
+	"tnkd/internal/partition"
+)
+
+// referenceCandidates is the clone-per-extension candidate generation
+// the overlay coder replaced, kept as the test oracle: every
+// extension of every parent is materialised and coded with iso.Code,
+// deduped in parent order, and pruned by closure over the clone with
+// iso.CodeMasked and a masked connectivity test. It returns the
+// pruned candidates in code order, or nil after appending the abort
+// row when MaxCandidates is exceeded.
+func referenceCandidates(m *miner, current []Pattern, k int) []*candidate {
+	freqCodes := make(map[string]bool, len(current))
+	for i := range current {
+		freqCodes[current[i].Code] = true
+	}
+	byCode := make(map[string]*candidate)
+	numCands := 0
+	for i := range current {
+		p := &current[i]
+		for _, ext := range referenceExtensions(m, p.Graph) {
+			code := iso.Code(ext)
+			if dup := byCode[code]; dup != nil {
+				dup.tidFilter = dup.tidFilter.And(p.TIDs)
+				continue
+			}
+			numCands++
+			byCode[code] = &candidate{
+				g: ext, code: code, parent: p,
+				newEdge:   graph.EdgeID(ext.NumEdges() - 1),
+				tidFilter: p.TIDs,
+			}
+			if m.opts.MaxCandidates > 0 && numCands > m.opts.MaxCandidates {
+				m.res.Aborted = true
+				m.res.AbortReason = fmt.Sprintf(
+					"candidate set at level %d exceeded %d (FSG exhausts memory here on the paper's hardware)",
+					k+1, m.opts.MaxCandidates)
+				m.res.Levels = append(m.res.Levels, LevelStats{Edges: k + 1, Candidates: numCands})
+				return nil
+			}
+		}
+	}
+	codes := make([]string, 0, len(byCode))
+	for c := range byCode {
+		codes = append(codes, c)
+	}
+	sort.Strings(codes)
+	var pruned []*candidate
+	for _, c := range codes {
+		if cand := byCode[c]; referenceClosure(cand.g, cand.newEdge, freqCodes) {
+			pruned = append(pruned, cand)
+		}
+	}
+	return pruned
+}
+
+// referenceExtensions clones p once per one-edge extension, walking
+// every frequent triple with string label compares.
+func referenceExtensions(m *miner, p *graph.Graph) []*graph.Graph {
+	var exts []*graph.Graph
+	vs := p.Vertices()
+	hasEdge := func(from, to graph.VertexID, label string) bool {
+		for _, e := range p.OutEdges(from) {
+			if ed := p.Edge(e); ed.To == to && ed.Label == label {
+				return true
+			}
+		}
+		return false
+	}
+	for _, tr := range m.frequentTriples {
+		for _, u := range vs {
+			if p.Vertex(u).Label != tr.fromLabel {
+				continue
+			}
+			for _, v := range vs {
+				if (u == v && !m.opts.AllowSelfLoops) || p.Vertex(v).Label != tr.toLabel || hasEdge(u, v, tr.edgeLabel) {
+					continue
+				}
+				ext := p.Clone()
+				ext.AddEdge(u, v, tr.edgeLabel)
+				exts = append(exts, ext)
+			}
+		}
+		for _, u := range vs {
+			if p.Vertex(u).Label == tr.fromLabel {
+				ext := p.Clone()
+				w := ext.AddVertex(tr.toLabel)
+				ext.AddEdge(u, w, tr.edgeLabel)
+				exts = append(exts, ext)
+			}
+			if p.Vertex(u).Label == tr.toLabel {
+				ext := p.Clone()
+				w := ext.AddVertex(tr.fromLabel)
+				ext.AddEdge(w, u, tr.edgeLabel)
+				exts = append(exts, ext)
+			}
+		}
+	}
+	return exts
+}
+
+// referenceClosure requires every connected one-edge-deleted
+// subpattern of the materialised candidate, other than the parent,
+// to be frequent.
+func referenceClosure(cand *graph.Graph, newEdge graph.EdgeID, freqCodes map[string]bool) bool {
+	for _, e := range cand.Edges() {
+		if e == newEdge || !referenceConnected(cand, e) {
+			continue
+		}
+		if !freqCodes[iso.CodeMasked(cand, e)] {
+			return false
+		}
+	}
+	return true
+}
+
+// referenceConnected reports whether g minus edge skip, orphans
+// dropped, is connected and non-empty, by materialising it.
+func referenceConnected(g *graph.Graph, skip graph.EdgeID) bool {
+	c := g.Clone()
+	c.RemoveEdge(skip)
+	c.RemoveOrphans()
+	return c.NumVertices() > 0 && c.IsConnected()
+}
+
+// temporalFixture is the transaction set of tndtemporal -scale 0.04
+// -days 150 (the CI fixture window) with its Figure 4 mining options.
+func temporalFixture() ([]*graph.Graph, Options) {
+	d := dataset.Generate(dataset.DefaultConfig().Scaled(0.04))
+	// The vertex-label cap is the 30th percentile of the unfiltered
+	// per-day label counts, plus one (experiments.labelCap).
+	dayOpts := partition.DefaultTemporalOptions()
+	dayOpts.SplitComponents = false
+	dayOpts.DropSingleEdge = false
+	counts := []int{}
+	for _, t := range partition.Temporal(d, dayOpts).Transactions {
+		counts = append(counts, len(t.VertexLabels()))
+	}
+	sort.Ints(counts)
+	opts := partition.DefaultTemporalOptions()
+	opts.MaxVertexLabels = max(counts[len(counts)*30/100]+1, 4)
+	opts.MaxDays = 150
+	txns := partition.Temporal(d, opts).Transactions
+	return txns, Options{MinSupport: MinSupportFraction(len(txns), 0.05), MaxEdges: 8, MaxSteps: 200000}
+}
+
+// structuralFixture is one breadth-first partitioning of the
+// uniform-label OD graph, as Algorithm 1 mines it.
+func structuralFixture() ([]*graph.Graph, Options) {
+	d := dataset.Generate(dataset.DefaultConfig().Scaled(0.02))
+	g := d.BuildGraph(dataset.GraphOptions{Attr: dataset.TransitHours, Vertices: dataset.UniformLabels})
+	txns := partition.SplitGraph(g, partition.SplitOptions{
+		K: 40, Strategy: partition.BreadthFirst, Rand: rand.New(rand.NewSource(17)),
+	})
+	return txns, Options{MinSupport: 8, MaxEdges: 4, MaxSteps: 200000}
+}
+
+// selfLoopTxns is a synthetic set over two vertex and two edge labels
+// with self-loops, mined with AllowSelfLoops.
+func selfLoopTxns(n int, seed int64) []*graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	txns := make([]*graph.Graph, n)
+	for i := range txns {
+		g := graph.New(fmt.Sprintf("t%d", i))
+		for j := 0; j < 5; j++ {
+			g.AddVertex([]string{"a", "b"}[rng.Intn(2)])
+		}
+		for j := 0; j < 7; j++ {
+			g.AddEdge(graph.VertexID(rng.Intn(5)), graph.VertexID(rng.Intn(5)), []string{"x", "y"}[rng.Intn(2)])
+		}
+		txns[i], _ = g.DedupEdges()
+	}
+	return txns
+}
+
+// TestCandidatesMatchCloneReference checks that overlay-coded
+// candidate generation yields exactly the clone-per-extension
+// reference's candidates at every level: the same codes in the same
+// order, each with the same first parent, new edge ID, materialised
+// graph and TID filter — and, under a candidate budget, the same
+// abort row and reason. Both run on the same level-k patterns, at
+// Parallelism 1 and 4.
+func TestCandidatesMatchCloneReference(t *testing.T) {
+	temporal, temporalOpts := temporalFixture()
+	structural, structuralOpts := structuralFixture()
+	loops := selfLoopTxns(30, 5)
+	loopOpts := Options{MinSupport: 4, MaxEdges: 4, AllowSelfLoops: true}
+	capped := loopOpts
+	capped.MaxCandidates = 40
+	for _, fx := range []struct {
+		name string
+		txns []*graph.Graph
+		opts Options
+	}{
+		{"temporal", temporal, temporalOpts},
+		{"structural", structural, structuralOpts},
+		{"selfloops", loops, loopOpts},
+		{"selfloops-capped", loops, capped},
+	} {
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/p%d", fx.name, par), func(t *testing.T) {
+				opts := fx.opts
+				opts.Parallelism = par
+				opts.MaxEmbeddings = DefaultMaxEmbeddings
+				got := &miner{txns: fx.txns, opts: opts, res: &Result{}}
+				ref := &miner{txns: fx.txns, opts: opts, res: &Result{}}
+				current := got.mineSingleEdges()
+				ref.mineSingleEdges()
+				total := 0
+				for k := 1; len(current) > 0 && k < opts.MaxEdges; k++ {
+					gc := got.candidates(current, k)
+					rc := referenceCandidates(ref, current, k)
+					if len(gc) != len(rc) {
+						t.Fatalf("level %d: %d candidates, reference %d", k+1, len(gc), len(rc))
+					}
+					for i := range gc {
+						g, r := gc[i], rc[i]
+						if g.code != r.code || g.parent != r.parent || g.newEdge != r.newEdge ||
+							g.g.Dump() != r.g.Dump() || !g.tidFilter.Equal(r.tidFilter) {
+							t.Fatalf("level %d candidate %d: got parent %d edge %d tids %v\n%s\nreference parent %d edge %d tids %v\n%s",
+								k+1, i, parentIndex(g.parent, current), g.newEdge, g.tidFilter, g.g.Dump(),
+								parentIndex(r.parent, current), r.newEdge, r.tidFilter, r.g.Dump())
+						}
+					}
+					if got.res.Aborted != ref.res.Aborted || got.res.AbortReason != ref.res.AbortReason ||
+						fmt.Sprint(got.res.Levels) != fmt.Sprint(ref.res.Levels) {
+						t.Fatalf("level %d: aborted=%v %q rows %v, reference aborted=%v %q rows %v", k+1,
+							got.res.Aborted, got.res.AbortReason, got.res.Levels,
+							ref.res.Aborted, ref.res.AbortReason, ref.res.Levels)
+					}
+					if got.res.Aborted {
+						break
+					}
+					total += len(gc)
+					current = got.count(gc, k)
+					ref.res.Levels = append(ref.res.Levels, got.res.Levels[len(got.res.Levels)-1])
+				}
+				if capped := fx.opts.MaxCandidates > 0; capped != got.res.Aborted || (!capped && total == 0) {
+					t.Fatalf("fixture exercised %d candidates, aborted=%v", total, got.res.Aborted)
+				}
+			})
+		}
+	}
+}
+
+// parentIndex returns p's index in level, or -1.
+func parentIndex(p *Pattern, level []Pattern) int {
+	for i := range level {
+		if &level[i] == p {
+			return i
+		}
+	}
+	return -1
+}

@@ -6,12 +6,26 @@
 // The miner is level-wise (Apriori): level k holds all frequent
 // patterns with k edges. Candidates for level k+1 are generated by
 // one-edge extension of level-k patterns, de-duplicated with exact
-// canonical codes (iso.Code: equal code if and only if isomorphic,
-// so dedup is a plain map hit with no isomorphism fallback), and
-// pruned by downward closure (every connected (k)-edge subpattern
-// must itself be frequent). This enumerates the same pattern lattice
-// as FSG's core-join candidate generation, so the frequent-pattern
-// output is identical; only the intermediate candidate sets differ.
+// canonical codes (equal code if and only if isomorphic, so dedup is
+// a plain map hit with no isomorphism fallback), and pruned by
+// downward closure (every connected (k)-edge subpattern must itself
+// be frequent). This enumerates the same pattern lattice as FSG's
+// core-join candidate generation, so the frequent-pattern output is
+// identical; only the intermediate candidate sets differ.
+//
+// Candidate generation never clones a pattern it may discard. A
+// parent visits only the frequent triples that share an endpoint
+// label with it (the triples are indexed by interned label after
+// level 1); each extension is an iso.Extension descriptor coded on an
+// overlay of the parent (iso.CodeExtended), and the closure check
+// codes the one-edge-deleted subpatterns on the same overlay, after a
+// union-find connectivity test and an exact triple-multiset filter.
+// Only candidates that survive dedup and closure are materialised.
+// Coding, closure and materialising run on the engine pool; the
+// dedup merge walks parents in order, so results are identical at
+// every Parallelism (the FSG and gSpan papers likewise avoid a
+// clone-and-code pass per extension, by core joins and rightmost
+// extension respectively).
 //
 // Support counting is incremental (the FSG embedding-list design,
 // internal/pattern): each frequent pattern carries per-TID embedding
@@ -31,6 +45,7 @@ package fsg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -73,10 +88,12 @@ type Options struct {
 	// AllowSelfLoops permits candidate edges from a vertex to itself.
 	// OD data has none (origin != destination), so the default is off.
 	AllowSelfLoops bool
-	// Parallelism is the worker count for support counting, which
-	// fans out the subgraph-isomorphism tests per candidate across
-	// its parent's TID list. <= 0 selects GOMAXPROCS; 1 runs fully
-	// serial. Results are identical for every value.
+	// Parallelism is the worker count for candidate generation
+	// (coding each parent's extensions, the closure check of each
+	// distinct candidate, materialising the survivors) and for
+	// support counting, which fans out one task per candidate. <= 0
+	// selects GOMAXPROCS; 1 runs fully serial. Results are identical
+	// for every value.
 	Parallelism int
 	// Checkpoint, when non-nil, is invoked on the mining goroutine
 	// after each completed level that produced frequent patterns,
@@ -117,8 +134,13 @@ type Pattern = pattern.Pattern
 
 // LevelStats meters one Apriori level.
 type LevelStats struct {
-	Edges      int // pattern size at this level
-	Candidates int // candidates generated after dedup + closure pruning
+	Edges int // pattern size at this level
+	// Candidates counts the level's candidates after dedup and
+	// closure pruning. On the row of a MaxCandidates abort it counts
+	// the deduplicated candidates generated before the abort, before
+	// closure pruning (MaxCandidates+1); the Section 8 blow-up table
+	// sums this column.
+	Candidates int
 	Frequent   int // candidates meeting MinSupport
 	IsoTests   int // full isomorphism searches run (fallback path only)
 	// BudgetedTests counts this level's isomorphism searches that hit
@@ -205,12 +227,15 @@ type miner struct {
 	res  *Result
 
 	frequentTriples []edgeTriple
-
-	// Connectivity scratch for the serial closure-pruning loop,
-	// reused across maskedConnected calls.
-	ccDeg   []int
-	ccSeen  []bool
-	ccStack []graph.VertexID
+	// The frequent triples indexed by interned endpoint label:
+	// labelID interns their vertex labels, tripleLabels[i] holds
+	// triple i's interned (from, to) labels, byLabel[id] lists in
+	// triple order the triples with an endpoint labelled id, and
+	// tripleIndex maps a triple to its index.
+	labelID      map[string]int32
+	tripleLabels [][2]int32
+	byLabel      [][]int32
+	tripleIndex  map[edgeTriple]int32
 }
 
 func (m *miner) run() error {
@@ -339,7 +364,32 @@ func (m *miner) mineSingleEdges() []Pattern {
 	m.res.Levels = append(m.res.Levels, LevelStats{
 		Edges: 1, Candidates: len(triples), Frequent: len(frequent), Embeddings: generated,
 	})
+	m.indexTriples()
 	return frequent
+}
+
+// indexTriples builds the label index of the frequent triples.
+func (m *miner) indexTriples() {
+	m.labelID = make(map[string]int32)
+	intern := func(label string) int32 {
+		id, ok := m.labelID[label]
+		if !ok {
+			id = int32(len(m.byLabel))
+			m.labelID[label] = id
+			m.byLabel = append(m.byLabel, nil)
+		}
+		return id
+	}
+	m.tripleIndex = make(map[edgeTriple]int32, len(m.frequentTriples))
+	for i, tr := range m.frequentTriples {
+		m.tripleIndex[tr] = int32(i)
+		from, to := intern(tr.fromLabel), intern(tr.toLabel)
+		m.tripleLabels = append(m.tripleLabels, [2]int32{from, to})
+		m.byLabel[from] = append(m.byLabel[from], int32(i))
+		if to != from {
+			m.byLabel[to] = append(m.byLabel[to], int32(i))
+		}
+	}
 }
 
 // sortedTriples returns the map's keys in lexicographic order — the
@@ -372,74 +422,77 @@ func tripleGraph(tr edgeTriple) *graph.Graph {
 }
 
 // candidate is a proposed (k+1)-edge pattern: the parent pattern it
-// was constructed from by adding newEdge (IDs preserved, so parent
-// embeddings extend directly), and the TID filter its support is
-// confined to (the intersection of every isomorphic parent's TID
-// list, by downward closure).
+// extends by ext (coded as an overlay, iso.CodeExtended), and the TID
+// filter its support is confined to (the intersection of every
+// isomorphic parent's TID list, by downward closure). g and newEdge
+// are set only once the candidate survives closure: g is the
+// materialised extension with the parent's IDs preserved, so parent
+// embeddings extend across newEdge directly.
 type candidate struct {
-	g         *graph.Graph
 	code      string
 	parent    *Pattern
-	newEdge   graph.EdgeID
+	ext       iso.Extension
 	tidFilter pattern.TIDSet
+	g         *graph.Graph
+	newEdge   graph.EdgeID
+	// parentKeys are the parent's per-edge triple keys (in Edges()
+	// order) and key the candidate's triple multiset key: see
+	// tripleKey.
+	parentKeys []uint64
+	key        uint64
 }
+
+// codedExt is one extension of a parent: the frequent triple it adds
+// and its canonical code.
+type codedExt struct {
+	ext    iso.Extension
+	triple int32
+	code   string
+}
+
+// tripleKey hashes frequent triple i for multiset keys: the key of a
+// pattern is the sum of its edges' triple keys, so it is invariant
+// under isomorphism and the key of a one-edge-deleted subpattern is
+// one subtraction. Two patterns with different keys are never
+// isomorphic; equal keys prove nothing.
+func tripleKey(i int32) uint64 {
+	// splitmix64 finaliser.
+	x := uint64(i) + 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// edgeKeys returns the triple key of each edge of g, in Edges() order.
+// Every edge of a frequent pattern is a frequent triple.
+func (m *miner) edgeKeys(g *graph.Graph) []uint64 {
+	edges := g.Edges()
+	keys := make([]uint64, len(edges))
+	for i, e := range edges {
+		ed := g.Edge(e)
+		keys[i] = tripleKey(m.tripleIndex[edgeTriple{g.Vertex(ed.From).Label, ed.Label, g.Vertex(ed.To).Label}])
+	}
+	return keys
+}
+
+// codeChunk is how many parents one engine.Map call codes before
+// their extensions are merged: a candidate-budget abort then stops
+// within one chunk of the serial walk's stopping point instead of
+// coding the whole level first.
+const codeChunk = 256
 
 // extendLevel generates, prunes and counts the next level.
 func (m *miner) extendLevel(current []Pattern, k int) []Pattern {
-	freqCodes := make(map[string]bool, len(current))
-	for i := range current {
-		freqCodes[current[i].Code] = true
+	pruned := m.candidates(current, k)
+	if m.res.Aborted {
+		return nil
 	}
-	// Candidates dedup by exact canonical code: equal codes certify
-	// isomorphism, so a duplicate extension (the same pattern reached
-	// from another parent) is a single map hit — no per-bucket
-	// isomorphism search.
-	byCode := make(map[string]*candidate)
-	numCands := 0
-	for i := range current {
-		p := &current[i]
-		for _, ext := range m.extensions(p.Graph) {
-			code := iso.Code(ext)
-			if dup := byCode[code]; dup != nil {
-				// The same pattern reached from another parent: its
-				// support is confined to both parents' TID columns —
-				// a sorted-merge intersection (neither input is
-				// modified; candidates share their parents' columns
-				// until a duplicate narrows them).
-				dup.tidFilter = dup.tidFilter.And(p.TIDs)
-				continue
-			}
-			numCands++
-			byCode[code] = &candidate{
-				g: ext, code: code, parent: p,
-				newEdge:   graph.EdgeID(ext.NumEdges() - 1),
-				tidFilter: p.TIDs,
-			}
-			if m.opts.MaxCandidates > 0 && numCands > m.opts.MaxCandidates {
-				m.res.Aborted = true
-				m.res.AbortReason = fmt.Sprintf(
-					"candidate set at level %d exceeded %d (FSG exhausts memory here on the paper's hardware)",
-					k+1, m.opts.MaxCandidates)
-				m.res.Levels = append(m.res.Levels, LevelStats{Edges: k + 1, Candidates: numCands})
-				return nil
-			}
-		}
-	}
+	return m.count(pruned, k)
+}
 
-	// Downward-closure pruning, in code order for determinism (codes
-	// are a total order over isomorphism classes).
-	codes := make([]string, 0, len(byCode))
-	for c := range byCode {
-		codes = append(codes, c)
-	}
-	sort.Strings(codes)
-	var pruned []*candidate
-	for _, c := range codes {
-		if cand := byCode[c]; m.passesClosure(cand.g, cand.newEdge, freqCodes) {
-			pruned = append(pruned, cand)
-		}
-	}
-
+// count support-counts level k+1's pruned candidates, appends the
+// level's row and returns its frequent patterns.
+func (m *miner) count(pruned []*candidate, k int) []Pattern {
 	stats := LevelStats{Edges: k + 1, Candidates: len(pruned)}
 
 	// Support counting is the Apriori bottleneck. Each candidate
@@ -477,61 +530,159 @@ func (m *miner) extendLevel(current []Pattern, k int) []Pattern {
 	return next
 }
 
+// candidates returns level k+1's candidates in code order, deduped and
+// pruned by downward closure, each materialised. Coding extensions,
+// the closure check and materialising fan out on the engine pool; the
+// dedup merge walks parents and their extensions in order, so the
+// first parent, the TID filters and a MaxCandidates abort (which
+// appends the level's row and returns nil) are identical at every
+// Parallelism.
+func (m *miner) candidates(current []Pattern, k int) []*candidate {
+	// Candidates dedup by exact canonical code: equal codes certify
+	// isomorphism, so a duplicate extension (the same pattern reached
+	// from another parent) is a single map hit — no per-bucket
+	// isomorphism search.
+	byCode := make(map[string]*candidate)
+	numCands := 0
+	keys := make([][]uint64, len(current))
+	for lo := 0; lo < len(current); lo += codeChunk {
+		hi := min(lo+codeChunk, len(current))
+		coded := engine.Map(m.opts.Parallelism, hi-lo, func(i int) []codedExt {
+			g := current[lo+i].Graph
+			keys[lo+i] = m.edgeKeys(g)
+			exts := m.extensions(g)
+			for j := range exts {
+				exts[j].code = iso.CodeExtended(g, exts[j].ext, -1)
+			}
+			return exts
+		})
+		for i, exts := range coded {
+			p := &current[lo+i]
+			for _, x := range exts {
+				if dup := byCode[x.code]; dup != nil {
+					// The same pattern reached from another parent: its
+					// support is confined to both parents' TID columns —
+					// a sorted-merge intersection (neither input is
+					// modified; candidates share their parents' columns
+					// until a duplicate narrows them).
+					dup.tidFilter = dup.tidFilter.And(p.TIDs)
+					continue
+				}
+				numCands++
+				byCode[x.code] = &candidate{
+					code: x.code, parent: p, ext: x.ext, tidFilter: p.TIDs,
+					parentKeys: keys[lo+i], key: sumKeys(keys[lo+i]) + tripleKey(x.triple),
+				}
+				if m.opts.MaxCandidates > 0 && numCands > m.opts.MaxCandidates {
+					m.res.Aborted = true
+					m.res.AbortReason = fmt.Sprintf(
+						"candidate set at level %d exceeded %d (FSG exhausts memory here on the paper's hardware)",
+						k+1, m.opts.MaxCandidates)
+					m.res.Levels = append(m.res.Levels, LevelStats{Edges: k + 1, Candidates: numCands})
+					return nil
+				}
+			}
+		}
+	}
+
+	freqCodes := make(map[string]bool, len(current))
+	freqKeys := make(map[uint64]bool, len(current))
+	for i := range current {
+		freqCodes[current[i].Code] = true
+		freqKeys[sumKeys(keys[i])] = true
+	}
+	// Downward-closure pruning, in code order for determinism (codes
+	// are a total order over isomorphism classes). Only survivors are
+	// cloned.
+	cands := make([]*candidate, 0, len(byCode))
+	for _, c := range byCode {
+		cands = append(cands, c)
+	}
+	sort.Slice(cands, func(i, j int) bool { return cands[i].code < cands[j].code })
+	kept := engine.Map(m.opts.Parallelism, len(cands), func(i int) bool {
+		c := cands[i]
+		if !passesClosure(c, freqCodes, freqKeys) {
+			return false
+		}
+		c.g, c.newEdge = c.ext.Apply(c.parent.Graph)
+		return true
+	})
+	pruned := cands[:0]
+	for i, c := range cands {
+		if kept[i] {
+			pruned = append(pruned, c)
+		}
+	}
+	return pruned
+}
+
 // extensions returns every one-edge extension of p: a new edge
 // between existing vertices, or a new vertex attached by one edge.
 // Edge labels and endpoint vertex labels are restricted to the
 // frequent single-edge triples (any extension using an infrequent
-// triple cannot be frequent, by downward closure).
-func (m *miner) extensions(p *graph.Graph) []*graph.Graph {
-	var exts []*graph.Graph
+// triple cannot be frequent, by downward closure), and p visits only
+// the triples with an endpoint label it has, in triple order.
+func (m *miner) extensions(p *graph.Graph) []codedExt {
 	vs := p.Vertices()
+	lab := make([]int32, p.VertexCap())
+	for i := range lab {
+		lab[i] = -1
+	}
+	var visit []int32
+	for _, v := range vs {
+		id, ok := m.labelID[p.Vertex(v).Label]
+		if !ok {
+			id = -1 // no frequent triple touches this label
+		}
+		lab[v] = id
+		if ok && !slices.Contains(lab[:v], id) {
+			visit = append(visit, m.byLabel[id]...)
+		}
+	}
+	slices.Sort(visit)
+	visit = slices.Compact(visit)
 
-	hasEdge := func(g *graph.Graph, from, to graph.VertexID, label string) bool {
-		for _, e := range g.OutEdges(from) {
-			ed := g.Edge(e)
-			if ed.To == to && ed.Label == label {
+	edges := p.Edges()
+	hasEdge := func(from, to graph.VertexID, label string) bool {
+		for _, e := range edges {
+			if ed := p.Edge(e); ed.From == from && ed.To == to && ed.Label == label {
 				return true
 			}
 		}
 		return false
 	}
 
-	for _, tr := range m.frequentTriples {
+	var exts []codedExt
+	newV := graph.VertexID(p.VertexCap())
+	for _, ti := range visit {
+		tr, ends := m.frequentTriples[ti], m.tripleLabels[ti]
 		// New edge between existing vertices.
 		for _, u := range vs {
-			if p.Vertex(u).Label != tr.fromLabel {
+			if lab[u] != ends[0] {
 				continue
 			}
 			for _, v := range vs {
 				if u == v && !m.opts.AllowSelfLoops {
 					continue
 				}
-				if p.Vertex(v).Label != tr.toLabel {
+				if lab[v] != ends[1] {
 					continue
 				}
-				if hasEdge(p, u, v, tr.edgeLabel) {
+				if hasEdge(u, v, tr.edgeLabel) {
 					// Duplicate (from,to,label) edges cannot occur in
 					// de-duplicated transactions.
 					continue
 				}
-				ext := p.Clone()
-				ext.AddEdge(u, v, tr.edgeLabel)
-				exts = append(exts, ext)
+				exts = append(exts, codedExt{ext: iso.Extension{From: u, To: v, Label: tr.edgeLabel}, triple: ti})
 			}
 		}
 		// New vertex attached to an existing one.
 		for _, u := range vs {
-			if p.Vertex(u).Label == tr.fromLabel {
-				ext := p.Clone()
-				w := ext.AddVertex(tr.toLabel)
-				ext.AddEdge(u, w, tr.edgeLabel)
-				exts = append(exts, ext)
+			if lab[u] == ends[0] {
+				exts = append(exts, codedExt{ext: iso.Extension{From: u, To: newV, Label: tr.edgeLabel, NewLabel: tr.toLabel}, triple: ti})
 			}
-			if p.Vertex(u).Label == tr.toLabel {
-				ext := p.Clone()
-				w := ext.AddVertex(tr.fromLabel)
-				ext.AddEdge(w, u, tr.edgeLabel)
-				exts = append(exts, ext)
+			if lab[u] == ends[1] {
+				exts = append(exts, codedExt{ext: iso.Extension{From: newV, To: u, Label: tr.edgeLabel, NewLabel: tr.fromLabel}, triple: ti})
 			}
 		}
 	}
@@ -539,95 +690,79 @@ func (m *miner) extensions(p *graph.Graph) []*graph.Graph {
 }
 
 // passesClosure checks that every connected (k)-edge subpattern of
-// cand (obtained by deleting one edge, dropping an orphaned vertex)
-// is frequent. Deleting newEdge recovers the parent, frequent by
-// construction, so it is skipped. Each subpattern is examined as a
-// masked view of cand — no clone, no compaction — and membership is
-// an exact canonical-code lookup (iso.CodeMasked equals the code of
-// the materialised subpattern), so the check neither misses frequent
-// subpatterns nor passes infrequent ones.
-func (m *miner) passesClosure(cand *graph.Graph, newEdge graph.EdgeID, freqCodes map[string]bool) bool {
-	for _, e := range cand.Edges() {
-		if e == newEdge {
-			continue
-		}
-		if !m.maskedConnected(cand, e) {
+// the candidate (obtained by deleting one edge, dropping an orphaned
+// vertex) is frequent. Deleting the extension edge recovers the
+// parent, frequent by construction, so only parent edges are deleted.
+// Each subpattern is examined on the overlay of parent + extension −
+// one edge — no clone, no compaction — and membership is an exact
+// canonical-code lookup (iso.CodeExtended with a skipped edge equals
+// the code of the materialised subpattern), so the check neither
+// misses frequent subpatterns nor passes infrequent ones. A
+// subpattern whose triple multiset key no frequent pattern has is
+// infrequent without being coded.
+func passesClosure(c *candidate, freqCodes map[string]bool, freqKeys map[uint64]bool) bool {
+	g := c.parent.Graph
+	edges := g.Edges()
+	// Overlay edge endpoints: the parent's edges, then the extension.
+	ends := make([][2]graph.VertexID, 0, len(edges)+1)
+	for _, e := range edges {
+		ed := g.Edge(e)
+		ends = append(ends, [2]graph.VertexID{ed.From, ed.To})
+	}
+	ends = append(ends, [2]graph.VertexID{c.ext.From, c.ext.To})
+	uf := make([]graph.VertexID, g.VertexCap()+1)
+	for i, e := range edges {
+		if !connectedWithout(ends, i, uf) {
 			// Deleting this edge disconnects the pattern; the
 			// disconnected remainder is not a connected subpattern,
 			// so closure does not constrain it.
 			continue
 		}
-		if !freqCodes[iso.CodeMasked(cand, e)] {
+		if !freqKeys[c.key-c.parentKeys[i]] || !freqCodes[iso.CodeExtended(g, c.ext, e)] {
 			return false
 		}
 	}
 	return true
 }
 
-// maskedConnected reports whether g minus edge skip (orphans dropped)
-// is connected and non-empty. It runs once per (candidate, edge) in
-// the serial pruning loop, so its working arrays live on the miner.
-func (m *miner) maskedConnected(g *graph.Graph, skip graph.EdgeID) bool {
-	vcap := g.VertexCap()
-	if cap(m.ccDeg) < vcap {
-		m.ccDeg = make([]int, vcap)
-		m.ccSeen = make([]bool, vcap)
+func sumKeys(keys []uint64) uint64 {
+	var sum uint64
+	for _, k := range keys {
+		sum += k
 	}
-	deg, seen := m.ccDeg[:vcap], m.ccSeen[:vcap]
-	for i := 0; i < vcap; i++ {
-		deg[i], seen[i] = 0, false
+	return sum
+}
+
+// connectedWithout reports whether the edges ends minus ends[skip]
+// (vertices left without an edge dropped) form one non-empty
+// connected graph. uf is union-find scratch indexed by vertex ID; -1
+// marks a vertex no remaining edge touches.
+func connectedWithout(ends [][2]graph.VertexID, skip int, uf []graph.VertexID) bool {
+	for i := range uf {
+		uf[i] = -1
 	}
-	n := 0
-	start := graph.VertexID(-1)
-	for _, e := range g.Edges() {
-		if e == skip {
+	find := func(v graph.VertexID) graph.VertexID {
+		for uf[v] != v {
+			uf[v] = uf[uf[v]]
+			v = uf[v]
+		}
+		return v
+	}
+	comps := 0
+	for i, ft := range ends {
+		if i == skip {
 			continue
 		}
-		ed := g.Edge(e)
-		if deg[ed.From] == 0 {
-			n++
-			if start < 0 {
-				start = ed.From
+		for _, v := range ft {
+			if uf[v] < 0 {
+				uf[v] = v
+				comps++
 			}
 		}
-		deg[ed.From]++
-		if ed.To != ed.From {
-			if deg[ed.To] == 0 {
-				n++
-			}
-			deg[ed.To]++
+		if a, b := find(ft[0]), find(ft[1]); a != b {
+			uf[a] = b
+			comps--
 		}
 	}
-	if start < 0 {
-		return false
-	}
-	stack := append(m.ccStack[:0], start)
-	defer func() { m.ccStack = stack[:0] }()
-	seen[start] = true
-	reached := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.OutEdges(v) {
-			if e == skip {
-				continue
-			}
-			if u := g.Edge(e).To; !seen[u] {
-				seen[u] = true
-				reached++
-				stack = append(stack, u)
-			}
-		}
-		for _, e := range g.InEdges(v) {
-			if e == skip {
-				continue
-			}
-			if u := g.Edge(e).From; !seen[u] {
-				seen[u] = true
-				reached++
-				stack = append(stack, u)
-			}
-		}
-	}
-	return reached == n
+	return comps == 1
 }

@@ -55,7 +55,7 @@ const maxCanonVertices = 1 << 20
 func Code(g *graph.Graph) string {
 	l := labelerPool.Get().(*labeler)
 	defer labelerPool.Put(l)
-	form := l.canonicalForm(g, -1, false)
+	form := l.canonicalForm(g, nil, -1, false)
 	return base64.RawURLEncoding.EncodeToString(form)
 }
 
@@ -69,7 +69,44 @@ func Code(g *graph.Graph) string {
 func CodeMasked(g *graph.Graph, skip graph.EdgeID) string {
 	l := labelerPool.Get().(*labeler)
 	defer labelerPool.Put(l)
-	form := l.canonicalForm(g, skip, true)
+	form := l.canonicalForm(g, nil, skip, true)
+	return base64.RawURLEncoding.EncodeToString(form)
+}
+
+// Extension describes a one-edge extension of a graph g without
+// materialising it: g plus an edge From→To labelled Label. An
+// endpoint equal to g.VertexCap() is a new vertex labelled NewLabel
+// (at most one endpoint may be new); otherwise NewLabel is unused.
+// It is the dual of CodeMasked's one-edge deletion: the candidates of
+// level-wise mining are coded as extensions of their parent and
+// cloned only once they survive dedup and downward closure.
+type Extension struct {
+	From, To graph.VertexID
+	Label    string
+	NewLabel string
+}
+
+// Apply materialises the extension: a clone of g (IDs preserved) with
+// the new vertex, if any, at ID g.VertexCap() and the new edge, whose
+// ID it returns, at g.EdgeCap().
+func (x Extension) Apply(g *graph.Graph) (*graph.Graph, graph.EdgeID) {
+	c := g.Clone()
+	if newV := graph.VertexID(g.VertexCap()); x.From == newV || x.To == newV {
+		c.AddVertex(x.NewLabel)
+	}
+	return c, c.AddEdge(x.From, x.To, x.Label)
+}
+
+// CodeExtended returns the canonical code of g extended by ext,
+// coded on an overlay view without cloning g. With skip < 0 it equals
+// Code(ext.Apply(g)); with skip >= 0 it equals CodeMasked of the
+// materialised graph minus edge skip, where the extension edge's ID
+// is g.EdgeCap() — so the one-edge-deleted subpatterns of a candidate
+// are coded without materialising the candidate either.
+func CodeExtended(g *graph.Graph, ext Extension, skip graph.EdgeID) string {
+	l := labelerPool.Get().(*labeler)
+	defer labelerPool.Put(l)
+	form := l.canonicalForm(g, &ext, skip, skip >= 0)
 	return base64.RawURLEncoding.EncodeToString(form)
 }
 
@@ -81,7 +118,7 @@ func CodeMasked(g *graph.Graph, skip graph.EdgeID) string {
 func CanonicalForm(g *graph.Graph) []byte {
 	l := labelerPool.Get().(*labeler)
 	defer labelerPool.Put(l)
-	form := l.canonicalForm(g, -1, false)
+	form := l.canonicalForm(g, nil, -1, false)
 	out := make([]byte, len(form))
 	copy(out, form)
 	return out
@@ -151,12 +188,12 @@ var canonNoFastPath = false
 // memory without bound.
 const maxGens = 64
 
-// canonicalForm computes the canonical form of g (masked: minus edge
-// skip, minus vertices the mask orphans). The returned slice aliases
-// the labeler's scratch buffer — callers copy or encode before the
-// labeler is reused.
-func (l *labeler) canonicalForm(g *graph.Graph, skip graph.EdgeID, masked bool) []byte {
-	l.build(g, skip, masked)
+// canonicalForm computes the canonical form of g (plus ext when
+// non-nil; masked: minus edge skip, minus vertices the mask orphans).
+// The returned slice aliases the labeler's scratch buffer — callers
+// copy or encode before the labeler is reused.
+func (l *labeler) canonicalForm(g *graph.Graph, ext *Extension, skip graph.EdgeID, masked bool) []byte {
+	l.build(g, ext, skip, masked)
 	if l.n >= maxCanonVertices || len(l.eLabels) >= 1<<20 {
 		panic("iso: graph too large for canonical coding")
 	}
@@ -175,9 +212,16 @@ func (l *labeler) canonicalForm(g *graph.Graph, skip graph.EdgeID, masked bool) 
 	return l.render()
 }
 
-// build constructs the dense integer view of g.
-func (l *labeler) build(g *graph.Graph, skip graph.EdgeID, masked bool) {
+// build constructs the dense integer view of g, overlaid with ext
+// when non-nil: the extension edge takes ID g.EdgeCap() and a new
+// endpoint ID g.VertexCap(), exactly as ext.Apply would number them.
+func (l *labeler) build(g *graph.Graph, ext *Extension, skip graph.EdgeID, masked bool) {
 	vcap, ecap := g.VertexCap(), g.EdgeCap()
+	newV := graph.VertexID(-1)
+	if ext != nil && (ext.From == graph.VertexID(vcap) || ext.To == graph.VertexID(vcap)) {
+		newV = graph.VertexID(vcap)
+		vcap++
+	}
 	l.denseOf = resizeI32(l.denseOf, vcap)
 	for i := range l.denseOf {
 		l.denseOf[i] = -1
@@ -206,17 +250,28 @@ func (l *labeler) build(g *graph.Graph, skip graph.EdgeID, masked bool) {
 		deg[ed.From]++
 		deg[ed.To]++
 	}
+	if ext != nil && skip != graph.EdgeID(ecap) {
+		l.eFrom = append(l.eFrom, int32(ext.From))
+		l.eTo = append(l.eTo, int32(ext.To))
+		l.labScratch = append(l.labScratch, ext.Label)
+		deg[ext.From]++
+		deg[ext.To]++
+	}
 	m := len(l.eFrom)
 	n := 0
 	l.vlabScratch = l.vlabScratch[:0]
 	for id := 0; id < vcap; id++ {
 		v := graph.VertexID(id)
-		if !g.HasVertex(v) || (masked && deg[id] == 0) {
+		if (v != newV && !g.HasVertex(v)) || (masked && deg[id] == 0) {
 			continue
 		}
 		l.denseOf[id] = int32(n)
 		n++
-		l.vlabScratch = append(l.vlabScratch, g.Vertex(v).Label)
+		if v == newV {
+			l.vlabScratch = append(l.vlabScratch, ext.NewLabel)
+		} else {
+			l.vlabScratch = append(l.vlabScratch, g.Vertex(v).Label)
+		}
 	}
 	l.n, l.m = n, m
 

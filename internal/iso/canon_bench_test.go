@@ -95,6 +95,29 @@ func BenchmarkCode(b *testing.B) {
 	}
 }
 
+// BenchmarkCodeExtended measures coding a one-edge extension of each
+// shape (a new spoke on vertex 0): on the overlay with CodeExtended,
+// against materialising it first (Clone, AddVertex, AddEdge) and
+// coding the clone with Code.
+func BenchmarkCodeExtended(b *testing.B) {
+	for name, g := range benchGraphs() {
+		ext := benchExtensions(g)[1]
+		b.Run(name+"/overlay", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = CodeExtended(g, ext, -1)
+			}
+		})
+		b.Run(name+"/clone", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c, _ := ext.Apply(g)
+				_ = Code(c)
+			}
+		})
+	}
+}
+
 // BenchmarkRefine measures the partition-refinement step alone (no
 // individualisation search, no rendering).
 func BenchmarkRefine(b *testing.B) {
@@ -113,7 +136,7 @@ func BenchmarkRefine(b *testing.B) {
 // minus the search and rendering.
 func refineBench(g *graph.Graph) {
 	l := labelerPool.Get().(*labeler)
-	l.build(g, -1, false)
+	l.build(g, nil, -1, false)
 	colors := l.colorsAt(0)
 	copy(colors, l.vlab)
 	l.refine(colors)
