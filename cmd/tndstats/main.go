@@ -8,7 +8,7 @@
 // Usage:
 //
 //	tndstats [-in file.csv | -scale 0.1]
-//	tndstats -store out.tnd [-recover] [-patterns | -json]
+//	tndstats -store out.tnd [-patterns | -json]
 //
 // -store reports provenance alongside the level tables: the delta
 // chain (generation, parent path), the sliding-window bounds when the
@@ -17,9 +17,6 @@
 // Algorithm 1 partitioning parameters for structural stores, and the
 // size of the persisted location index. Everything it prints comes
 // from the footer index; no pattern record is decoded.
-//
-// -recover salvages a store whose writing run died mid-level by
-// reading the last intact checkpoint footer.
 //
 // -patterns dumps every pattern record as one deterministic line
 // (level, canonical code, support, TID list) with no timestamps or
@@ -49,7 +46,6 @@ func main() {
 	in := flag.String("in", "", "input CSV (default: generate synthetic data)")
 	scale := flag.Float64("scale", 1.0, "synthetic dataset scale when no -in")
 	storePath := flag.String("store", "", "report pattern/support/embedding statistics from this persisted store instead of a dataset")
-	recover := flag.Bool("recover", false, "with -store: salvage a store whose writing run died mid-level (reads the last intact checkpoint footer)")
 	patterns := flag.Bool("patterns", false, "with -store: dump every pattern record (level, code, support, TID list) as deterministic diff-able lines instead of aggregate statistics")
 	jsonOut := flag.Bool("json", false, "with -store: emit the statistics as one JSON object (machine-readable twin of the table)")
 	flag.Parse()
@@ -61,11 +57,7 @@ func main() {
 	}
 
 	if *storePath != "" {
-		open := store.Open
-		if *recover {
-			open = store.Recover
-		}
-		r, err := open(*storePath)
+		r, err := store.Open(*storePath)
 		if err != nil {
 			log.Fatal(err)
 		}

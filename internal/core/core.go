@@ -362,8 +362,8 @@ func (u *structuralUnion) sorted() []StructuralPattern {
 }
 
 // distinctPaths rejects a delta run whose source and destination are
-// the same file: Create truncates the destination, which would rip
-// the mapped source out from under the reader mid-rehydration.
+// the same file: publishing the new generation would replace its own
+// parent, leaving a store whose Parent names itself.
 func distinctPaths(deltaFrom, storePath string) error {
 	if storePath == "" {
 		return nil
@@ -476,10 +476,10 @@ type TemporalMineOptions struct {
 	Parallelism int
 	// StorePath, when non-empty, persists the run to an
 	// internal/store file: the per-day transactions are written up
-	// front and each Apriori level streams to disk as it completes
-	// (fsg.Options.Checkpoint), so completed levels survive even if
-	// the run dies mid-mine (store.Recover / `tndstats -store x
-	// -recover` salvage them). cmd/tndserve serves the file.
+	// front and each Apriori level streams into the writer as it
+	// completes (fsg.Options.Checkpoint). The file appears at
+	// StorePath only when the mine succeeds; a run that fails or dies
+	// leaves whatever was there before. cmd/tndserve serves the file.
 	StorePath string
 	// DeltaFrom, when non-empty, names the parent generation this run
 	// succeeds. It is lineage only: the window is always mined afresh.

@@ -3,8 +3,8 @@
 // passthrough; tests and the CI crash matrix swap in an Injector that
 // fails, tears, or "crashes" at chosen operation counts, so every
 // durability step of the store writer and the ingest pipeline can be
-// exercised against short writes, fsync errors, torn footers, rename
-// failures, and process death at arbitrary step boundaries.
+// exercised against short writes, fsync errors, torn staging files,
+// rename failures, and process death at arbitrary step boundaries.
 //
 // The injector is deterministic: a fault schedule names an operation
 // kind, an optional path substring, and how many matching operations

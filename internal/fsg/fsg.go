@@ -98,11 +98,12 @@ type Options struct {
 	// Checkpoint, when non-nil, is invoked on the mining goroutine
 	// after each completed level that produced frequent patterns,
 	// with the level's stats and its patterns — the streaming
-	// persistence hook of internal/store, so a long run's completed
-	// levels are on disk before the next level starts. The patterns
-	// are the miner's own: the callback must not retain or mutate
-	// them beyond the call. A checkpoint error aborts the run and is
-	// returned by Mine.
+	// persistence hook of internal/store: each level is encoded into
+	// the store writer as it completes, so the run never holds the
+	// whole result in encoded form, and the writer publishes the file
+	// once, on Close. The patterns are the miner's own: the callback
+	// must not retain or mutate them beyond the call. A checkpoint
+	// error aborts the run and is returned by Mine.
 	Checkpoint func(level LevelStats, pats []Pattern) error
 	// Progress, when non-nil, is invoked on the mining goroutine
 	// after every completed level — including empty and aborted ones

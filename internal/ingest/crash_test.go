@@ -86,13 +86,52 @@ func runToCompletion(t testing.TB, opts Options) {
 	drain(t, d, clock)
 }
 
+// pastEndLegs is how many matrix legs schedule their crash past the
+// clean run's last op. The fault never fires in them, so they are the
+// controls: an armed injector must leave a finished run untouched, and
+// the restart over a finished directory must find nothing to redo.
+const pastEndLegs = 6
+
+// crashRun runs one matrix leg's daemon with a crash armed at op k and
+// ticks until the crash bites or the spool drains. ops is the clean
+// run's op count; a leg at or past it must finish without crashing.
+func crashRun(t *testing.T, opts Options, k, ops int) {
+	t.Helper()
+	inj := faultfs.NewInjector(faultfs.OS{}, faultfs.Fault{
+		Op: faultfs.OpAny, After: k, Kind: faultfs.Crash, Keep: -1,
+	})
+	opts.FS = inj
+	d, err := New(opts)
+	if err == nil {
+		// Tick until the crash bites or the work finishes.
+		for i := 0; i < 20 && err == nil; i++ {
+			err = d.Tick()
+			if d.Status().SpoolBacklog == 0 {
+				break
+			}
+		}
+		if k >= ops && err == nil {
+			if g := d.Generation(); g != 2 {
+				t.Errorf("uncrashed run stopped at generation %d, want 2", g)
+			}
+		}
+		d.Close() //nolint:errcheck // possibly crashed mid-write
+	}
+	if err != nil && !errors.Is(err, faultfs.ErrCrashed) {
+		t.Fatalf("unexpected non-crash error: %v", err)
+	}
+	if k >= ops && inj.Crashed() {
+		t.Fatalf("crash scheduled past the clean run's %d ops fired", ops)
+	}
+}
+
 // TestCrashMatrix is the tentpole proof: enumerate every filesystem
 // operation of a clean adopt-and-fold-two-batches run, kill the
-// daemon at each one (with the interrupted write torn in half),
-// restart on a healthy filesystem, and require exact convergence —
-// the same generation count, a pattern dump byte-identical to a
-// one-shot mine, both batches archived exactly once, nothing lost,
-// nothing poisoned.
+// daemon at each one (with the interrupted write torn in half), add
+// pastEndLegs uncrashed controls, restart on a healthy filesystem, and
+// require exact convergence — the same generation count, a pattern
+// dump byte-identical to a one-shot mine, both batches archived
+// exactly once, nothing lost, nothing poisoned.
 func TestCrashMatrix(t *testing.T) {
 	tmpl, topts := crashTemplate(t)
 	want := refDump(t, testTxns(0, 8))
@@ -118,7 +157,7 @@ func TestCrashMatrix(t *testing.T) {
 	}
 	t.Logf("clean run: %d injectable ops", ops)
 
-	for k := 0; k < ops; k++ {
+	for k := 0; k < ops+pastEndLegs; k++ {
 		k := k
 		t.Run(fmt.Sprintf("crash-at-%d", k), func(t *testing.T) {
 			dir := t.TempDir()
@@ -127,25 +166,7 @@ func TestCrashMatrix(t *testing.T) {
 			opts.Dir = filepath.Join(dir, "data")
 			opts.Seed = filepath.Join(dir, "seed.tnd")
 			opts.Metrics = obs.NewRegistry()
-			opts.FS = faultfs.NewInjector(faultfs.OS{}, faultfs.Fault{
-				Op: faultfs.OpAny, After: k, Kind: faultfs.Crash, Keep: -1,
-			})
-
-			d, err := New(opts)
-			if err == nil {
-				// Tick until the crash bites or the work happens to finish
-				// (the fault can land after the last op of the run).
-				for i := 0; i < 20 && err == nil; i++ {
-					err = d.Tick()
-					if d.Status().SpoolBacklog == 0 {
-						break
-					}
-				}
-				d.Close() //nolint:errcheck // possibly crashed mid-write
-			}
-			if err != nil && !errors.Is(err, faultfs.ErrCrashed) {
-				t.Fatalf("unexpected non-crash error: %v", err)
-			}
+			crashRun(t, opts, k, ops)
 
 			// Restart on a healthy filesystem and require convergence.
 			runToCompletion(t, opts)

@@ -802,9 +802,10 @@ func (d *Daemon) processSpool() error {
 // order is the crash-safety argument:
 //
 //  1. journal begin (intent durable before any store mutation)
-//  2. mine the new window to store/gen-N+1.tnd.tmp (bufio-buffered;
-//     checkpointed footers but no rename — invisible to everyone)
-//  3. fsync via Writer.Close, atomic rename into gen-N+1.tnd, fsync dir
+//  2. mine the new window into the store writer for gen-N+1.tnd; its
+//     bytes go to store/gen-N+1.tnd.tmp, invisible to everyone
+//  3. Writer.Close: one footer, fsync, atomic rename into gen-N+1.tnd,
+//     fsync dir
 //  4. CURRENT := gen-N+1.tnd via write-temp + rename  ← commit point
 //  5. journal publish (recovery reconstructs it from 4 if we die here)
 //  6. archive the spool file (recovery redoes it from the publish map)
@@ -886,8 +887,8 @@ func (d *Daemon) applyBatch(name, key, sha string, data []byte) error {
 		meta.Note = fmt.Sprintf("ingest window slide on batch %s (+%d transactions, -%d retired, units %d..%d)",
 			name, len(txns), retireCount, winStart, winEnd)
 	}
-	tmp := d.path(storeDir, storeName+".tmp")
-	w, err := store.CreateFS(d.fs, tmp, meta)
+	final := d.path(storeDir, storeName)
+	w, err := store.CreateFS(d.fs, final, meta)
 	if err != nil {
 		return err
 	}
@@ -912,13 +913,6 @@ func (d *Daemon) applyBatch(name, key, sha string, data []byte) error {
 		return err
 	}
 	if err := w.Close(); err != nil {
-		return err
-	}
-	final := d.path(storeDir, storeName)
-	if err := d.fs.Rename(tmp, final); err != nil {
-		return err
-	}
-	if err := d.fs.SyncDir(d.path(storeDir)); err != nil {
 		return err
 	}
 	if err := d.writeCurrent(storeName); err != nil {

@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -130,7 +129,7 @@ func TestCrashMatrixWindow(t *testing.T) {
 	}
 	t.Logf("clean windowed run: %d injectable ops", ops)
 
-	for k := 0; k < ops; k++ {
+	for k := 0; k < ops+pastEndLegs; k++ {
 		k := k
 		t.Run(fmt.Sprintf("crash-at-%d", k), func(t *testing.T) {
 			dir := t.TempDir()
@@ -139,23 +138,7 @@ func TestCrashMatrixWindow(t *testing.T) {
 			opts.Dir = filepath.Join(dir, "data")
 			opts.Seed = filepath.Join(dir, "seed.tnd")
 			opts.Metrics = obs.NewRegistry()
-			opts.FS = faultfs.NewInjector(faultfs.OS{}, faultfs.Fault{
-				Op: faultfs.OpAny, After: k, Kind: faultfs.Crash, Keep: -1,
-			})
-
-			d, err := New(opts)
-			if err == nil {
-				for i := 0; i < 20 && err == nil; i++ {
-					err = d.Tick()
-					if d.Status().SpoolBacklog == 0 {
-						break
-					}
-				}
-				d.Close() //nolint:errcheck // possibly crashed mid-write
-			}
-			if err != nil && !errors.Is(err, faultfs.ErrCrashed) {
-				t.Fatalf("unexpected non-crash error: %v", err)
-			}
+			crashRun(t, opts, k, ops)
 
 			runToCompletion(t, opts)
 			r, err := store.Open(filepath.Join(opts.Dir, storeDir, genName(2)))

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -32,9 +34,9 @@ func newFaultFixture() *faultFixture {
 }
 
 // write streams the fixture through fsys, returning the first error.
-// The op sequence (small payload, one bufio flush per checkpoint) is:
-// create, write(hdr+txns+footer), write(level1+footer),
-// write(level2+footer), sync, close.
+// The op sequence (a payload smaller than the write buffer) is:
+// create(tmp), write(everything), sync, close, rename(tmp -> path),
+// syncdir.
 func (fx *faultFixture) write(fsys faultfs.FS, path string) error {
 	w, err := CreateFS(fsys, path, Meta{Name: "faulty", Kind: "fsg"})
 	if err != nil {
@@ -55,54 +57,23 @@ func (fx *faultFixture) write(fsys faultfs.FS, path string) error {
 	return w.Close()
 }
 
-// dumps returns the canonical pattern dump of each clean prefix state
-// of the fixture: transactions only, +level1, +level1+level2. Any
-// recovered store must be byte-identical to one of these.
-func (fx *faultFixture) dumps(t *testing.T) []string {
+// dump returns the canonical pattern dump of the fixture written
+// cleanly: the only store a crashed writer may ever leave at its
+// target.
+func (fx *faultFixture) dump(t *testing.T) string {
 	t.Helper()
-	dir := t.TempDir()
-	out := make([]string, 0, 3)
-	for i := 0; i < 3; i++ {
-		p := filepath.Join(dir, "ref.tnd")
-		w, err := Create(p, Meta{Name: "faulty", Kind: "fsg"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.WriteTransactions(fx.txns); err != nil {
-			t.Fatal(err)
-		}
-		if i >= 1 {
-			if err := w.WriteLevel(1, fx.level1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if i >= 2 {
-			if err := w.WriteLevel(2, fx.level2); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		r, err := Open(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := DumpPatterns(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Close()
-		out = append(out, d)
+	p := tmpStore(t)
+	if err := fx.write(faultfs.OS{}, p); err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return dumpFile(t, p)
 }
 
-func recoveredDump(t *testing.T, path string) string {
+func dumpFile(t *testing.T, path string) string {
 	t.Helper()
-	r, err := Recover(path)
+	r, err := Open(path)
 	if err != nil {
-		t.Fatalf("Recover: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	defer r.Close()
 	d, err := DumpPatterns(r)
@@ -112,72 +83,9 @@ func recoveredDump(t *testing.T, path string) string {
 	return d
 }
 
-// TestRecoverTornFooter tears the last bytes off the final
-// checkpoint's trailer — the torn-footer shape a crash mid-footer
-// leaves — and proves Open rejects the file while Recover falls back
-// to the previous intact checkpoint.
-func TestRecoverTornFooter(t *testing.T) {
-	fx := newFaultFixture()
-	refs := fx.dumps(t)
-	for _, keep := range []int{-2, -6, -20} {
-		path := tmpStore(t)
-		fsys := faultfs.NewInjector(faultfs.OS{}, faultfs.Fault{
-			Op: faultfs.OpWrite, After: 2, Kind: faultfs.Crash, Keep: keep,
-		})
-		err := fx.write(fsys, path)
-		if !errors.Is(err, faultfs.ErrCrashed) {
-			t.Fatalf("keep=%d: write err = %v, want ErrCrashed", keep, err)
-		}
-		if _, err := Open(path); err == nil {
-			t.Fatalf("keep=%d: torn store opened without recovery", keep)
-		}
-		if got := recoveredDump(t, path); got != refs[1] {
-			t.Errorf("keep=%d: recovered dump differs from clean level-1 store:\n%s", keep, got)
-		}
-	}
-}
-
-// TestRecoverShortFinalWrite halves the final checkpoint write — a
-// short write deep in the level-2 records — and proves recovery lands
-// on the level-1 checkpoint.
-func TestRecoverShortFinalWrite(t *testing.T) {
-	fx := newFaultFixture()
-	refs := fx.dumps(t)
-	path := tmpStore(t)
-	fsys := faultfs.NewInjector(faultfs.OS{}, faultfs.Fault{
-		Op: faultfs.OpWrite, After: 2, Kind: faultfs.Crash, Keep: -1,
-	})
-	if err := fx.write(fsys, path); !errors.Is(err, faultfs.ErrCrashed) {
-		t.Fatalf("write err = %v, want ErrCrashed", err)
-	}
-	if got := recoveredDump(t, path); got != refs[1] {
-		t.Errorf("recovered dump differs from clean level-1 store:\n%s", got)
-	}
-}
-
-// TestRecoverNothingToRecover tears the very first checkpoint: no
-// intact footer ever hits the disk, so Recover must fail too — there
-// is nothing to serve.
-func TestRecoverNothingToRecover(t *testing.T) {
-	fx := newFaultFixture()
-	path := tmpStore(t)
-	fsys := faultfs.NewInjector(faultfs.OS{}, faultfs.Fault{
-		Op: faultfs.OpWrite, Kind: faultfs.Crash, Keep: -1,
-	})
-	if err := fx.write(fsys, path); !errors.Is(err, faultfs.ErrCrashed) {
-		t.Fatalf("write err = %v, want ErrCrashed", err)
-	}
-	if _, err := Open(path); err == nil {
-		t.Fatal("headerless torn store opened")
-	}
-	if _, err := Recover(path); err == nil {
-		t.Fatal("Recover succeeded on a store with no intact footer")
-	}
-}
-
 // TestCloseSyncFailure fails the final fsync: Close must report the
-// error and abort (remove) the file rather than leave an unsynced
-// store that Open would happily accept.
+// error and abort (remove) the staging file rather than publish an
+// unsynced store that Open would happily accept.
 func TestCloseSyncFailure(t *testing.T) {
 	fx := newFaultFixture()
 	path := tmpStore(t)
@@ -187,18 +95,25 @@ func TestCloseSyncFailure(t *testing.T) {
 	if err := fx.write(fsys, path); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("write err = %v, want injected sync failure", err)
 	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("file survived a failed Close: stat err = %v", err)
+	for _, p := range []string{path, tmpPath(path)} {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s survived a failed Close: stat err = %v", filepath.Base(p), err)
+		}
 	}
 }
 
 // TestWriterCrashMatrix kills the writer at every filesystem
-// operation in turn and proves each torn file either recovers to a
-// byte-identical clean prefix checkpoint or is cleanly unrecoverable
-// — never a wrong answer.
+// operation in turn, once with the target absent and once with an
+// older store already there, and proves the target is always either
+// untouched (absent, or byte-identical to the older store) or the
+// complete new store — never a torn file.
 func TestWriterCrashMatrix(t *testing.T) {
 	fx := newFaultFixture()
-	refs := fx.dumps(t)
+	want := fx.dump(t)
+	old, err := os.ReadFile(validStorePath(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Count the clean run's ops.
 	probe := faultfs.NewInjector(faultfs.OS{})
@@ -206,52 +121,128 @@ func TestWriterCrashMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := probe.Ops()
-	if ops < 5 {
-		t.Fatalf("expected at least 5 ops in a clean run, counted %d", ops)
+	if ops < 6 {
+		t.Fatalf("expected at least 6 ops in a clean run, counted %d", ops)
 	}
 
-	for k := 0; k < ops; k++ {
-		path := tmpStore(t)
-		fsys := faultfs.NewInjector(faultfs.OS{}, faultfs.Fault{
-			Op: faultfs.OpAny, After: k, Kind: faultfs.Crash, Keep: -1,
-		})
-		err := fx.write(fsys, path)
-		if err == nil {
-			// The crash hit the final close; everything durable already.
-			r, oerr := Open(path)
-			if oerr != nil {
-				t.Fatalf("k=%d: clean-close store did not open: %v", k, oerr)
+	for _, existing := range []bool{false, true} {
+		for k := 0; k < ops; k++ {
+			path := tmpStore(t)
+			if existing {
+				if err := os.WriteFile(path, old, 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
-			r.Close()
-			continue
-		}
-		if _, serr := os.Stat(path); errors.Is(serr, os.ErrNotExist) {
-			continue // crashed before or during create — nothing on disk
-		}
-		r, rerr := Recover(path)
-		if rerr != nil {
-			// Unrecoverable is legal only before the first checkpoint
-			// became durable (crash at create or inside the first write).
-			if k > 1 {
-				t.Errorf("k=%d: unrecoverable after first checkpoint: %v", k, rerr)
+			fsys := faultfs.NewInjector(faultfs.OS{}, faultfs.Fault{
+				Op: faultfs.OpAny, After: k, Kind: faultfs.Crash, Keep: -1,
+			})
+			if err := fx.write(fsys, path); !errors.Is(err, faultfs.ErrCrashed) {
+				t.Fatalf("existing=%v k=%d: write err = %v, want ErrCrashed", existing, k, err)
 			}
-			continue
-		}
-		d, derr := DumpPatterns(r)
-		r.Close()
-		if derr != nil {
-			t.Errorf("k=%d: recovered store failed to dump: %v", k, derr)
-			continue
-		}
-		ok := false
-		for _, ref := range refs {
-			if d == ref {
-				ok = true
-				break
+			data, err := os.ReadFile(path)
+			switch {
+			case !existing && errors.Is(err, os.ErrNotExist):
+				continue
+			case err != nil:
+				t.Fatalf("existing=%v k=%d: %v", existing, k, err)
+			case existing && bytes.Equal(data, old):
+				continue
+			}
+			if got := dumpFile(t, path); got != want {
+				t.Errorf("existing=%v k=%d: target is neither the old store nor the clean new one:\n%s", existing, k, got)
 			}
 		}
-		if !ok {
-			t.Errorf("k=%d: recovered dump matches no clean prefix checkpoint:\n%s", k, d)
+	}
+}
+
+// TestCreateKeepsTargetUntilClose: a store already at the target
+// survives byte-identical through Create, writes and Abort, and is
+// replaced only by a successful Close. Neither path leaves a staging
+// file behind.
+func TestCreateKeepsTargetUntilClose(t *testing.T) {
+	fx := newFaultFixture()
+	path := validStorePath(t)
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noStaging := func(when string) {
+		t.Helper()
+		if _, err := os.Stat(tmpPath(path)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s: staging file left behind: stat err = %v", when, err)
 		}
+	}
+
+	w, err := Create(path, Meta{Name: "replacement"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteTransactions(fx.txns); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("after Abort the old store changed (err %v)", err)
+	}
+	noStaging("Abort")
+
+	w, err = Create(path, Meta{Name: "replacement"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteTransactions(fx.txns); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	noStaging("Close")
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Meta().Name != "replacement" || r.NumTransactions() != len(fx.txns) {
+		t.Fatalf("Close published %q with %d transactions, want the replacement with %d",
+			r.Meta().Name, r.NumTransactions(), len(fx.txns))
+	}
+}
+
+// TestNoDeadBytes: a multi-level store is header, transaction records,
+// pattern records, one index and one trailer, with nothing between
+// them.
+func TestNoDeadBytes(t *testing.T) {
+	path := tmpStore(t)
+	if err := newFaultFixture().write(faultfs.OS{}, path); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if len(r.levels) < 2 {
+		t.Fatalf("fixture has %d levels, want a multi-level store", len(r.levels))
+	}
+	body := uint64(headerSize)
+	for _, s := range r.txnSpan {
+		body += s.len
+	}
+	for _, rec := range r.recs {
+		body += rec.len
+	}
+	idxOff := uint64(r.size)
+	if body != idxOff {
+		t.Fatalf("header + records = %d bytes, but the index starts at %d: %d dead bytes", body, idxOff, int64(idxOff)-int64(body))
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idxLen := binary.LittleEndian.Uint64(data[len(data)-trailerSize+8:])
+	if got := uint64(len(data)); got != idxOff+idxLen+uint64(trailerSize) {
+		t.Fatalf("file is %d bytes, want index %d+%d plus a %d-byte trailer", got, idxOff, idxLen, trailerSize)
 	}
 }

@@ -184,14 +184,15 @@ func TestOpenRequiresLocationIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Abort() //nolint:errcheck
 	if err := w.WriteTransactions(txns); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.WriteLevel(1, []pattern.Pattern{locatablePattern(rng, 1, txns)}); err != nil {
 		t.Fatal(err)
 	}
-	// WriteLevel ended with a flushed footer.
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 	data, err := os.ReadFile(w.Path())
 	if err != nil {
 		t.Fatal(err)

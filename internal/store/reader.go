@@ -55,7 +55,7 @@ type Reader struct {
 	txnCache []*graph.Graph
 }
 
-// opened records a successful Open/Recover in the lifecycle metrics.
+// opened records a successful Open in the lifecycle metrics.
 func (r *Reader) opened() *Reader {
 	readerOpens.Inc()
 	readersOpen.Add(1)
@@ -67,9 +67,9 @@ func (r *Reader) opened() *Reader {
 	return r
 }
 
-// Open validates and indexes a store file. A file whose writing run
-// died between checkpoints is rejected ("missing end marker") —
-// Recover salvages its completed checkpoints.
+// Open validates and indexes a store file. A file that does not end
+// in a trailer — a torn or truncated copy — is rejected ("missing end
+// marker").
 func Open(path string) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -82,50 +82,13 @@ func Open(path string) (*Reader, error) {
 		readerOpenErrors.Inc()
 		return nil, err
 	}
-	r, err := readerAt(path, f, size, size)
+	r, err := readerAt(path, f, size)
 	if err != nil {
 		f.Close()
 		readerOpenErrors.Inc()
 		return nil, err
 	}
 	return r.opened(), nil
-}
-
-// Recover opens a store whose writing run may have died mid-write:
-// it scans backwards for the most recent intact footer (every
-// WriteTransactions/WriteLevel checkpoint ends with one) and serves
-// the store as of that checkpoint. On a cleanly Closed file it is
-// equivalent to Open.
-func Recover(path string) (*Reader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		readerOpenErrors.Inc()
-		return nil, fmt.Errorf("store: open: %w", err)
-	}
-	size, err := checkHeader(path, f)
-	if err != nil {
-		f.Close()
-		readerOpenErrors.Inc()
-		return nil, err
-	}
-	if r, err := readerAt(path, f, size, size); err == nil {
-		return r.opened(), nil
-	}
-	end, err := lastFooterEnd(f, size, size)
-	for err == nil && end > 0 {
-		if r, rerr := readerAt(path, f, size, end); rerr == nil {
-			return r.opened(), nil
-		}
-		// A false marker hit (magic bytes inside record data) or a
-		// damaged footer: keep scanning backwards.
-		end, err = lastFooterEnd(f, size, end-1)
-	}
-	f.Close()
-	readerOpenErrors.Inc()
-	if err != nil {
-		return nil, err
-	}
-	return nil, fmt.Errorf("store: %s: no intact checkpoint footer found — nothing to recover", path)
 }
 
 // checkHeader validates magic and version, returning the file size.
@@ -152,63 +115,23 @@ func checkHeader(path string, f *os.File) (int64, error) {
 	return size, nil
 }
 
-// lastFooterEnd scans backwards from limit for the latest end-magic
-// occurrence that could terminate a footer, returning the logical
-// end (exclusive) of that candidate footer, or 0 when none remains.
-func lastFooterEnd(f *os.File, size, limit int64) (int64, error) {
-	const chunk = 64 << 10
-	em := []byte(endMagic)
-	hi := limit
-	if hi > size {
-		hi = size
-	}
-	for hi >= int64(headerSize+trailerSize) {
-		lo := hi - chunk
-		if lo < int64(headerSize) {
-			lo = int64(headerSize)
-		}
-		buf := make([]byte, hi-lo)
-		if _, err := f.ReadAt(buf, lo); err != nil {
-			return 0, fmt.Errorf("store: recovery scan: %w", err)
-		}
-		for i := len(buf) - len(em); i >= 0; i-- {
-			if string(buf[i:i+len(em)]) == endMagic {
-				end := lo + int64(i) + int64(len(em))
-				if end >= int64(headerSize+trailerSize) {
-					return end, nil
-				}
-			}
-		}
-		if lo == int64(headerSize) {
-			break
-		}
-		// Overlap by len(em)-1 so a marker straddling chunks is seen.
-		hi = lo + int64(len(em)) - 1
-	}
-	return 0, nil
-}
-
-// readerAt builds a reader over the store whose footer ends at
-// logicalEnd (== fileSize for a cleanly closed store; earlier for a
-// recovered checkpoint). All offsets are validated against
-// logicalEnd, wraparound included.
-func readerAt(path string, f *os.File, fileSize, logicalEnd int64) (*Reader, error) {
-	if logicalEnd < int64(headerSize+trailerSize) || logicalEnd > fileSize {
-		return nil, fmt.Errorf("store: %s: invalid footer position %d", path, logicalEnd)
-	}
+// readerAt builds a reader over the store whose trailer ends the
+// file. All offsets are validated against the file size, wraparound
+// included.
+func readerAt(path string, f *os.File, fileSize int64) (*Reader, error) {
 	var tr [trailerSize]byte
-	if _, err := f.ReadAt(tr[:], logicalEnd-int64(trailerSize)); err != nil {
+	if _, err := f.ReadAt(tr[:], fileSize-int64(trailerSize)); err != nil {
 		return nil, fmt.Errorf("store: read trailer of %s: %w", path, err)
 	}
 	if string(tr[20:]) != endMagic {
-		return nil, fmt.Errorf("store: %s: missing end marker — the writing run died between checkpoints (try Recover)", path)
+		return nil, fmt.Errorf("store: %s: missing end marker — torn or truncated store", path)
 	}
 	idxOff := binary.LittleEndian.Uint64(tr[0:])
 	idxLen := binary.LittleEndian.Uint64(tr[8:])
 	idxCRC := binary.LittleEndian.Uint32(tr[16:])
-	idxEnd := uint64(logicalEnd - int64(trailerSize))
+	idxEnd := uint64(fileSize - int64(trailerSize))
 	if idxOff < uint64(headerSize) || idxLen > idxEnd || idxOff != idxEnd-idxLen {
-		return nil, fmt.Errorf("store: %s: corrupt trailer (index %d+%d, footer at %d)", path, idxOff, idxLen, logicalEnd)
+		return nil, fmt.Errorf("store: %s: corrupt trailer (index %d+%d, footer at %d)", path, idxOff, idxLen, fileSize)
 	}
 	idx := make([]byte, idxLen)
 	if _, err := f.ReadAt(idx, int64(idxOff)); err != nil {

@@ -8,16 +8,14 @@
 // The format is built for the two access patterns the ROADMAP's
 // serving layer needs:
 //
-//   - Streaming writes. A mining run checkpoints each Apriori level
-//     as it completes (fsg.Options.Checkpoint): Writer appends the
-//     level's records and then a fresh footer, flushing both, so at
-//     every point between checkpoints the file ends with a valid
-//     trailer describing everything written so far. A run that dies
-//     mid-level leaves a file Open rejects (its tail is a partial
-//     record, not a trailer) but Recover salvages: it scans back to
-//     the last intact footer and serves the store as of that
-//     checkpoint. Superseded footers become small dead gaps in the
-//     body that no index entry references.
+//   - Streaming writes, published whole. A mining run hands each
+//     Apriori level to Writer as it completes (fsg.Options.Checkpoint)
+//     and Writer appends the level's records to a staging file,
+//     path+".tmp". Close writes the one index and trailer, fsyncs and
+//     renames the staging file onto path, so a store at path is always
+//     complete: a run that dies leaves path as it was and at most a
+//     stale staging file beside it. The file holds no bytes that no
+//     index entry or trailer references.
 //   - Random reads. Reader memory-maps the file (falling back to
 //     pread on platforms without mmap) and loads only the footer
 //     index at Open: per-record offsets, codes, supports and level
@@ -32,7 +30,6 @@
 //
 //	header   magic "TNDSTOR1" (8 bytes) | format version (uint32)
 //	body     transaction records, then pattern records in level order
-//	         (with a superseded footer after each checkpoint)
 //	index    meta JSON | transaction spans | level directory with
 //	         per-record (offset, length, code, support, embeddings,
 //	         flags) | location index

@@ -416,114 +416,18 @@ func TestRejectTruncated(t *testing.T) {
 	if _, err := Open(path); err == nil {
 		t.Fatal("truncated store opened")
 	}
-	// A header-only fragment (no checkpoint ever completed) is
-	// rejected by Open and unrecoverable.
+	// A header-only fragment — the staging file of a writer that never
+	// reached Close — is rejected by Open.
 	w, err := Create(path, Meta{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.flush(); err != nil {
+	if err := w.bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	w.f.Close()
-	if _, err := Open(path); err == nil {
+	if _, err := Open(tmpPath(path)); err == nil {
 		t.Fatal("header-only fragment opened")
-	}
-}
-
-// TestCheckpointRecovery: every WriteTransactions/WriteLevel ends
-// with a footer, so a run that dies mid-level leaves its completed
-// checkpoints salvageable: Open rejects the file, Recover serves it
-// as of the last intact footer. On a cleanly Closed store, Recover
-// == Open.
-func TestCheckpointRecovery(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	txns := []*graph.Graph{randGraph(rng, "t0"), randGraph(rng, "t1"), randGraph(rng, "t2")}
-	level1 := []pattern.Pattern{randPattern(rng, 1, txns), randPattern(rng, 1, txns)}
-	level2 := []pattern.Pattern{randPattern(rng, 2, txns)}
-
-	path := tmpStore(t)
-	w, err := Create(path, Meta{Name: "crashy", Kind: "fsg"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteTransactions(txns); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteLevel(1, level1); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteLevel(2, level2); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the process dying mid-level-3: partial record bytes
-	// after the level-2 checkpoint, then no more writes.
-	if err := w.write([]byte("partial level 3 record bytes......")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.flush(); err != nil {
-		t.Fatal(err)
-	}
-	w.f.Close()
-
-	if _, err := Open(path); err == nil {
-		t.Fatal("crashed store opened without recovery")
-	}
-	r, err := Recover(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.NumTransactions() != len(txns) || r.NumPatterns() != len(level1)+len(level2) {
-		t.Fatalf("recovered %d txns / %d patterns, want %d / %d",
-			r.NumTransactions(), r.NumPatterns(), len(txns), len(level1)+len(level2))
-	}
-	for i, want := range append(append([]pattern.Pattern{}, level1...), level2...) {
-		got, err := r.Pattern(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		samePattern(t, &want, got)
-	}
-
-	// Dying between the level-1 and level-2 checkpoints (mid-level-2):
-	// recovery lands on the level-1 footer.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := filepath.Join(t.TempDir(), "cut.tnd")
-	// Find the level-1 footer: the second endMagic occurrence
-	// (WriteTransactions wrote the first), then keep a few bytes more.
-	first := strings.Index(string(data), endMagic)
-	second := first + len(endMagic) + strings.Index(string(data[first+len(endMagic):]), endMagic)
-	if err := os.WriteFile(cut, data[:second+len(endMagic)+5], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Recover(cut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	if r2.NumPatterns() != len(level1) || len(r2.Levels()) != 1 {
-		t.Fatalf("mid-level-2 recovery found %d patterns in %d levels, want %d in 1",
-			r2.NumPatterns(), len(r2.Levels()), len(level1))
-	}
-
-	// A cleanly closed store recovers to itself.
-	clean := validStorePath(t)
-	rc, err := Recover(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	ro, err := Open(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ro.Close()
-	if rc.NumPatterns() != ro.NumPatterns() || rc.NumTransactions() != ro.NumTransactions() {
-		t.Fatal("Recover diverged from Open on a clean store")
 	}
 }
 
@@ -598,7 +502,7 @@ func TestWriterValidation(t *testing.T) {
 }
 
 // TestAbortRemovesFile: Abort on a partial write leaves nothing
-// behind.
+// behind, neither the store nor its staging file.
 func TestAbortRemovesFile(t *testing.T) {
 	path := tmpStore(t)
 	w, err := Create(path, Meta{})
@@ -611,7 +515,9 @@ func TestAbortRemovesFile(t *testing.T) {
 	if err := w.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("aborted store still exists: %v", err)
+	for _, p := range []string{path, tmpPath(path)} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("aborted store still exists: %v", err)
+		}
 	}
 }

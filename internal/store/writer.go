@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"sort"
 	"time"
 
@@ -18,27 +19,26 @@ import (
 )
 
 // Writer streams one store file: header first, then the transaction
-// set, then each mining level as it completes, then Close. Every
-// WriteTransactions/WriteLevel call ends with a freshly written
-// footer and a flush, so completed checkpoints survive the writing
-// process and remain recoverable (see Recover); Close seals the file
-// so Open accepts it directly.
+// set, then each mining level as it completes, then Close. The bytes
+// go to a staging file, path+".tmp"; Close writes the one index and
+// trailer, fsyncs, renames the staging file onto path and fsyncs the
+// directory. Until Close returns, path holds whatever it held before
+// (nothing, or an older store); a run that dies or Aborts leaves at
+// most a stale ".tmp" beside it, never a torn store at path.
 //
 // Writer is not safe for concurrent use. The level-wise miners call
-// it from the mining goroutine between levels, which is exactly the
-// checkpoint cadence the format wants.
+// it from the mining goroutine between levels.
 type Writer struct {
-	path    string
-	fs      faultfs.FS
-	f       faultfs.File
-	bw      *bufio.Writer
-	off     uint64
-	meta    Meta
-	txns    []span
-	levels  []levelInfo
-	recs    []recInfo
-	footers int
-	state   writerState
+	path   string // the published store; bytes go to path+".tmp" until Close
+	fs     faultfs.FS
+	f      faultfs.File
+	bw     *bufio.Writer
+	off    uint64
+	meta   Meta
+	txns   []span
+	levels []levelInfo
+	recs   []recInfo
+	state  writerState
 
 	// Location-index accumulation: WriteTransactions retains the
 	// transaction graphs so WriteLevel can invert each record's
@@ -56,9 +56,10 @@ const (
 	writerAborted
 )
 
-// Create opens path for writing (truncating any existing file) and
-// writes the format header. The caller must finish with Close (or
-// Abort on failure paths).
+// Create starts a store that Close will publish at path: it creates
+// (truncating) the staging file path+".tmp" and writes the format
+// header there. An existing file at path is not touched. The caller
+// must finish with Close (or Abort on failure paths).
 func Create(path string, meta Meta) (*Writer, error) {
 	return CreateFS(faultfs.OS{}, path, meta)
 }
@@ -66,10 +67,10 @@ func Create(path string, meta Meta) (*Writer, error) {
 // CreateFS is Create on an explicit filesystem layer. The fault-
 // injection tests and the ingest daemon thread a faultfs.Injector
 // through here so every durability step of the writer — buffered
-// writes, footer flushes, the final sync — can be torn or killed at a
-// chosen operation.
+// writes, the sync, the publishing rename and directory sync — can
+// be torn or killed at a chosen operation.
 func CreateFS(fsys faultfs.FS, path string, meta Meta) (*Writer, error) {
-	f, err := fsys.Create(path)
+	f, err := fsys.Create(tmpPath(path))
 	if err != nil {
 		return nil, fmt.Errorf("store: create: %w", err)
 	}
@@ -87,8 +88,13 @@ func CreateFS(fsys faultfs.FS, path string, meta Meta) (*Writer, error) {
 	return w, nil
 }
 
-// Path returns the file path the writer was created with.
+// Path returns the file path the writer was created with: where
+// Close publishes the store.
 func (w *Writer) Path() string { return w.path }
+
+// tmpPath is the staging file a store is written to before Close
+// renames it onto path.
+func tmpPath(path string) string { return path + ".tmp" }
 
 func (w *Writer) write(b []byte) error {
 	n, err := w.bw.Write(b)
@@ -127,7 +133,7 @@ func (w *Writer) WriteTransactions(txns []*graph.Graph) error {
 			return err
 		}
 	}
-	return w.writeFooter()
+	return nil
 }
 
 // WriteLevel appends one completed mining level: every pattern must
@@ -172,7 +178,7 @@ func (w *Writer) WriteLevel(edges int, pats []pattern.Pattern) error {
 		lv.count++
 	}
 	w.levels = append(w.levels, lv)
-	return w.writeFooter()
+	return nil
 }
 
 // indexLocations folds record rec's embeddings into the location
@@ -243,26 +249,9 @@ func validatePattern(p *pattern.Pattern, edges, numTxns int) error {
 	return nil
 }
 
-// flush pushes buffered bytes to the OS so a completed level survives
-// a later crash of the writing process.
-func (w *Writer) flush() error {
-	if err := w.bw.Flush(); err != nil {
-		return fmt.Errorf("store: flush %s: %w", w.path, err)
-	}
-	return nil
-}
-
-// writeFooter appends the current index + trailer and flushes — the
-// per-checkpoint durability step. Each WriteTransactions/WriteLevel
-// call ends with a footer, so at every point between checkpoints the
-// file ends with a valid trailer describing everything written so
-// far: a run that dies mid-level leaves its completed levels
-// recoverable (Recover scans back to the last intact footer).
-// Superseded footers are dead bytes in the body that no index entry
-// references — a copy of the then-current index per checkpoint, a
-// few percent of file size in practice, the price of crash safety.
+// writeFooter appends the index and trailer — once, from Close, so
+// the file holds no bytes that no index entry or trailer references.
 func (w *Writer) writeFooter() error {
-	w.footers++
 	idx := w.encodeIndex()
 	idxOff := w.off
 	if err := w.write(idx); err != nil {
@@ -273,39 +262,43 @@ func (w *Writer) writeFooter() error {
 	binary.LittleEndian.PutUint64(tr[8:], uint64(len(idx)))
 	binary.LittleEndian.PutUint32(tr[16:], crc32.ChecksumIEEE(idx))
 	copy(tr[20:], endMagic)
-	if err := w.write(tr[:]); err != nil {
-		return err
-	}
-	return w.flush()
+	return w.write(tr[:])
 }
 
-// Close writes the final footer, syncs, and closes the file. On any
-// failure Close aborts itself — the handle is released and the
-// partial file removed — so callers need no cleanup of their own.
+// Close seals and publishes the store: it writes the footer, fsyncs
+// and closes the staging file, renames it onto path and fsyncs the
+// directory. If any step up to the rename fails, Close aborts itself —
+// the handle is released and the staging file removed, path left as
+// it was — so callers need no cleanup of their own. If only the
+// directory fsync fails, the store is already in place at path (the
+// rename may not survive a power loss) and Close reports the error.
 func (w *Writer) Close() error {
 	if w.state != writerOpen {
 		return fmt.Errorf("store: Close on closed writer")
 	}
-	if err := w.finish(); err != nil {
+	if err := w.seal(); err != nil {
 		w.Abort()
 		return err
 	}
 	w.state = writerClosed
+	if err := w.fs.SyncDir(filepath.Dir(w.path)); err != nil {
+		return fmt.Errorf("store: sync directory of %s: %w", w.path, err)
+	}
 	return nil
 }
 
-func (w *Writer) finish() error {
+// seal makes the staging file a complete store and renames it onto
+// path.
+func (w *Writer) seal() error {
 	if w.txns == nil {
 		// An empty but valid store still needs a transaction section.
 		w.txns = []span{}
 	}
-	// Every Write* call already ended with a footer identical to the
-	// one Close would write; only a store with no checkpoints at all
-	// still needs its first.
-	if w.footers == 0 {
-		if err := w.writeFooter(); err != nil {
-			return err
-		}
+	if err := w.writeFooter(); err != nil {
+		return err
+	}
+	if err := w.bw.Flush(); err != nil {
+		return fmt.Errorf("store: flush %s: %w", w.path, err)
 	}
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("store: sync %s: %w", w.path, err)
@@ -313,18 +306,22 @@ func (w *Writer) finish() error {
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("store: close %s: %w", w.path, err)
 	}
+	if err := w.fs.Rename(tmpPath(w.path), w.path); err != nil {
+		return fmt.Errorf("store: publish %s: %w", w.path, err)
+	}
 	return nil
 }
 
-// Abort closes and removes a partially written store (a failed Close
-// calls it automatically); never call it after a successful Close.
+// Abort closes and removes the staging file of an unfinished store (a
+// failed Close calls it automatically); path is never touched. Never
+// call it after a successful Close.
 func (w *Writer) Abort() error {
 	if w.state == writerAborted {
 		return nil
 	}
 	w.state = writerAborted
 	w.f.Close()
-	if err := w.fs.Remove(w.path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	if err := w.fs.Remove(tmpPath(w.path)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("store: abort %s: %w", w.path, err)
 	}
 	return nil
@@ -394,8 +391,9 @@ func (w *Writer) WriteLevels(byEdges map[int][]pattern.Pattern) error {
 // opened (not truncated) and left intact, a probe file is created
 // and removed. CLIs run it at flag time so a mistyped -store path
 // fails in milliseconds with a clear error instead of surfacing
-// after minutes of mining — and a pre-existing store survives until
-// the real write actually replaces it.
+// after minutes of mining. A pre-existing store survives until the
+// real write replaces it: Writer stages in path+".tmp" and renames
+// only on a successful Close.
 func CheckWritable(path string) error {
 	_, statErr := os.Stat(path)
 	existed := statErr == nil
