@@ -188,8 +188,9 @@ func selfLoopTxns(n int, seed int64) []*graph.Graph {
 // reference's candidates at every level: the same codes in the same
 // order, each with the same first parent, new edge ID, materialised
 // graph and TID filter — and, under a candidate budget, the same
-// abort row and reason. Both run on the same level-k patterns, at
-// Parallelism 1 and 4.
+// abort row and reason, also when only the key-rejected extensions
+// push the count over the budget. Both run on the same level-k
+// patterns, at Parallelism 1 and 4.
 func TestCandidatesMatchCloneReference(t *testing.T) {
 	temporal, temporalOpts := temporalFixture()
 	structural, structuralOpts := structuralFixture()
@@ -197,15 +198,28 @@ func TestCandidatesMatchCloneReference(t *testing.T) {
 	loopOpts := Options{MinSupport: 4, MaxEdges: 4, AllowSelfLoops: true}
 	capped := loopOpts
 	capped.MaxCandidates = 40
+	// These budgets are crossed on level 3, where the key check rejects
+	// extensions before the budget's last code in walk order and the
+	// kept codes alone stay within budget (checked below): the abort
+	// row matches only if rejected codes are counted.
+	temporalRejCapped := temporalOpts
+	temporalRejCapped.MaxCandidates = 40
+	loopRejCapped := loopOpts
+	loopRejCapped.MaxCandidates = 300
 	for _, fx := range []struct {
 		name string
 		txns []*graph.Graph
 		opts Options
+		// rejectedCap marks a budget that only the count of rejected
+		// codes crosses.
+		rejectedCap bool
 	}{
-		{"temporal", temporal, temporalOpts},
-		{"structural", structural, structuralOpts},
-		{"selfloops", loops, loopOpts},
-		{"selfloops-capped", loops, capped},
+		{"temporal", temporal, temporalOpts, false},
+		{"structural", structural, structuralOpts, false},
+		{"selfloops", loops, loopOpts, false},
+		{"selfloops-capped", loops, capped, false},
+		{"temporal-capped-rejected", temporal, temporalRejCapped, true},
+		{"selfloops-capped-rejected", loops, loopRejCapped, true},
 	} {
 		for _, par := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/p%d", fx.name, par), func(t *testing.T) {
@@ -218,6 +232,12 @@ func TestCandidatesMatchCloneReference(t *testing.T) {
 				ref.mineSingleEdges()
 				total := 0
 				for k := 1; len(current) > 0 && k < opts.MaxEdges; k++ {
+					if fx.rejectedCap {
+						if _, kept := classifyExtensions(got, current); len(kept) > opts.MaxCandidates {
+							t.Fatalf("level %d: %d kept codes exceed budget %d; the fixture must abort on rejected codes alone",
+								k+1, len(kept), opts.MaxCandidates)
+						}
+					}
 					gc := got.candidates(current, k)
 					rc := referenceCandidates(ref, current, k)
 					if len(gc) != len(rc) {
@@ -261,4 +281,79 @@ func parentIndex(p *Pattern, level []Pattern) int {
 		}
 	}
 	return -1
+}
+
+// classifyExtensions materialises every extension of every parent in
+// level (iso.Extension.Apply) and codes it with iso.Code, splitting
+// the distinct codes by the key check's verdict. rejected maps each
+// rejected code to its first materialisation.
+func classifyExtensions(m *miner, level []Pattern) (rejected map[string]materialised, kept map[string]bool) {
+	rejected, kept = make(map[string]materialised), make(map[string]bool)
+	keys, freqKeys := m.levelKeys(level)
+	for i := range level {
+		g := level[i].Graph
+		kc := newKeyCheck(g, keys[i], freqKeys)
+		for _, x := range m.extensions(g) {
+			child, newEdge := x.ext.Apply(g)
+			code := iso.Code(child)
+			if !kc.rejects(x.ext, x.triple) {
+				kept[code] = true
+			} else if _, seen := rejected[code]; !seen {
+				rejected[code] = materialised{child, newEdge}
+			}
+		}
+	}
+	return rejected, kept
+}
+
+// materialised is an extension applied to its parent.
+type materialised struct {
+	g       *graph.Graph
+	newEdge graph.EdgeID
+}
+
+// TestKeyRejectedNeverSurvive checks that the key check is exact: on
+// every level of the reference fixtures, each extension it rejects,
+// materialised and coded, fails the clone-reference closure, and no
+// code is both rejected (from one parent) and kept (from another).
+func TestKeyRejectedNeverSurvive(t *testing.T) {
+	temporal, temporalOpts := temporalFixture()
+	structural, structuralOpts := structuralFixture()
+	for _, fx := range []struct {
+		name string
+		txns []*graph.Graph
+		opts Options
+	}{
+		{"temporal", temporal, temporalOpts},
+		{"structural", structural, structuralOpts},
+		{"selfloops", selfLoopTxns(30, 5), Options{MinSupport: 4, MaxEdges: 4, AllowSelfLoops: true}},
+	} {
+		t.Run(fx.name, func(t *testing.T) {
+			opts := fx.opts
+			opts.MaxEmbeddings = DefaultMaxEmbeddings
+			m := &miner{txns: fx.txns, opts: opts, res: &Result{}}
+			current := m.mineSingleEdges()
+			total := 0
+			for k := 1; len(current) > 0 && k < opts.MaxEdges; k++ {
+				freqCodes := make(map[string]bool, len(current))
+				for i := range current {
+					freqCodes[current[i].Code] = true
+				}
+				rejected, kept := classifyExtensions(m, current)
+				for code, x := range rejected {
+					if kept[code] {
+						t.Fatalf("level %d: code both rejected and kept:\n%s", k+1, x.g.Dump())
+					}
+					if referenceClosure(x.g, x.newEdge, freqCodes) {
+						t.Fatalf("level %d: key-rejected extension passes the reference closure:\n%s", k+1, x.g.Dump())
+					}
+				}
+				total += len(rejected)
+				current = m.count(m.candidates(current, k), k)
+			}
+			if total == 0 {
+				t.Fatal("the key check rejected nothing; the fixture exercises nothing")
+			}
+		})
+	}
 }

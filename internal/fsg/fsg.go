@@ -13,19 +13,24 @@
 // core-join candidate generation, so the frequent-pattern output is
 // identical; only the intermediate candidate sets differ.
 //
-// Candidate generation never clones a pattern it may discard. A
-// parent visits only the frequent triples that share an endpoint
-// label with it (the triples are indexed by interned label after
-// level 1); each extension is an iso.Extension descriptor coded on an
-// overlay of the parent (iso.CodeExtended), and the closure check
-// codes the one-edge-deleted subpatterns on the same overlay, after a
-// union-find connectivity test and an exact triple-multiset filter.
-// Only candidates that survive dedup and closure are materialised.
-// Coding, closure and materialising run on the engine pool; the
-// dedup merge walks parents in order, so results are identical at
-// every Parallelism (the FSG and gSpan papers likewise avoid a
-// clone-and-code pass per extension, by core joins and rightmost
-// extension respectively).
+// Candidate generation never clones a pattern it may discard, and
+// never codes an extension a cheap exact test can reject. A parent
+// visits only the frequent triples that share an endpoint label with
+// it (the triples are indexed by interned label after level 1), and
+// each extension is an iso.Extension descriptor. Downward closure runs
+// in two steps. First a key check rejects the extension, before it is
+// coded, when deleting one of its edges leaves a connected subpattern
+// whose edge-triple multiset key (a sum of per-triple hashes) no
+// frequent pattern has; at transportation-scale windows this rejects
+// most extensions. Only the kept extensions are coded on an overlay
+// of the parent (iso.CodeExtended) and deduplicated; then the exact
+// closure test codes each distinct candidate's one-edge-deleted
+// subpatterns on the same overlay. Only its survivors are
+// materialised. The key check, coding, closure and materialising run
+// on the engine pool; the dedup merge walks parents in order, so
+// results are identical at every Parallelism (the FSG and gSpan papers
+// likewise avoid a clone-and-code pass per extension, by core joins
+// and rightmost extension respectively).
 //
 // Support counting is incremental (the FSG embedding-list design,
 // internal/pattern): each frequent pattern carries per-TID embedding
@@ -88,12 +93,12 @@ type Options struct {
 	// AllowSelfLoops permits candidate edges from a vertex to itself.
 	// OD data has none (origin != destination), so the default is off.
 	AllowSelfLoops bool
-	// Parallelism is the worker count for candidate generation
-	// (coding each parent's extensions, the closure check of each
-	// distinct candidate, materialising the survivors) and for
-	// support counting, which fans out one task per candidate. <= 0
-	// selects GOMAXPROCS; 1 runs fully serial. Results are identical
-	// for every value.
+	// Parallelism is the worker count for candidate generation (the
+	// key check and coding of each parent's extensions, the closure
+	// check of each distinct candidate, materialising the survivors)
+	// and for support counting, which fans out one task per
+	// candidate. <= 0 selects GOMAXPROCS; 1 runs fully serial.
+	// Results are identical for every value.
 	Parallelism int
 	// Checkpoint, when non-nil, is invoked on the mining goroutine
 	// after each completed level that produced frequent patterns,
@@ -139,8 +144,8 @@ type LevelStats struct {
 	// Candidates counts the level's candidates after dedup and
 	// closure pruning. On the row of a MaxCandidates abort it counts
 	// the deduplicated candidates generated before the abort, before
-	// closure pruning (MaxCandidates+1); the Section 8 blow-up table
-	// sums this column.
+	// closure pruning and key-rejected ones included
+	// (MaxCandidates+1); the Section 8 blow-up table sums this column.
 	Candidates int
 	Frequent   int // candidates meeting MinSupport
 	IsoTests   int // full isomorphism searches run (fallback path only)
@@ -436,19 +441,16 @@ type candidate struct {
 	tidFilter pattern.TIDSet
 	g         *graph.Graph
 	newEdge   graph.EdgeID
-	// parentKeys are the parent's per-edge triple keys (in Edges()
-	// order) and key the candidate's triple multiset key: see
-	// tripleKey.
-	parentKeys []uint64
-	key        uint64
 }
 
-// codedExt is one extension of a parent: the frequent triple it adds
-// and its canonical code.
+// codedExt is one coded extension of a parent: the frequent triple it
+// adds, whether the key check rejects it (kept in the list only to be
+// counted against MaxCandidates), and its canonical code.
 type codedExt struct {
-	ext    iso.Extension
-	triple int32
-	code   string
+	ext      iso.Extension
+	triple   int32
+	rejected bool
+	code     string
 }
 
 // tripleKey hashes frequent triple i for multiset keys: the key of a
@@ -474,6 +476,62 @@ func (m *miner) edgeKeys(g *graph.Graph) []uint64 {
 		keys[i] = tripleKey(m.tripleIndex[edgeTriple{g.Vertex(ed.From).Label, ed.Label, g.Vertex(ed.To).Label}])
 	}
 	return keys
+}
+
+// levelKeys returns the edge keys of each pattern of a level and the
+// set of the patterns' keys.
+func (m *miner) levelKeys(level []Pattern) ([][]uint64, map[uint64]bool) {
+	keys := make([][]uint64, len(level))
+	freqKeys := make(map[uint64]bool, len(level))
+	for i := range level {
+		keys[i] = m.edgeKeys(level[i].Graph)
+		freqKeys[sumKeys(keys[i])] = true
+	}
+	return keys, freqKeys
+}
+
+// keyCheck is the downward-closure test that runs before an extension
+// is coded: an extension is rejected when deleting one of its parent's
+// edges leaves a connected subpattern whose triple multiset key no
+// frequent pattern of the level has. Such a subpattern is infrequent,
+// so the extension cannot be a candidate. The set of one-edge-deleted
+// keys is an isomorphism invariant of the extension (deleting the
+// extension edge itself leaves the frequent parent), so isomorphic
+// extensions of different parents are all rejected or all kept.
+type keyCheck struct {
+	freqKeys map[uint64]bool
+	keys     []uint64 // the parent's edge keys, in Edges() order
+	sum      uint64   // the parent's key
+	// ends holds the parent's edge endpoints and, in its last slot,
+	// the extension's; uf is connectedWithout's scratch.
+	ends [][2]graph.VertexID
+	uf   []graph.VertexID
+}
+
+// newKeyCheck prepares the key check of parent g's extensions, given
+// g's edge keys and the level's frequent-pattern keys.
+func newKeyCheck(g *graph.Graph, keys []uint64, freqKeys map[uint64]bool) *keyCheck {
+	return &keyCheck{
+		freqKeys: freqKeys,
+		keys:     keys,
+		sum:      sumKeys(keys),
+		ends:     overlayEnds(g, iso.Extension{}),
+		uf:       make([]graph.VertexID, g.VertexCap()+1),
+	}
+}
+
+// rejects reports whether the extension ext, adding frequent triple
+// triple, fails the key check. A key lookup is cheap; connectivity is
+// tested only for a deletion whose key is missing.
+func (kc *keyCheck) rejects(ext iso.Extension, triple int32) bool {
+	kc.ends[len(kc.ends)-1] = [2]graph.VertexID{ext.From, ext.To}
+	key := kc.sum + tripleKey(triple)
+	for i, k := range kc.keys {
+		if !kc.freqKeys[key-k] && connectedWithout(kc.ends, i, kc.uf) {
+			return true
+		}
+	}
+	return false
 }
 
 // codeChunk is how many parents one engine.Map call codes before
@@ -532,35 +590,61 @@ func (m *miner) count(pruned []*candidate, k int) []Pattern {
 }
 
 // candidates returns level k+1's candidates in code order, deduped and
-// pruned by downward closure, each materialised. Coding extensions,
-// the closure check and materialising fan out on the engine pool; the
-// dedup merge walks parents and their extensions in order, so the
-// first parent, the TID filters and a MaxCandidates abort (which
-// appends the level's row and returns nil) are identical at every
-// Parallelism.
+// pruned by downward closure, each materialised. The closure test
+// runs in two steps, both on the engine pool. First the key check
+// (keyCheck) rejects an extension from its parent's edge keys alone,
+// before it is coded; then only the kept extensions are coded
+// (iso.CodeExtended), and each distinct kept code passes the exact
+// closure test (passesClosure) before it is materialised. The dedup
+// merge walks parents and their extensions in order, so the first
+// parent, the TID filters and a MaxCandidates abort (which appends the
+// level's row and returns nil) are identical at every Parallelism.
+//
+// A MaxCandidates abort counts distinct codes before closure, rejected
+// ones included, so under a candidate budget rejected extensions are
+// coded too; they only count toward the budget and never become
+// candidates. Without a budget they are never coded.
 func (m *miner) candidates(current []Pattern, k int) []*candidate {
+	keys, freqKeys := m.levelKeys(current)
+
 	// Candidates dedup by exact canonical code: equal codes certify
 	// isomorphism, so a duplicate extension (the same pattern reached
 	// from another parent) is a single map hit — no per-bucket
 	// isomorphism search.
+	budget := m.opts.MaxCandidates > 0
 	byCode := make(map[string]*candidate)
+	// rejected holds the codes of key-rejected extensions, kept only
+	// to count them against MaxCandidates. The key check is an
+	// isomorphism invariant, so no code is both rejected and kept.
+	rejected := make(map[string]bool)
 	numCands := 0
-	keys := make([][]uint64, len(current))
 	for lo := 0; lo < len(current); lo += codeChunk {
 		hi := min(lo+codeChunk, len(current))
 		coded := engine.Map(m.opts.Parallelism, hi-lo, func(i int) []codedExt {
 			g := current[lo+i].Graph
-			keys[lo+i] = m.edgeKeys(g)
+			kc := newKeyCheck(g, keys[lo+i], freqKeys)
 			exts := m.extensions(g)
-			for j := range exts {
-				exts[j].code = iso.CodeExtended(g, exts[j].ext, -1)
+			out := exts[:0]
+			for _, x := range exts {
+				x.rejected = kc.rejects(x.ext, x.triple)
+				if x.rejected && !budget {
+					continue
+				}
+				x.code = iso.CodeExtended(g, x.ext, -1)
+				out = append(out, x)
 			}
-			return exts
+			return out
 		})
 		for i, exts := range coded {
 			p := &current[lo+i]
 			for _, x := range exts {
-				if dup := byCode[x.code]; dup != nil {
+				switch dup := byCode[x.code]; {
+				case x.rejected:
+					if rejected[x.code] {
+						continue
+					}
+					rejected[x.code] = true
+				case dup != nil:
 					// The same pattern reached from another parent: its
 					// support is confined to both parents' TID columns —
 					// a sorted-merge intersection (neither input is
@@ -568,13 +652,11 @@ func (m *miner) candidates(current []Pattern, k int) []*candidate {
 					// until a duplicate narrows them).
 					dup.tidFilter = dup.tidFilter.And(p.TIDs)
 					continue
+				default:
+					byCode[x.code] = &candidate{code: x.code, parent: p, ext: x.ext, tidFilter: p.TIDs}
 				}
 				numCands++
-				byCode[x.code] = &candidate{
-					code: x.code, parent: p, ext: x.ext, tidFilter: p.TIDs,
-					parentKeys: keys[lo+i], key: sumKeys(keys[lo+i]) + tripleKey(x.triple),
-				}
-				if m.opts.MaxCandidates > 0 && numCands > m.opts.MaxCandidates {
+				if budget && numCands > m.opts.MaxCandidates {
 					m.res.Aborted = true
 					m.res.AbortReason = fmt.Sprintf(
 						"candidate set at level %d exceeded %d (FSG exhausts memory here on the paper's hardware)",
@@ -586,15 +668,12 @@ func (m *miner) candidates(current []Pattern, k int) []*candidate {
 		}
 	}
 
+	// Exact closure, in code order for determinism (codes are a total
+	// order over isomorphism classes). Only survivors are cloned.
 	freqCodes := make(map[string]bool, len(current))
-	freqKeys := make(map[uint64]bool, len(current))
 	for i := range current {
 		freqCodes[current[i].Code] = true
-		freqKeys[sumKeys(keys[i])] = true
 	}
-	// Downward-closure pruning, in code order for determinism (codes
-	// are a total order over isomorphism classes). Only survivors are
-	// cloned.
 	cands := make([]*candidate, 0, len(byCode))
 	for _, c := range byCode {
 		cands = append(cands, c)
@@ -602,7 +681,7 @@ func (m *miner) candidates(current []Pattern, k int) []*candidate {
 	sort.Slice(cands, func(i, j int) bool { return cands[i].code < cands[j].code })
 	kept := engine.Map(m.opts.Parallelism, len(cands), func(i int) bool {
 		c := cands[i]
-		if !passesClosure(c, freqCodes, freqKeys) {
+		if !passesClosure(c, freqCodes) {
 			return false
 		}
 		c.g, c.newEdge = c.ext.Apply(c.parent.Graph)
@@ -698,32 +777,36 @@ func (m *miner) extensions(p *graph.Graph) []codedExt {
 // one edge — no clone, no compaction — and membership is an exact
 // canonical-code lookup (iso.CodeExtended with a skipped edge equals
 // the code of the materialised subpattern), so the check neither
-// misses frequent subpatterns nor passes infrequent ones. A
-// subpattern whose triple multiset key no frequent pattern has is
-// infrequent without being coded.
-func passesClosure(c *candidate, freqCodes map[string]bool, freqKeys map[uint64]bool) bool {
+// misses frequent subpatterns nor passes infrequent ones. Candidates
+// reach it only after passing the key check (keyCheck).
+func passesClosure(c *candidate, freqCodes map[string]bool) bool {
 	g := c.parent.Graph
-	edges := g.Edges()
-	// Overlay edge endpoints: the parent's edges, then the extension.
-	ends := make([][2]graph.VertexID, 0, len(edges)+1)
-	for _, e := range edges {
-		ed := g.Edge(e)
-		ends = append(ends, [2]graph.VertexID{ed.From, ed.To})
-	}
-	ends = append(ends, [2]graph.VertexID{c.ext.From, c.ext.To})
+	ends := overlayEnds(g, c.ext)
 	uf := make([]graph.VertexID, g.VertexCap()+1)
-	for i, e := range edges {
+	for i, e := range g.Edges() {
 		if !connectedWithout(ends, i, uf) {
 			// Deleting this edge disconnects the pattern; the
 			// disconnected remainder is not a connected subpattern,
 			// so closure does not constrain it.
 			continue
 		}
-		if !freqKeys[c.key-c.parentKeys[i]] || !freqCodes[iso.CodeExtended(g, c.ext, e)] {
+		if !freqCodes[iso.CodeExtended(g, c.ext, e)] {
 			return false
 		}
 	}
 	return true
+}
+
+// overlayEnds returns the edge endpoints of the overlay g + ext: g's
+// edges in Edges() order, then the extension's.
+func overlayEnds(g *graph.Graph, ext iso.Extension) [][2]graph.VertexID {
+	edges := g.Edges()
+	ends := make([][2]graph.VertexID, 0, len(edges)+1)
+	for _, e := range edges {
+		ed := g.Edge(e)
+		ends = append(ends, [2]graph.VertexID{ed.From, ed.To})
+	}
+	return append(ends, [2]graph.VertexID{ext.From, ext.To})
 }
 
 func sumKeys(keys []uint64) uint64 {

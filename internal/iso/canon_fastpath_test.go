@@ -162,3 +162,104 @@ func TestFastPathStar60Budget(t *testing.T) {
 		t.Fatalf("star60 canonical code took %v per call, budget 1ms", per)
 	}
 }
+
+// decodeShapedGraph reads one small labelled multigraph from data
+// whose first byte picks a shape, so that the interchangeable-cell
+// short-circuit fires as often as it refuses. Missing bytes read as
+// zero.
+//
+//	data[0]  low 2 bits: 0 free-form (decodeFuzzGraph from data[1]),
+//	         1 star, 2 directed clique, 3 complete bipartite;
+//	         bit 2 adds every shaped edge reversed too, bit 3 puts a
+//	         self-loop on every shaped vertex
+//	data[1]  size: star spokes 2..17, clique 2..7 vertices,
+//	         bipartite sides 1..4 (low bits) by 1..4 (next bits)
+//	data[2]  label mask: bit i%8 set labels shaped vertex i b, else a
+//	then     up to 4 extra edges (from, to, label) that break or keep
+//	         the symmetry
+func decodeShapedGraph(data []byte) *graph.Graph {
+	at := func(i int) int {
+		if i < len(data) {
+			return int(data[i])
+		}
+		return 0
+	}
+	flags := at(0)
+	if flags&3 == 0 {
+		g, _ := decodeFuzzGraph(data, 1)
+		return g
+	}
+	g := graph.New("shaped")
+	add := func() graph.VertexID {
+		v := g.AddVertex([]string{"a", "b"}[at(2)>>(g.VertexCap()%8)&1])
+		if flags&8 != 0 {
+			g.AddEdge(v, v, "s")
+		}
+		return v
+	}
+	link := func(u, v graph.VertexID) {
+		g.AddEdge(u, v, "x")
+		if flags&4 != 0 {
+			g.AddEdge(v, u, "x")
+		}
+	}
+	switch size := at(1); flags & 3 {
+	case 1:
+		hub := add()
+		for i := 0; i < size%16+2; i++ {
+			link(hub, add())
+		}
+	case 2:
+		var vs []graph.VertexID
+		for i := 0; i < size%6+2; i++ {
+			vs = append(vs, add())
+		}
+		for _, u := range vs {
+			for _, v := range vs {
+				if u != v {
+					g.AddEdge(u, v, "x")
+				}
+			}
+		}
+	case 3:
+		var left []graph.VertexID
+		for i := 0; i < size%4+1; i++ {
+			left = append(left, add())
+		}
+		for i := 0; i < size>>2%4+1; i++ {
+			v := add()
+			for _, u := range left {
+				link(u, v)
+			}
+		}
+	}
+	nv := g.VertexCap()
+	for i, pos := 0, 3; i < 4 && pos+2 < len(data); i, pos = i+1, pos+3 {
+		g.AddEdge(graph.VertexID(at(pos)%nv), graph.VertexID(at(pos+1)%nv), []string{"x", "y"}[at(pos+2)%2])
+	}
+	return g
+}
+
+// FuzzCanonFastPath is the differential target of the canonical
+// labeler's interchangeable-cell short-circuit against the exhaustive
+// individualisation search: Code must be byte-identical with the fast
+// path on and off. Shapes with big interchangeable cells (stars,
+// cliques, complete bipartite graphs, optionally mirrored, looped or
+// perturbed by a few extra edges) make the short-circuit fire; the
+// free-form shape and the perturbations make it refuse. The toggle is
+// a package variable, so the target must not run in parallel. The
+// checked-in corpus under testdata/fuzz/FuzzCanonFastPath covers a
+// uniform star, a two-label mirrored clique, a looped complete
+// bipartite graph, a star with one defective spoke and a free-form
+// multigraph.
+func FuzzCanonFastPath(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := decodeShapedGraph(data)
+		fast := Code(g)
+		var slow string
+		withoutFastPath(func() { slow = Code(g) })
+		if fast != slow {
+			t.Fatalf("fast path code %q != exhaustive %q\n%s", fast, slow, g.Dump())
+		}
+	})
+}

@@ -86,13 +86,15 @@ func Embeddings(target, pattern *graph.Graph, opts Options) ([]DenseEmbedding, b
 	return NewMatcher(pattern).Embeddings(target, opts)
 }
 
-// ExtendEmbedding enumerates the one-edge extensions of emb: given an
-// embedding of the parent pattern (child minus newEdge, minus the new
-// endpoint if newEdge introduced one) into target, it finds every way
-// to extend emb across newEdge and appends the grown embeddings to
-// out. Because child was built from the parent by
-// Clone (+AddVertex) +AddEdge, IDs are preserved, so a new endpoint is
-// recognised by its ID lying beyond emb.Verts.
+// Extender enumerates the one-edge extensions of embeddings of a
+// parent pattern into one target: given an embedding of the parent
+// (child minus newEdge, minus the new endpoint if newEdge introduced
+// one), Extend finds every way to extend it across newEdge. Because
+// child was built from the parent by Clone (+AddVertex) +AddEdge, IDs
+// are preserved, so a new endpoint is recognised by its ID lying
+// beyond the parent's vertices. NewExtender resolves the new edge's
+// label and the new endpoint's label in the target's index once, so
+// extending each of the parent's embeddings costs no label lookup.
 //
 // Embeddings follow the matcher's semantics: one embedding per
 // injective vertex map, with each pattern edge carrying the first
@@ -104,21 +106,51 @@ func Embeddings(target, pattern *graph.Graph, opts Options) ([]DenseEmbedding, b
 // This is the incremental step of FSG-style support counting: every
 // embedding of child restricts to exactly one embedding of its
 // parent, so extending a complete parent list yields the complete
-// child list, each embedding exactly once. limit > 0 stops once out
-// holds that many embeddings (existence checks pass 1).
-func ExtendEmbedding(target, child *graph.Graph, emb DenseEmbedding, newEdge graph.EdgeID, limit int, out []DenseEmbedding) []DenseEmbedding {
+// child list, each embedding exactly once.
+type Extender struct {
+	ix       *graph.Index
+	from, to graph.VertexID
+	fromNew  bool
+	toNew    bool
+	// label is the new edge's label ID and far the new endpoint's
+	// vertex label ID (unused when both endpoints are mapped), both
+	// in ix.
+	label, far int32
+}
+
+// NewExtender prepares the extension of embeddings of child's parent,
+// which has parentVerts vertices, into target across newEdge.
+func NewExtender(target, child *graph.Graph, newEdge graph.EdgeID, parentVerts int) Extender {
 	ed := child.Edge(newEdge)
-	fromNew := int(ed.From) >= len(emb.Verts)
-	toNew := int(ed.To) >= len(emb.Verts)
-	ix := target.Index()
-	l := ix.EdgeLabelID(ed.Label)
+	x := Extender{
+		ix:      target.Index(),
+		from:    ed.From,
+		to:      ed.To,
+		fromNew: int(ed.From) >= parentVerts,
+		toNew:   int(ed.To) >= parentVerts,
+	}
+	x.label = x.ix.EdgeLabelID(ed.Label)
 	switch {
-	case !fromNew && !toNew:
+	case x.toNew:
+		x.far = x.ix.VertexLabelID(child.Vertex(ed.To).Label)
+	case x.fromNew:
+		x.far = x.ix.VertexLabelID(child.Vertex(ed.From).Label)
+	}
+	return x
+}
+
+// Extend appends the extensions of emb across the new edge to out.
+// limit > 0 stops once out holds that many embeddings (existence
+// checks pass 1).
+func (x Extender) Extend(emb DenseEmbedding, limit int, out []DenseEmbedding) []DenseEmbedding {
+	ix := x.ix
+	switch {
+	case !x.fromNew && !x.toNew:
 		// New edge between mapped endpoints: the vertex map is already
 		// fixed, so the first unused target edge on that lane with the
 		// right label is the single witness.
-		tt := emb.Verts[ed.To]
-		edges, heads := ix.Out(emb.Verts[ed.From], l)
+		tt := emb.Verts[x.to]
+		edges, heads := ix.Out(emb.Verts[x.from], x.label)
 		for i, te := range edges {
 			if heads[i] != tt || emb.UsesEdge(te) {
 				continue
@@ -126,18 +158,18 @@ func ExtendEmbedding(target, child *graph.Graph, emb DenseEmbedding, newEdge gra
 			out = append(out, emb.extended(-1, te))
 			break
 		}
-	case !fromNew:
+	case !x.fromNew:
 		// New edge out of a mapped vertex to a new endpoint: one
 		// extension per distinct compatible endpoint (first edge as
 		// witness). A target edge into an unmapped vertex cannot
 		// already be used (used edges connect mapped vertices), so
 		// only injectivity and the endpoint label need checking.
-		edges, heads := ix.Out(emb.Verts[ed.From], l)
-		out = extendToNew(ix, edges, heads, ix.VertexLabelID(child.Vertex(ed.To).Label), emb, limit, out)
-	case !toNew:
+		edges, heads := ix.Out(emb.Verts[x.from], x.label)
+		out = extendToNew(ix, edges, heads, x.far, emb, limit, out)
+	case !x.toNew:
 		// New edge into a mapped vertex from a new endpoint.
-		edges, tails := ix.In(emb.Verts[ed.To], l)
-		out = extendToNew(ix, edges, tails, ix.VertexLabelID(child.Vertex(ed.From).Label), emb, limit, out)
+		edges, tails := ix.In(emb.Verts[x.to], x.label)
+		out = extendToNew(ix, edges, tails, x.far, emb, limit, out)
 	}
 	// Both endpoints new would mean a disconnected extension; one-edge
 	// candidate generation never produces one.

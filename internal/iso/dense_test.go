@@ -111,8 +111,9 @@ func TestExtendEmbeddingComplete(t *testing.T) {
 
 		parentEmbs, _ := Embeddings(target, parent, Options{})
 		var extended []DenseEmbedding
+		x := NewExtender(target, child, newEdge, parent.NumVertices())
 		for _, pe := range parentEmbs {
-			extended = ExtendEmbedding(target, child, pe, newEdge, 0, extended)
+			extended = x.Extend(pe, 0, extended)
 		}
 		direct, _ := Embeddings(target, child, Options{})
 		got, want := sortedRenders(extended), sortedRenders(direct)
@@ -153,10 +154,11 @@ func TestExtendEmbeddingLimit(t *testing.T) {
 	w := child.AddVertex("s")
 	ne := child.AddEdge(0, w, "e")
 	emb := DenseEmbedding{Verts: []graph.VertexID{hub}}
-	if got := ExtendEmbedding(target, child, emb, ne, 1, nil); len(got) != 1 {
+	x := NewExtender(target, child, ne, parent.NumVertices())
+	if got := x.Extend(emb, 1, nil); len(got) != 1 {
 		t.Fatalf("limit 1: got %d extensions", len(got))
 	}
-	if got := ExtendEmbedding(target, child, emb, ne, 0, nil); len(got) != 5 {
+	if got := x.Extend(emb, 0, nil); len(got) != 5 {
 		t.Fatalf("unlimited: got %d extensions, want 5", len(got))
 	}
 }

@@ -298,8 +298,12 @@ func CountExtension(txns []*graph.Graph, parent *Pattern, child *graph.Graph, co
 		}
 		buf = buf[:0]
 		tripped := false
+		var x iso.Extender
+		if len(pembs) > 0 {
+			x = iso.NewExtender(txn, child, newEdge, len(pembs[0].Verts))
+		}
 		for _, pe := range pembs {
-			buf = iso.ExtendEmbedding(txn, child, pe, newEdge, lim, buf)
+			buf = x.Extend(pe, lim, buf)
 			if lim > 0 && len(buf) >= lim {
 				tripped = storeComplete
 				break
