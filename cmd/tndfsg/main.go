@@ -5,17 +5,11 @@
 //
 // Usage:
 //
-//	tndfsg [-scale 0.05] [-strategy bf|df] [-sweep] [-recall] [-parallelism N] [-maxembeddings N] [-store out.tnd] [-delta-from prev.tnd]
+//	tndfsg [-scale 0.05] [-strategy bf|df] [-sweep] [-recall] [-parallelism N] [-maxembeddings N] [-store out.tnd]
 //
 // -store persists the headline structural mine (patterns, TID lists,
 // embeddings and the partitioned transactions) to an internal/store
 // file that cmd/tndserve can answer queries from.
-//
-// -delta-from appends one more Algorithm 1 repetition to a
-// previously persisted structural store (same scale and strategy)
-// instead of re-mining the existing repetitions; the union — and the
-// store written by -store — is identical to a full run at the
-// combined repetition count.
 //
 // -progress streams one line to stderr per mined level as each
 // repetition's mine completes it (candidates, frequent, embeddings,
@@ -54,18 +48,12 @@ func main() {
 	parallelism := flag.Int("parallelism", 0, "mining worker count (0 = all CPUs, 1 = serial)")
 	maxEmbeddings := flag.Int("maxembeddings", 0, "per-level FSG embedding budget (0 = default, -1 = unlimited); over budget the incremental support counter falls back to full isomorphism")
 	storePath := flag.String("store", "", "persist the mined patterns + embeddings to this store file (serve with tndserve)")
-	deltaFrom := flag.String("delta-from", "", "append one more Algorithm 1 repetition to this previously mined structural store instead of re-mining it (union identical to a full run at the combined repetition count)")
 	progress := flag.Bool("progress", false, "stream one line per mined level to stderr while mining (stdout stays byte-identical)")
 	flag.Parse()
-	// Both store paths pre-flight at flag time, so a mistyped path
+	// The store path pre-flights at flag time, so a mistyped path
 	// fails in milliseconds instead of after partitioning and mining.
 	if *storePath != "" {
 		if err := store.CheckWritable(*storePath); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *deltaFrom != "" {
-		if err := checkDeltaSource(*deltaFrom); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -74,7 +62,6 @@ func main() {
 	p.Parallelism = *parallelism
 	p.MaxEmbeddings = *maxEmbeddings
 	p.StorePath = *storePath
-	p.DeltaFrom = *deltaFrom
 	if *progress {
 		p.Progress = progressLine
 	}
@@ -92,18 +79,4 @@ func main() {
 	if *recall {
 		fmt.Print(experiments.RunFootnote2(p))
 	}
-}
-
-// checkDeltaSource validates a -delta-from store at flag time: it
-// must open as a store (header + footer only — milliseconds) and
-// pass the shared delta-source checks for an Algorithm 1 store. The
-// deeper parameter match (partitions, seed, strategy, support) is
-// verified against the store's metadata before mining starts.
-func checkDeltaSource(path string) error {
-	r, err := store.Open(path)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	return r.ValidateDeltaSource(true)
 }

@@ -115,5 +115,5 @@ func checkDeltaSource(path string) error {
 		return err
 	}
 	defer r.Close()
-	return r.ValidateDeltaSource(false)
+	return r.ValidateDeltaSource()
 }

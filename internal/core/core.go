@@ -68,20 +68,9 @@ type StructuralOptions struct {
 	// the store is the exact per-partitioning ground truth the union
 	// was computed from. cmd/tndserve serves the file.
 	StorePath string
-	// DeltaFrom, when non-empty, folds this run into the named
-	// persisted run instead of mining from scratch: the store's
-	// repetitions are rehydrated as-is and Repetitions more are drawn
-	// from the same RNG stream (the store records the partitioning
-	// provenance — Partitions, Seed, Strategy and Support must match
-	// it) and mined fresh, so the result — and the store written to
-	// StorePath — is identical to a full run at the combined
-	// repetition count. Repetitions means *added* repetitions here,
-	// and PerRun/PartitionCounts cover only them.
-	DeltaFrom string
 	// Progress, when non-nil, receives one event per completed
 	// Apriori level of every repetition's FSG run, tagged with the
-	// repetition index (a delta run indexes only the added
-	// repetitions). Repetitions mine concurrently, so events from
+	// repetition index. Repetitions mine concurrently, so events from
 	// different repetitions interleave and the callback must be safe
 	// for concurrent use.
 	Progress func(rep int, ev fsg.LevelProgress)
@@ -114,13 +103,10 @@ type StructuralPattern struct {
 // StructuralResult is the outcome of Algorithm 1.
 type StructuralResult struct {
 	Patterns []StructuralPattern
-	// PerRun records each repetition's raw FSG result. A delta run
-	// (DeltaFrom) holds only the added repetitions — the parent
-	// store's contribution is already folded into Patterns.
+	// PerRun records each repetition's raw FSG result.
 	PerRun []*fsg.Result
 	// PartitionCounts records the number of partitions produced per
-	// repetition (can exceed k when the graph disconnects); added
-	// repetitions only in a delta run.
+	// repetition (can exceed k when the graph disconnects).
 	PartitionCounts []int
 }
 
@@ -150,9 +136,6 @@ func MineStructural(g *graph.Graph, opts StructuralOptions) (*StructuralResult, 
 	if opts.Repetitions < 1 {
 		return nil, fmt.Errorf("core: Repetitions %d < 1", opts.Repetitions)
 	}
-	if opts.DeltaFrom != "" {
-		return mineStructuralDelta(g, opts)
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	res := &StructuralResult{}
 
@@ -181,92 +164,7 @@ func MineStructural(g *graph.Graph, opts StructuralOptions) (*StructuralResult, 
 	}
 	res.Patterns = u.sorted()
 	if opts.StorePath != "" {
-		if err := writeStructuralStore(opts.StorePath, g.Name, nil, partitionings, runs, opts, opts.Repetitions, 0); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-// mineStructuralDelta folds added repetitions into a persisted
-// Algorithm 1 run: the parent store's records are rehydrated as-is,
-// opts.Repetitions further partitionings are drawn from the same RNG
-// stream the parent consumed its prefix of, and only those are mined.
-// The union (and the store written to StorePath, provenance aside) is
-// identical to a full MineStructural at the combined repetition
-// count, because repetitions are independent — the per-repetition
-// records need no re-counting, only the fresh ones need mining.
-func mineStructuralDelta(g *graph.Graph, opts StructuralOptions) (*StructuralResult, error) {
-	if err := distinctPaths(opts.DeltaFrom, opts.StorePath); err != nil {
-		return nil, err
-	}
-	r, err := store.Open(opts.DeltaFrom)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	if err := r.ValidateDeltaSource(true); err != nil {
-		return nil, err
-	}
-	m := r.Meta()
-	if m.Partitions != opts.Partitions || m.Seed != opts.Seed ||
-		m.Strategy != opts.Strategy.String() || m.MinSupport != opts.Support {
-		return nil, fmt.Errorf("core: delta source %s was mined with partitions=%d seed=%d strategy=%s support=%d; this run asks for partitions=%d seed=%d strategy=%s support=%d — parameters must match for the repetition stream to continue",
-			opts.DeltaFrom, m.Partitions, m.Seed, m.Strategy, m.MinSupport,
-			opts.Partitions, opts.Seed, opts.Strategy, opts.Support)
-	}
-	oldReps := m.Repetitions
-	total := oldReps + opts.Repetitions
-	rng := rand.New(rand.NewSource(opts.Seed))
-	res := &StructuralResult{}
-	partitionings := make([][]*graph.Graph, total)
-	for rep := range partitionings {
-		partitionings[rep] = partition.SplitGraph(g, partition.SplitOptions{
-			K:        opts.Partitions,
-			Strategy: opts.Strategy,
-			Rand:     rng,
-		})
-		if rep >= oldReps {
-			res.PartitionCounts = append(res.PartitionCounts, len(partitionings[rep]))
-		}
-	}
-	// The redrawn prefix must byte-match the stored transaction set,
-	// or the caller handed a different graph (or a tampered store)
-	// and the rehydrated TID lists would be meaningless.
-	var oldTxns []*graph.Graph
-	for _, parts := range partitionings[:oldReps] {
-		oldTxns = append(oldTxns, parts...)
-	}
-	if len(oldTxns) != r.NumTransactions() {
-		return nil, fmt.Errorf("core: delta source %s holds %d transactions but the redrawn %d-repetition prefix has %d — different input graph?",
-			opts.DeltaFrom, r.NumTransactions(), oldReps, len(oldTxns))
-	}
-	if err := r.VerifyPrefix(oldTxns); err != nil {
-		return nil, fmt.Errorf("core: delta source mismatch (different input graph?): %w", err)
-	}
-	runs, err := mineRepetitionSet(partitionings[oldReps:], opts)
-	if err != nil {
-		return nil, err
-	}
-	res.PerRun = runs
-	// Fold the stored per-(pattern, repetition) records into the
-	// union first — max support and run counts aggregate the same
-	// whether a record was mined now or rehydrated — then the fresh
-	// repetitions in order, exactly as the full run would.
-	u := newStructuralUnion()
-	for i := 0; i < r.NumPatterns(); i++ {
-		p, err := r.PatternLite(i)
-		if err != nil {
-			return nil, err
-		}
-		u.add(p.Graph, p.Code, p.Support)
-	}
-	for _, runRes := range runs {
-		u.addRun(runRes)
-	}
-	res.Patterns = u.sorted()
-	if opts.StorePath != "" {
-		if err := writeStructuralStore(opts.StorePath, g.Name, r, partitionings[oldReps:], runs, opts, total, m.Generation+1); err != nil {
+		if err := writeStructuralStore(opts.StorePath, g.Name, partitionings, runs, opts); err != nil {
 			return nil, err
 		}
 	}
@@ -321,24 +219,20 @@ func newStructuralUnion() *structuralUnion {
 	return &structuralUnion{byCode: make(map[string]*StructuralPattern)}
 }
 
-// add folds one per-repetition pattern occurrence into the union.
-func (u *structuralUnion) add(g *graph.Graph, code string, support int) {
-	if existing := u.byCode[code]; existing != nil {
-		existing.Runs++
-		if support > existing.Support {
-			existing.Support = support
-		}
-		return
-	}
-	sp := &StructuralPattern{Graph: g, Code: code, Support: support, Runs: 1}
-	u.byCode[code] = sp
-	u.union = append(u.union, sp)
-}
-
+// addRun folds one repetition's frequent patterns into the union.
 func (u *structuralUnion) addRun(run *fsg.Result) {
 	for i := range run.Patterns {
 		p := &run.Patterns[i]
-		u.add(p.Graph, p.Code, p.Support)
+		if existing := u.byCode[p.Code]; existing != nil {
+			existing.Runs++
+			if p.Support > existing.Support {
+				existing.Support = p.Support
+			}
+			continue
+		}
+		sp := &StructuralPattern{Graph: p.Graph, Code: p.Code, Support: p.Support, Runs: 1}
+		u.byCode[p.Code] = sp
+		u.union = append(u.union, sp)
 	}
 }
 
@@ -386,36 +280,15 @@ func distinctPaths(deltaFrom, storePath string) error {
 // one record per (pattern, repetition) — the exact per-partitioning
 // ground truth, embeddings included — so a query layer can aggregate
 // (max support across repetitions, as the union does) or inspect each
-// repetition on its own. A delta run passes the parent reader as
-// prev: its transactions and records are rehydrated in front of the
-// added repetitions, so the written store equals the full-run store
-// at the combined repetition count.
-func writeStructuralStore(path, name string, prev *store.Reader, partitionings [][]*graph.Graph, runs []*fsg.Result, opts StructuralOptions, totalReps, generation int) error {
+// repetition on its own.
+func writeStructuralStore(path, name string, partitionings [][]*graph.Graph, runs []*fsg.Result, opts StructuralOptions) error {
 	var txns []*graph.Graph
-	if prev != nil {
-		prevTxns, err := prev.Transactions()
-		if err != nil {
-			return err
-		}
-		txns = append(txns, prevTxns...)
-	}
 	offsets := make([]int, len(partitionings))
 	for rep, parts := range partitionings {
 		offsets[rep] = len(txns)
 		txns = append(txns, parts...)
 	}
 	byEdges := make(map[int][]pattern.Pattern)
-	if prev != nil {
-		// Rehydrated records come first within each level — they are
-		// the earlier repetitions, and WriteLevels appends in order.
-		for _, lv := range prev.Levels() {
-			pats, err := prev.LevelPatterns(lv.Edges)
-			if err != nil {
-				return err
-			}
-			byEdges[lv.Edges] = append(byEdges[lv.Edges], pats...)
-		}
-	}
 	for rep, run := range runs {
 		for i := range run.Patterns {
 			p := run.Patterns[i] // copy; TIDs replaced, embeddings shared read-only
@@ -430,16 +303,12 @@ func writeStructuralStore(path, name string, prev *store.Reader, partitionings [
 		Name:        name,
 		Kind:        "structural",
 		MinSupport:  opts.Support,
-		Repetitions: totalReps,
+		Repetitions: opts.Repetitions,
 		Partitions:  opts.Partitions,
 		Seed:        opts.Seed,
 		Strategy:    opts.Strategy.String(),
-		Generation:  generation,
 		Note: fmt.Sprintf("Algorithm 1: %d repetitions × %d partitions (%s), transactions concatenated per repetition, one record per (pattern, repetition)",
-			totalReps, opts.Partitions, opts.Strategy),
-	}
-	if prev != nil {
-		meta.Parent = opts.DeltaFrom
+			opts.Repetitions, opts.Partitions, opts.Strategy),
 	}
 	w, err := store.Create(path, meta)
 	if err != nil {
@@ -576,7 +445,7 @@ func MineTemporal(d *dataset.Dataset, opts TemporalMineOptions) (*TemporalMineRe
 			return nil, err
 		}
 		defer r.Close()
-		if err := r.ValidateDeltaSource(false); err != nil {
+		if err := r.ValidateDeltaSource(); err != nil {
 			return nil, err
 		}
 		m := r.Meta()

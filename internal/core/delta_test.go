@@ -22,16 +22,6 @@ func renderFSG(r *fsg.Result) string {
 	return b.String()
 }
 
-func renderUnion(r *StructuralResult) string {
-	var b strings.Builder
-	for i := range r.Patterns {
-		p := &r.Patterns[i]
-		fmt.Fprintf(&b, "%d edges=%d code=%q support=%d runs=%d\n",
-			i, p.Graph.NumEdges(), p.Code, p.Support, p.Runs)
-	}
-	return b.String()
-}
-
 func dumpStore(t *testing.T, path string) string {
 	t.Helper()
 	r, err := store.Open(path)
@@ -164,111 +154,5 @@ func TestMineTemporalDeltaErrors(t *testing.T) {
 	opts.DeltaFrom = basePath
 	if _, err := MineTemporal(d, opts); err == nil || !strings.Contains(err.Error(), "delta source mismatch") {
 		t.Fatalf("non-prefix source accepted: %v", err)
-	}
-}
-
-// TestMineStructuralDeltaMatchesFullRun appends one repetition to a
-// persisted two-repetition Algorithm 1 run and requires the union —
-// and the written store — to equal a three-repetition full run.
-func TestMineStructuralDeltaMatchesFullRun(t *testing.T) {
-	d := smallData(t)
-	g := d.BuildGraph(dataset.GraphOptions{Attr: dataset.TransitHours, Vertices: dataset.UniformLabels})
-	dir := t.TempDir()
-	base := StructuralOptions{
-		Strategy: partition.BreadthFirst, Partitions: 16, Repetitions: 2,
-		Support: 5, MaxEdges: 3, MaxSteps: 100000, Seed: 1,
-		StorePath: filepath.Join(dir, "base.tnd"),
-	}
-	if _, err := MineStructural(g, base); err != nil {
-		t.Fatal(err)
-	}
-
-	fullOpts := base
-	fullOpts.Repetitions = 3
-	fullOpts.StorePath = filepath.Join(dir, "full.tnd")
-	full, err := MineStructural(g, fullOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	deltaOpts := base
-	deltaOpts.Repetitions = 1 // one repetition appended
-	deltaOpts.DeltaFrom = base.StorePath
-	deltaOpts.StorePath = filepath.Join(dir, "delta.tnd")
-	delta, err := MineStructural(g, deltaOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got, want := renderUnion(delta), renderUnion(full); got != want {
-		t.Fatalf("delta union diverged from full run\n--- full ---\n%s--- delta ---\n%s", want, got)
-	}
-	if len(delta.PerRun) != 1 || len(delta.PartitionCounts) != 1 {
-		t.Fatalf("delta run should report only the added repetition, got %d/%d",
-			len(delta.PerRun), len(delta.PartitionCounts))
-	}
-	if got, want := dumpStore(t, deltaOpts.StorePath), dumpStore(t, fullOpts.StorePath); got != want {
-		t.Fatalf("delta store diverged from full store\n--- full ---\n%s--- delta ---\n%s", want, got)
-	}
-	r, err := store.Open(deltaOpts.StorePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if m := r.Meta(); m.Repetitions != 3 || m.Generation != 1 || m.Parent != base.StorePath {
-		t.Fatalf("delta provenance not recorded: %+v", m)
-	}
-
-	// A second generation on top of the first must equal four
-	// repetitions.
-	full4 := base
-	full4.Repetitions = 4
-	full4.StorePath = ""
-	want4, err := MineStructural(g, full4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen2 := base
-	gen2.Repetitions = 1
-	gen2.DeltaFrom = deltaOpts.StorePath
-	gen2.StorePath = ""
-	got4, err := MineStructural(g, gen2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if renderUnion(got4) != renderUnion(want4) {
-		t.Fatal("second-generation structural delta diverged from the four-repetition run")
-	}
-}
-
-// TestMineStructuralDeltaErrors pins the structural guard rails:
-// parameter drift and a different input graph are both rejected.
-func TestMineStructuralDeltaErrors(t *testing.T) {
-	d := smallData(t)
-	g := d.BuildGraph(dataset.GraphOptions{Attr: dataset.TransitHours, Vertices: dataset.UniformLabels})
-	dir := t.TempDir()
-	base := StructuralOptions{
-		Strategy: partition.BreadthFirst, Partitions: 16, Repetitions: 1,
-		Support: 5, MaxEdges: 2, Seed: 1,
-		StorePath: filepath.Join(dir, "base.tnd"),
-	}
-	if _, err := MineStructural(g, base); err != nil {
-		t.Fatal(err)
-	}
-
-	drift := base
-	drift.DeltaFrom = base.StorePath
-	drift.StorePath = ""
-	drift.Partitions = 8
-	if _, err := MineStructural(g, drift); err == nil || !strings.Contains(err.Error(), "parameters must match") {
-		t.Fatalf("parameter drift accepted: %v", err)
-	}
-
-	other := d.BuildGraph(dataset.GraphOptions{Attr: dataset.GrossWeight, Vertices: dataset.UniformLabels})
-	wrongGraph := base
-	wrongGraph.DeltaFrom = base.StorePath
-	wrongGraph.StorePath = ""
-	if _, err := MineStructural(other, wrongGraph); err == nil || !strings.Contains(err.Error(), "different input graph") {
-		t.Fatalf("different graph accepted: %v", err)
 	}
 }

@@ -65,13 +65,11 @@ type Params struct {
 	// an internal/store file at exactly this path, for cmd/tndserve
 	// to serve. Sweep, recall and blow-up runners never write stores.
 	StorePath string
-	// DeltaFrom, when non-empty, names the persisted store the
-	// headline figure runners succeed: RunFigure4 mines its window
-	// afresh and records the store as its parent generation (core
-	// TemporalMineOptions.DeltaFrom), and RunFigure2/RunFigure3 append
-	// one more Algorithm 1 repetition to a structural store (core
-	// StructuralOptions.DeltaFrom). Results are identical to the
-	// corresponding full mine.
+	// DeltaFrom, when non-empty, names the persisted temporal store
+	// RunFigure4 succeeds: it mines its window afresh and records the
+	// store as its parent generation (core
+	// TemporalMineOptions.DeltaFrom). Results are identical to the
+	// corresponding full mine. The structural runners ignore it.
 	DeltaFrom string
 	// Days, when > 0, limits the temporal runners to the earliest
 	// Days calendar days (partition.TemporalOptions.MaxDays) — the

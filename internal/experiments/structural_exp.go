@@ -10,7 +10,6 @@ import (
 	"tnkd/internal/fsg"
 	"tnkd/internal/graph"
 	"tnkd/internal/partition"
-	"tnkd/internal/store"
 	"tnkd/internal/synth"
 )
 
@@ -35,14 +34,10 @@ func RunFigure2(p Params) *Figure2Result {
 	})
 	support := p.scaled(240, 3)
 	partitions := p.scaled(800, 8)
-	reps := 2
-	if p.DeltaFrom != "" {
-		reps = 1 // delta mode: one repetition appended per invocation
-	}
 	res, err := core.MineStructural(g, core.StructuralOptions{
 		Strategy:      partition.BreadthFirst,
 		Partitions:    partitions,
-		Repetitions:   reps,
+		Repetitions:   2,
 		Support:       support,
 		MaxEdges:      5,
 		MaxSteps:      50000,
@@ -50,7 +45,6 @@ func RunFigure2(p Params) *Figure2Result {
 		Seed:          p.Seed,
 		Parallelism:   p.Parallelism,
 		StorePath:     p.StorePath,
-		DeltaFrom:     p.DeltaFrom,
 		Progress:      p.repProgress("figure2"),
 	})
 	if err != nil {
@@ -109,11 +103,11 @@ func RunFigure3(p Params) *Figure3Result {
 	})
 	support := p.scaled(120, 2)
 	partitions := p.scaled(800, 8)
-	run := func(strat partition.Strategy, reps int, storePath, deltaFrom string) *core.StructuralResult {
+	run := func(strat partition.Strategy, storePath string) *core.StructuralResult {
 		res, err := core.MineStructural(g, core.StructuralOptions{
 			Strategy:      strat,
 			Partitions:    partitions,
-			Repetitions:   reps,
+			Repetitions:   2,
 			Support:       support,
 			MaxEdges:      5,
 			MaxSteps:      50000,
@@ -121,7 +115,6 @@ func RunFigure3(p Params) *Figure3Result {
 			Seed:          p.Seed,
 			Parallelism:   p.Parallelism,
 			StorePath:     storePath,
-			DeltaFrom:     deltaFrom,
 			Progress:      p.repProgress("figure3 " + strat.String()),
 		})
 		if err != nil {
@@ -129,21 +122,11 @@ func RunFigure3(p Params) *Figure3Result {
 		}
 		return res
 	}
-	// Only the headline DF run persists (and delta-folds); the BF
-	// contrast is a foil. In delta mode the DF union covers the
-	// parent store's repetitions plus the one appended here, so the
-	// foil mines the same combined count — otherwise the BF-vs-DF
-	// figure would partly measure repetition count, not strategy.
-	dfReps, bfReps := 2, 2
-	if p.DeltaFrom != "" {
-		dfReps = 1 // one repetition appended per invocation
-		if r, err := store.Open(p.DeltaFrom); err == nil {
-			bfReps = r.Meta().Repetitions + 1
-			r.Close()
-		}
-	}
-	df := run(partition.DepthFirst, dfReps, p.StorePath, p.DeltaFrom)
-	bf := run(partition.BreadthFirst, bfReps, "", "")
+	// Only the headline DF run persists; the BF contrast is a foil
+	// mined with the same repetition count, so the figure measures
+	// strategy alone.
+	df := run(partition.DepthFirst, p.StorePath)
+	bf := run(partition.BreadthFirst, "")
 	out := &Figure3Result{Support: support, Partitions: partitions, NumPatterns: len(df.Patterns)}
 	longestChain := func(res *core.StructuralResult) (*core.StructuralPattern, int) {
 		var best *core.StructuralPattern

@@ -491,7 +491,7 @@ func (d *Daemon) adoptSeed() error {
 	if err != nil {
 		return fmt.Errorf("ingest: open seed: %w", err)
 	}
-	if err := r.ValidateDeltaSource(false); err != nil {
+	if err := r.ValidateDeltaSource(); err != nil {
 		r.Close() //nolint:errcheck
 		return fmt.Errorf("ingest: seed cannot start a generation chain: %w", err)
 	}

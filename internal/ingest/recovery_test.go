@@ -10,8 +10,10 @@ import (
 	"strings"
 	"testing"
 
+	"tnkd/internal/core"
 	"tnkd/internal/faultfs"
 	"tnkd/internal/obs"
+	"tnkd/internal/partition"
 	"tnkd/internal/store"
 )
 
@@ -318,5 +320,36 @@ func TestJournalCheckpointBoundsReplay(t *testing.T) {
 	drain(t, d2, nil)
 	if st := d2.Status(); st.Folds != 1 || st.Generation != 5 {
 		t.Errorf("aged-out batch should re-fold as new data: %+v", st)
+	}
+}
+
+// TestStructuralSeedRefused: an Algorithm 1 store has no successor, so
+// a daemon seeded with one must fail at start with the shared
+// delta-source refusal and leave no CURRENT pointer behind.
+func TestStructuralSeedRefused(t *testing.T) {
+	dir := t.TempDir()
+	seed := filepath.Join(dir, "structural.tnd")
+	if _, err := core.MineStructural(testTxn(0), core.StructuralOptions{
+		Strategy: partition.BreadthFirst, Partitions: 2, Repetitions: 1,
+		Support: 1, MaxEdges: 2, Seed: 1, StorePath: seed,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{
+		Dir:        filepath.Join(dir, "data"),
+		Seed:       seed,
+		MinSupport: testMinSupport,
+		Metrics:    obs.NewRegistry(),
+	}
+	d, err := New(opts)
+	if err == nil {
+		d.Close() //nolint:errcheck
+		t.Fatal("daemon adopted a structural seed")
+	}
+	if !strings.Contains(err.Error(), "seed cannot start a generation chain") {
+		t.Fatalf("New: %v, want the generation-chain refusal", err)
+	}
+	if _, err := os.Stat(filepath.Join(opts.Dir, storeDir, currentFile)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("CURRENT left behind: %v", err)
 	}
 }

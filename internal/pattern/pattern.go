@@ -67,9 +67,7 @@ type Pattern struct {
 	// TIDs whose lists are seeds-only. A pattern demoted wholesale has
 	// Partial == TIDs; a pattern whose budget tripped midway keeps its
 	// already-complete prefix outside Partial, so one exploding
-	// transaction no longer costs the whole pattern its lists. Empty
-	// on an Overflowed pattern means "unknown" (legacy data): every
-	// list is treated as seeds.
+	// transaction no longer costs the whole pattern its lists.
 	Partial TIDSet
 }
 
@@ -103,7 +101,7 @@ func (p *Pattern) CompleteAt(tid int) bool {
 	if !p.Overflowed {
 		return true
 	}
-	return p.Partial.Len() > 0 && !p.Partial.Contains(tid)
+	return !p.Partial.Contains(tid)
 }
 
 // NumEmbeddings returns the total number of stored embeddings across
@@ -126,9 +124,6 @@ func (p *Pattern) retainedEmbeddings() int {
 	if !p.Overflowed {
 		return p.NumEmbeddings()
 	}
-	if p.Partial.Len() == 0 {
-		return 0 // unknown which lists are complete: all treated as seeds
-	}
 	n := 0
 	cur := p.Partial.Cursor()
 	for pi, tid := range p.TIDs.All() {
@@ -137,15 +132,6 @@ func (p *Pattern) retainedEmbeddings() int {
 		}
 	}
 	return n
-}
-
-// DropEmbeddings discards the embedding lists entirely and marks the
-// pattern overflowed; support data is untouched. Extensions of the
-// pattern count by classic search only.
-func (p *Pattern) DropEmbeddings() {
-	p.Embs = nil
-	p.Overflowed = true
-	p.Partial = TIDSet{}
 }
 
 // DemoteToSeeds truncates each per-TID list to at most SeedsPerTID
@@ -282,7 +268,7 @@ func CountExtension(txns []*graph.Graph, parent *Pattern, child *graph.Graph, co
 			pembs = parent.Embs[pi]
 		}
 		parentComplete := parent.Embs != nil &&
-			(!parent.Overflowed || (parent.Partial.Len() > 0 && !pcur.Contains(tid)))
+			(!parent.Overflowed || !pcur.Contains(tid))
 		txn := txns[tid]
 
 		// Extend the parent's embeddings (all of them when the

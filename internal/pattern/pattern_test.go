@@ -125,7 +125,7 @@ func TestCountExtensionIncrementalAndFallback(t *testing.T) {
 		t.Fatalf("incremental: isoTests=%d embeddings=%d", st.IsoTests, got.NumEmbeddings())
 	}
 
-	parent.DropEmbeddings()
+	parent.Embs, parent.Overflowed = nil, true
 	got, st = CountExtension(txns, parent, child, "c", ne, parent.TIDs, CountOptions{})
 	if got.Support != 2 || st.IsoTests != 2 {
 		t.Fatalf("fallback: support %d isoTests %d", got.Support, st.IsoTests)

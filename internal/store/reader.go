@@ -186,9 +186,13 @@ func (r *Reader) parseIndex(idx []byte) error {
 			// A bit this build does not know changes how the record
 			// decodes (bit 2 marked the retired bitset TID column), so
 			// the store is refused whole rather than at first decode.
-			if unknown := r.recs[len(r.recs)-1].flags &^ flagsKnown; d.err == nil && unknown != 0 {
+			flags := r.recs[len(r.recs)-1].flags
+			if unknown := flags &^ flagsKnown; d.err == nil && unknown != 0 {
 				return fmt.Errorf("store: %s: record %d has unknown flag bits %#02x (this build knows only %#02x; re-mine the store)",
 					r.path, len(r.recs)-1, unknown, flagsKnown)
+			}
+			if d.err == nil && seedsWithoutPartial(flags) {
+				return fmt.Errorf("store: %s: record %d: %w (re-mine the store)", r.path, len(r.recs)-1, ErrNoPartialColumn)
 			}
 		}
 		r.levels = append(r.levels, lv)
@@ -450,25 +454,17 @@ func (r *Reader) AllLevelPatterns() (map[int][]pattern.Pattern, error) {
 	return out, nil
 }
 
-// ValidateDeltaSource checks the properties every delta consumer
-// needs from an opened source store, in one place so the flag-time
-// pre-flights (cmd/tndtemporal, cmd/tndfsg) and the mining-time
-// checks (core's DeltaFrom paths) cannot drift: the right store
-// kind — structural (Algorithm 1, which also needs repetition
-// provenance to continue the RNG stream) or a transaction-set store
-// (fsg/temporal). Deeper validation (prefix match, parameter match)
-// needs the run's own inputs and stays with the pipelines.
-func (r *Reader) ValidateDeltaSource(structural bool) error {
-	kind := r.meta.Kind
-	if structural {
-		if kind != "structural" {
-			return fmt.Errorf("store: delta source %s has kind %q, want \"structural\" — fold transaction-set stores with the temporal delta path instead", r.path, kind)
-		}
-	} else if kind == "structural" {
-		return fmt.Errorf("store: delta source %s is an Algorithm 1 store (one record per repetition) — fold repetitions into it with the structural delta path instead", r.path)
-	}
-	if structural && r.meta.Repetitions < 1 {
-		return fmt.Errorf("store: delta source %s records no repetition provenance — written before delta mining existed; re-mine it with this build first", r.path)
+// ValidateDeltaSource checks that an opened store can be the parent
+// of a new generation, in one place so the flag-time pre-flight
+// (cmd/tndtemporal), core.MineTemporal and the ingest seed cannot
+// drift. Only transaction-set stores (fsg/temporal) have successors:
+// an Algorithm 1 store is refused, because a different repetition
+// count is a fresh mine, not a successor. Deeper validation (prefix
+// match, window order) needs the run's own inputs and stays with the
+// pipelines.
+func (r *Reader) ValidateDeltaSource() error {
+	if r.meta.Kind == "structural" {
+		return fmt.Errorf("store: delta source %s is an Algorithm 1 store (one record per repetition) — structural stores have no successor; re-mine with more repetitions instead", r.path)
 	}
 	return nil
 }

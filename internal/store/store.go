@@ -42,7 +42,8 @@
 // delta-coded members — see encodeTIDColumn), the embedding lists
 // and, for overflowed records, a column marking which per-TID lists
 // are seeds (pattern.Pattern.Partial). Open refuses a record whose
-// flags carry a bit this build does not know. The
+// flags carry a bit this build does not know, or that announce
+// overflowed lists without that column (ErrNoPartialColumn). The
 // location index maps every vertex label to the records whose stored
 // embeddings touch it (see encodeLocIndex); the writer computes it
 // from the embeddings it is already serialising, so a mounted store
@@ -56,6 +57,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -99,7 +101,7 @@ type Meta struct {
 	// reasons, ...).
 	Note string `json:"note,omitempty"`
 
-	// Lineage. A store that succeeds a previous generation (core
+	// Lineage. A store that succeeds a previous generation (temporal
 	// DeltaFrom runs, every ingest publish) records its parent chain
 	// here; a first generation leaves both zero. Meta is JSON in the
 	// index block, so these fields read back as zero values from
@@ -146,10 +148,8 @@ type Meta struct {
 	WindowSizes []int `json:"window_sizes,omitempty"`
 
 	// Algorithm 1 provenance (Kind "structural" only): the exact
-	// partitioning parameters of the run, which a structural delta
-	// (appending repetitions) must reproduce to keep the shared RNG
-	// stream — and therefore the mined output — identical to a full
-	// run at the combined repetition count.
+	// partitioning parameters of the run, so the store names the
+	// inputs that reproduce it (tndstats prints them).
 
 	// Repetitions is the number of Algorithm 1 repetitions whose
 	// records the store holds.
@@ -174,6 +174,19 @@ const (
 	// flagsKnown is every bit a record may carry; Open refuses others.
 	flagsKnown = flagHasEmbs | flagOverflowed | flagPartial
 )
+
+// ErrNoPartialColumn reports a record with overflowed embedding lists
+// but no (or an empty) per-TID partial column: nothing says which of
+// its lists are complete. No writer produces the shape; a store
+// holding it is refused at Open and at record decode.
+var ErrNoPartialColumn = errors.New("overflowed embedding lists without a partial column")
+
+// seedsWithoutPartial reports whether flags announce overflowed
+// lists without the partial column that says which are seeds.
+func seedsWithoutPartial(flags byte) bool {
+	const seeds = flagHasEmbs | flagOverflowed
+	return flags&seeds == seeds && flags&flagPartial == 0
+}
 
 // span locates one record in the file body.
 type span struct {
@@ -643,6 +656,10 @@ func decodePattern(d *dec) *pattern.Pattern {
 	if p == nil || flags&flagHasEmbs == 0 || d.err != nil {
 		return p
 	}
+	if seedsWithoutPartial(flags) {
+		d.fail("store: corrupt record: %w", ErrNoPartialColumn)
+		return nil
+	}
 	// Each per-TID list costs at least its count byte, so a corrupt
 	// column cannot make this allocation outgrow the record.
 	n := p.TIDs.Len()
@@ -683,6 +700,10 @@ func decodePattern(d *dec) *pattern.Pattern {
 	}
 	if flags&flagPartial != 0 {
 		p.Partial = decodeTIDColumn(d)
+		if d.err == nil && p.Partial.Len() == 0 {
+			d.fail("store: corrupt record: %w", ErrNoPartialColumn)
+			return nil
+		}
 	}
 	return p
 }

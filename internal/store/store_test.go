@@ -62,24 +62,22 @@ func randPattern(rng *rand.Rand, edges int, txns []*graph.Graph) pattern.Pattern
 	}
 	p := pattern.Pattern{Graph: g, Code: code, Support: len(tids), TIDs: pattern.TIDSetFromSlice(tids)}
 	switch rng.Intn(4) {
-	case 0: // no lists, overflowed (DropEmbeddings shape)
+	case 0: // no lists, overflowed
 		p.Overflowed = true
 	case 1: // complete lists, possibly with empty per-TID slots
 		p.Embs = randEmbs(rng, txns, tids, nv, edges, true)
 	case 2: // seed lists (budget-overflowed pattern)
 		p.Embs = randEmbs(rng, txns, tids, nv, edges, false)
 		p.Overflowed = true
-		if rng.Intn(2) == 0 {
-			// Per-TID partial retention: mark a nonempty subset of the
-			// TIDs as seeds-only.
-			for _, tid := range tids {
-				if rng.Intn(2) == 0 {
-					p.Partial.Add(tid)
-				}
+		// Per-TID partial retention: mark a nonempty subset of the
+		// TIDs as seeds-only (overflowed lists always say which).
+		for _, tid := range tids {
+			if rng.Intn(2) == 0 {
+				p.Partial.Add(tid)
 			}
-			if p.Partial.IsEmpty() {
-				p.Partial.Add(tids[rng.Intn(len(tids))])
-			}
+		}
+		if p.Partial.IsEmpty() {
+			p.Partial.Add(tids[rng.Intn(len(tids))])
 		}
 	case 3: // non-overflowed with no lists at all (level untracked)
 	}
@@ -492,6 +490,12 @@ func TestWriterValidation(t *testing.T) {
 		Partial: pattern.NewTIDSet(0),
 	}}); err == nil {
 		t.Fatal("partial TIDs without lists accepted")
+	}
+	if err := w.WriteLevel(1, []pattern.Pattern{{
+		Graph: g, Code: "c", Support: 1, TIDs: pattern.NewTIDSet(0), Overflowed: true,
+		Embs: make([][]iso.DenseEmbedding, 1),
+	}}); err == nil {
+		t.Fatal("overflowed lists without partial TIDs accepted")
 	}
 	if err := w.WriteLevel(1, []pattern.Pattern{{Graph: g, Code: "c", Support: 1, TIDs: pattern.NewTIDSet(0)}}); err != nil {
 		t.Fatal(err)

@@ -2,12 +2,14 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"tnkd/internal/iso"
 	"tnkd/internal/pattern"
 )
 
@@ -116,6 +118,53 @@ func TestRejectUnknownFlagBits(t *testing.T) {
 			if !strings.Contains(err.Error(), want) {
 				t.Fatalf("bit %#02x: error %q does not name %q", bit, err, want)
 			}
+		}
+	}
+}
+
+// TestRejectSeedsWithoutPartial: overflowed embedding lists must carry
+// the partial column saying which lists are seeds. A record whose
+// index flags announce lists and overflow but no partial column fails
+// Open; a record body of that shape, or one whose partial column is
+// empty, fails decode. All report ErrNoPartialColumn.
+func TestRejectSeedsWithoutPartial(t *testing.T) {
+	seeds := edgePattern("s", pattern.NewTIDSet(0, 1))
+	seeds.Embs = make([][]iso.DenseEmbedding, 2)
+	seeds.Overflowed = true
+	seeds.Partial = pattern.NewTIDSet(1)
+
+	path := filepath.Join(t.TempDir(), "seeds.tnd")
+	w, err := Create(path, Meta{Kind: "fsg"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteTransactions(tinyTxns(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteLevel(1, []pattern.Pattern{edgePattern("a", pattern.NewTIDSet(0)), seeds}); err != nil {
+		t.Fatal(err)
+	}
+	w.recs[1].flags &^= flagPartial // Close writes the index from recs
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(path)
+	if !errors.Is(err, ErrNoPartialColumn) || !strings.Contains(err.Error(), "record 1") {
+		t.Fatalf("Open: %v, want ErrNoPartialColumn naming record 1", err)
+	}
+
+	// The partial column {1} closes the record as kind 0, count 1,
+	// delta 1; rewriting it to kind 0, count 0 empties it.
+	var e enc
+	encodePattern(&e, &seeds)
+	emptied := append(e.buf[:len(e.buf)-3:len(e.buf)-3], tidColList, 0)
+	seeds.Partial = pattern.TIDSet{}
+	e = enc{}
+	encodePattern(&e, &seeds)
+	for name, rec := range map[string][]byte{"no partial column": e.buf, "empty partial column": emptied} {
+		d := &dec{buf: rec}
+		if p := decodePattern(d); p != nil || !errors.Is(d.err, ErrNoPartialColumn) {
+			t.Fatalf("%s: decoded pattern %v, err %v, want ErrNoPartialColumn", name, p, d.err)
 		}
 	}
 }

@@ -235,6 +235,9 @@ func validatePattern(p *pattern.Pattern, edges, numTxns int) error {
 	if p.Embs != nil && len(p.Embs) != p.TIDs.Len() {
 		return fmt.Errorf("store: pattern %q has %d embedding lists for %d TIDs", p.Code, len(p.Embs), p.TIDs.Len())
 	}
+	if p.Overflowed && p.Embs != nil && p.Partial.Len() == 0 {
+		return fmt.Errorf("store: pattern %q has overflowed lists but no partial TIDs", p.Code)
+	}
 	if p.Partial.Len() > 0 {
 		if !p.Overflowed {
 			return fmt.Errorf("store: pattern %q has partial TIDs but is not overflowed", p.Code)
