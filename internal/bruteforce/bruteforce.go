@@ -13,30 +13,32 @@ import (
 	"tnkd/internal/iso"
 )
 
-// Pattern is a frequent subgraph with exact support.
+// Pattern is a frequent subgraph with exact support and the
+// ascending indexes of the transactions that contain it.
 type Pattern struct {
 	Graph   *graph.Graph
 	Code    string
 	Support int
+	TIDs    []int
 }
 
 // Mine returns all connected subgraph patterns with at most maxEdges
 // edges occurring in at least minSupport transactions, sorted by code.
 func Mine(txns []*graph.Graph, minSupport, maxEdges int) []Pattern {
-	counts := make(map[string]int)
+	tids := make(map[string][]int)
 	rep := make(map[string]*graph.Graph)
-	for _, t := range txns {
+	for ti, t := range txns {
 		for code, sub := range connectedSubgraphs(t, maxEdges) {
-			counts[code]++
+			tids[code] = append(tids[code], ti)
 			if _, ok := rep[code]; !ok {
 				rep[code] = sub
 			}
 		}
 	}
 	var out []Pattern
-	for code, c := range counts {
-		if c >= minSupport {
-			out = append(out, Pattern{Graph: rep[code], Code: code, Support: c})
+	for code, ts := range tids {
+		if len(ts) >= minSupport {
+			out = append(out, Pattern{Graph: rep[code], Code: code, Support: len(ts), TIDs: ts})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Code < out[j].Code })

@@ -58,7 +58,8 @@ func TestEmbeddingSupportsMatchFullIso(t *testing.T) {
 		}
 		// Stored embedding lists vs full enumeration per transaction.
 		for j, tid := range p.TIDs.All() {
-			want := iso.CountEmbeddings(p.Graph, txns[tid], 0)
+			full, _ := iso.Embeddings(txns[tid], p.Graph, iso.Options{})
+			want := len(full)
 			if len(p.Embs[j]) != want {
 				t.Fatalf("pattern %d tid %d: stored %d embeddings, full search %d",
 					i, tid, len(p.Embs[j]), want)

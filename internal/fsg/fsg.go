@@ -91,7 +91,9 @@ type Options struct {
 	// regime) and is for controlled experiments only.
 	MaxEmbeddings int
 	// AllowSelfLoops permits candidate edges from a vertex to itself.
-	// OD data has none (origin != destination), so the default is off.
+	// OD data has none (origin != destination), so the default is off,
+	// and only tests set it. Under it, level 1 still counts a loop
+	// edge as support for the two-vertex triple pattern.
 	AllowSelfLoops bool
 	// Parallelism is the worker count for candidate generation (the
 	// key check and coding of each parent's extensions, the closure
@@ -308,9 +310,10 @@ func (m *miner) checkpoint(pats []Pattern) error {
 // toLabel) triples with their TID lists and per-TID embedding lists,
 // in one pass over every edge. Embeddings follow the matcher's
 // vertex-map semantics: one embedding per matching vertex pair, the
-// first parallel edge as witness. Self-loop edges support the triple
-// count but admit no injective embedding, so they contribute the TID
-// only.
+// first parallel edge as witness. A self-loop edge admits no injective
+// embedding of the two-vertex triple pattern, so it is skipped unless
+// AllowSelfLoops is set; then it contributes its TID to the triple but
+// no embedding.
 func (m *miner) mineSingleEdges() []Pattern {
 	type pairOcc struct {
 		tr       edgeTriple
@@ -324,6 +327,9 @@ func (m *miner) mineSingleEdges() []Pattern {
 		seenPair := make(map[pairOcc]bool)
 		for _, e := range t.Edges() {
 			ed := t.Edge(e)
+			if ed.From == ed.To && !m.opts.AllowSelfLoops {
+				continue
+			}
 			tr := edgeTriple{
 				fromLabel: t.Vertex(ed.From).Label,
 				edgeLabel: ed.Label,

@@ -1,6 +1,7 @@
 package fsg
 
 import (
+	"slices"
 	"testing"
 
 	"tnkd/internal/graph"
@@ -51,6 +52,33 @@ func TestMineSingleEdgeSupport(t *testing.T) {
 		if p.Graph.NumEdges() != 1 {
 			t.Errorf("pattern edges = %d, want 1", p.Graph.NumEdges())
 		}
+	}
+}
+
+// TestMineSelfLoopIsNotSingleEdgeSupport: a self-loop x -e-> x has no
+// injective embedding of the two-vertex pattern * -e-> *, so it must
+// not count toward that pattern's support.
+func TestMineSelfLoopIsNotSingleEdgeSupport(t *testing.T) {
+	txns := []*graph.Graph{
+		mkTxn([][3]interface{}{{0, 0, "e"}}),
+		mkTxn([][3]interface{}{{0, 1, "e"}}),
+	}
+	res, err := Mine(txns, Options{MinSupport: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range res.Patterns {
+		t.Errorf("pattern support=%d TIDs=%v is not frequent:\n%s", p.Support, p.TIDs, p.Graph.Dump())
+	}
+	res, err = Mine(txns, Options{MinSupport: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Patterns) != 1 || res.Patterns[0].Support != 1 || !slices.Equal(res.Patterns[0].TIDs.Slice(), []int{1}) {
+		for _, p := range res.Patterns {
+			t.Logf("pattern support=%d TIDs=%v:\n%s", p.Support, p.TIDs, p.Graph.Dump())
+		}
+		t.Fatalf("got %d patterns, want * -e-> * alone with support 1 in transaction 1", len(res.Patterns))
 	}
 }
 

@@ -212,26 +212,3 @@ func (ix *Index) OutDegree(v VertexID) int { return int(ix.out.degree[v]) }
 
 // InDegree returns the number of live incoming edges of v.
 func (ix *Index) InDegree(v VertexID) int { return int(ix.in.degree[v]) }
-
-// OutEdgesLabeled returns the live outgoing edges of v carrying the
-// given label, in ascending ID order.
-func (g *Graph) OutEdgesLabeled(v VertexID, label string) []EdgeID {
-	ix := g.Index()
-	edges, _ := ix.Out(v, ix.EdgeLabelID(label))
-	return edges
-}
-
-// InEdgesLabeled returns the live incoming edges of v carrying the
-// given label, in ascending ID order.
-func (g *Graph) InEdgesLabeled(v VertexID, label string) []EdgeID {
-	ix := g.Index()
-	edges, _ := ix.In(v, ix.EdgeLabelID(label))
-	return edges
-}
-
-// VerticesWithLabel returns the live vertices carrying the given
-// label, in ascending ID order.
-func (g *Graph) VerticesWithLabel(label string) []VertexID {
-	ix := g.Index()
-	return ix.WithLabel(ix.VertexLabelID(label))
-}

@@ -22,66 +22,85 @@ func buildLabeled() (*Graph, VertexID, VertexID, VertexID) {
 
 func TestLabeledLookups(t *testing.T) {
 	g, a, b, c := buildLabeled()
-	if got := g.OutEdgesLabeled(a, "x"); !reflect.DeepEqual(got, []EdgeID{0, 2}) {
-		t.Errorf("OutEdgesLabeled(a, x) = %v, want [0 2]", got)
+	ix := g.Index()
+	x, y := ix.EdgeLabelID("x"), ix.EdgeLabelID("y")
+	if got, heads := ix.Out(a, x); !reflect.DeepEqual(got, []EdgeID{0, 2}) || !reflect.DeepEqual(heads, []VertexID{b, b}) {
+		t.Errorf("Out(a, x) = %v to %v, want [0 2] to [%d %d]", got, heads, b, b)
 	}
-	if got := g.OutEdgesLabeled(a, "y"); !reflect.DeepEqual(got, []EdgeID{1}) {
-		t.Errorf("OutEdgesLabeled(a, y) = %v, want [1]", got)
+	if got, _ := ix.Out(a, y); !reflect.DeepEqual(got, []EdgeID{1}) {
+		t.Errorf("Out(a, y) = %v, want [1]", got)
 	}
-	if got := g.InEdgesLabeled(b, "x"); !reflect.DeepEqual(got, []EdgeID{0, 2}) {
-		t.Errorf("InEdgesLabeled(b, x) = %v, want [0 2]", got)
+	if got, tails := ix.In(b, x); !reflect.DeepEqual(got, []EdgeID{0, 2}) || !reflect.DeepEqual(tails, []VertexID{a, a}) {
+		t.Errorf("In(b, x) = %v from %v, want [0 2] from [%d %d]", got, tails, a, a)
 	}
-	if got := g.OutEdgesLabeled(c, "x"); got != nil {
-		t.Errorf("OutEdgesLabeled(c, x) = %v, want nil", got)
+	if got, _ := ix.Out(c, x); got != nil {
+		t.Errorf("Out(c, x) = %v, want nil", got)
 	}
-	if got := g.VerticesWithLabel("A"); !reflect.DeepEqual(got, []VertexID{a, c}) {
-		t.Errorf("VerticesWithLabel(A) = %v, want [%d %d]", got, a, c)
+	if got, _ := ix.Out(a, ix.EdgeLabelID("missing")); got != nil {
+		t.Errorf("Out(a, missing) = %v, want nil", got)
 	}
-	if got := g.VerticesWithLabel("missing"); got != nil {
-		t.Errorf("VerticesWithLabel(missing) = %v, want nil", got)
+	if got := ix.WithLabel(ix.VertexLabelID("A")); !reflect.DeepEqual(got, []VertexID{a, c}) {
+		t.Errorf("WithLabel(A) = %v, want [%d %d]", got, a, c)
 	}
+	if got := ix.WithLabel(ix.VertexLabelID("missing")); got != nil {
+		t.Errorf("WithLabel(missing) = %v, want nil", got)
+	}
+}
+
+// outX returns the live x-labelled out-edges of v in g's current
+// index.
+func outX(g *Graph, v VertexID) []EdgeID {
+	ix := g.Index()
+	edges, _ := ix.Out(v, ix.EdgeLabelID("x"))
+	return edges
+}
+
+// withLabel returns the live vertices labelled l in g's current index.
+func withLabel(g *Graph, l string) []VertexID {
+	ix := g.Index()
+	return ix.WithLabel(ix.VertexLabelID(l))
 }
 
 func TestLabelIndexInvalidatedOnMutation(t *testing.T) {
 	g, a, b, _ := buildLabeled()
-	if got := len(g.OutEdgesLabeled(a, "x")); got != 2 {
+	if got := len(outX(g, a)); got != 2 {
 		t.Fatalf("precondition: %d x-edges, want 2", got)
 	}
 	g.RemoveEdge(0)
-	if got := g.OutEdgesLabeled(a, "x"); !reflect.DeepEqual(got, []EdgeID{2}) {
-		t.Errorf("after RemoveEdge: OutEdgesLabeled(a, x) = %v, want [2]", got)
+	if got := outX(g, a); !reflect.DeepEqual(got, []EdgeID{2}) {
+		t.Errorf("after RemoveEdge: Out(a, x) = %v, want [2]", got)
 	}
 	id := g.AddEdge(a, b, "x")
-	if got := g.OutEdgesLabeled(a, "x"); !reflect.DeepEqual(got, []EdgeID{2, id}) {
-		t.Errorf("after AddEdge: OutEdgesLabeled(a, x) = %v, want [2 %d]", got, id)
+	if got := outX(g, a); !reflect.DeepEqual(got, []EdgeID{2, id}) {
+		t.Errorf("after AddEdge: Out(a, x) = %v, want [2 %d]", got, id)
 	}
 	d := g.AddVertex("D")
-	if got := g.VerticesWithLabel("D"); !reflect.DeepEqual(got, []VertexID{d}) {
-		t.Errorf("after AddVertex: VerticesWithLabel(D) = %v, want [%d]", got, d)
+	if got := withLabel(g, "D"); !reflect.DeepEqual(got, []VertexID{d}) {
+		t.Errorf("after AddVertex: WithLabel(D) = %v, want [%d]", got, d)
 	}
 	g.RemoveVertex(b)
-	if got := g.OutEdgesLabeled(a, "x"); got != nil {
-		t.Errorf("after RemoveVertex(b): OutEdgesLabeled(a, x) = %v, want nil", got)
+	if got := outX(g, a); got != nil {
+		t.Errorf("after RemoveVertex(b): Out(a, x) = %v, want nil", got)
 	}
-	if got := g.VerticesWithLabel("B"); got != nil {
-		t.Errorf("after RemoveVertex(b): VerticesWithLabel(B) = %v, want nil", got)
+	if got := withLabel(g, "B"); got != nil {
+		t.Errorf("after RemoveVertex(b): WithLabel(B) = %v, want nil", got)
 	}
 	g.RemoveOrphans()
-	if got := g.VerticesWithLabel("D"); got != nil {
-		t.Errorf("after RemoveOrphans: VerticesWithLabel(D) = %v, want nil", got)
+	if got := withLabel(g, "D"); got != nil {
+		t.Errorf("after RemoveOrphans: WithLabel(D) = %v, want nil", got)
 	}
 }
 
 func TestLabelIndexCloneIsIndependent(t *testing.T) {
 	g, a, _, _ := buildLabeled()
-	g.OutEdgesLabeled(a, "x") // force index build
+	g.Index() // force index build
 	c := g.Clone()
 	c.RemoveEdge(0)
-	if got := len(g.OutEdgesLabeled(a, "x")); got != 2 {
+	if got := len(outX(g, a)); got != 2 {
 		t.Errorf("mutating a clone changed the original index: %d x-edges, want 2", got)
 	}
-	if got := len(c.OutEdgesLabeled(a, "x")); got != 1 {
-		t.Errorf("clone OutEdgesLabeled(a, x) has %d edges, want 1", got)
+	if got := len(outX(c, a)); got != 1 {
+		t.Errorf("clone Out(a, x) has %d edges, want 1", got)
 	}
 }
 
@@ -95,12 +114,13 @@ func TestLabelIndexConcurrentReads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				if n := len(g.OutEdgesLabeled(a, "x")); n != 2 {
-					t.Errorf("OutEdgesLabeled saw %d edges, want 2", n)
+				ix := g.Index()
+				if out, _ := ix.Out(a, ix.EdgeLabelID("x")); len(out) != 2 {
+					t.Errorf("Out(a, x) saw %d edges, want 2", len(out))
 					return
 				}
-				if n := len(g.InEdgesLabeled(b, "y")); n != 1 {
-					t.Errorf("InEdgesLabeled saw %d edges, want 1", n)
+				if in, _ := ix.In(b, ix.EdgeLabelID("y")); len(in) != 1 {
+					t.Errorf("In(b, y) saw %d edges, want 1", len(in))
 					return
 				}
 			}

@@ -177,47 +177,11 @@ func TestCodeParallelEdges(t *testing.T) {
 	}
 }
 
-func TestEmbedInSubgraphRespectsRestriction(t *testing.T) {
-	g := graph.New("g")
-	a := g.AddVertex("*")
-	b := g.AddVertex("*")
-	c := g.AddVertex("*")
-	e1 := g.AddEdge(a, b, "x")
-	g.AddEdge(b, c, "x")
-	pat := graph.New("p")
-	pa := pat.AddVertex("*")
-	pb := pat.AddVertex("*")
-	pat.AddEdge(pa, pb, "x")
-
-	vset := map[graph.VertexID]bool{a: true, b: true}
-	eset := map[graph.EdgeID]bool{e1: true}
-	emb, ok := EmbedInSubgraph(pat, g, vset, eset, 1000)
-	if !ok {
-		t.Fatal("restricted embedding not found")
-	}
-	for _, tv := range emb.Vertices {
-		if !vset[tv] {
-			t.Error("embedding escaped vertex restriction")
-		}
-	}
-	// Restricting to a set that cannot host the pattern fails.
-	if _, ok := EmbedInSubgraph(pat, g, map[graph.VertexID]bool{a: true}, eset, 1000); ok {
-		t.Error("embedding into a single vertex should fail")
-	}
-}
-
 func TestGreedyNonOverlapOrderSensitivity(t *testing.T) {
-	mk := func(vs []graph.VertexID, es []graph.EdgeID) Embedding {
-		e := Embedding{Vertices: map[graph.VertexID]graph.VertexID{}, Edges: map[graph.EdgeID]graph.EdgeID{}}
-		for i, v := range vs {
-			e.Vertices[graph.VertexID(i)] = v
-		}
-		for i, id := range es {
-			e.Edges[graph.EdgeID(i)] = id
-		}
-		return e
+	mk := func(vs []graph.VertexID, es []graph.EdgeID) DenseEmbedding {
+		return DenseEmbedding{Verts: vs, Edges: es}
 	}
-	embs := []Embedding{
+	embs := []DenseEmbedding{
 		mk([]graph.VertexID{0, 1}, []graph.EdgeID{0}),
 		mk([]graph.VertexID{1, 2}, []graph.EdgeID{1}), // shares vertex 1
 		mk([]graph.VertexID{3, 4}, []graph.EdgeID{2}),

@@ -4,14 +4,16 @@ import (
 	"tnkd/internal/graph"
 )
 
-// DenseEmbedding is the slice-backed form of an Embedding for
-// patterns with dense IDs (every vertex ID in [0, NumVertices) and
-// every edge ID in [0, NumEdges), which holds for all pattern graphs
-// built by Clone+AddVertex+AddEdge): Verts[pv] is the target vertex
-// matched by pattern vertex pv, Edges[pe] the target edge matched by
-// pattern edge pe. It is the storage format of the embedding lists in
-// internal/pattern — two small slices instead of two maps, so storing
-// and extending hundreds of thousands of embeddings stays cheap.
+// DenseEmbedding records one occurrence of a pattern with dense IDs
+// (every vertex ID in [0, NumVertices) and every edge ID in
+// [0, NumEdges), which holds for all pattern graphs built by
+// Clone+AddVertex+AddEdge) inside a target graph: Verts[pv] is the
+// target vertex matched by pattern vertex pv, Edges[pe] the target
+// edge matched by pattern edge pe. The vertex map is injective and the
+// edge map edge-injective, so multigraph instances consume distinct
+// parallel edges. It is also the storage format of the embedding lists
+// in internal/pattern — two small slices, so storing and extending
+// hundreds of thousands of embeddings stays cheap.
 type DenseEmbedding struct {
 	Verts []graph.VertexID
 	Edges []graph.EdgeID
@@ -50,21 +52,6 @@ func (e DenseEmbedding) Clone() DenseEmbedding {
 	return DenseEmbedding{Verts: verts, Edges: edges}
 }
 
-// ToEmbedding converts to the map-backed public shape.
-func (e DenseEmbedding) ToEmbedding() Embedding {
-	out := Embedding{
-		Vertices: make(map[graph.VertexID]graph.VertexID, len(e.Verts)),
-		Edges:    make(map[graph.EdgeID]graph.EdgeID, len(e.Edges)),
-	}
-	for pv, tv := range e.Verts {
-		out.Vertices[graph.VertexID(pv)] = tv
-	}
-	for pe, te := range e.Edges {
-		out.Edges[graph.EdgeID(pe)] = te
-	}
-	return out
-}
-
 // extended returns a copy of e grown by the new edge's target match
 // (and, when nv >= 0, the new vertex's).
 func (e DenseEmbedding) extended(nv graph.VertexID, te graph.EdgeID) DenseEmbedding {
@@ -76,12 +63,12 @@ func (e DenseEmbedding) extended(nv graph.VertexID, te graph.EdgeID) DenseEmbedd
 	return c
 }
 
-// Embeddings enumerates the embeddings of pattern into target in
-// dense form. The pattern must have dense IDs. The second result
-// reports whether the search ran to completion (false when
-// Options.MaxSteps aborted it, in which case the list may be
-// incomplete). Callers searching one pattern against many targets
-// should compile it once with NewMatcher instead.
+// Embeddings enumerates the embeddings of pattern into target. The
+// pattern must have dense IDs. The second result reports whether the
+// search ran to completion (false when Options.MaxSteps aborted it, in
+// which case the list may be incomplete). Callers searching one
+// pattern against many targets should compile it once with NewMatcher
+// instead.
 func Embeddings(target, pattern *graph.Graph, opts Options) ([]DenseEmbedding, bool) {
 	return NewMatcher(pattern).Embeddings(target, opts)
 }
@@ -209,10 +196,10 @@ func endpointSeen(batch []DenseEmbedding, tv graph.VertexID) bool {
 	return false
 }
 
-// GreedyNonOverlapDense is GreedyNonOverlap over dense embeddings: a
-// maximal prefix-greedy subset that is pairwise vertex- and
-// edge-disjoint.
-func GreedyNonOverlapDense(embs []DenseEmbedding) []DenseEmbedding {
+// GreedyNonOverlap selects a maximal prefix-greedy subset of
+// embeddings that are pairwise vertex- and edge-disjoint — the
+// "no overlap" instance count SUBDUE evaluates with.
+func GreedyNonOverlap(embs []DenseEmbedding) []DenseEmbedding {
 	usedV := make(map[graph.VertexID]bool)
 	usedE := make(map[graph.EdgeID]bool)
 	var out []DenseEmbedding
@@ -244,20 +231,4 @@ func GreedyNonOverlapDense(embs []DenseEmbedding) []DenseEmbedding {
 		out = append(out, emb)
 	}
 	return out
-}
-
-// ReanchorDense is Reanchor for dense embeddings: it maps the pattern
-// onto exactly the target vertices and edges covered by emb (an
-// embedding of some isomorphic construction of the pattern),
-// returning an embedding keyed to the pattern's own dense IDs.
-func (r *Reanchorer) ReanchorDense(emb DenseEmbedding) (DenseEmbedding, bool) {
-	if r.m.pattern.NumVertices() != len(emb.Verts) {
-		return DenseEmbedding{}, false
-	}
-	r.restrictTo(emitDense, emb.Verts, emb.Edges)
-	defer r.m.finish()
-	if len(r.m.dense) == 0 {
-		return DenseEmbedding{}, false
-	}
-	return r.m.dense[0], true
 }

@@ -40,37 +40,6 @@ func denseRandGraph(rng *rand.Rand, nv, ne, vLabels, eLabels int) *graph.Graph {
 	return g
 }
 
-// TestEmbeddingsMatchesFindEmbeddings cross-checks the dense
-// enumeration against the map-backed one.
-func TestEmbeddingsMatchesFindEmbeddings(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 40; trial++ {
-		target := denseRandGraph(rng, 4+rng.Intn(5), 6+rng.Intn(6), 2, 2)
-		pat := denseRandGraph(rng, 2+rng.Intn(2), 1+rng.Intn(2), 2, 2)
-		dense, completed := Embeddings(target, pat, Options{})
-		if !completed {
-			t.Fatalf("trial %d: unbudgeted search reported incomplete", trial)
-		}
-		maps := FindEmbeddings(pat, target, Options{})
-		if len(dense) != len(maps) {
-			t.Fatalf("trial %d: dense found %d embeddings, map-backed %d", trial, len(dense), len(maps))
-		}
-		for i, de := range dense {
-			me := de.ToEmbedding()
-			for pv, tv := range maps[i].Vertices {
-				if me.Vertices[pv] != tv {
-					t.Fatalf("trial %d: embedding %d vertex mismatch", trial, i)
-				}
-			}
-			for pe, te := range maps[i].Edges {
-				if me.Edges[pe] != te {
-					t.Fatalf("trial %d: embedding %d edge mismatch", trial, i)
-				}
-			}
-		}
-	}
-}
-
 // TestExtendEmbeddingComplete is the incremental-counting invariant:
 // for a child pattern built from its parent by one ID-preserving edge
 // addition, extending every parent embedding across the new edge
@@ -163,8 +132,9 @@ func TestExtendEmbeddingLimit(t *testing.T) {
 	}
 }
 
-// TestReanchorDenseMatchesReanchor cross-checks the dense re-anchorer
-// against the map-backed one on a shuffled isomorphic construction.
+// TestReanchorDenseMatchesReanchor re-anchors an instance found
+// through a differently ordered construction onto the pattern's own
+// vertex IDs.
 func TestReanchorDenseMatchesReanchor(t *testing.T) {
 	target := graph.New("t")
 	a := target.AddVertex("a")
@@ -187,20 +157,11 @@ func TestReanchorDenseMatchesReanchor(t *testing.T) {
 		Edges: []graph.EdgeID{0, 1},
 	}
 	re := NewReanchorer(pat, target, 0)
-	dense, ok := re.ReanchorDense(emb)
-	if !ok {
-		t.Fatal("ReanchorDense failed")
-	}
-	if dense.Verts[pa] != a || dense.Verts[pb] != b || dense.Verts[pc] != c {
-		t.Fatalf("ReanchorDense mapped %v", dense.Verts)
-	}
-	mapped, ok := re.Reanchor(emb.ToEmbedding())
+	got, ok := re.Reanchor(emb)
 	if !ok {
 		t.Fatal("Reanchor failed")
 	}
-	for pv, tv := range mapped.Vertices {
-		if dense.Verts[pv] != tv {
-			t.Fatalf("dense and map re-anchor disagree at %d: %d vs %d", pv, dense.Verts[pv], tv)
-		}
+	if got.Verts[pa] != a || got.Verts[pb] != b || got.Verts[pc] != c {
+		t.Fatalf("Reanchor mapped %v", got.Verts)
 	}
 }

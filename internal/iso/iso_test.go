@@ -72,16 +72,16 @@ func TestEmbeddingCountsHubAndChain(t *testing.T) {
 	pat := buildGraph(t, []string{"*", "*", "*"}, [][3]interface{}{
 		{0, 1, "a"}, {0, 2, "a"},
 	})
-	if got := CountEmbeddings(pat, hub, 0); got != 6 {
-		t.Fatalf("hub embeddings = %d, want 6", got)
+	if embs, _ := Embeddings(hub, pat, Options{}); len(embs) != 6 {
+		t.Fatalf("hub embeddings = %d, want 6", len(embs))
 	}
 	// Chain x->y->z embeds exactly once in itself... times
 	// automorphisms of the pattern (none here).
 	chain := buildGraph(t, []string{"*", "*", "*"}, [][3]interface{}{
 		{0, 1, "a"}, {1, 2, "b"},
 	})
-	if got := CountEmbeddings(chain, chain, 0); got != 1 {
-		t.Fatalf("chain self-embeddings = %d, want 1", got)
+	if embs, _ := Embeddings(chain, chain, Options{}); len(embs) != 1 {
+		t.Fatalf("chain self-embeddings = %d, want 1", len(embs))
 	}
 }
 
@@ -220,8 +220,8 @@ func TestFindEmbeddingsLimitAndBudget(t *testing.T) {
 		g.AddEdge(graph.VertexID(i), graph.VertexID(i+1), "a")
 	}
 	pat := buildGraph(t, []string{"*", "*"}, [][3]interface{}{{0, 1, "a"}})
-	if got := len(FindEmbeddings(pat, g, Options{Limit: 5})); got != 5 {
-		t.Fatalf("limited embeddings = %d, want 5", got)
+	if embs, _ := Embeddings(g, pat, Options{Limit: 5}); len(embs) != 5 {
+		t.Fatalf("limited embeddings = %d, want 5", len(embs))
 	}
 	found, completed := ContainsBudget(g, pat, 1)
 	if !found && completed {
@@ -236,16 +236,16 @@ func TestEmbeddingEdgeMapIsValid(t *testing.T) {
 	pat := buildGraph(t, []string{"*", "*", "*"}, [][3]interface{}{
 		{0, 1, "a"}, {1, 2, "b"},
 	})
-	embs := FindEmbeddings(pat, target, Options{})
+	embs, _ := Embeddings(target, pat, Options{})
 	if len(embs) != 1 {
 		t.Fatalf("embeddings = %d, want 1", len(embs))
 	}
 	for pe, te := range embs[0].Edges {
-		ped, ted := pat.Edge(pe), target.Edge(te)
+		ped, ted := pat.Edge(graph.EdgeID(pe)), target.Edge(te)
 		if ped.Label != ted.Label {
 			t.Fatalf("edge label mismatch: %s vs %s", ped.Label, ted.Label)
 		}
-		if embs[0].Vertices[ped.From] != ted.From || embs[0].Vertices[ped.To] != ted.To {
+		if embs[0].Verts[ped.From] != ted.From || embs[0].Verts[ped.To] != ted.To {
 			t.Fatal("edge endpoints inconsistent with vertex mapping")
 		}
 	}

@@ -76,7 +76,6 @@ type Matcher struct {
 	aborted  bool
 	emit     emitMode
 	found    int
-	results  []Embedding
 	dense    []DenseEmbedding
 }
 
@@ -110,7 +109,6 @@ type emitMode uint8
 
 const (
 	emitNone  emitMode = iota // only count it; a stopped search leaves it assigned
-	emitMap                   // append an Embedding to results
 	emitDense                 // append a DenseEmbedding to dense
 )
 
@@ -286,9 +284,9 @@ func (m *Matcher) fits(target *graph.Graph) bool {
 }
 
 // Embeddings enumerates the embeddings of the compiled pattern into
-// target in dense form (the pattern must have dense IDs). The second
-// result reports whether the search ran to completion (false when
-// opts.MaxSteps aborted it, in which case the list may be incomplete).
+// target (the pattern must have dense IDs). The second result reports
+// whether the search ran to completion (false when opts.MaxSteps
+// aborted it, in which case the list may be incomplete).
 func (m *Matcher) Embeddings(target *graph.Graph, opts Options) ([]DenseEmbedding, bool) {
 	if !m.fits(target) {
 		return nil, true
@@ -297,20 +295,11 @@ func (m *Matcher) Embeddings(target *graph.Graph, opts Options) ([]DenseEmbeddin
 	return embs, !m.aborted
 }
 
-// embeddings runs one dense search with no size precheck.
+// embeddings runs one search with no size precheck.
 func (m *Matcher) embeddings(target *graph.Graph, opts Options) []DenseEmbedding {
 	m.begin(target, opts, emitDense)
 	m.search(0)
 	embs := m.dense
-	m.finish()
-	return embs
-}
-
-// find runs one map-form search.
-func (m *Matcher) find(target *graph.Graph, opts Options) []Embedding {
-	m.begin(target, opts, emitMap)
-	m.search(0)
-	embs := m.results
 	m.finish()
 	return embs
 }
@@ -343,39 +332,14 @@ func (m *Matcher) bind(target *graph.Graph) {
 	m.restrictE.grow(target.EdgeCap())
 }
 
-// begin prepares one call against target: binds it, loads opts' limit,
-// budget and sets into the dense scratch, and selects what completed
-// embeddings emit.
+// begin prepares one call against target: binds it, loads opts' limit
+// and budget, and selects what completed embeddings emit. Exclusion
+// and restriction sets start empty; excludeCurrent and
+// Reanchorer.Reanchor fill them.
 func (m *Matcher) begin(target *graph.Graph, opts Options, emit emitMode) {
 	m.bind(target)
 	m.limit, m.maxSteps, m.emit = opts.Limit, opts.MaxSteps, emit
 	m.steps, m.aborted, m.found = 0, false, 0
-	for id, ok := range opts.ExcludedVertices {
-		if ok {
-			m.excludedV.add(int(id))
-		}
-	}
-	for id, ok := range opts.ExcludedEdges {
-		if ok {
-			m.excludedE.add(int(id))
-		}
-	}
-	if opts.RestrictVertices != nil {
-		m.hasRestrictV = true
-		for id, ok := range opts.RestrictVertices {
-			if ok {
-				m.restrictV.add(int(id))
-			}
-		}
-	}
-	if opts.RestrictEdges != nil {
-		m.hasRestrictE = true
-		for id, ok := range opts.RestrictEdges {
-			if ok {
-				m.restrictE.add(int(id))
-			}
-		}
-	}
 }
 
 // nextRound readies another search against the bound target within
@@ -414,7 +378,7 @@ func (m *Matcher) unassignAll() {
 			m.edgeMap[pe] = -1
 		}
 	}
-	m.results, m.dense = nil, nil
+	m.dense = nil
 }
 
 // search expands the node at depth, returning true to stop the whole
@@ -430,10 +394,7 @@ func (m *Matcher) search(depth int) bool {
 	}
 	if depth == len(m.levels) {
 		m.found++
-		switch m.emit {
-		case emitMap:
-			m.results = append(m.results, m.mapEmbedding())
-		case emitDense:
+		if m.emit == emitDense {
 			m.dense = append(m.dense, m.denseEmbedding())
 		}
 		return m.limit > 0 && m.found >= m.limit
@@ -543,21 +504,6 @@ func (m *Matcher) release(checks []edgeCheck) {
 		m.usedEdge[m.edgeMap[c.pe]] = false
 		m.edgeMap[c.pe] = -1
 	}
-}
-
-// mapEmbedding materialises the current assignment in map form.
-func (m *Matcher) mapEmbedding() Embedding {
-	e := Embedding{
-		Vertices: make(map[graph.VertexID]graph.VertexID, len(m.order)),
-		Edges:    make(map[graph.EdgeID]graph.EdgeID, len(m.pEdges)),
-	}
-	for _, pv := range m.order {
-		e.Vertices[pv] = m.assigned[pv]
-	}
-	for _, pe := range m.pEdges {
-		e.Edges[pe] = m.edgeMap[pe]
-	}
-	return e
 }
 
 // denseEmbedding materialises the current assignment in dense form

@@ -99,19 +99,19 @@ func TestPropertyEmbeddingIsValid(t *testing.T) {
 		if pat == nil {
 			continue
 		}
-		embs := FindEmbeddings(pat, g, Options{Limit: 10})
+		embs, _ := Embeddings(g, pat, Options{Limit: 10})
 		if len(embs) == 0 {
 			t.Fatalf("trial %d: no embedding for extracted subgraph", trial)
 		}
 		for _, emb := range embs {
 			// Vertex injectivity.
 			seen := map[graph.VertexID]bool{}
-			for pv, tv := range emb.Vertices {
+			for pv, tv := range emb.Verts {
 				if seen[tv] {
 					t.Fatalf("trial %d: vertex mapping not injective", trial)
 				}
 				seen[tv] = true
-				if pat.Vertex(pv).Label != g.Vertex(tv).Label {
+				if pat.Vertex(graph.VertexID(pv)).Label != g.Vertex(tv).Label {
 					t.Fatalf("trial %d: vertex label mismatch", trial)
 				}
 			}
@@ -122,11 +122,11 @@ func TestPropertyEmbeddingIsValid(t *testing.T) {
 					t.Fatalf("trial %d: edge mapping not injective", trial)
 				}
 				seenE[te] = true
-				ped, ted := pat.Edge(pe), g.Edge(te)
+				ped, ted := pat.Edge(graph.EdgeID(pe)), g.Edge(te)
 				if ped.Label != ted.Label {
 					t.Fatalf("trial %d: edge label mismatch", trial)
 				}
-				if emb.Vertices[ped.From] != ted.From || emb.Vertices[ped.To] != ted.To {
+				if emb.Verts[ped.From] != ted.From || emb.Verts[ped.To] != ted.To {
 					t.Fatalf("trial %d: edge endpoints mismatch", trial)
 				}
 			}
@@ -305,7 +305,7 @@ func TestPropertyNonOverlapDisjoint(t *testing.T) {
 		usedV := map[graph.VertexID]bool{}
 		usedE := map[graph.EdgeID]bool{}
 		for _, inst := range insts {
-			for _, tv := range inst.Vertices {
+			for _, tv := range inst.Verts {
 				if usedV[tv] {
 					t.Fatalf("trial %d: shared vertex across instances", trial)
 				}

@@ -93,10 +93,42 @@ func traceSubgraph(rng *rand.Rand, g *graph.Graph, edges int) *graph.Graph {
 	return sub
 }
 
+// traceOpts are one golden search's options: the public limit and
+// budget plus target vertex and edge sets to exclude or (when non-nil)
+// restrict the match to, loaded into the matcher's scratch sets after
+// begin.
+type traceOpts struct {
+	Options
+	excludedV, restrictV map[graph.VertexID]bool
+	excludedE, restrictE map[graph.EdgeID]bool
+}
+
+// load copies o's sets into m's exclusion and restriction sets.
+func (o traceOpts) load(m *Matcher) {
+	for id := range o.excludedV {
+		m.excludedV.add(int(id))
+	}
+	for id := range o.excludedE {
+		m.excludedE.add(int(id))
+	}
+	if o.restrictV != nil {
+		m.hasRestrictV = true
+		for id := range o.restrictV {
+			m.restrictV.add(int(id))
+		}
+	}
+	if o.restrictE != nil {
+		m.hasRestrictE = true
+		for id := range o.restrictE {
+			m.restrictE.add(int(id))
+		}
+	}
+}
+
 // traceCase is one seeded search of the golden.
 type traceCase struct {
 	pattern, target *graph.Graph
-	opts            Options
+	opts            traceOpts
 }
 
 // traceCases derives the golden's cases from one seed. Targets are
@@ -137,7 +169,7 @@ func traceCases() []traceCase {
 			}
 		}
 
-		opts := Options{Limit: []int{0, 1, 1, 3}[rng.Intn(4)]}
+		opts := traceOpts{Options: Options{Limit: []int{0, 1, 1, 3}[rng.Intn(4)]}}
 		switch rng.Intn(3) {
 		case 0:
 			opts.MaxSteps = 1 + rng.Intn(12) // tiny: many searches abort
@@ -147,34 +179,34 @@ func traceCases() []traceCase {
 			opts.MaxSteps = 2000
 		}
 		if rng.Intn(5) == 0 {
-			opts.ExcludedEdges = map[graph.EdgeID]bool{}
+			opts.excludedE = map[graph.EdgeID]bool{}
 			for _, e := range target.Edges() {
 				if rng.Intn(4) == 0 {
-					opts.ExcludedEdges[e] = true
+					opts.excludedE[e] = true
 				}
 			}
 		}
 		if rng.Intn(6) == 0 {
-			opts.ExcludedVertices = map[graph.VertexID]bool{}
+			opts.excludedV = map[graph.VertexID]bool{}
 			for _, v := range target.Vertices() {
 				if rng.Intn(5) == 0 {
-					opts.ExcludedVertices[v] = true
+					opts.excludedV[v] = true
 				}
 			}
 		}
 		if rng.Intn(6) == 0 {
-			opts.RestrictVertices = map[graph.VertexID]bool{}
+			opts.restrictV = map[graph.VertexID]bool{}
 			for _, v := range target.Vertices() {
 				if rng.Intn(3) > 0 {
-					opts.RestrictVertices[v] = true
+					opts.restrictV[v] = true
 				}
 			}
 		}
 		if rng.Intn(6) == 0 {
-			opts.RestrictEdges = map[graph.EdgeID]bool{}
+			opts.restrictE = map[graph.EdgeID]bool{}
 			for _, e := range target.Edges() {
 				if rng.Intn(3) > 0 {
-					opts.RestrictEdges[e] = true
+					opts.restrictE[e] = true
 				}
 			}
 		}
@@ -183,12 +215,23 @@ func traceCases() []traceCase {
 	return cases
 }
 
-// traceSearch runs one dense search on the matcher directly (no
-// size precheck, so the search itself is traced even when a public
-// entry point would short-circuit) and reports its step count.
-func traceSearch(pattern, target *graph.Graph, opts Options) (steps int, aborted bool, embs []DenseEmbedding) {
+// traceRun runs one search of m on target directly (no size
+// precheck, so the search itself is traced even when a public entry
+// point would short-circuit) under opts and its sets.
+func traceRun(m *Matcher, target *graph.Graph, opts traceOpts) []DenseEmbedding {
+	m.begin(target, opts.Options, emitDense)
+	opts.load(m)
+	m.search(0)
+	embs := m.dense
+	m.finish()
+	return embs
+}
+
+// traceSearch runs one search on a fresh matcher and reports its step
+// count.
+func traceSearch(pattern, target *graph.Graph, opts traceOpts) (steps int, aborted bool, embs []DenseEmbedding) {
 	m := NewMatcher(pattern)
-	embs = m.embeddings(target, opts)
+	embs = traceRun(m, target, opts)
 	return m.steps, m.aborted, embs
 }
 
@@ -197,20 +240,6 @@ func setSize[K comparable](m map[K]bool) string {
 		return "-"
 	}
 	return fmt.Sprint(len(m))
-}
-
-func renderMapEmbedding(p *graph.Graph, e Embedding) string {
-	dense := DenseEmbedding{
-		Verts: make([]graph.VertexID, p.VertexCap()),
-		Edges: make([]graph.EdgeID, p.EdgeCap()),
-	}
-	for pv, tv := range e.Vertices {
-		dense.Verts[pv] = tv
-	}
-	for pe, te := range e.Edges {
-		dense.Edges[pe] = te
-	}
-	return fmt.Sprintf("v=%v e=%v", dense.Verts, dense.Edges)
 }
 
 // renderSearchTrace runs every case and renders the golden text.
@@ -224,8 +253,8 @@ func renderSearchTrace() []byte {
 		fmt.Fprintf(&b, "case %d in=%08x p=%dv/%de t=%dv/%de limit=%d maxsteps=%d excl=%s/%s restrict=%s/%s steps=%d aborted=%v embs=%d\n",
 			i, h.Sum32(), c.pattern.NumVertices(), c.pattern.NumEdges(),
 			c.target.NumVertices(), c.target.NumEdges(), c.opts.Limit, c.opts.MaxSteps,
-			setSize(c.opts.ExcludedVertices), setSize(c.opts.ExcludedEdges),
-			setSize(c.opts.RestrictVertices), setSize(c.opts.RestrictEdges),
+			setSize(c.opts.excludedV), setSize(c.opts.excludedE),
+			setSize(c.opts.restrictV), setSize(c.opts.restrictE),
 			steps, aborted, len(embs))
 		for _, e := range embs {
 			fmt.Fprintf(&b, "  v=%v e=%v\n", e.Verts, e.Edges)
@@ -235,12 +264,12 @@ func renderSearchTrace() []byte {
 			fmt.Fprintf(&b, "  nonoverlap count=%d\n", CountNonOverlapping(c.pattern, c.target, c.opts.MaxSteps))
 		}
 		for _, e := range FindNonOverlapping(c.pattern, c.target, 0, c.opts.MaxSteps) {
-			fmt.Fprintf(&b, "  disjoint %s\n", renderMapEmbedding(c.pattern, e))
+			fmt.Fprintf(&b, "  disjoint v=%v e=%v\n", e.Verts, e.Edges)
 		}
 		if len(embs) > 0 {
 			re := NewReanchorer(c.pattern, c.target, c.opts.MaxSteps)
 			last := embs[len(embs)-1]
-			got, ok := re.ReanchorDense(last)
+			got, ok := re.Reanchor(last)
 			fmt.Fprintf(&b, "  reanchor ok=%v v=%v e=%v\n", ok, got.Verts, got.Edges)
 		}
 	}
@@ -259,7 +288,7 @@ func TestMatcherReuseMatchesFresh(t *testing.T) {
 		for j := i; j < i+8 && j < len(cases); j++ {
 			target, opts := cases[j].target, cases[j].opts
 			want := fmt.Sprint(traceSearch(c.pattern, target, opts))
-			embs := reused.embeddings(target, opts)
+			embs := traceRun(reused, target, opts)
 			if got := fmt.Sprint(reused.steps, reused.aborted, embs); got != want {
 				t.Fatalf("pattern of case %d on target of case %d: reused matcher gave %s, fresh %s", i, j, got, want)
 			}

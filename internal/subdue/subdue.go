@@ -249,7 +249,7 @@ func (d *discoverer) initialSubstructures() []Substructure {
 // value of a pattern given its canonical code (already computed by
 // the extend/dedup stage) and its discovered embeddings.
 func (d *discoverer) score(pg *graph.Graph, code string, embs []iso.DenseEmbedding) Substructure {
-	disjoint := iso.GreedyNonOverlapDense(embs)
+	disjoint := iso.GreedyNonOverlap(embs)
 	return Substructure{
 		Graph:     pg,
 		Code:      code,
@@ -431,7 +431,7 @@ func (d *discoverer) extend(sub *Substructure) []rawCand {
 						}
 						cand.re = iso.NewReanchorer(cand.pattern, d.g, maxSteps)
 					}
-					re, ok := cand.re.ReanchorDense(newEmb)
+					re, ok := cand.re.Reanchor(newEmb)
 					if !ok {
 						continue
 					}
@@ -590,7 +590,7 @@ func Compress(g *graph.Graph, sub *graph.Graph, label string, maxInstances, maxS
 	owner := make(map[graph.VertexID]int)
 	coveredEdge := make(map[graph.EdgeID]bool)
 	for i, emb := range insts {
-		for _, tv := range emb.Vertices {
+		for _, tv := range emb.Verts {
 			owner[tv] = i
 		}
 		for _, te := range emb.Edges {
