@@ -56,8 +56,7 @@ func decodeFuzzTxns(data []byte) ([]*graph.Graph, Options) {
 }
 
 // minedLanguage reports whether FSG's candidate generation can produce
-// p: no self-loop (AllowSelfLoops is off) and no repeated (from, to,
-// label) edge.
+// p: no self-loop and no repeated (from, to, label) edge.
 func minedLanguage(p *graph.Graph) bool {
 	type sig struct {
 		from, to graph.VertexID

@@ -83,7 +83,7 @@ func referenceExtensions(m *miner, p *graph.Graph) []*graph.Graph {
 				continue
 			}
 			for _, v := range vs {
-				if (u == v && !m.opts.AllowSelfLoops) || p.Vertex(v).Label != tr.toLabel || hasEdge(u, v, tr.edgeLabel) {
+				if u == v || p.Vertex(v).Label != tr.toLabel || hasEdge(u, v, tr.edgeLabel) {
 					continue
 				}
 				ext := p.Clone()
@@ -166,7 +166,8 @@ func structuralFixture() ([]*graph.Graph, Options) {
 }
 
 // selfLoopTxns is a synthetic set over two vertex and two edge labels
-// with self-loops, mined with AllowSelfLoops.
+// with self-loops, which support no pattern: mining it checks that
+// loop-bearing transactions count only their loop-free edges.
 func selfLoopTxns(n int, seed int64) []*graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	txns := make([]*graph.Graph, n)
@@ -195,7 +196,7 @@ func TestCandidatesMatchCloneReference(t *testing.T) {
 	temporal, temporalOpts := temporalFixture()
 	structural, structuralOpts := structuralFixture()
 	loops := selfLoopTxns(30, 5)
-	loopOpts := Options{MinSupport: 4, MaxEdges: 4, AllowSelfLoops: true}
+	loopOpts := Options{MinSupport: 4, MaxEdges: 4}
 	capped := loopOpts
 	capped.MaxCandidates = 40
 	// These budgets are crossed on level 3, where the key check rejects
@@ -326,7 +327,7 @@ func TestKeyRejectedNeverSurvive(t *testing.T) {
 	}{
 		{"temporal", temporal, temporalOpts},
 		{"structural", structural, structuralOpts},
-		{"selfloops", selfLoopTxns(30, 5), Options{MinSupport: 4, MaxEdges: 4, AllowSelfLoops: true}},
+		{"selfloops", selfLoopTxns(30, 5), Options{MinSupport: 4, MaxEdges: 4}},
 	} {
 		t.Run(fx.name, func(t *testing.T) {
 			opts := fx.opts

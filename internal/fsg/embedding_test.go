@@ -59,10 +59,10 @@ func TestEmbeddingSupportsMatchFullIso(t *testing.T) {
 		// Stored embedding lists vs full enumeration per transaction.
 		for j, tid := range p.TIDs.All() {
 			full, _ := iso.Embeddings(txns[tid], p.Graph, iso.Options{})
-			want := len(full)
-			if len(p.Embs[j]) != want {
+			want := full.Len()
+			if got := p.EmbsAt(j).Len(); got != want {
 				t.Fatalf("pattern %d tid %d: stored %d embeddings, full search %d",
-					i, tid, len(p.Embs[j]), want)
+					i, tid, got, want)
 			}
 			checkedEmbs += want
 		}

@@ -90,11 +90,6 @@ type Options struct {
 	// embeddings on symmetric patterns (the uniform-label Section 5
 	// regime) and is for controlled experiments only.
 	MaxEmbeddings int
-	// AllowSelfLoops permits candidate edges from a vertex to itself.
-	// OD data has none (origin != destination), so the default is off,
-	// and only tests set it. Under it, level 1 still counts a loop
-	// edge as support for the two-vertex triple pattern.
-	AllowSelfLoops bool
 	// Parallelism is the worker count for candidate generation (the
 	// key check and coding of each parent's extensions, the closure
 	// check of each distinct candidate, materialising the survivors)
@@ -311,23 +306,21 @@ func (m *miner) checkpoint(pats []Pattern) error {
 // in one pass over every edge. Embeddings follow the matcher's
 // vertex-map semantics: one embedding per matching vertex pair, the
 // first parallel edge as witness. A self-loop edge admits no injective
-// embedding of the two-vertex triple pattern, so it is skipped unless
-// AllowSelfLoops is set; then it contributes its TID to the triple but
-// no embedding.
+// embedding of the two-vertex triple pattern, and candidate
+// generation never adds a loop edge, so loops support no pattern: OD
+// data has none (origin != destination).
 func (m *miner) mineSingleEdges() []Pattern {
 	type pairOcc struct {
 		tr       edgeTriple
 		from, to graph.VertexID
 	}
-	tids := make(map[edgeTriple][]int)
-	embs := make(map[edgeTriple][][]iso.DenseEmbedding)
+	occs := make(map[edgeTriple]*tripleOcc)
 	generated := 0
 	for ti, t := range m.txns {
-		seen := make(map[edgeTriple]bool)
 		seenPair := make(map[pairOcc]bool)
 		for _, e := range t.Edges() {
 			ed := t.Edge(e)
-			if ed.From == ed.To && !m.opts.AllowSelfLoops {
+			if ed.From == ed.To {
 				continue
 			}
 			tr := edgeTriple{
@@ -335,36 +328,39 @@ func (m *miner) mineSingleEdges() []Pattern {
 				edgeLabel: ed.Label,
 				toLabel:   t.Vertex(ed.To).Label,
 			}
-			if !seen[tr] {
-				seen[tr] = true
-				tids[tr] = append(tids[tr], ti)
-				embs[tr] = append(embs[tr], nil)
+			o := occs[tr]
+			if o == nil {
+				o = &tripleOcc{embs: iso.EmbeddingList{NV: 2, NE: 1}}
+				occs[tr] = o
 			}
-			occ := pairOcc{tr: tr, from: ed.From, to: ed.To}
-			if ed.From != ed.To && !seenPair[occ] {
-				seenPair[occ] = true
-				lists := embs[tr]
-				lists[len(lists)-1] = append(lists[len(lists)-1], iso.DenseEmbedding{
-					Verts: []graph.VertexID{ed.From, ed.To},
-					Edges: []graph.EdgeID{e},
-				})
+			if n := len(o.tids); n == 0 || o.tids[n-1] != ti {
+				o.tids = append(o.tids, ti)
+				o.offs = append(o.offs, int32(o.embs.Len()))
+			}
+			if pair := (pairOcc{tr: tr, from: ed.From, to: ed.To}); !seenPair[pair] {
+				seenPair[pair] = true
+				o.embs.IDs = append(o.embs.IDs, int32(ed.From), int32(ed.To), int32(e))
 				generated++
 			}
 		}
 	}
 	var frequent []Pattern
-	triples := sortedTriples(tids)
+	triples := sortedTriples(occs)
 	for _, tr := range triples {
-		if len(tids[tr]) < m.opts.MinSupport {
+		o := occs[tr]
+		if len(o.tids) < m.opts.MinSupport {
 			continue
 		}
 		g := tripleGraph(tr)
+		embs := o.embs
+		embs.IDs = slices.Clone(embs.IDs)
 		p := Pattern{
 			Graph:   g,
 			Code:    iso.Code(g),
-			Support: len(tids[tr]),
-			TIDs:    pattern.TIDSetFromSlice(tids[tr]),
-			Embs:    embs[tr],
+			Support: len(o.tids),
+			TIDs:    pattern.TIDSetFromSlice(o.tids),
+			Embs:    embs,
+			Offsets: append(o.offs, int32(embs.Len())),
 		}
 		if m.opts.MaxEmbeddings > 0 && p.NumEmbeddings() > m.opts.MaxEmbeddings {
 			p.DemoteToSeeds()
@@ -404,9 +400,17 @@ func (m *miner) indexTriples() {
 	}
 }
 
+// tripleOcc accumulates one triple's TIDs and embeddings at level 1;
+// offs holds the first row of each TID's list.
+type tripleOcc struct {
+	tids []int
+	embs iso.EmbeddingList
+	offs []int32
+}
+
 // sortedTriples returns the map's keys in lexicographic order — the
 // deterministic F1 output order.
-func sortedTriples(m map[edgeTriple][]int) []edgeTriple {
+func sortedTriples(m map[edgeTriple]*tripleOcc) []edgeTriple {
 	out := make([]edgeTriple, 0, len(m))
 	for tr := range m {
 		out = append(out, tr)
@@ -748,10 +752,7 @@ func (m *miner) extensions(p *graph.Graph) []codedExt {
 				continue
 			}
 			for _, v := range vs {
-				if u == v && !m.opts.AllowSelfLoops {
-					continue
-				}
-				if lab[v] != ends[1] {
+				if u == v || lab[v] != ends[1] {
 					continue
 				}
 				if hasEdge(u, v, tr.edgeLabel) {

@@ -178,16 +178,12 @@ func TestCodeParallelEdges(t *testing.T) {
 }
 
 func TestGreedyNonOverlapOrderSensitivity(t *testing.T) {
-	mk := func(vs []graph.VertexID, es []graph.EdgeID) DenseEmbedding {
-		return DenseEmbedding{Verts: vs, Edges: es}
-	}
-	embs := []DenseEmbedding{
-		mk([]graph.VertexID{0, 1}, []graph.EdgeID{0}),
-		mk([]graph.VertexID{1, 2}, []graph.EdgeID{1}), // shares vertex 1
-		mk([]graph.VertexID{3, 4}, []graph.EdgeID{2}),
-	}
-	out := GreedyNonOverlap(embs)
-	if len(out) != 2 {
-		t.Fatalf("disjoint = %d, want 2", len(out))
+	embs := EmbeddingList{NV: 2, NE: 1, IDs: []int32{
+		0, 1, 0,
+		1, 2, 1, // shares vertex 1
+		3, 4, 2,
+	}}
+	if n := GreedyNonOverlap(embs); n != 2 {
+		t.Fatalf("disjoint = %d, want 2", n)
 	}
 }

@@ -4,19 +4,83 @@ import (
 	"tnkd/internal/graph"
 )
 
-// DenseEmbedding records one occurrence of a pattern with dense IDs
-// (every vertex ID in [0, NumVertices) and every edge ID in
-// [0, NumEdges), which holds for all pattern graphs built by
-// Clone+AddVertex+AddEdge) inside a target graph: Verts[pv] is the
-// target vertex matched by pattern vertex pv, Edges[pe] the target
-// edge matched by pattern edge pe. The vertex map is injective and the
-// edge map edge-injective, so multigraph instances consume distinct
-// parallel edges. It is also the storage format of the embedding lists
-// in internal/pattern — two small slices, so storing and extending
-// hundreds of thousands of embeddings stays cheap.
+// EmbeddingList holds embeddings of one dense-ID pattern (every vertex
+// ID in [0, NV) and every edge ID in [0, NE), which holds for all
+// pattern graphs built by Clone+AddVertex+AddEdge) inside a target
+// graph, stride-packed in one pointer-free []int32. Row i is
+// IDs[i*s:(i+1)*s] with s = NV+NE: its first NV entries are the
+// target vertices matched by pattern vertices 0..NV-1, the remaining
+// NE the target edges matched by pattern edges 0..NE-1. The vertex
+// map is injective and the edge map edge-injective, so multigraph
+// instances consume distinct parallel edges.
+//
+// It is the storage format of every embedding list (the matcher's
+// results, one-edge extensions, the per-pattern lists of
+// internal/pattern, decoded store records): a list of any length is
+// one allocation the garbage collector never scans, instead of two
+// slices per embedding.
+type EmbeddingList struct {
+	NV, NE int
+	IDs    []int32
+}
+
+// NewEmbeddingList returns an empty list for embeddings of pattern.
+func NewEmbeddingList(pattern *graph.Graph) EmbeddingList {
+	return EmbeddingList{NV: pattern.VertexCap(), NE: pattern.EdgeCap()}
+}
+
+// Stride is the number of IDs in one row.
+func (l EmbeddingList) Stride() int { return l.NV + l.NE }
+
+// Len is the number of embeddings in the list.
+func (l EmbeddingList) Len() int {
+	if s := l.Stride(); s > 0 {
+		return len(l.IDs) / s
+	}
+	return 0
+}
+
+// At returns embedding i as a view into the list's IDs: no copy, valid
+// until the list's IDs are next appended to or overwritten.
+func (l EmbeddingList) At(i int) DenseEmbedding {
+	row := l.IDs[i*l.Stride() : (i+1)*l.Stride() : (i+1)*l.Stride()]
+	return DenseEmbedding{Verts: row[:l.NV:l.NV], Edges: row[l.NV:]}
+}
+
+// Rows returns embeddings [lo, hi) as a list sharing l's IDs.
+func (l EmbeddingList) Rows(lo, hi int) EmbeddingList {
+	s := l.Stride()
+	return EmbeddingList{NV: l.NV, NE: l.NE, IDs: l.IDs[lo*s : hi*s : hi*s]}
+}
+
+// Append appends a copy of e, which must have NV vertices and NE
+// edges.
+func (l *EmbeddingList) Append(e DenseEmbedding) {
+	l.IDs = append(append(l.IDs, e.Verts...), e.Edges...)
+}
+
+// Truncate keeps the first n embeddings.
+func (l *EmbeddingList) Truncate(n int) { l.IDs = l.IDs[:n*l.Stride()] }
+
+// appendExtended appends e grown by the new edge's target match te
+// (and, when nv >= 0, the new vertex's): the new pattern vertex and
+// edge carry the next dense IDs, so they close the vertex and edge
+// runs.
+func (l *EmbeddingList) appendExtended(e DenseEmbedding, nv graph.VertexID, te graph.EdgeID) {
+	l.IDs = append(l.IDs, e.Verts...)
+	if nv >= 0 {
+		l.IDs = append(l.IDs, int32(nv))
+	}
+	l.IDs = append(append(l.IDs, e.Edges...), int32(te))
+}
+
+// DenseEmbedding is one embedding read from an EmbeddingList:
+// Verts[pv] is the target vertex matched by pattern vertex pv,
+// Edges[pe] the target edge matched by pattern edge pe. Both are
+// views into the list's IDs, not copies.
 type DenseEmbedding struct {
-	Verts []graph.VertexID
-	Edges []graph.EdgeID
+	Verts []int32
+	Edges []int32
 }
 
 // UsesVertex reports whether tv is already matched by some pattern
@@ -24,7 +88,7 @@ type DenseEmbedding struct {
 // linear scan beats any hashing.
 func (e DenseEmbedding) UsesVertex(tv graph.VertexID) bool {
 	for _, v := range e.Verts {
-		if v == tv {
+		if graph.VertexID(v) == tv {
 			return true
 		}
 	}
@@ -35,32 +99,11 @@ func (e DenseEmbedding) UsesVertex(tv graph.VertexID) bool {
 // edge.
 func (e DenseEmbedding) UsesEdge(te graph.EdgeID) bool {
 	for _, t := range e.Edges {
-		if t == te {
+		if graph.EdgeID(t) == te {
 			return true
 		}
 	}
 	return false
-}
-
-// Clone returns a deep copy with room for one more vertex and edge
-// (the one-edge extension growth pattern).
-func (e DenseEmbedding) Clone() DenseEmbedding {
-	verts := make([]graph.VertexID, len(e.Verts), len(e.Verts)+1)
-	copy(verts, e.Verts)
-	edges := make([]graph.EdgeID, len(e.Edges), len(e.Edges)+1)
-	copy(edges, e.Edges)
-	return DenseEmbedding{Verts: verts, Edges: edges}
-}
-
-// extended returns a copy of e grown by the new edge's target match
-// (and, when nv >= 0, the new vertex's).
-func (e DenseEmbedding) extended(nv graph.VertexID, te graph.EdgeID) DenseEmbedding {
-	c := e.Clone()
-	if nv >= 0 {
-		c.Verts = append(c.Verts, nv)
-	}
-	c.Edges = append(c.Edges, te)
-	return c
 }
 
 // Embeddings enumerates the embeddings of pattern into target. The
@@ -69,8 +112,10 @@ func (e DenseEmbedding) extended(nv graph.VertexID, te graph.EdgeID) DenseEmbedd
 // which case the list may be incomplete). Callers searching one
 // pattern against many targets should compile it once with NewMatcher
 // instead.
-func Embeddings(target, pattern *graph.Graph, opts Options) ([]DenseEmbedding, bool) {
-	return NewMatcher(pattern).Embeddings(target, opts)
+func Embeddings(target, pattern *graph.Graph, opts Options) (EmbeddingList, bool) {
+	out := NewEmbeddingList(pattern)
+	completed := NewMatcher(pattern).Embeddings(target, opts, &out)
+	return out, completed
 }
 
 // Extender enumerates the one-edge extensions of embeddings of a
@@ -126,23 +171,23 @@ func NewExtender(target, child *graph.Graph, newEdge graph.EdgeID, parentVerts i
 	return x
 }
 
-// Extend appends the extensions of emb across the new edge to out.
-// limit > 0 stops once out holds that many embeddings (existence
-// checks pass 1).
-func (x Extender) Extend(emb DenseEmbedding, limit int, out []DenseEmbedding) []DenseEmbedding {
+// Extend appends the extensions of emb across the new edge to out,
+// a list for the child pattern. limit > 0 stops once out holds that
+// many embeddings (existence checks pass out.Len()+1).
+func (x Extender) Extend(emb DenseEmbedding, limit int, out *EmbeddingList) {
 	ix := x.ix
 	switch {
 	case !x.fromNew && !x.toNew:
 		// New edge between mapped endpoints: the vertex map is already
 		// fixed, so the first unused target edge on that lane with the
 		// right label is the single witness.
-		tt := emb.Verts[x.to]
-		edges, heads := ix.Out(emb.Verts[x.from], x.label)
+		tt := graph.VertexID(emb.Verts[x.to])
+		edges, heads := ix.Out(graph.VertexID(emb.Verts[x.from]), x.label)
 		for i, te := range edges {
 			if heads[i] != tt || emb.UsesEdge(te) {
 				continue
 			}
-			out = append(out, emb.extended(-1, te))
+			out.appendExtended(emb, -1, te)
 			break
 		}
 	case !x.fromNew:
@@ -151,59 +196,59 @@ func (x Extender) Extend(emb DenseEmbedding, limit int, out []DenseEmbedding) []
 		// witness). A target edge into an unmapped vertex cannot
 		// already be used (used edges connect mapped vertices), so
 		// only injectivity and the endpoint label need checking.
-		edges, heads := ix.Out(emb.Verts[x.from], x.label)
-		out = extendToNew(ix, edges, heads, x.far, emb, limit, out)
+		edges, heads := ix.Out(graph.VertexID(emb.Verts[x.from]), x.label)
+		extendToNew(ix, edges, heads, x.far, emb, limit, out)
 	case !x.toNew:
 		// New edge into a mapped vertex from a new endpoint.
-		edges, tails := ix.In(emb.Verts[x.to], x.label)
-		out = extendToNew(ix, edges, tails, x.far, emb, limit, out)
+		edges, tails := ix.In(graph.VertexID(emb.Verts[x.to]), x.label)
+		extendToNew(ix, edges, tails, x.far, emb, limit, out)
 	}
 	// Both endpoints new would mean a disconnected extension; one-edge
 	// candidate generation never produces one.
-	return out
 }
 
-// extendToNew appends one extension of emb per distinct far endpoint
-// among the given target edges that carries vertex label want and is
-// not yet mapped, witnessed by its first edge, stopping once out holds
-// limit embeddings (limit > 0).
-func extendToNew(ix *graph.Index, edges []graph.EdgeID, ends []graph.VertexID, want int32, emb DenseEmbedding, limit int, out []DenseEmbedding) []DenseEmbedding {
-	start := len(out)
+// extendToNew appends to out one extension of emb per distinct far
+// endpoint among the given target edges that carries vertex label
+// want and is not yet mapped, witnessed by its first edge, stopping
+// once out holds limit embeddings (limit > 0).
+func extendToNew(ix *graph.Index, edges []graph.EdgeID, ends []graph.VertexID, want int32, emb DenseEmbedding, limit int, out *EmbeddingList) {
+	start := out.Len()
 	for i, te := range edges {
 		tv := ends[i]
-		if ix.VertexLabel(tv) != want || emb.UsesVertex(tv) || endpointSeen(out[start:], tv) {
+		if ix.VertexLabel(tv) != want || emb.UsesVertex(tv) || endpointSeen(out, start, tv) {
 			continue
 		}
-		out = append(out, emb.extended(tv, te))
-		if limit > 0 && len(out) >= limit {
-			return out
+		out.appendExtended(emb, tv, te)
+		if limit > 0 && out.Len() >= limit {
+			return
 		}
 	}
-	return out
 }
 
-// endpointSeen reports whether one of this call's extensions already
-// mapped the new pattern vertex (the last Verts slot) to tv —
-// deduping parallel target edges to the same endpoint. Extension
+// endpointSeen reports whether one of out's embeddings from row start
+// on already maps the new pattern vertex (the last vertex slot) to tv
+// — deduping parallel target edges to the same endpoint. Extension
 // counts per embedding are degree-bounded and small, so a linear scan
 // beats a set.
-func endpointSeen(batch []DenseEmbedding, tv graph.VertexID) bool {
-	for i := range batch {
-		if batch[i].Verts[len(batch[i].Verts)-1] == tv {
+func endpointSeen(out *EmbeddingList, start int, tv graph.VertexID) bool {
+	s := out.Stride()
+	for i := (start+1)*s - out.NE - 1; i < len(out.IDs); i += s {
+		if graph.VertexID(out.IDs[i]) == tv {
 			return true
 		}
 	}
 	return false
 }
 
-// GreedyNonOverlap selects a maximal prefix-greedy subset of
-// embeddings that are pairwise vertex- and edge-disjoint — the
-// "no overlap" instance count SUBDUE evaluates with.
-func GreedyNonOverlap(embs []DenseEmbedding) []DenseEmbedding {
-	usedV := make(map[graph.VertexID]bool)
-	usedE := make(map[graph.EdgeID]bool)
-	var out []DenseEmbedding
-	for _, emb := range embs {
+// GreedyNonOverlap returns the size of a maximal prefix-greedy subset
+// of embs whose embeddings are pairwise vertex- and edge-disjoint —
+// the "no overlap" instance count SUBDUE evaluates with.
+func GreedyNonOverlap(embs EmbeddingList) int {
+	usedV := make(map[int32]bool)
+	usedE := make(map[int32]bool)
+	n := 0
+	for i := range embs.Len() {
+		emb := embs.At(i)
 		ok := true
 		for _, tv := range emb.Verts {
 			if usedV[tv] {
@@ -228,7 +273,7 @@ func GreedyNonOverlap(embs []DenseEmbedding) []DenseEmbedding {
 		for _, te := range emb.Edges {
 			usedE[te] = true
 		}
-		out = append(out, emb)
+		n++
 	}
-	return out
+	return n
 }

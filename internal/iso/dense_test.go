@@ -14,10 +14,10 @@ func renderDense(e DenseEmbedding) string {
 	return fmt.Sprintf("%v|%v", e.Verts, e.Edges)
 }
 
-func sortedRenders(embs []DenseEmbedding) []string {
-	out := make([]string, 0, len(embs))
-	for _, e := range embs {
-		out = append(out, renderDense(e))
+func sortedRenders(embs EmbeddingList) []string {
+	out := make([]string, 0, embs.Len())
+	for i := range embs.Len() {
+		out = append(out, renderDense(embs.At(i)))
 	}
 	sort.Strings(out)
 	return out
@@ -79,10 +79,10 @@ func TestExtendEmbeddingComplete(t *testing.T) {
 		trials++
 
 		parentEmbs, _ := Embeddings(target, parent, Options{})
-		var extended []DenseEmbedding
+		extended := NewEmbeddingList(child)
 		x := NewExtender(target, child, newEdge, parent.NumVertices())
-		for _, pe := range parentEmbs {
-			extended = x.Extend(pe, 0, extended)
+		for i := range parentEmbs.Len() {
+			x.Extend(parentEmbs.At(i), 0, &extended)
 		}
 		direct, _ := Embeddings(target, child, Options{})
 		got, want := sortedRenders(extended), sortedRenders(direct)
@@ -122,13 +122,15 @@ func TestExtendEmbeddingLimit(t *testing.T) {
 	child := parent.Clone()
 	w := child.AddVertex("s")
 	ne := child.AddEdge(0, w, "e")
-	emb := DenseEmbedding{Verts: []graph.VertexID{hub}}
+	emb := DenseEmbedding{Verts: []int32{int32(hub)}}
 	x := NewExtender(target, child, ne, parent.NumVertices())
-	if got := x.Extend(emb, 1, nil); len(got) != 1 {
-		t.Fatalf("limit 1: got %d extensions", len(got))
+	got := NewEmbeddingList(child)
+	if x.Extend(emb, 1, &got); got.Len() != 1 {
+		t.Fatalf("limit 1: got %d extensions", got.Len())
 	}
-	if got := x.Extend(emb, 0, nil); len(got) != 5 {
-		t.Fatalf("unlimited: got %d extensions, want 5", len(got))
+	got.Truncate(0)
+	if x.Extend(emb, 0, &got); got.Len() != 5 {
+		t.Fatalf("unlimited: got %d extensions, want 5", got.Len())
 	}
 }
 
@@ -153,15 +155,15 @@ func TestReanchorDenseMatchesReanchor(t *testing.T) {
 	pat.AddEdge(pa, pb, "x")
 
 	emb := DenseEmbedding{
-		Verts: []graph.VertexID{a, b, c},
-		Edges: []graph.EdgeID{0, 1},
+		Verts: []int32{int32(a), int32(b), int32(c)},
+		Edges: []int32{0, 1},
 	}
 	re := NewReanchorer(pat, target, 0)
 	got, ok := re.Reanchor(emb)
 	if !ok {
 		t.Fatal("Reanchor failed")
 	}
-	if got.Verts[pa] != a || got.Verts[pb] != b || got.Verts[pc] != c {
+	if got.Verts[pa] != int32(a) || got.Verts[pb] != int32(b) || got.Verts[pc] != int32(c) {
 		t.Fatalf("Reanchor mapped %v", got.Verts)
 	}
 }

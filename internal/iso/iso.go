@@ -8,11 +8,12 @@
 // correspondingly labeled edge. This package supplies exactly that
 // matching relation, used by both the FSG reimplementation (support
 // counting, candidate deduplication) and the SUBDUE reimplementation
-// (instance discovery). Every match it returns is a DenseEmbedding,
-// two slices indexed by the pattern's dense vertex and edge IDs; the
-// entry points that return matches (Embeddings, Matcher.Embeddings,
-// FindNonOverlapping, Reanchorer.Reanchor, Extender.Extend) therefore
-// need patterns with dense IDs.
+// (instance discovery). Every match it returns is a row of an
+// EmbeddingList, indexed by the pattern's dense vertex and edge IDs
+// and read as a DenseEmbedding view; the entry points that return
+// matches (Embeddings, Matcher.Embeddings, FindNonOverlapping,
+// Reanchorer.Reanchor, Extender.Extend) therefore need patterns with
+// dense IDs.
 package iso
 
 import (
@@ -43,7 +44,7 @@ func ContainsBudget(target, pattern *graph.Graph, maxSteps int) (found, complete
 	if !m.fits(target) {
 		return false, true
 	}
-	m.begin(target, Options{Limit: 1, MaxSteps: maxSteps}, emitNone)
+	m.begin(target, Options{Limit: 1, MaxSteps: maxSteps}, nil)
 	m.search(0)
 	found = m.found > 0
 	m.finish()
@@ -78,7 +79,7 @@ func CountNonOverlapping(pattern, target *graph.Graph, maxSteps int) int {
 	// accumulate in its dense state and each round resets in
 	// O(pattern), instead of rebuilding graph-sized state per
 	// instance.
-	m.begin(target, Options{Limit: 1, MaxSteps: maxSteps}, emitNone)
+	m.begin(target, Options{Limit: 1, MaxSteps: maxSteps}, nil)
 	defer m.finish()
 	count := 0
 	for {
@@ -103,24 +104,26 @@ type Reanchorer struct {
 	m        *Matcher
 	target   *graph.Graph
 	maxSteps int
+	buf      EmbeddingList // the last result
 }
 
 // NewReanchorer prepares re-anchoring of subgraphs of target onto
 // pattern. maxSteps bounds each search (<= 0 unbounded).
 func NewReanchorer(pattern, target *graph.Graph, maxSteps int) *Reanchorer {
-	return &Reanchorer{m: NewMatcher(pattern), target: target, maxSteps: maxSteps}
+	return &Reanchorer{m: NewMatcher(pattern), target: target, maxSteps: maxSteps, buf: NewEmbeddingList(pattern)}
 }
 
 // Reanchor maps the pattern onto exactly the target vertices and
 // edges covered by emb (an embedding of some isomorphic construction
 // of the pattern), returning an embedding keyed to the pattern's own
-// dense IDs.
+// dense IDs. The result is a view valid until the next Reanchor call.
 func (r *Reanchorer) Reanchor(emb DenseEmbedding) (DenseEmbedding, bool) {
 	m := r.m
 	if m.pattern.NumVertices() != len(emb.Verts) {
 		return DenseEmbedding{}, false
 	}
-	m.begin(r.target, Options{Limit: 1, MaxSteps: r.maxSteps}, emitDense)
+	r.buf.Truncate(0)
+	m.begin(r.target, Options{Limit: 1, MaxSteps: r.maxSteps}, &r.buf)
 	defer m.finish()
 	m.hasRestrictV, m.hasRestrictE = true, true
 	for _, tv := range emb.Verts {
@@ -130,10 +133,10 @@ func (r *Reanchorer) Reanchor(emb DenseEmbedding) (DenseEmbedding, bool) {
 		m.restrictE.add(int(te))
 	}
 	m.search(0)
-	if len(m.dense) == 0 {
+	if r.buf.Len() == 0 {
 		return DenseEmbedding{}, false
 	}
-	return m.dense[0], true
+	return r.buf.At(0), true
 }
 
 // FindNonOverlapping greedily extracts pairwise vertex- and
@@ -142,22 +145,22 @@ func (r *Reanchorer) Reanchor(emb DenseEmbedding) (DenseEmbedding, bool) {
 // the paper's SUBDUE runs and guarantees termination even for
 // edgeless patterns. The pattern must have dense IDs, as for
 // Embeddings.
-func FindNonOverlapping(pattern, target *graph.Graph, maxInstances, maxSteps int) []DenseEmbedding {
+func FindNonOverlapping(pattern, target *graph.Graph, maxInstances, maxSteps int) EmbeddingList {
 	m := NewMatcher(pattern)
+	result := NewEmbeddingList(pattern)
 	if !m.fits(target) {
-		return nil
+		return result
 	}
 	// One matcher serves every extraction round (see
-	// CountNonOverlapping).
-	m.begin(target, Options{Limit: 1, MaxSteps: maxSteps}, emitDense)
+	// CountNonOverlapping); each round appends its instance to result.
+	m.begin(target, Options{Limit: 1, MaxSteps: maxSteps}, &result)
 	defer m.finish()
-	var result []DenseEmbedding
-	for maxInstances <= 0 || len(result) < maxInstances {
+	for maxInstances <= 0 || result.Len() < maxInstances {
+		n := result.Len()
 		m.search(0)
-		if len(m.dense) == 0 {
+		if result.Len() == n {
 			return result
 		}
-		result = append(result, m.dense[0])
 		m.excludeCurrent(true)
 		m.nextRound()
 	}

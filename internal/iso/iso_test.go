@@ -72,16 +72,16 @@ func TestEmbeddingCountsHubAndChain(t *testing.T) {
 	pat := buildGraph(t, []string{"*", "*", "*"}, [][3]interface{}{
 		{0, 1, "a"}, {0, 2, "a"},
 	})
-	if embs, _ := Embeddings(hub, pat, Options{}); len(embs) != 6 {
-		t.Fatalf("hub embeddings = %d, want 6", len(embs))
+	if embs, _ := Embeddings(hub, pat, Options{}); embs.Len() != 6 {
+		t.Fatalf("hub embeddings = %d, want 6", embs.Len())
 	}
 	// Chain x->y->z embeds exactly once in itself... times
 	// automorphisms of the pattern (none here).
 	chain := buildGraph(t, []string{"*", "*", "*"}, [][3]interface{}{
 		{0, 1, "a"}, {1, 2, "b"},
 	})
-	if embs, _ := Embeddings(chain, chain, Options{}); len(embs) != 1 {
-		t.Fatalf("chain self-embeddings = %d, want 1", len(embs))
+	if embs, _ := Embeddings(chain, chain, Options{}); embs.Len() != 1 {
+		t.Fatalf("chain self-embeddings = %d, want 1", embs.Len())
 	}
 }
 
@@ -220,8 +220,8 @@ func TestFindEmbeddingsLimitAndBudget(t *testing.T) {
 		g.AddEdge(graph.VertexID(i), graph.VertexID(i+1), "a")
 	}
 	pat := buildGraph(t, []string{"*", "*"}, [][3]interface{}{{0, 1, "a"}})
-	if embs, _ := Embeddings(g, pat, Options{Limit: 5}); len(embs) != 5 {
-		t.Fatalf("limited embeddings = %d, want 5", len(embs))
+	if embs, _ := Embeddings(g, pat, Options{Limit: 5}); embs.Len() != 5 {
+		t.Fatalf("limited embeddings = %d, want 5", embs.Len())
 	}
 	found, completed := ContainsBudget(g, pat, 1)
 	if !found && completed {
@@ -237,15 +237,16 @@ func TestEmbeddingEdgeMapIsValid(t *testing.T) {
 		{0, 1, "a"}, {1, 2, "b"},
 	})
 	embs, _ := Embeddings(target, pat, Options{})
-	if len(embs) != 1 {
-		t.Fatalf("embeddings = %d, want 1", len(embs))
+	if embs.Len() != 1 {
+		t.Fatalf("embeddings = %d, want 1", embs.Len())
 	}
-	for pe, te := range embs[0].Edges {
-		ped, ted := pat.Edge(graph.EdgeID(pe)), target.Edge(te)
+	emb := embs.At(0)
+	for pe, te := range emb.Edges {
+		ped, ted := pat.Edge(graph.EdgeID(pe)), target.Edge(graph.EdgeID(te))
 		if ped.Label != ted.Label {
 			t.Fatalf("edge label mismatch: %s vs %s", ped.Label, ted.Label)
 		}
-		if embs[0].Verts[ped.From] != ted.From || embs[0].Verts[ped.To] != ted.To {
+		if graph.VertexID(emb.Verts[ped.From]) != ted.From || graph.VertexID(emb.Verts[ped.To]) != ted.To {
 			t.Fatal("edge endpoints inconsistent with vertex mapping")
 		}
 	}

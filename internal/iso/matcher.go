@@ -23,7 +23,8 @@ import (
 // exclusion and restriction sets) is allocated once per Matcher, grown
 // when a larger target arrives, and returned to all-false after every
 // call in time proportional to what the call touched, so a Matcher
-// reused across a candidate's transactions allocates only its results.
+// reused across a candidate's transactions allocates nothing beyond
+// the growth of the list its results are appended to.
 //
 // The search tree is the classic one of this package: at every depth
 // the same candidates are visited in the same order, the lowest-ID
@@ -74,9 +75,10 @@ type Matcher struct {
 	maxSteps int
 	steps    int
 	aborted  bool
-	emit     emitMode
 	found    int
-	dense    []DenseEmbedding
+	// out receives every completed embedding; nil only counts them
+	// (a stopped search then leaves the last one assigned).
+	out *EmbeddingList
 }
 
 // level is the compiled plan of one search depth.
@@ -103,14 +105,6 @@ type edgeCheck struct {
 	out   bool           // pv -> other; else other -> pv
 	label int            // index into eLabels
 }
-
-// emitMode selects what a completed embedding produces.
-type emitMode uint8
-
-const (
-	emitNone  emitMode = iota // only count it; a stopped search leaves it assigned
-	emitDense                 // append a DenseEmbedding to dense
-)
 
 // idSet is a target-sized membership array that remembers what it set,
 // so clearing costs O(members) rather than O(target).
@@ -283,25 +277,20 @@ func (m *Matcher) fits(target *graph.Graph) bool {
 		p.NumEdges() <= target.NumEdges()
 }
 
-// Embeddings enumerates the embeddings of the compiled pattern into
-// target (the pattern must have dense IDs). The second result reports
-// whether the search ran to completion (false when opts.MaxSteps
-// aborted it, in which case the list may be incomplete).
-func (m *Matcher) Embeddings(target *graph.Graph, opts Options) ([]DenseEmbedding, bool) {
+// Embeddings appends the embeddings of the compiled pattern into
+// target to out, a list for the pattern (the pattern must have dense
+// IDs; opts.Limit counts this call's embeddings, not out's). It
+// reports whether the search ran to completion (false when
+// opts.MaxSteps aborted it, in which case the appended embeddings may
+// be incomplete).
+func (m *Matcher) Embeddings(target *graph.Graph, opts Options, out *EmbeddingList) bool {
 	if !m.fits(target) {
-		return nil, true
+		return true
 	}
-	embs := m.embeddings(target, opts)
-	return embs, !m.aborted
-}
-
-// embeddings runs one search with no size precheck.
-func (m *Matcher) embeddings(target *graph.Graph, opts Options) []DenseEmbedding {
-	m.begin(target, opts, emitDense)
+	m.begin(target, opts, out)
 	m.search(0)
-	embs := m.dense
 	m.finish()
-	return embs
+	return !m.aborted
 }
 
 // bind points the matcher at target: the plan's labels are translated
@@ -333,12 +322,12 @@ func (m *Matcher) bind(target *graph.Graph) {
 }
 
 // begin prepares one call against target: binds it, loads opts' limit
-// and budget, and selects what completed embeddings emit. Exclusion
-// and restriction sets start empty; excludeCurrent and
-// Reanchorer.Reanchor fill them.
-func (m *Matcher) begin(target *graph.Graph, opts Options, emit emitMode) {
+// and budget, and sets the list completed embeddings are appended to
+// (nil: only count them). Exclusion and restriction sets start empty;
+// excludeCurrent and Reanchorer.Reanchor fill them.
+func (m *Matcher) begin(target *graph.Graph, opts Options, out *EmbeddingList) {
 	m.bind(target)
-	m.limit, m.maxSteps, m.emit = opts.Limit, opts.MaxSteps, emit
+	m.limit, m.maxSteps, m.out = opts.Limit, opts.MaxSteps, out
 	m.steps, m.aborted, m.found = 0, false, 0
 }
 
@@ -360,11 +349,12 @@ func (m *Matcher) finish() {
 	m.restrictV.clear()
 	m.restrictE.clear()
 	m.hasRestrictV, m.hasRestrictE = false, false
+	m.out = nil
 }
 
 // unassignAll undoes the live assignment — after a search stops, the
 // only marks left in the target-sized arrays are its own — in
-// O(pattern), and drops the results.
+// O(pattern).
 func (m *Matcher) unassignAll() {
 	for _, pv := range m.order {
 		if tv := m.assigned[pv]; tv >= 0 {
@@ -378,7 +368,6 @@ func (m *Matcher) unassignAll() {
 			m.edgeMap[pe] = -1
 		}
 	}
-	m.dense = nil
 }
 
 // search expands the node at depth, returning true to stop the whole
@@ -394,8 +383,8 @@ func (m *Matcher) search(depth int) bool {
 	}
 	if depth == len(m.levels) {
 		m.found++
-		if m.emit == emitDense {
-			m.dense = append(m.dense, m.denseEmbedding())
+		if m.out != nil {
+			m.appendAssignment()
 		}
 		return m.limit > 0 && m.found >= m.limit
 	}
@@ -506,16 +495,17 @@ func (m *Matcher) release(checks []edgeCheck) {
 	}
 }
 
-// denseEmbedding materialises the current assignment in dense form
+// appendAssignment appends the current assignment to out as one row
 // (meaningful for dense-ID patterns, where every slot is assigned).
-func (m *Matcher) denseEmbedding() DenseEmbedding {
-	e := DenseEmbedding{
-		Verts: make([]graph.VertexID, len(m.assigned)),
-		Edges: make([]graph.EdgeID, len(m.edgeMap)),
+func (m *Matcher) appendAssignment() {
+	ids := m.out.IDs
+	for _, tv := range m.assigned {
+		ids = append(ids, int32(tv))
 	}
-	copy(e.Verts, m.assigned)
-	copy(e.Edges, m.edgeMap)
-	return e
+	for _, te := range m.edgeMap {
+		ids = append(ids, int32(te))
+	}
+	m.out.IDs = ids
 }
 
 // excludeCurrent bars the live assignment's target edges (and, when

@@ -100,33 +100,34 @@ func TestPropertyEmbeddingIsValid(t *testing.T) {
 			continue
 		}
 		embs, _ := Embeddings(g, pat, Options{Limit: 10})
-		if len(embs) == 0 {
+		if embs.Len() == 0 {
 			t.Fatalf("trial %d: no embedding for extracted subgraph", trial)
 		}
-		for _, emb := range embs {
+		for i := range embs.Len() {
+			emb := embs.At(i)
 			// Vertex injectivity.
-			seen := map[graph.VertexID]bool{}
+			seen := map[int32]bool{}
 			for pv, tv := range emb.Verts {
 				if seen[tv] {
 					t.Fatalf("trial %d: vertex mapping not injective", trial)
 				}
 				seen[tv] = true
-				if pat.Vertex(graph.VertexID(pv)).Label != g.Vertex(tv).Label {
+				if pat.Vertex(graph.VertexID(pv)).Label != g.Vertex(graph.VertexID(tv)).Label {
 					t.Fatalf("trial %d: vertex label mismatch", trial)
 				}
 			}
 			// Edge consistency and injectivity.
-			seenE := map[graph.EdgeID]bool{}
+			seenE := map[int32]bool{}
 			for pe, te := range emb.Edges {
 				if seenE[te] {
 					t.Fatalf("trial %d: edge mapping not injective", trial)
 				}
 				seenE[te] = true
-				ped, ted := pat.Edge(graph.EdgeID(pe)), g.Edge(te)
+				ped, ted := pat.Edge(graph.EdgeID(pe)), g.Edge(graph.EdgeID(te))
 				if ped.Label != ted.Label {
 					t.Fatalf("trial %d: edge label mismatch", trial)
 				}
-				if emb.Verts[ped.From] != ted.From || emb.Verts[ped.To] != ted.To {
+				if graph.VertexID(emb.Verts[ped.From]) != ted.From || graph.VertexID(emb.Verts[ped.To]) != ted.To {
 					t.Fatalf("trial %d: edge endpoints mismatch", trial)
 				}
 			}
@@ -302,9 +303,10 @@ func TestPropertyNonOverlapDisjoint(t *testing.T) {
 			continue
 		}
 		insts := FindNonOverlapping(pat, g, 0, 100000)
-		usedV := map[graph.VertexID]bool{}
-		usedE := map[graph.EdgeID]bool{}
-		for _, inst := range insts {
+		usedV := map[int32]bool{}
+		usedE := map[int32]bool{}
+		for i := range insts.Len() {
+			inst := insts.At(i)
 			for _, tv := range inst.Verts {
 				if usedV[tv] {
 					t.Fatalf("trial %d: shared vertex across instances", trial)

@@ -218,18 +218,18 @@ func traceCases() []traceCase {
 // traceRun runs one search of m on target directly (no size
 // precheck, so the search itself is traced even when a public entry
 // point would short-circuit) under opts and its sets.
-func traceRun(m *Matcher, target *graph.Graph, opts traceOpts) []DenseEmbedding {
-	m.begin(target, opts.Options, emitDense)
+func traceRun(m *Matcher, target *graph.Graph, opts traceOpts) EmbeddingList {
+	embs := NewEmbeddingList(m.pattern)
+	m.begin(target, opts.Options, &embs)
 	opts.load(m)
 	m.search(0)
-	embs := m.dense
 	m.finish()
 	return embs
 }
 
 // traceSearch runs one search on a fresh matcher and reports its step
 // count.
-func traceSearch(pattern, target *graph.Graph, opts traceOpts) (steps int, aborted bool, embs []DenseEmbedding) {
+func traceSearch(pattern, target *graph.Graph, opts traceOpts) (steps int, aborted bool, embs EmbeddingList) {
 	m := NewMatcher(pattern)
 	embs = traceRun(m, target, opts)
 	return m.steps, m.aborted, embs
@@ -255,20 +255,23 @@ func renderSearchTrace() []byte {
 			c.target.NumVertices(), c.target.NumEdges(), c.opts.Limit, c.opts.MaxSteps,
 			setSize(c.opts.excludedV), setSize(c.opts.excludedE),
 			setSize(c.opts.restrictV), setSize(c.opts.restrictE),
-			steps, aborted, len(embs))
-		for _, e := range embs {
+			steps, aborted, embs.Len())
+		for i := range embs.Len() {
+			e := embs.At(i)
 			fmt.Fprintf(&b, "  v=%v e=%v\n", e.Verts, e.Edges)
 		}
 		if c.pattern.NumEdges() > 0 {
 			// Edge-disjoint extraction never ends on an edgeless pattern.
 			fmt.Fprintf(&b, "  nonoverlap count=%d\n", CountNonOverlapping(c.pattern, c.target, c.opts.MaxSteps))
 		}
-		for _, e := range FindNonOverlapping(c.pattern, c.target, 0, c.opts.MaxSteps) {
+		insts := FindNonOverlapping(c.pattern, c.target, 0, c.opts.MaxSteps)
+		for i := range insts.Len() {
+			e := insts.At(i)
 			fmt.Fprintf(&b, "  disjoint v=%v e=%v\n", e.Verts, e.Edges)
 		}
-		if len(embs) > 0 {
+		if embs.Len() > 0 {
 			re := NewReanchorer(c.pattern, c.target, c.opts.MaxSteps)
-			last := embs[len(embs)-1]
+			last := embs.At(embs.Len() - 1)
 			got, ok := re.Reanchor(last)
 			fmt.Fprintf(&b, "  reanchor ok=%v v=%v e=%v\n", ok, got.Verts, got.Edges)
 		}

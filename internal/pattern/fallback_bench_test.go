@@ -87,21 +87,23 @@ func growPattern(rng *rand.Rand, g *graph.Graph, n int) *graph.Graph {
 // CountExtension in isolation: one op is one Limit 1, MaxSteps 50000
 // search of a compiled pattern against one partition, cycling through
 // every (pattern, partition) pair with each pattern's Matcher reused
-// across partitions as countExtensionInto reuses it. Run with
-// -benchmem: in steady state the only allocations are the result
-// slices of successful searches.
+// across partitions as CountExtension reuses it, and matches appended
+// to a reused list as CountExtension appends them to its pooled one.
+// Run with -benchmem: in steady state a search allocates nothing.
 func BenchmarkFallbackSearch(b *testing.B) {
 	txns, pats := fallbackFixture()
 	matchers := make([]*iso.Matcher, len(pats))
+	lists := make([]iso.EmbeddingList, len(pats))
 	for i, p := range pats {
 		matchers[i] = iso.NewMatcher(p)
+		lists[i] = iso.NewEmbeddingList(p)
 	}
 	opts := iso.Options{Limit: 1, MaxSteps: 50000}
-	// Warm every transaction's label index and every matcher's scratch,
-	// so the loop measures the steady state.
-	for _, m := range matchers {
+	// Warm every transaction's label index, every matcher's scratch
+	// and every list, so the loop measures the steady state.
+	for i, m := range matchers {
 		for _, t := range txns {
-			m.Embeddings(t, opts)
+			m.Embeddings(t, opts, &lists[i])
 		}
 	}
 	pairs := len(pats) * len(txns)
@@ -110,7 +112,9 @@ func BenchmarkFallbackSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % pairs
-		if embs, _ := matchers[k/len(txns)].Embeddings(txns[k%len(txns)], opts); len(embs) > 0 {
+		embs := &lists[k/len(txns)]
+		embs.Truncate(0)
+		if matchers[k/len(txns)].Embeddings(txns[k%len(txns)], opts, embs); embs.Len() > 0 {
 			found++
 		}
 	}

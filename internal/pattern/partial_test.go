@@ -28,18 +28,13 @@ func hubTxn(name string, fan int) *graph.Graph {
 func singleEdgeParent(txns []*graph.Graph) *Pattern {
 	pg := graph.New("p")
 	pg.AddEdge(pg.AddVertex("v0"), pg.AddVertex("v1"), "e")
-	p := &Pattern{Graph: pg, Code: iso.Code(pg), TIDs: NewTIDSet()}
+	p := &Pattern{Graph: pg, Code: iso.Code(pg), TIDs: NewTIDSet(), Embs: iso.NewEmbeddingList(pg), Offsets: []int32{0}}
 	for tid, txn := range txns {
-		fan := txn.NumEdges()
-		embs := make([]iso.DenseEmbedding, fan)
-		for i := range embs {
-			embs[i] = iso.DenseEmbedding{
-				Verts: []graph.VertexID{0, graph.VertexID(i + 1)},
-				Edges: []graph.EdgeID{graph.EdgeID(i)},
-			}
+		for i := range txn.NumEdges() {
+			p.Embs.IDs = append(p.Embs.IDs, 0, int32(i+1), int32(i))
 		}
 		p.TIDs.Add(tid)
-		p.Embs = append(p.Embs, embs)
+		p.Offsets = append(p.Offsets, int32(p.Embs.Len()))
 	}
 	p.Support = p.TIDs.Len()
 	return p
@@ -71,8 +66,8 @@ func TestPartialRetentionKeepsCompleteTIDs(t *testing.T) {
 	if got.Support != 3 || fmt.Sprint(got.TIDs) != "[0 1 2]" {
 		t.Fatalf("support stayed exact? support=%d tids=%v", got.Support, got.TIDs)
 	}
-	if !got.Overflowed || got.Embs == nil {
-		t.Fatalf("budget trip must leave a seeded overflowed column: overflowed=%v hasLists=%v", got.Overflowed, got.Embs != nil)
+	if !got.Overflowed || got.Offsets == nil {
+		t.Fatalf("budget trip must leave a seeded overflowed column: overflowed=%v hasLists=%v", got.Overflowed, got.Offsets != nil)
 	}
 	if fmt.Sprint(got.Partial) != "[1 2]" {
 		t.Fatalf("partial TIDs %v, want [1 2] (the tripping txn and everything after)", got.Partial)
@@ -82,12 +77,12 @@ func TestPartialRetentionKeepsCompleteTIDs(t *testing.T) {
 	}
 	// TID 0's list is the full 2*1 ordered enumeration; the partial
 	// TIDs keep at most SeedsPerTID warm-start seeds.
-	if len(got.Embs[0]) != 2 {
-		t.Fatalf("complete list holds %d embeddings, want the full enumeration of 2", len(got.Embs[0]))
+	if n := got.EmbsAt(0).Len(); n != 2 {
+		t.Fatalf("complete list holds %d embeddings, want the full enumeration of 2", n)
 	}
 	for _, i := range []int{1, 2} {
-		if len(got.Embs[i]) == 0 || len(got.Embs[i]) > SeedsPerTID {
-			t.Fatalf("partial list %d holds %d embeddings, want 1..%d seeds", i, len(got.Embs[i]), SeedsPerTID)
+		if n := got.EmbsAt(i).Len(); n == 0 || n > SeedsPerTID {
+			t.Fatalf("partial list %d holds %d embeddings, want 1..%d seeds", i, n, SeedsPerTID)
 		}
 	}
 

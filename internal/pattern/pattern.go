@@ -1,7 +1,7 @@
 // Package pattern is the shared pattern-with-embeddings store of the
 // mining layers: a pattern graph coupled with its exact canonical
-// code, the TID list of supporting transactions, and per-TID
-// embedding lists (vertex/edge maps into each transaction).
+// code, the TID list of supporting transactions, and the embeddings
+// (vertex/edge maps into each transaction) grouped by TID.
 //
 // It is the FSG embedding-list idea — the frequent-itemset TID-list
 // optimisation carried down to vertex maps — applied to the paper's
@@ -14,9 +14,14 @@
 //
 // Embedding lists trade memory for that speed, which is the very
 // trade-off that made the original FSG exhaust memory on
-// transportation-scale data (Section 8). The store therefore meters
-// itself: CountOptions.MaxEmbeddings bounds the embeddings a pattern
-// may retain, and EnforceBudget bounds a whole level; a pattern over
+// transportation-scale data (Section 8). The store therefore keeps
+// them compact and meters them. A pattern's embeddings, of every
+// transaction, are one stride-packed iso.EmbeddingList (a single
+// pointer-free []int32, the layout of Gaston's occurrence lists) plus
+// a per-TID offset column, so a pattern costs a few allocations the
+// garbage collector never scans, however many embeddings it holds.
+// CountOptions.MaxEmbeddings bounds the embeddings a pattern may
+// retain, and EnforceBudget bounds a whole level; a pattern over
 // budget is demoted to warm-start seeds (SeedsPerTID per
 // transaction), and its extensions fall back to an isomorphism
 // search only when the seeds miss, so memory stays bounded, results
@@ -28,6 +33,9 @@
 package pattern
 
 import (
+	"slices"
+	"sync"
+
 	"tnkd/internal/graph"
 	"tnkd/internal/iso"
 )
@@ -45,19 +53,23 @@ type Pattern struct {
 	// Support is the number of supporting transactions, TIDs.Len().
 	Support int
 	// TIDs is the set of supporting transaction indices; positional
-	// iteration (TIDs.All) is ascending and aligns with Embs.
+	// iteration (TIDs.All) is ascending and aligns with Offsets.
 	TIDs TIDSet
-	// Embs, when tracked, holds one embedding list per supporting
-	// transaction, aligned positionally with TIDs. With Overflowed
-	// unset the lists are complete: every embedding of Graph in
-	// txns[tid] appears in the tid's list exactly once. (A list may be
-	// empty in the degenerate case of a transaction supporting a
-	// single-edge pattern only through self-loops, which admit no
-	// injective embedding.) With Overflowed set, the lists of the TIDs
-	// in Partial are seeds — at most SeedsPerTID true embeddings that
-	// warm-start extension counting but cannot prove absence — while
-	// the lists of TIDs outside Partial are still complete.
-	Embs [][]iso.DenseEmbedding
+	// Embs holds the tracked embeddings of every supporting
+	// transaction, stride-packed for Graph and grouped by TID in TIDs
+	// order; EmbsAt(i) is the list of the transaction at position i.
+	// With Overflowed unset the lists are complete: every embedding
+	// of Graph in txns[tid] appears in the tid's list exactly once.
+	// With Overflowed set, the lists of the TIDs in Partial are seeds
+	// — at most SeedsPerTID true embeddings that warm-start extension
+	// counting but cannot prove absence — while the lists of TIDs
+	// outside Partial are still complete.
+	Embs iso.EmbeddingList
+	// Offsets is the per-TID offset column, nil exactly when
+	// embeddings are not tracked: TIDs.Len()+1 ascending row indices
+	// into Embs, the rows of the transaction at position i of TIDs
+	// being [Offsets[i], Offsets[i+1]).
+	Offsets []int32
 	// Overflowed marks that at least one transaction's complete
 	// enumeration exceeded its budget (or that lists were dropped
 	// entirely): support data stays valid, and Partial says which
@@ -83,19 +95,15 @@ const SeedsPerTID = 2
 // HasEmbeddings reports whether the per-TID embedding lists are
 // present and all complete.
 func (p *Pattern) HasEmbeddings() bool {
-	return !p.Overflowed && p.Embs != nil
+	return !p.Overflowed && p.Offsets != nil
 }
-
-// HasSeeds reports whether at least warm-start seed lists are
-// present.
-func (p *Pattern) HasSeeds() bool { return p.Embs != nil }
 
 // CompleteAt reports whether the pattern's embedding list for tid is
 // a complete enumeration (tid must be a member of TIDs): true for an
 // unoverflowed tracked pattern, and true on an overflowed one exactly
 // when per-TID retention kept that transaction's list out of Partial.
 func (p *Pattern) CompleteAt(tid int) bool {
-	if p.Embs == nil {
+	if p.Offsets == nil {
 		return false
 	}
 	if !p.Overflowed {
@@ -104,21 +112,21 @@ func (p *Pattern) CompleteAt(tid int) bool {
 	return !p.Partial.Contains(tid)
 }
 
+// EmbsAt returns the embedding list of the transaction at position i
+// of TIDs, sharing Embs' storage. Embeddings must be tracked.
+func (p *Pattern) EmbsAt(i int) iso.EmbeddingList {
+	return p.Embs.Rows(int(p.Offsets[i]), int(p.Offsets[i+1]))
+}
+
 // NumEmbeddings returns the total number of stored embeddings across
 // all TIDs.
-func (p *Pattern) NumEmbeddings() int {
-	n := 0
-	for _, l := range p.Embs {
-		n += len(l)
-	}
-	return n
-}
+func (p *Pattern) NumEmbeddings() int { return p.Embs.Len() }
 
 // retainedEmbeddings counts the embeddings held in complete lists —
 // the unit the MaxEmbeddings meter budgets. Seeds (the Partial TIDs'
 // lists) sit outside the meter by design.
 func (p *Pattern) retainedEmbeddings() int {
-	if p.Embs == nil {
+	if p.Offsets == nil {
 		return 0
 	}
 	if !p.Overflowed {
@@ -128,7 +136,7 @@ func (p *Pattern) retainedEmbeddings() int {
 	cur := p.Partial.Cursor()
 	for pi, tid := range p.TIDs.All() {
 		if !cur.Contains(tid) {
-			n += len(p.Embs[pi])
+			n += int(p.Offsets[pi+1] - p.Offsets[pi])
 		}
 	}
 	return n
@@ -137,39 +145,44 @@ func (p *Pattern) retainedEmbeddings() int {
 // DemoteToSeeds truncates each per-TID list to at most SeedsPerTID
 // embeddings and marks the pattern overflowed with every TID partial:
 // what remains are warm-start seeds, no longer a complete
-// enumeration.
+// enumeration. The kept rows move into a new exact-size array, so the
+// dropped ones are freed.
 func (p *Pattern) DemoteToSeeds() {
-	for i, l := range p.Embs {
-		if len(l) > SeedsPerTID {
-			p.Embs[i] = l[:SeedsPerTID:SeedsPerTID]
-		}
-	}
 	p.Overflowed = true
-	if p.Embs != nil {
-		p.Partial = p.TIDs.Clone()
+	if p.Offsets == nil {
+		return
 	}
+	p.Partial = p.TIDs.Clone()
+	n := 0
+	for pi := range len(p.Offsets) - 1 {
+		n += min(int(p.Offsets[pi+1]-p.Offsets[pi]), SeedsPerTID)
+	}
+	if n == p.Embs.Len() {
+		return
+	}
+	seeds := p.Embs
+	seeds.IDs = make([]int32, 0, n*p.Embs.Stride())
+	offs := make([]int32, 1, len(p.Offsets))
+	for pi := range len(p.Offsets) - 1 {
+		l := p.EmbsAt(pi)
+		seeds.IDs = append(seeds.IDs, l.Rows(0, min(l.Len(), SeedsPerTID)).IDs...)
+		offs = append(offs, int32(seeds.Len()))
+	}
+	p.Embs, p.Offsets = seeds, offs
 }
 
 // NewSingle returns a Pattern over one implicit transaction (TID 0)
 // holding the given instance list — the single-graph (SUBDUE) view of
 // the store.
-func NewSingle(g *graph.Graph, code string, embs []iso.DenseEmbedding) *Pattern {
+func NewSingle(g *graph.Graph, code string, embs iso.EmbeddingList) *Pattern {
 	return &Pattern{
 		Graph:   g,
 		Code:    code,
 		Support: 1,
 		TIDs:    NewTIDSet(0),
-		Embs:    [][]iso.DenseEmbedding{embs},
+		Embs:    embs,
+		Offsets: []int32{0, int32(embs.Len())},
 	}
-}
-
-// Instances returns the embedding list of a single-graph pattern
-// (nil when embeddings are not tracked).
-func (p *Pattern) Instances() []iso.DenseEmbedding {
-	if len(p.Embs) == 0 {
-		return nil
-	}
-	return p.Embs[0]
 }
 
 // CountOptions tunes CountExtension.
@@ -249,7 +262,13 @@ func CountExtension(txns []*graph.Graph, parent *Pattern, child *graph.Graph, co
 	fmax := tidFilter.Max()
 	fcur := tidFilter.Cursor()
 	pcur := parent.Partial.Cursor()
-	var buf []iso.DenseEmbedding
+	// Every transaction's embeddings are appended to one list built in
+	// pooled scratch, and its offsets beside it; out keeps exact-size
+	// copies of both.
+	sc := scratchPool.Get().(*countScratch)
+	list := iso.NewEmbeddingList(child)
+	list.IDs = sc.ids[:0]
+	offs := append(sc.offs[:0], 0)
 	// The fallback search's plan is compiled on first use and reused
 	// across the rest of the candidate's transactions.
 	var matcher *iso.Matcher
@@ -263,11 +282,11 @@ func CountExtension(txns []*graph.Graph, parent *Pattern, child *graph.Graph, co
 		// An untracked parent (no lists at all) behaves as a seeded
 		// parent with zero seeds: every transaction decides by
 		// search, at exactly the classic counter's cost.
-		var pembs []iso.DenseEmbedding
-		if parent.Embs != nil {
-			pembs = parent.Embs[pi]
+		var pembs iso.EmbeddingList
+		if parent.Offsets != nil {
+			pembs = parent.EmbsAt(pi)
 		}
-		parentComplete := parent.Embs != nil &&
+		parentComplete := parent.Offsets != nil &&
 			(!parent.Overflowed || !pcur.Contains(tid))
 		txn := txns[tid]
 
@@ -282,22 +301,25 @@ func CountExtension(txns []*graph.Graph, parent *Pattern, child *graph.Graph, co
 				lim = budget - retained + 1
 			}
 		}
-		buf = buf[:0]
-		tripped := false
-		var x iso.Extender
-		if len(pembs) > 0 {
-			x = iso.NewExtender(txn, child, newEdge, len(pembs[0].Verts))
+		start := list.Len()
+		if lim > 0 {
+			lim += start
 		}
-		for _, pe := range pembs {
-			buf = x.Extend(pe, lim, buf)
-			if lim > 0 && len(buf) >= lim {
-				tripped = storeComplete
-				break
+		tripped := false
+		if n := pembs.Len(); n > 0 {
+			x := iso.NewExtender(txn, child, newEdge, pembs.NV)
+			for i := range n {
+				x.Extend(pembs.At(i), lim, &list)
+				if lim > 0 && list.Len() >= lim {
+					tripped = storeComplete
+					break
+				}
 			}
 		}
-		st.Generated += len(buf)
+		found := list.Len() - start
+		st.Generated += found
 
-		if len(buf) == 0 {
+		if found == 0 {
 			if parentComplete {
 				continue // complete parent lists prove absence
 			}
@@ -307,16 +329,16 @@ func CountExtension(txns []*graph.Graph, parent *Pattern, child *graph.Graph, co
 			if matcher == nil {
 				matcher = iso.NewMatcher(child)
 			}
-			embs, completed := matcher.Embeddings(txn, iso.Options{Limit: 1, MaxSteps: opts.MaxSteps})
-			if len(embs) == 0 {
+			completed := matcher.Embeddings(txn, iso.Options{Limit: 1, MaxSteps: opts.MaxSteps}, &list)
+			if list.Len() == start {
 				if !completed {
 					st.BudgetedTests++
 				}
 				continue
 			}
-			st.Generated += len(embs)
+			st.Generated++
 			out.TIDs.Add(tid)
-			out.Embs = append(out.Embs, embs)
+			offs = append(offs, int32(list.Len()))
 			out.Partial.Add(tid)
 			out.Overflowed = true
 			continue
@@ -328,21 +350,38 @@ func CountExtension(txns []*graph.Graph, parent *Pattern, child *graph.Graph, co
 			// the budget: keep seeds for it alone and stop complete
 			// retention from here on.
 			exhausted = true
-			if len(buf) > SeedsPerTID {
-				buf = buf[:SeedsPerTID]
+			if found > SeedsPerTID {
+				list.Truncate(start + SeedsPerTID)
 			}
 		}
-		out.Embs = append(out.Embs, append([]iso.DenseEmbedding(nil), buf...))
+		offs = append(offs, int32(list.Len()))
 		if storeComplete && !tripped {
-			retained += len(buf)
+			retained += found
 		} else {
 			out.Partial.Add(tid)
 			out.Overflowed = true
 		}
 	}
 	out.Support = out.TIDs.Len()
+	if out.Support > 0 {
+		out.Embs = list
+		out.Embs.IDs = slices.Clone(list.IDs)
+		out.Offsets = slices.Clone(offs)
+	}
+	sc.ids, sc.offs = list.IDs[:0], offs[:0]
+	scratchPool.Put(sc)
 	return out, st
 }
+
+// countScratch is the buffer pair CountExtension builds a child's
+// list and offset column in. Pooling it pays the buffers' growth
+// once per worker instead of once per candidate, so a candidate
+// allocates about the size of what it keeps.
+type countScratch struct {
+	ids, offs []int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(countScratch) }}
 
 // EnforceBudget walks patterns in order and demotes complete
 // embedding lists to seeds once the cumulative retained count exceeds

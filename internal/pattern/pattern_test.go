@@ -108,10 +108,8 @@ func TestCountExtensionIncrementalAndFallback(t *testing.T) {
 	pg.AddEdge(pa, pb, "e")
 	parent := &Pattern{
 		Graph: pg, Code: iso.Code(pg), Support: 2, TIDs: NewTIDSet(0, 1),
-		Embs: [][]iso.DenseEmbedding{
-			{{Verts: []graph.VertexID{0, 1}, Edges: []graph.EdgeID{0}}},
-			{{Verts: []graph.VertexID{0, 1}, Edges: []graph.EdgeID{0}}},
-		},
+		Embs:    iso.EmbeddingList{NV: 2, NE: 1, IDs: []int32{0, 1, 0, 0, 1, 0}},
+		Offsets: []int32{0, 1, 2},
 	}
 	child := pg.Clone()
 	pc := child.AddVertex("v2")
@@ -125,7 +123,7 @@ func TestCountExtensionIncrementalAndFallback(t *testing.T) {
 		t.Fatalf("incremental: isoTests=%d embeddings=%d", st.IsoTests, got.NumEmbeddings())
 	}
 
-	parent.Embs, parent.Overflowed = nil, true
+	parent.Embs, parent.Offsets, parent.Overflowed = iso.EmbeddingList{}, nil, true
 	got, st = CountExtension(txns, parent, child, "c", ne, parent.TIDs, CountOptions{})
 	if got.Support != 2 || st.IsoTests != 2 {
 		t.Fatalf("fallback: support %d isoTests %d", got.Support, st.IsoTests)
@@ -145,8 +143,8 @@ func TestCountExtensionIncrementalAndFallback(t *testing.T) {
 // TestEnforceBudget checks the level-wide prefix enforcement.
 func TestEnforceBudget(t *testing.T) {
 	mk := func(n int) Pattern {
-		embs := make([]iso.DenseEmbedding, n)
-		return Pattern{Embs: [][]iso.DenseEmbedding{embs}, TIDs: NewTIDSet(0)}
+		embs := iso.EmbeddingList{NV: 1, IDs: make([]int32, n)}
+		return Pattern{Embs: embs, Offsets: []int32{0, int32(n)}, TIDs: NewTIDSet(0)}
 	}
 	pats := []Pattern{mk(3), mk(4), mk(2)}
 	if retained := EnforceBudget(pats, 5); retained != 5 {

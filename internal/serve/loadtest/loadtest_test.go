@@ -33,7 +33,7 @@ func writeGenStore(t *testing.T, path string, gen int, parent string) {
 		g.AddEdge(pv, pv, "e")
 		pats = append(pats, pattern.Pattern{
 			Graph: g, Code: fmt.Sprintf("pat%d", i), Support: 1, TIDs: pattern.NewTIDSet(0),
-			Embs: [][]iso.DenseEmbedding{{{Verts: []graph.VertexID{tv}, Edges: []graph.EdgeID{te}}}},
+			Embs: iso.EmbeddingList{NV: 1, NE: 1, IDs: []int32{int32(tv), int32(te)}}, Offsets: []int32{0, 1},
 		})
 	}
 	w, err := store.Create(path, store.Meta{Name: "load", Kind: "fsg", Generation: gen, Parent: parent})

@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"testing"
 
+	"tnkd/internal/graph"
 	"tnkd/internal/store"
 )
 
@@ -30,16 +31,18 @@ func referenceLocations(m Mount, i int) (map[string]*LocationPatternJSON, error)
 	out := make(map[string]*LocationPatternJSON)
 	var embLabels []string // distinct labels within one embedding
 	for j, tid := range p.TIDs.All() {
-		if len(p.Embs[j]) == 0 {
+		list := p.EmbsAt(j)
+		if list.Len() == 0 {
 			continue
 		}
 		txn, err := m.Reader.Transaction(tid)
 		if err != nil {
 			return nil, err
 		}
-		for _, emb := range p.Embs[j] {
+		for k := range list.Len() {
 			embLabels = embLabels[:0]
-			for _, tv := range emb.Verts {
+			for _, id := range list.At(k).Verts {
+				tv := graph.VertexID(id)
 				if !txn.HasVertex(tv) {
 					return nil, fmt.Errorf("corrupt store: %s record %d references missing vertex %d in %s",
 						m.Name, i, tv, txn.Name)

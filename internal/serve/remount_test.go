@@ -38,7 +38,7 @@ func writeGenStore(t testing.TB, path string, gen int, parent string) {
 	g.AddEdge(pv, pv, "e")
 	p := pattern.Pattern{
 		Graph: g, Code: "genpat", Support: 100 + gen, TIDs: pattern.NewTIDSet(0),
-		Embs: [][]iso.DenseEmbedding{{{Verts: []graph.VertexID{tv}, Edges: []graph.EdgeID{te}}}},
+		Embs: iso.EmbeddingList{NV: 1, NE: 1, IDs: []int32{int32(tv), int32(te)}}, Offsets: []int32{0, 1},
 	}
 	w, err := store.Create(path, store.Meta{Name: "lineage", Kind: "fsg", Generation: gen, Parent: parent})
 	if err != nil {

@@ -796,14 +796,14 @@ func decodeOccurrences(ctx context.Context, mt match, limit int) (RecordOccurren
 			return zero, err
 		}
 		var list []OccurrenceJSON
-		if p.Embs != nil {
-			embs := p.Embs[i]
-			if limit > 0 && len(embs) > limit {
-				embs = embs[:limit]
+		if p.Offsets != nil {
+			embs := p.EmbsAt(i)
+			if limit > 0 && embs.Len() > limit {
+				embs = embs.Rows(0, limit)
 			}
-			list = make([]OccurrenceJSON, 0, len(embs))
-			for _, emb := range embs {
-				o, err := occurrenceJSON(txn, emb)
+			list = make([]OccurrenceJSON, 0, embs.Len())
+			for j := range embs.Len() {
+				o, err := occurrenceJSON(txn, embs.At(j))
 				if err != nil {
 					return zero, fmt.Errorf("%s record %d tid %d: %w", mt.e.m.Name, mt.index, tid, err)
 				}
@@ -824,7 +824,8 @@ func decodeOccurrences(ctx context.Context, mt match, limit int) (RecordOccurren
 // panic.
 func occurrenceJSON(txn *graph.Graph, emb iso.DenseEmbedding) (OccurrenceJSON, error) {
 	out := OccurrenceJSON{Vertices: []OccVertexJSON{}, Edges: []OccEdgeJSON{}}
-	for pv, tv := range emb.Verts {
+	for pv, id := range emb.Verts {
+		tv := graph.VertexID(id)
 		if !txn.HasVertex(tv) {
 			return out, fmt.Errorf("corrupt store: embedding references missing vertex %d in %s", tv, txn.Name)
 		}
@@ -832,7 +833,8 @@ func occurrenceJSON(txn *graph.Graph, emb iso.DenseEmbedding) (OccurrenceJSON, e
 			PatternVertex: pv, Vertex: int(tv), Label: txn.Vertex(tv).Label,
 		})
 	}
-	for pe, te := range emb.Edges {
+	for pe, id := range emb.Edges {
+		te := graph.EdgeID(id)
 		if !txn.HasEdge(te) {
 			return out, fmt.Errorf("corrupt store: embedding references missing edge %d in %s", te, txn.Name)
 		}

@@ -186,23 +186,26 @@ func TestServeMatchesMiningExactly(t *testing.T) {
 			if txnOcc.TID != tid {
 				t.Fatalf("pattern %q: group %d is TID %d, want %d", want.Code, j, txnOcc.TID, tid)
 			}
-			if want.Embs == nil {
+			if want.Offsets == nil {
 				continue
 			}
-			if len(txnOcc.Occurrences) != len(want.Embs[j]) {
+			list := want.EmbsAt(j)
+			if len(txnOcc.Occurrences) != list.Len() {
 				t.Fatalf("pattern %q tid %d: %d occurrences, stored %d",
-					want.Code, tid, len(txnOcc.Occurrences), len(want.Embs[j]))
+					want.Code, tid, len(txnOcc.Occurrences), list.Len())
 			}
 			txn := fx.txns[tid]
 			for k, o := range txnOcc.Occurrences {
-				emb := want.Embs[j][k]
-				for pv, tv := range emb.Verts {
+				emb := list.At(k)
+				for pv, id := range emb.Verts {
+					tv := graph.VertexID(id)
 					if o.Vertices[pv].Vertex != int(tv) || o.Vertices[pv].Label != txn.Vertex(tv).Label {
 						t.Fatalf("pattern %q tid %d occ %d: vertex %d decoded %+v, want %d(%s)",
 							want.Code, tid, k, pv, o.Vertices[pv], tv, txn.Vertex(tv).Label)
 					}
 				}
-				for pe, te := range emb.Edges {
+				for pe, id := range emb.Edges {
+					te := graph.EdgeID(id)
 					if o.Edges[pe].Edge != int(te) || o.Edges[pe].Label != txn.Edge(te).Label {
 						t.Fatalf("pattern %q tid %d occ %d: edge %d decoded %+v, want %d",
 							want.Code, tid, k, pe, o.Edges[pe], te)
@@ -226,15 +229,16 @@ func TestServeLocationQuery(t *testing.T) {
 	wantOcc := map[string]int{} // code -> occurrence count
 	for i := range fx.result.Patterns {
 		p := &fx.result.Patterns[i]
-		if p.Embs == nil {
+		if p.Offsets == nil {
 			continue
 		}
 		count := 0
 		for j, tid := range p.TIDs.All() {
 			txn := fx.txns[tid]
-			for _, emb := range p.Embs[j] {
-				for _, tv := range emb.Verts {
-					if txn.Vertex(tv).Label == label {
+			list := p.EmbsAt(j)
+			for k := range list.Len() {
+				for _, tv := range list.At(k).Verts {
+					if txn.Vertex(graph.VertexID(tv)).Label == label {
 						count++
 						break
 					}

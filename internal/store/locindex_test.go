@@ -44,20 +44,18 @@ func locatablePattern(rng *rand.Rand, edges int, txns []*graph.Graph) pattern.Pa
 		}
 		return p
 	}
-	p.Embs = make([][]iso.DenseEmbedding, len(tids))
-	for i, tid := range tids {
+	p.Embs, p.Offsets = iso.NewEmbeddingList(g), []int32{0}
+	for _, tid := range tids {
 		live := txns[tid].Vertices()
 		for j := 0; j < rng.Intn(3)+1; j++ {
-			verts := make([]graph.VertexID, nv)
-			for k := range verts {
-				verts[k] = live[rng.Intn(len(live))]
+			for k := 0; k < nv; k++ {
+				p.Embs.IDs = append(p.Embs.IDs, int32(live[rng.Intn(len(live))]))
 			}
-			edgeIDs := make([]graph.EdgeID, edges)
-			for k := range edgeIDs {
-				edgeIDs[k] = graph.EdgeID(rng.Intn(8))
+			for k := 0; k < edges; k++ {
+				p.Embs.IDs = append(p.Embs.IDs, int32(rng.Intn(8)))
 			}
-			p.Embs[i] = append(p.Embs[i], iso.DenseEmbedding{Verts: verts, Edges: edgeIDs})
 		}
+		p.Offsets = append(p.Offsets, int32(p.Embs.Len()))
 	}
 	return p
 }
@@ -150,10 +148,7 @@ func TestWriteLevelRejectsDanglingEmbedding(t *testing.T) {
 	v := g.AddVertex("A")
 	g.AddEdge(v, v, "e")
 	p := pattern.Pattern{Graph: g, Code: "dangling", Support: 2, TIDs: pattern.NewTIDSet(0, 1),
-		Embs: [][]iso.DenseEmbedding{
-			{{Verts: []graph.VertexID{0}, Edges: []graph.EdgeID{0}}},
-			{{Verts: []graph.VertexID{99}, Edges: []graph.EdgeID{0}}},
-		}}
+		Embs: iso.EmbeddingList{NV: 1, NE: 1, IDs: []int32{0, 0, 99, 0}}, Offsets: []int32{0, 1, 2}}
 
 	w, err := Create(tmpStore(t), Meta{Name: "dangling"})
 	if err != nil {

@@ -60,6 +60,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"tnkd/internal/graph"
@@ -180,6 +181,12 @@ const (
 // its lists are complete. No writer produces the shape; a store
 // holding it is refused at Open and at record decode.
 var ErrNoPartialColumn = errors.New("overflowed embedding lists without a partial column")
+
+// ErrEmbeddingWidth reports a stored embedding whose vertex or edge
+// count differs from its pattern's. Lists decode into one packed
+// array whose row width is the pattern's, so such a record cannot be
+// read; no writer produces it.
+var ErrEmbeddingWidth = errors.New("embedding width differs from its pattern")
 
 // seedsWithoutPartial reports whether flags announce overflowed
 // lists without the partial column that says which are seeds.
@@ -305,6 +312,28 @@ func (d *dec) done() error {
 		return fmt.Errorf("store: %d trailing bytes after record", len(d.buf)-d.off)
 	}
 	return nil
+}
+
+// ids reads one width-prefixed ID run of an embedding and appends it
+// to dst. The width must be want, the pattern's vertex or edge count
+// (ErrEmbeddingWidth otherwise), and every ID must fit in an int32,
+// checked before narrowing.
+func (d *dec) ids(dst []int32, want int, what string) []int32 {
+	if w := d.uvarint(); d.err == nil && w != uint64(want) {
+		d.fail("store: corrupt record: %w (%d %s for a pattern with %d)", ErrEmbeddingWidth, w, what, want)
+	}
+	for range want {
+		v := d.uvarint()
+		if d.err != nil {
+			break
+		}
+		if v > math.MaxInt32 {
+			d.fail("store: corrupt record (embedding ID %d above %d)", v, math.MaxInt32)
+			break
+		}
+		dst = append(dst, int32(v))
+	}
+	return dst
 }
 
 // --- graph codec ---
@@ -457,12 +486,14 @@ func encodePattern(e *enc, p *pattern.Pattern) byte {
 }
 
 func encodeEmbSection(e *enc, p *pattern.Pattern) {
-	if p.Embs == nil {
+	if p.Offsets == nil {
 		return
 	}
-	for _, list := range p.Embs {
-		e.uvarint(uint64(len(list)))
-		for _, emb := range list {
+	for pi := range p.TIDs.Len() {
+		list := p.EmbsAt(pi)
+		e.uvarint(uint64(list.Len()))
+		for i := range list.Len() {
+			emb := list.At(i)
 			e.uvarint(uint64(len(emb.Verts)))
 			for _, v := range emb.Verts {
 				e.uvarint(uint64(v))
@@ -607,20 +638,21 @@ func invertEmbeddings(p *pattern.Pattern, rec int, txn func(tid int) (*graph.Gra
 	out := make(map[string]*LocationHit)
 	var embLabels []string // distinct labels within one embedding
 	for j, tid := range p.TIDs.All() {
-		if len(p.Embs[j]) == 0 {
+		list := p.EmbsAt(j)
+		if list.Len() == 0 {
 			continue
 		}
 		g, err := txn(tid)
 		if err != nil {
 			return nil, err
 		}
-		for _, emb := range p.Embs[j] {
+		for i := range list.Len() {
 			embLabels = embLabels[:0]
-			for _, tv := range emb.Verts {
-				if !g.HasVertex(tv) {
+			for _, tv := range list.At(i).Verts {
+				if !g.HasVertex(graph.VertexID(tv)) {
 					return nil, fmt.Errorf("store: pattern %q embedding references missing vertex %d in transaction %d", p.Code, tv, tid)
 				}
-				label := g.Vertex(tv).Label
+				label := g.Vertex(graph.VertexID(tv)).Label
 				seen := false
 				for _, l := range embLabels {
 					if l == label {
@@ -648,9 +680,11 @@ func invertEmbeddings(p *pattern.Pattern, rec int, txn func(tid int) (*graph.Gra
 	return out, nil
 }
 
-// decodePattern rebuilds one pattern record. Per-TID lists written
-// empty decode as nil slots inside a non-nil Embs, preserving the
-// HasSeeds/HasEmbeddings semantics of the in-memory store.
+// decodePattern rebuilds one pattern record. The embedding section
+// decodes straight into the pattern's packed list and offset column;
+// a record announcing lists keeps a non-nil Offsets even when every
+// list was written empty, so HasEmbeddings and CompleteAt read as
+// they did before the write.
 func decodePattern(d *dec) *pattern.Pattern {
 	p, flags := decodePatternHead(d)
 	if p == nil || flags&flagHasEmbs == 0 || d.err != nil {
@@ -661,43 +695,38 @@ func decodePattern(d *dec) *pattern.Pattern {
 		return nil
 	}
 	// Each per-TID list costs at least its count byte, so a corrupt
-	// column cannot make this allocation outgrow the record.
+	// column cannot make the offset column outgrow the record.
 	n := p.TIDs.Len()
 	if rem := len(d.buf) - d.off; n > rem {
 		d.fail("store: corrupt record (%d embedding lists exceed %d remaining bytes)", n, rem)
 		return nil
 	}
-	p.Embs = make([][]iso.DenseEmbedding, n)
-	for i := range p.Embs {
+	embs := iso.NewEmbeddingList(p.Graph)
+	stride := embs.Stride()
+	p.Offsets = make([]int32, 1, n+1)
+	for range n {
 		cnt := d.count()
 		if d.err != nil {
 			return nil
 		}
-		if cnt == 0 {
-			continue
+		// Each embedding costs at least its two width bytes and one
+		// byte per ID, so the flat array is grown only as far as the
+		// record's remaining bytes could fill.
+		if rem := len(d.buf) - d.off; cnt > rem/(stride+2) {
+			d.fail("store: corrupt record (%d embeddings of %d IDs exceed %d remaining bytes)", cnt, stride, rem)
+			return nil
 		}
-		list := make([]iso.DenseEmbedding, cnt)
-		for j := range list {
-			nv := d.count()
+		embs.IDs = slices.Grow(embs.IDs, cnt*stride)
+		for range cnt {
+			embs.IDs = d.ids(embs.IDs, embs.NV, "vertices")
+			embs.IDs = d.ids(embs.IDs, embs.NE, "edges")
 			if d.err != nil {
 				return nil
 			}
-			verts := make([]graph.VertexID, nv)
-			for k := range verts {
-				verts[k] = graph.VertexID(d.uvarint())
-			}
-			ne := d.count()
-			if d.err != nil {
-				return nil
-			}
-			edges := make([]graph.EdgeID, ne)
-			for k := range edges {
-				edges[k] = graph.EdgeID(d.uvarint())
-			}
-			list[j] = iso.DenseEmbedding{Verts: verts, Edges: edges}
 		}
-		p.Embs[i] = list
+		p.Offsets = append(p.Offsets, int32(embs.Len()))
 	}
+	p.Embs = embs
 	if flags&flagPartial != 0 {
 		p.Partial = decodeTIDColumn(d)
 		if d.err == nil && p.Partial.Len() == 0 {

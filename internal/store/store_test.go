@@ -2,11 +2,12 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,9 +66,9 @@ func randPattern(rng *rand.Rand, edges int, txns []*graph.Graph) pattern.Pattern
 	case 0: // no lists, overflowed
 		p.Overflowed = true
 	case 1: // complete lists, possibly with empty per-TID slots
-		p.Embs = randEmbs(rng, txns, tids, nv, edges, true)
+		p.Embs, p.Offsets = randEmbs(rng, txns, tids, nv, edges, true)
 	case 2: // seed lists (budget-overflowed pattern)
-		p.Embs = randEmbs(rng, txns, tids, nv, edges, false)
+		p.Embs, p.Offsets = randEmbs(rng, txns, tids, nv, edges, false)
 		p.Overflowed = true
 		// Per-TID partial retention: mark a nonempty subset of the
 		// TIDs as seeds-only (overflowed lists always say which).
@@ -85,28 +86,28 @@ func randPattern(rng *rand.Rand, edges int, txns []*graph.Graph) pattern.Pattern
 }
 
 // randEmbs builds one embedding list per TID, drawing vertex IDs from
-// the live vertices of that TID's transaction.
-func randEmbs(rng *rand.Rand, txns []*graph.Graph, tids []int, nv, ne int, allowEmpty bool) [][]iso.DenseEmbedding {
-	out := make([][]iso.DenseEmbedding, len(tids))
-	for i := range out {
-		live := txns[tids[i]].Vertices()
+// the live vertices of that TID's transaction, and the offset column
+// over them.
+func randEmbs(rng *rand.Rand, txns []*graph.Graph, tids []int, nv, ne int, allowEmpty bool) (iso.EmbeddingList, []int32) {
+	out := iso.EmbeddingList{NV: nv, NE: ne}
+	offs := []int32{0}
+	for _, tid := range tids {
+		live := txns[tid].Vertices()
 		cnt := rng.Intn(4)
 		if !allowEmpty && cnt == 0 {
 			cnt = 1
 		}
 		for j := 0; j < cnt; j++ {
-			verts := make([]graph.VertexID, nv)
-			for k := range verts {
-				verts[k] = live[rng.Intn(len(live))]
+			for k := 0; k < nv; k++ {
+				out.IDs = append(out.IDs, int32(live[rng.Intn(len(live))]))
 			}
-			edges := make([]graph.EdgeID, ne)
-			for k := range edges {
-				edges[k] = graph.EdgeID(rng.Intn(80))
+			for k := 0; k < ne; k++ {
+				out.IDs = append(out.IDs, int32(rng.Intn(80)))
 			}
-			out[i] = append(out[i], iso.DenseEmbedding{Verts: verts, Edges: edges})
 		}
+		offs = append(offs, int32(out.Len()))
 	}
-	return out
+	return out, offs
 }
 
 // sameGraphBytes compares two graphs by full observable state: name,
@@ -157,24 +158,17 @@ func samePattern(t *testing.T, want, got *pattern.Pattern) {
 	if want.Overflowed != got.Overflowed {
 		t.Fatalf("overflowed %v != %v", got.Overflowed, want.Overflowed)
 	}
-	if (want.Embs == nil) != (got.Embs == nil) {
-		t.Fatalf("embs presence %v != %v", got.Embs != nil, want.Embs != nil)
+	if (want.Offsets == nil) != (got.Offsets == nil) {
+		t.Fatalf("embs presence %v != %v", got.Offsets != nil, want.Offsets != nil)
 	}
-	if want.Embs == nil {
+	if want.Offsets == nil {
 		return
 	}
-	if len(want.Embs) != len(got.Embs) {
-		t.Fatalf("embs lists %d != %d", len(got.Embs), len(want.Embs))
+	if !slices.Equal(want.Offsets, got.Offsets) {
+		t.Fatalf("offsets %v != %v", got.Offsets, want.Offsets)
 	}
-	for i := range want.Embs {
-		if len(want.Embs[i]) != len(got.Embs[i]) {
-			t.Fatalf("embs[%d] len %d != %d", i, len(got.Embs[i]), len(want.Embs[i]))
-		}
-		for j := range want.Embs[i] {
-			if !reflect.DeepEqual(want.Embs[i][j], got.Embs[i][j]) {
-				t.Fatalf("embs[%d][%d] %+v != %+v", i, j, got.Embs[i][j], want.Embs[i][j])
-			}
-		}
+	if want.Embs.NV != got.Embs.NV || want.Embs.NE != got.Embs.NE || !slices.Equal(want.Embs.IDs, got.Embs.IDs) {
+		t.Fatalf("embs %+v != %+v", got.Embs, want.Embs)
 	}
 }
 
@@ -267,7 +261,7 @@ func TestRoundTripProperty(t *testing.T) {
 				}
 				if lite.Code != want.Code || lite.Support != want.Support ||
 					!lite.TIDs.Equal(want.TIDs) ||
-					lite.Overflowed != want.Overflowed || lite.Embs != nil {
+					lite.Overflowed != want.Overflowed || lite.Offsets != nil {
 					t.Fatalf("trial %d: PatternLite diverged: %+v", trial, lite)
 				}
 				sameGraphBytes(t, want.Graph, lite.Graph)
@@ -481,9 +475,21 @@ func TestWriterValidation(t *testing.T) {
 	}
 	if err := w.WriteLevel(1, []pattern.Pattern{{
 		Graph: g, Code: "c", Support: 1, TIDs: pattern.NewTIDSet(0),
-		Embs: make([][]iso.DenseEmbedding, 2),
+		Embs: iso.NewEmbeddingList(g), Offsets: make([]int32, 3),
 	}}); err == nil {
 		t.Fatal("misaligned embedding lists accepted")
+	}
+	if err := w.WriteLevel(1, []pattern.Pattern{{
+		Graph: g, Code: "c", Support: 1, TIDs: pattern.NewTIDSet(0),
+		Embs: iso.EmbeddingList{NV: 3, NE: 1, IDs: []int32{0, 1, 2, 0}}, Offsets: []int32{0, 1},
+	}}); !errors.Is(err, ErrEmbeddingWidth) {
+		t.Fatalf("embedding wider than its pattern: %v, want ErrEmbeddingWidth", err)
+	}
+	if err := w.WriteLevel(1, []pattern.Pattern{{
+		Graph: g, Code: "c", Support: 1, TIDs: pattern.NewTIDSet(0),
+		Embs: iso.EmbeddingList{NV: 2, NE: 1, IDs: []int32{0, 1, 0}}, Offsets: []int32{0, 2},
+	}}); err == nil {
+		t.Fatal("offset column past the list accepted")
 	}
 	if err := w.WriteLevel(1, []pattern.Pattern{{
 		Graph: g, Code: "c", Support: 1, TIDs: pattern.NewTIDSet(0), Overflowed: true,
@@ -493,7 +499,7 @@ func TestWriterValidation(t *testing.T) {
 	}
 	if err := w.WriteLevel(1, []pattern.Pattern{{
 		Graph: g, Code: "c", Support: 1, TIDs: pattern.NewTIDSet(0), Overflowed: true,
-		Embs: make([][]iso.DenseEmbedding, 1),
+		Embs: iso.NewEmbeddingList(g), Offsets: make([]int32, 2),
 	}}); err == nil {
 		t.Fatal("overflowed lists without partial TIDs accepted")
 	}

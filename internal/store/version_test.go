@@ -129,7 +129,7 @@ func TestRejectUnknownFlagBits(t *testing.T) {
 // empty, fails decode. All report ErrNoPartialColumn.
 func TestRejectSeedsWithoutPartial(t *testing.T) {
 	seeds := edgePattern("s", pattern.NewTIDSet(0, 1))
-	seeds.Embs = make([][]iso.DenseEmbedding, 2)
+	seeds.Embs, seeds.Offsets = iso.NewEmbeddingList(seeds.Graph), make([]int32, 3)
 	seeds.Overflowed = true
 	seeds.Partial = pattern.NewTIDSet(1)
 

@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -207,13 +208,13 @@ func (w *Writer) indexLocations(p *pattern.Pattern, rec int) error {
 // patternFlags computes the flag bits of a record.
 func patternFlags(p *pattern.Pattern) byte {
 	var flags byte
-	if p.Embs != nil {
+	if p.Offsets != nil {
 		flags |= flagHasEmbs
 	}
 	if p.Overflowed {
 		flags |= flagOverflowed
 	}
-	if p.Embs != nil && p.Partial.Len() > 0 {
+	if p.Offsets != nil && p.Partial.Len() > 0 {
 		flags |= flagPartial
 	}
 	return flags
@@ -232,17 +233,26 @@ func validatePattern(p *pattern.Pattern, edges, numTxns int) error {
 	if max := p.TIDs.Max(); max >= numTxns {
 		return fmt.Errorf("store: pattern %q TID %d beyond %d transactions", p.Code, max, numTxns)
 	}
-	if p.Embs != nil && len(p.Embs) != p.TIDs.Len() {
-		return fmt.Errorf("store: pattern %q has %d embedding lists for %d TIDs", p.Code, len(p.Embs), p.TIDs.Len())
+	if p.Offsets != nil {
+		if len(p.Offsets) != p.TIDs.Len()+1 {
+			return fmt.Errorf("store: pattern %q has %d embedding lists for %d TIDs", p.Code, len(p.Offsets)-1, p.TIDs.Len())
+		}
+		if p.Embs.NV != p.Graph.VertexCap() || p.Embs.NE != p.Graph.EdgeCap() {
+			return fmt.Errorf("store: pattern %q: %w (%d+%d IDs per embedding for %d+%d)",
+				p.Code, ErrEmbeddingWidth, p.Embs.NV, p.Embs.NE, p.Graph.VertexCap(), p.Graph.EdgeCap())
+		}
+		if p.Offsets[0] != 0 || int(p.Offsets[len(p.Offsets)-1]) != p.Embs.Len() || !slices.IsSorted(p.Offsets) {
+			return fmt.Errorf("store: pattern %q has a malformed offset column for %d embeddings", p.Code, p.Embs.Len())
+		}
 	}
-	if p.Overflowed && p.Embs != nil && p.Partial.Len() == 0 {
+	if p.Overflowed && p.Offsets != nil && p.Partial.Len() == 0 {
 		return fmt.Errorf("store: pattern %q has overflowed lists but no partial TIDs", p.Code)
 	}
 	if p.Partial.Len() > 0 {
 		if !p.Overflowed {
 			return fmt.Errorf("store: pattern %q has partial TIDs but is not overflowed", p.Code)
 		}
-		if p.Embs == nil {
+		if p.Offsets == nil {
 			return fmt.Errorf("store: pattern %q has partial TIDs but no lists", p.Code)
 		}
 		if p.Partial.AndCard(p.TIDs) != p.Partial.Len() {

@@ -223,17 +223,17 @@ func (d *discoverer) initialSubstructures() []Substructure {
 	for _, label := range d.g.VertexLabels() {
 		pg := graph.New("sub")
 		pg.AddVertex(label)
-		var embs []iso.DenseEmbedding
+		embs := iso.NewEmbeddingList(pg)
 		for _, v := range d.g.Vertices() {
 			if d.g.Vertex(v).Label != label {
 				continue
 			}
-			embs = append(embs, iso.DenseEmbedding{Verts: []graph.VertexID{v}})
-			if d.opts.MaxInstances > 0 && len(embs) >= d.opts.MaxInstances {
+			embs.IDs = append(embs.IDs, int32(v))
+			if d.opts.MaxInstances > 0 && embs.Len() >= d.opts.MaxInstances {
 				break
 			}
 		}
-		if len(embs) == 0 {
+		if embs.Len() == 0 {
 			continue
 		}
 		subs = append(subs, d.score(pg, iso.Code(pg), embs))
@@ -248,13 +248,13 @@ func (d *discoverer) initialSubstructures() []Substructure {
 // score computes the non-overlapping instance count and evaluation
 // value of a pattern given its canonical code (already computed by
 // the extend/dedup stage) and its discovered embeddings.
-func (d *discoverer) score(pg *graph.Graph, code string, embs []iso.DenseEmbedding) Substructure {
+func (d *discoverer) score(pg *graph.Graph, code string, embs iso.EmbeddingList) Substructure {
 	disjoint := iso.GreedyNonOverlap(embs)
 	return Substructure{
 		Graph:     pg,
 		Code:      code,
-		Instances: len(disjoint),
-		Value:     d.eval.value(pg, len(disjoint)),
+		Instances: disjoint,
+		Value:     d.eval.value(pg, disjoint),
 		pat:       pattern.NewSingle(pg, code, embs),
 	}
 }
@@ -262,7 +262,7 @@ func (d *discoverer) score(pg *graph.Graph, code string, embs []iso.DenseEmbeddi
 // extCandidate accumulates the instances of one extension pattern.
 type extCandidate struct {
 	pattern *graph.Graph
-	embs    []iso.DenseEmbedding
+	embs    iso.EmbeddingList
 	seen    map[string]bool // instance dedup by target vertex+edge sets
 	// re re-anchors instances reached through a different isomorphic
 	// construction onto pattern, built lazily on first need and
@@ -303,7 +303,7 @@ type descInfo struct {
 type rawCand struct {
 	code    string
 	pattern *graph.Graph
-	embs    []iso.DenseEmbedding
+	embs    iso.EmbeddingList
 }
 
 // extend generates all one-edge extensions of sub that occur in the
@@ -343,7 +343,7 @@ func (d *discoverer) extend(sub *Substructure) []rawCand {
 			info.cand = c
 			info.needsReanchor = true
 		} else {
-			info.cand = &extCandidate{pattern: ext, seen: make(map[string]bool)}
+			info.cand = &extCandidate{pattern: ext, embs: iso.NewEmbeddingList(ext), seen: make(map[string]bool)}
 			candidates[code] = info.cand
 			order = append(order, code)
 		}
@@ -359,19 +359,24 @@ func (d *discoverer) extend(sub *Substructure) []rawCand {
 	// embeddings are indexed by pattern vertex ID, so ascending ID
 	// order is simply slice order.
 	pvs := sub.Graph.Vertices()
-	for _, emb := range sub.pat.Instances() {
+	insts := sub.pat.Embs
+	// newEmb is the scratch the extended instance is built in before
+	// it is copied into its candidate's list.
+	var newEmb iso.DenseEmbedding
+	for i := range insts.Len() {
+		emb := insts.At(i)
 		// Reverse map: target vertex -> pattern vertex.
 		rev := make(map[graph.VertexID]graph.VertexID, len(emb.Verts))
 		for pv, tv := range emb.Verts {
-			rev[tv] = graph.VertexID(pv)
+			rev[graph.VertexID(tv)] = graph.VertexID(pv)
 		}
 		usedEdges := make(map[graph.EdgeID]bool, len(emb.Edges))
 		for _, te := range emb.Edges {
-			usedEdges[te] = true
+			usedEdges[graph.EdgeID(te)] = true
 		}
 		atVertexCap := d.opts.MaxVertices > 0 && sub.Graph.NumVertices() >= d.opts.MaxVertices
 		for _, pv := range pvs {
-			tv := emb.Verts[pv]
+			tv := graph.VertexID(emb.Verts[pv])
 			for _, te := range append(d.g.OutEdges(tv), d.g.InEdges(tv)...) {
 				if usedEdges[te] {
 					continue
@@ -404,17 +409,17 @@ func (d *discoverer) extend(sub *Substructure) []rawCand {
 				}
 				info := resolveDesc(key)
 				cand := info.cand
-				if d.opts.MaxInstances > 0 && len(cand.embs) >= d.opts.MaxInstances {
+				if d.opts.MaxInstances > 0 && cand.embs.Len() >= d.opts.MaxInstances {
 					continue
 				}
 				// Dense growth: the added pattern vertex/edge IDs are
 				// exactly the parent's caps (patterns are built by
 				// Clone+Add), so the embedding extends by appending.
-				newEmb := emb.Clone()
+				newEmb.Verts = append(newEmb.Verts[:0], emb.Verts...)
 				if info.nv >= 0 {
-					newEmb.Verts = append(newEmb.Verts, newTarget)
+					newEmb.Verts = append(newEmb.Verts, int32(newTarget))
 				}
-				newEmb.Edges = append(newEmb.Edges, te)
+				newEmb.Edges = append(append(newEmb.Edges[:0], emb.Edges...), int32(te))
 				ikey := instanceKey(newEmb)
 				if cand.seen[ikey] {
 					continue
@@ -435,9 +440,10 @@ func (d *discoverer) extend(sub *Substructure) []rawCand {
 					if !ok {
 						continue
 					}
-					newEmb = re
+					cand.embs.Append(re)
+					continue
 				}
-				cand.embs = append(cand.embs, newEmb)
+				cand.embs.Append(newEmb)
 			}
 		}
 	}
@@ -582,25 +588,27 @@ func (ev evaluator) value(sub *graph.Graph, instances int) float64 {
 // of the graph's regularities.
 func Compress(g *graph.Graph, sub *graph.Graph, label string, maxInstances, maxSteps int) (*graph.Graph, int) {
 	insts := iso.FindNonOverlapping(sub, g, maxInstances, maxSteps)
-	if len(insts) == 0 {
+	n := insts.Len()
+	if n == 0 {
 		c, _ := g.Compact()
 		return c, 0
 	}
 	// Map each covered target vertex to its instance index.
 	owner := make(map[graph.VertexID]int)
 	coveredEdge := make(map[graph.EdgeID]bool)
-	for i, emb := range insts {
+	for i := range n {
+		emb := insts.At(i)
 		for _, tv := range emb.Verts {
-			owner[tv] = i
+			owner[graph.VertexID(tv)] = i
 		}
 		for _, te := range emb.Edges {
-			coveredEdge[te] = true
+			coveredEdge[graph.EdgeID(te)] = true
 		}
 	}
 	out := graph.New(g.Name + "+compressed")
 	remap := make(map[graph.VertexID]graph.VertexID)
-	super := make([]graph.VertexID, len(insts))
-	for i := range insts {
+	super := make([]graph.VertexID, n)
+	for i := range super {
 		super[i] = out.AddVertex(label)
 	}
 	for _, v := range g.Vertices() {
@@ -624,7 +632,7 @@ func Compress(g *graph.Graph, sub *graph.Graph, label string, maxInstances, maxS
 		}
 		out.AddEdge(from, to, ed.Label)
 	}
-	return out, len(insts)
+	return out, n
 }
 
 // HierarchyLevel is one pass of hierarchical discovery.
