@@ -81,20 +81,6 @@ type Boundaries struct {
 	Cuts []float64 // ascending; len(Cuts) >= 2; defines len(Cuts)-1 bins
 }
 
-// NewBoundaries returns a Boundaries binner. It panics if fewer than
-// two cuts are given or the cuts are not strictly ascending.
-func NewBoundaries(cuts ...float64) Boundaries {
-	if len(cuts) < 2 {
-		panic("bin: NewBoundaries needs at least two cuts")
-	}
-	for i := 1; i < len(cuts); i++ {
-		if cuts[i] <= cuts[i-1] {
-			panic("bin: NewBoundaries cuts must be strictly ascending")
-		}
-	}
-	return Boundaries{Cuts: cuts}
-}
-
 // Bin implements Binner.
 func (b Boundaries) Bin(v float64) int {
 	n := len(b.Cuts) - 1

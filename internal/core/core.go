@@ -47,8 +47,6 @@ type StructuralOptions struct {
 	MaxEdges int
 	// MaxSteps bounds individual isomorphism tests.
 	MaxSteps int
-	// MaxCandidates bounds FSG's per-level candidate sets.
-	MaxCandidates int
 	// MaxEmbeddings bounds the per-level embedding lists of FSG's
 	// incremental support counter (0 = the fsg default, negative =
 	// unlimited); see fsg.Options.MaxEmbeddings.
@@ -192,7 +190,6 @@ func mineRepetitionSet(partitionings [][]*graph.Graph, opts StructuralOptions) (
 				MinSupport:    opts.Support,
 				MaxEdges:      opts.MaxEdges,
 				MaxSteps:      opts.MaxSteps,
-				MaxCandidates: opts.MaxCandidates,
 				MaxEmbeddings: opts.MaxEmbeddings,
 				Parallelism:   inner,
 			}
@@ -332,7 +329,6 @@ type TemporalMineOptions struct {
 	SupportFraction float64
 	MaxEdges        int
 	MaxSteps        int
-	MaxCandidates   int
 	// MaxEmbeddings bounds the per-level embedding lists of FSG's
 	// incremental support counter (0 = the fsg default, negative =
 	// unlimited).
@@ -426,7 +422,6 @@ func MineTemporal(d *dataset.Dataset, opts TemporalMineOptions) (*TemporalMineRe
 		MinSupport:    support,
 		MaxEdges:      opts.MaxEdges,
 		MaxSteps:      opts.MaxSteps,
-		MaxCandidates: opts.MaxCandidates,
 		MaxEmbeddings: opts.MaxEmbeddings,
 		Parallelism:   opts.Parallelism,
 		Progress:      opts.Progress,

@@ -270,39 +270,10 @@ func TestRound01Property(t *testing.T) {
 	}
 }
 
-func TestFilterDatesAndSample(t *testing.T) {
-	d := testData(t)
-	s := d.Summarize()
-	mid := s.MinPickup.AddDate(0, 0, 30)
-	first := d.FilterDates(s.MinPickup, mid)
-	if first.Len() == 0 || first.Len() >= d.Len() {
-		t.Errorf("filtered = %d of %d", first.Len(), d.Len())
-	}
-	for _, tx := range first.Transactions {
-		if tx.ReqPickup.After(mid) {
-			t.Fatal("date filter leaked")
-		}
-	}
-	half := d.Sample(2)
-	if got, want := half.Len(), (d.Len()+1)/2; got != want {
-		t.Errorf("sample = %d, want %d", got, want)
-	}
-}
-
 func TestLatLonString(t *testing.T) {
 	p := LatLon{44.5, -88.0}
 	if p.String() != "44.5,-88.0" {
 		t.Errorf("String = %q", p.String())
-	}
-}
-
-func TestLocationsSortedDistinct(t *testing.T) {
-	d := testData(t)
-	locs := d.Locations()
-	for i := 1; i < len(locs); i++ {
-		if !lessLatLon(locs[i-1], locs[i]) {
-			t.Fatalf("locations not strictly sorted at %d: %v %v", i, locs[i-1], locs[i])
-		}
 	}
 }
 

@@ -204,6 +204,9 @@ type generator struct {
 	originCovered map[LatLon]bool
 	destCovered   map[LatLon]bool
 	outDeg        map[LatLon]int
+
+	// near is randomDest's candidate buffer, reused across calls.
+	near []LatLon
 }
 
 func (g *generator) buildLocations() {
@@ -312,7 +315,7 @@ func (g *generator) buildLanes() {
 			continue
 		}
 		fanout := cfg.HubFanoutMin + g.rng.Intn(cfg.HubFanoutMax-cfg.HubFanoutMin+1)
-		spokes := g.nearbyDests(hub, 4.0, fanout)
+		spokes := g.nearbyDests(nil, hub, 4.0, fanout)
 		sched := g.weeklySchedule(14) // bi-weekly distribution days
 		for j, d := range spokes {
 			ln, ok := g.addLane(hub, d, laneHubSpoke)
@@ -435,7 +438,7 @@ func (g *generator) buildLanes() {
 			continue
 		}
 		fanout := 2 + g.rng.Intn(cfg.WeekendHubFanout)
-		spokes := g.nearbyDests(hub, 4.0, fanout)
+		spokes := g.nearbyDests(nil, hub, 4.0, fanout)
 		sched := g.weekendSchedule()
 		for j, d := range spokes {
 			ln, ok := g.addLane(hub, d, laneHubSpoke)
@@ -595,9 +598,9 @@ func (g *generator) sampleIndex(cum []float64) int {
 // never Honolulu (Hawaii traffic is air freight only).
 func (g *generator) randomDest(o LatLon) LatLon {
 	if g.rng.Float64() < 0.7 {
-		near := g.nearbyDests(o, 10.0, 1)
-		if len(near) > 0 {
-			return near[0]
+		g.near = g.nearbyDests(g.near[:0], o, 10.0, 1)
+		if len(g.near) > 0 {
+			return g.near[0]
 		}
 	}
 	for {
@@ -609,9 +612,9 @@ func (g *generator) randomDest(o LatLon) LatLon {
 }
 
 // nearbyDests returns up to n destinations within a deg-degree box of
-// p (excluding p itself), randomly sampled.
-func (g *generator) nearbyDests(p LatLon, deg float64, n int) []LatLon {
-	var cands []LatLon
+// p (excluding p itself), randomly sampled, appended to cands, which
+// must be empty (nil, or a reused buffer cut to length 0).
+func (g *generator) nearbyDests(cands []LatLon, p LatLon, deg float64, n int) []LatLon {
 	for _, d := range g.dests {
 		if d == p || d == locHonolulu || d == locChicago {
 			continue

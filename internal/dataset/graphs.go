@@ -80,8 +80,6 @@ const uniformVertexLabel = "*"
 type GraphOptions struct {
 	Attr     EdgeAttr
 	Vertices VertexLabeling
-	// Binner bins the edge attribute; nil selects Attr.DefaultBinner().
-	Binner bin.Binner
 	// ExactLabels, when set, labels edges with the exact attribute
 	// value instead of a bin interval. The paper notes this leads to
 	// few frequent patterns (edge labels become nearly unique); it is
@@ -91,12 +89,10 @@ type GraphOptions struct {
 
 // BuildGraph converts the dataset into the labeled directed
 // multigraph of Section 3: one vertex per distinct location, one edge
-// per transaction, edge label the (binned) chosen attribute.
+// per transaction, edge label the chosen attribute binned by
+// Attr.DefaultBinner().
 func (d *Dataset) BuildGraph(opts GraphOptions) *graph.Graph {
-	binner := opts.Binner
-	if binner == nil {
-		binner = opts.Attr.DefaultBinner()
-	}
+	binner := opts.Attr.DefaultBinner()
 	g := graph.New(opts.Attr.String())
 	idx := make(map[LatLon]graph.VertexID)
 	vertexOf := func(p LatLon) graph.VertexID {

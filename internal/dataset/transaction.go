@@ -9,7 +9,6 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -171,50 +170,4 @@ func (s Summary) String() string {
 		s.DistinctDestinations, s.DistinctODPairs, s.Days,
 		s.WeightMin, s.WeightMax, s.DistMin, s.DistMax, s.HoursMin, s.HoursMax,
 		s.OutDegMin, s.OutDegMax, s.OutDegAvg, s.InDegMin, s.InDegMax, s.InDegAvg)
-}
-
-// Locations returns the distinct lat-lon pairs appearing as origin or
-// destination, in deterministic (lat, lon) order.
-func (d *Dataset) Locations() []LatLon {
-	set := make(map[LatLon]bool)
-	for _, t := range d.Transactions {
-		set[t.Origin] = true
-		set[t.Dest] = true
-	}
-	locs := make([]LatLon, 0, len(set))
-	for p := range set {
-		locs = append(locs, p)
-	}
-	sort.Slice(locs, func(i, j int) bool {
-		if locs[i].Lat != locs[j].Lat {
-			return locs[i].Lat < locs[j].Lat
-		}
-		return locs[i].Lon < locs[j].Lon
-	})
-	return locs
-}
-
-// FilterDates returns a dataset containing the transactions whose
-// requested pickup date falls in [from, to] (inclusive).
-func (d *Dataset) FilterDates(from, to time.Time) *Dataset {
-	out := &Dataset{}
-	for _, t := range d.Transactions {
-		if !t.ReqPickup.Before(from) && !t.ReqPickup.After(to) {
-			out.Transactions = append(out.Transactions, t)
-		}
-	}
-	return out
-}
-
-// Sample returns a dataset containing every k-th transaction,
-// preserving order. Sample(1) copies the dataset.
-func (d *Dataset) Sample(k int) *Dataset {
-	if k < 1 {
-		k = 1
-	}
-	out := &Dataset{}
-	for i := 0; i < len(d.Transactions); i += k {
-		out.Transactions = append(out.Transactions, d.Transactions[i])
-	}
-	return out
 }

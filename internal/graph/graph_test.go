@@ -232,13 +232,3 @@ func TestPanicsOnBadAccess(t *testing.T) {
 	}()
 	g.Vertex(0)
 }
-
-func TestDOT(t *testing.T) {
-	g, _, _ := build(t)
-	dot := g.DOT()
-	for _, want := range []string{"digraph", "v0 [label=\"a\"]", "v0 -> v1 [label=\"x\"]", "}"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT missing %q:\n%s", want, dot)
-		}
-	}
-}

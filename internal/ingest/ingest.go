@@ -108,14 +108,13 @@ type Options struct {
 	// MinSupport is a fixed absolute support threshold (used when
 	// SupportFraction is 0; 0 = inherit the store's Meta.MinSupport).
 	MinSupport int
-	// MaxEdges/MaxSteps/MaxCandidates/MaxEmbeddings/Parallelism are
-	// the fsg.Options knobs for each fold; zero values keep fsg
-	// defaults, except MaxEdges/MaxSteps which default to the
-	// temporal pipeline's 8/200000 so an ingest fold chain matches
-	// cmd/tndtemporal's one-shot results.
+	// MaxEdges/MaxSteps/MaxEmbeddings/Parallelism are the fsg.Options
+	// knobs for each fold; zero values keep fsg defaults, except
+	// MaxEdges/MaxSteps which default to the temporal pipeline's
+	// 8/200000 so an ingest fold chain matches cmd/tndtemporal's
+	// one-shot results.
 	MaxEdges      int
 	MaxSteps      int
-	MaxCandidates int
 	MaxEmbeddings int
 	Parallelism   int
 
@@ -901,7 +900,6 @@ func (d *Daemon) applyBatch(name, key, sha string, data []byte) error {
 		MinSupport:    support,
 		MaxEdges:      d.opts.MaxEdges,
 		MaxSteps:      d.opts.MaxSteps,
-		MaxCandidates: d.opts.MaxCandidates,
 		MaxEmbeddings: d.opts.MaxEmbeddings,
 		Parallelism:   d.opts.Parallelism,
 		Checkpoint: func(lv fsg.LevelStats, pats []fsg.Pattern) error {

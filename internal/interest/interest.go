@@ -14,7 +14,6 @@ package interest
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -135,25 +134,4 @@ func Summary(scores []Score, k int) string {
 		fmt.Fprintf(&b, "--- rank %d: %s\n%s", i+1, s, s.Pattern.Dump())
 	}
 	return b.String()
-}
-
-// Entropy returns the label entropy of a pattern's edges — a
-// secondary signal: patterns mixing several edge labels carry more
-// information than single-label stars.
-func Entropy(p *graph.Graph) float64 {
-	counts := make(map[string]int)
-	total := 0
-	for _, e := range p.Edges() {
-		counts[p.Edge(e).Label]++
-		total++
-	}
-	if total == 0 {
-		return 0
-	}
-	h := 0.0
-	for _, c := range counts {
-		pr := float64(c) / float64(total)
-		h -= pr * math.Log2(pr)
-	}
-	return h
 }

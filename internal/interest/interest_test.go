@@ -128,23 +128,3 @@ func TestRankEmpty(t *testing.T) {
 		t.Errorf("empty rank = %v", got)
 	}
 }
-
-func TestEntropy(t *testing.T) {
-	g := graph.New("g")
-	a := g.AddVertex("*")
-	b := g.AddVertex("*")
-	c := g.AddVertex("*")
-	g.AddEdge(a, b, "x")
-	g.AddEdge(a, c, "x")
-	if got := Entropy(g); got != 0 {
-		t.Errorf("single-label entropy = %v, want 0", got)
-	}
-	g.AddEdge(b, c, "y")
-	if got := Entropy(g); got <= 0 {
-		t.Errorf("mixed-label entropy = %v, want > 0", got)
-	}
-	empty := graph.New("e")
-	if got := Entropy(empty); got != 0 {
-		t.Errorf("empty entropy = %v", got)
-	}
-}

@@ -110,20 +110,6 @@ func CodeExtended(g *graph.Graph, ext Extension, skip graph.EdgeID) string {
 	return base64.RawURLEncoding.EncodeToString(form)
 }
 
-// CanonicalForm returns the raw canonical form of g: a compact byte
-// string equal across isomorphic graphs and distinct otherwise.
-// bytes.Compare over forms is a fast total order. Most callers want
-// Code (the encoded, text-safe version); the raw form exists for
-// binary storage and ordering without the base64 step.
-func CanonicalForm(g *graph.Graph) []byte {
-	l := labelerPool.Get().(*labeler)
-	defer labelerPool.Put(l)
-	form := l.canonicalForm(g, nil, -1, false)
-	out := make([]byte, len(form))
-	copy(out, form)
-	return out
-}
-
 var labelerPool = sync.Pool{New: func() any { return &labeler{} }}
 
 // arc packing: each adjacency entry is (edgeLabel<<1 | direction) in

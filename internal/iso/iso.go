@@ -11,9 +11,8 @@
 // (instance discovery). Every match it returns is a row of an
 // EmbeddingList, indexed by the pattern's dense vertex and edge IDs
 // and read as a DenseEmbedding view; the entry points that return
-// matches (Embeddings, Matcher.Embeddings, FindNonOverlapping,
-// Reanchorer.Reanchor, Extender.Extend) therefore need patterns with
-// dense IDs.
+// matches (Embeddings, Matcher.Embeddings, Reanchorer.Reanchor,
+// Extender.Extend) therefore need patterns with dense IDs.
 package iso
 
 import (
@@ -65,34 +64,6 @@ func Isomorphic(a, b *graph.Graph) bool {
 	return Contains(b, a)
 }
 
-// CountNonOverlapping greedily counts pairwise edge-disjoint
-// instances of pattern in target. SUBDUE evaluates substructures by
-// the number of non-overlapping instances (the paper runs it "without
-// allowing overlap"); greedy extraction gives the standard lower
-// bound used by the original system.
-func CountNonOverlapping(pattern, target *graph.Graph, maxSteps int) int {
-	m := NewMatcher(pattern)
-	if !m.fits(target) {
-		return 0
-	}
-	// One matcher serves every extraction round: exclusions
-	// accumulate in its dense state and each round resets in
-	// O(pattern), instead of rebuilding graph-sized state per
-	// instance.
-	m.begin(target, Options{Limit: 1, MaxSteps: maxSteps}, nil)
-	defer m.finish()
-	count := 0
-	for {
-		m.search(0)
-		if m.found == 0 {
-			return count
-		}
-		count++
-		m.excludeCurrent(false)
-		m.nextRound()
-	}
-}
-
 // Reanchorer repeatedly verifies that concrete target subgraphs are
 // instances of one fixed pattern, returning embeddings keyed to that
 // pattern's IDs. It reuses one matcher's dense graph-sized state
@@ -137,32 +108,4 @@ func (r *Reanchorer) Reanchor(emb DenseEmbedding) (DenseEmbedding, bool) {
 		return DenseEmbedding{}, false
 	}
 	return r.buf.At(0), true
-}
-
-// FindNonOverlapping greedily extracts pairwise vertex- and
-// edge-disjoint instances of pattern in target, up to maxInstances
-// (<= 0 for all). Vertex-disjointness is the "no overlap" notion of
-// the paper's SUBDUE runs and guarantees termination even for
-// edgeless patterns. The pattern must have dense IDs, as for
-// Embeddings.
-func FindNonOverlapping(pattern, target *graph.Graph, maxInstances, maxSteps int) EmbeddingList {
-	m := NewMatcher(pattern)
-	result := NewEmbeddingList(pattern)
-	if !m.fits(target) {
-		return result
-	}
-	// One matcher serves every extraction round (see
-	// CountNonOverlapping); each round appends its instance to result.
-	m.begin(target, Options{Limit: 1, MaxSteps: maxSteps}, &result)
-	defer m.finish()
-	for maxInstances <= 0 || result.Len() < maxInstances {
-		n := result.Len()
-		m.search(0)
-		if result.Len() == n {
-			return result
-		}
-		m.excludeCurrent(true)
-		m.nextRound()
-	}
-	return result
 }

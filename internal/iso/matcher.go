@@ -20,11 +20,12 @@ import (
 // filters and edge reservation are integer compares over dense arrays.
 //
 // The target-sized scratch (vertex/edge use marks, candidate dedup,
-// exclusion and restriction sets) is allocated once per Matcher, grown
-// when a larger target arrives, and returned to all-false after every
-// call in time proportional to what the call touched, so a Matcher
-// reused across a candidate's transactions allocates nothing beyond
-// the growth of the list its results are appended to.
+// the restriction sets Reanchorer loads) is allocated once per
+// Matcher, grown when a larger target arrives, and returned to
+// all-false after every call in time proportional to what the call
+// touched, so a Matcher reused across a candidate's transactions
+// allocates nothing beyond the growth of the list its results are
+// appended to.
 //
 // The search tree is the classic one of this package: at every depth
 // the same candidates are visited in the same order, the lowest-ID
@@ -59,8 +60,6 @@ type Matcher struct {
 	usedVertex []bool
 	usedEdge   []bool
 	candSeen   []bool
-	excludedV  idSet
-	excludedE  idSet
 	restrictV  idSet
 	restrictE  idSet
 	// hasRestrict* distinguish "no restriction" from an empty
@@ -315,27 +314,17 @@ func (m *Matcher) bind(target *graph.Graph) {
 	if ne := target.EdgeCap(); len(m.usedEdge) < ne {
 		m.usedEdge = make([]bool, ne)
 	}
-	m.excludedV.grow(target.VertexCap())
 	m.restrictV.grow(target.VertexCap())
-	m.excludedE.grow(target.EdgeCap())
 	m.restrictE.grow(target.EdgeCap())
 }
 
 // begin prepares one call against target: binds it, loads opts' limit
 // and budget, and sets the list completed embeddings are appended to
-// (nil: only count them). Exclusion and restriction sets start empty;
-// excludeCurrent and Reanchorer.Reanchor fill them.
+// (nil: only count them). The restriction sets start empty;
+// Reanchorer.Reanchor fills them.
 func (m *Matcher) begin(target *graph.Graph, opts Options, out *EmbeddingList) {
 	m.bind(target)
 	m.limit, m.maxSteps, m.out = opts.Limit, opts.MaxSteps, out
-	m.steps, m.aborted, m.found = 0, false, 0
-}
-
-// nextRound readies another search against the bound target within
-// the same call: the last (possibly partial) assignment is undone and
-// the step budget restarts; exclusions and restrictions persist.
-func (m *Matcher) nextRound() {
-	m.unassignAll()
 	m.steps, m.aborted, m.found = 0, false, 0
 }
 
@@ -344,8 +333,6 @@ func (m *Matcher) nextRound() {
 // inspection.
 func (m *Matcher) finish() {
 	m.unassignAll()
-	m.excludedV.clear()
-	m.excludedE.clear()
 	m.restrictV.clear()
 	m.restrictE.clear()
 	m.hasRestrictV, m.hasRestrictE = false, false
@@ -372,7 +359,7 @@ func (m *Matcher) unassignAll() {
 
 // search expands the node at depth, returning true to stop the whole
 // search (limit reached or budget exhausted). The assignment of a
-// stopped search stays live until nextRound or finish.
+// stopped search stays live until finish.
 func (m *Matcher) search(depth int) bool {
 	if m.maxSteps > 0 {
 		m.steps++
@@ -390,7 +377,7 @@ func (m *Matcher) search(depth int) bool {
 	}
 	lv := &m.levels[depth]
 	for _, tv := range m.candidates(depth, lv) {
-		if m.usedVertex[tv] || m.excludedV.on[tv] || (m.hasRestrictV && !m.restrictV.on[tv]) {
+		if m.usedVertex[tv] || (m.hasRestrictV && !m.restrictV.on[tv]) {
 			continue
 		}
 		if !m.reserve(lv, tv) {
@@ -477,7 +464,7 @@ func (m *Matcher) reserve(lv *level, tv graph.VertexID) bool {
 func (m *Matcher) reserveEdge(pe graph.EdgeID, from, to graph.VertexID, l int32) bool {
 	edges, heads := m.ix.Out(from, l)
 	for i, te := range edges {
-		if heads[i] != to || m.usedEdge[te] || m.excludedE.on[te] || (m.hasRestrictE && !m.restrictE.on[te]) {
+		if heads[i] != to || m.usedEdge[te] || (m.hasRestrictE && !m.restrictE.on[te]) {
 			continue
 		}
 		m.usedEdge[te] = true
@@ -506,17 +493,4 @@ func (m *Matcher) appendAssignment() {
 		ids = append(ids, int32(te))
 	}
 	m.out.IDs = ids
-}
-
-// excludeCurrent bars the live assignment's target edges (and, when
-// vertices is set, its target vertices) from the rest of the call.
-func (m *Matcher) excludeCurrent(vertices bool) {
-	for _, pe := range m.pEdges {
-		m.excludedE.add(int(m.edgeMap[pe]))
-	}
-	if vertices {
-		for _, pv := range m.order {
-			m.excludedV.add(int(m.assigned[pv]))
-		}
-	}
 }

@@ -291,34 +291,3 @@ func TestPropertyMaskedCodeEqualsSubgraphCode(t *testing.T) {
 		}
 	}
 }
-
-// PropertyNonOverlapDisjoint: instances returned by FindNonOverlapping
-// share no vertices or edges.
-func TestPropertyNonOverlapDisjoint(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 60; trial++ {
-		g := randGraph(rng, 10, 18, 1, 2)
-		pat := randomConnectedSubgraph(rng, g, 1+rng.Intn(2))
-		if pat == nil {
-			continue
-		}
-		insts := FindNonOverlapping(pat, g, 0, 100000)
-		usedV := map[int32]bool{}
-		usedE := map[int32]bool{}
-		for i := range insts.Len() {
-			inst := insts.At(i)
-			for _, tv := range inst.Verts {
-				if usedV[tv] {
-					t.Fatalf("trial %d: shared vertex across instances", trial)
-				}
-				usedV[tv] = true
-			}
-			for _, te := range inst.Edges {
-				if usedE[te] {
-					t.Fatalf("trial %d: shared edge across instances", trial)
-				}
-				usedE[te] = true
-			}
-		}
-	}
-}

@@ -18,8 +18,6 @@ type Options struct {
 	// MinLeaf is the minimum number of instances per leaf (default 2,
 	// J4.8's -M 2).
 	MinLeaf int
-	// MaxDepth caps tree depth (0 = unlimited).
-	MaxDepth int
 }
 
 // Tree is a trained decision tree.
@@ -70,13 +68,13 @@ func Train(attrs []string, data []Instance, classAttr string, opts Options) (*Tr
 	for i := range attrs {
 		avail[i] = i != ci
 	}
-	t.root = t.build(data, avail, opts, 0)
+	t.root = t.build(data, avail, opts)
 	return t, nil
 }
 
-func (t *Tree) build(data []Instance, avail []bool, opts Options, depth int) *node {
+func (t *Tree) build(data []Instance, avail []bool, opts Options) *node {
 	majority, pure := t.majorityClass(data)
-	if pure || len(data) < 2*opts.MinLeaf || (opts.MaxDepth > 0 && depth >= opts.MaxDepth) {
+	if pure || len(data) < 2*opts.MinLeaf {
 		return &node{leaf: true, class: majority, count: len(data)}
 	}
 	bestAttr, ok := t.bestSplit(data, avail, opts)
@@ -88,7 +86,7 @@ func (t *Tree) build(data []Instance, avail []bool, opts Options, depth int) *no
 	childAvail[bestAttr] = false
 	n := &node{attr: bestAttr, children: make(map[string]*node, len(groups)), fallback: majority, count: len(data)}
 	for v, rows := range groups {
-		n.children[v] = t.build(rows, childAvail, opts, depth+1)
+		n.children[v] = t.build(rows, childAvail, opts)
 	}
 	return n
 }

@@ -108,15 +108,8 @@ func TestTrainErrors(t *testing.T) {
 	}
 }
 
-func TestMaxDepthAndMinLeaf(t *testing.T) {
+func TestMinLeaf(t *testing.T) {
 	rows := modeData(200, 20, 6)
-	shallow, err := Train(attrs, rows, "mode", Options{MaxDepth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shallow.Depth() > 1 {
-		t.Errorf("depth = %d exceeds cap", shallow.Depth())
-	}
 	bigLeaf, err := Train(attrs, rows, "mode", Options{MinLeaf: 150})
 	if err != nil {
 		t.Fatal(err)

@@ -277,18 +277,3 @@ func TestTemporalComponentSplit(t *testing.T) {
 		}
 	}
 }
-
-func TestActiveWindowDays(t *testing.T) {
-	d := temporalDataset()
-	if got := ActiveWindowDays(d.Transactions[0]); got != 2 {
-		t.Errorf("window = %d, want 2", got)
-	}
-	if got := ActiveWindowDays(d.Transactions[1]); got != 1 {
-		t.Errorf("window = %d, want 1", got)
-	}
-	rev := d.Transactions[0]
-	rev.ReqDelivery = rev.ReqPickup.AddDate(0, 0, -1)
-	if got := ActiveWindowDays(rev); got != 0 {
-		t.Errorf("inverted window = %d, want 0", got)
-	}
-}

@@ -3,7 +3,6 @@ package partition
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"tnkd/internal/bin"
 	"tnkd/internal/dataset"
@@ -13,11 +12,9 @@ import (
 
 // TemporalOptions configures the Section 6 temporal partitioning.
 type TemporalOptions struct {
-	// Attr labels edges (the paper's temporal experiment uses gross
-	// weight ranges).
+	// Attr labels edges, binned by Attr.DefaultBinner() (the paper's
+	// temporal experiment uses gross weight ranges).
 	Attr dataset.EdgeAttr
-	// Binner bins the attribute; nil selects Attr.DefaultBinner().
-	Binner bin.Binner
 	// SplitComponents breaks each disconnected daily transaction
 	// into one transaction per connected component (the paper does
 	// this; FSG's results are unaffected but transactions shrink).
@@ -121,10 +118,7 @@ func (r *TemporalResult) Stats() graph.TransactionStats {
 // Vertices carry unique lat-lon labels so patterns are tied to
 // locations across days (Section 6).
 func Temporal(d *dataset.Dataset, opts TemporalOptions) *TemporalResult {
-	binner := opts.Binner
-	if binner == nil {
-		binner = opts.Attr.DefaultBinner()
-	}
+	binner := opts.Attr.DefaultBinner()
 
 	// Bucket transactions by active day.
 	byDay := make(map[string][]dataset.Transaction)
@@ -213,14 +207,4 @@ func buildDayGraph(day string, txns []dataset.Transaction, attr dataset.EdgeAttr
 		g.AddEdge(from, to, bin.LabelOf(binner, attr.Value(t)))
 	}
 	return g
-}
-
-// ActiveWindowDays returns the number of days in the active window
-// of a transaction (inclusive of both endpoints); exposed for tests
-// and workload analysis.
-func ActiveWindowDays(t dataset.Transaction) int {
-	if t.ReqDelivery.Before(t.ReqPickup) {
-		return 0
-	}
-	return int(t.ReqDelivery.Sub(t.ReqPickup)/(24*time.Hour)) + 1
 }

@@ -74,14 +74,6 @@ type Options struct {
 	// ShutdownGrace bounds how long ListenAndServe waits for in-
 	// flight requests after its context is cancelled (0 = 5s).
 	ShutdownGrace time.Duration
-	// ReadHeaderTimeout bounds how long the listener waits for a
-	// request's headers (0 = 5s, < 0 = no bound). A daemon facing
-	// slow or hostile clients must not hold a connection open for
-	// free.
-	ReadHeaderTimeout time.Duration
-	// IdleTimeout bounds how long a keep-alive connection may sit
-	// idle (0 = 120s, < 0 = no bound).
-	IdleTimeout time.Duration
 	// PatternCacheBytes bounds the per-mount LRU of marshaled
 	// pattern-record bodies shared by the point and batch pattern
 	// endpoints (0 = 8 MiB, < 0 disables the cache).
@@ -266,14 +258,23 @@ func (s *Server) pinned(h func(st *state, w http.ResponseWriter, r *http.Request
 // past it, loses the connection instead of holding it open.
 const writeTimeout = 30 * time.Second
 
+// readHeaderTimeout bounds how long the listener waits for a request's
+// headers: a daemon facing slow or hostile clients must not hold a
+// connection open for free. idleTimeout bounds how long a keep-alive
+// connection may sit idle.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
 // httpServer builds the listener-side server ListenAndServe runs.
 func (s *Server) httpServer(addr string) *http.Server {
 	return &http.Server{
 		Addr:              addr,
 		Handler:           s.Handler(),
-		ReadHeaderTimeout: timeoutOr(s.opts.ReadHeaderTimeout, 5*time.Second),
+		ReadHeaderTimeout: readHeaderTimeout,
 		WriteTimeout:      writeTimeout,
-		IdleTimeout:       timeoutOr(s.opts.IdleTimeout, 120*time.Second),
+		IdleTimeout:       idleTimeout,
 		// Accept/TLS/panic noise goes through the structured logger
 		// instead of the stdlib's default stderr formatting.
 		ErrorLog: slog.NewLogLogger(s.logger.Handler(), slog.LevelError),
@@ -308,17 +309,6 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 		return err
 	}
 	return nil
-}
-
-func timeoutOr(v, def time.Duration) time.Duration {
-	switch {
-	case v < 0:
-		return 0 // http.Server's "no timeout"
-	case v == 0:
-		return def
-	default:
-		return v
-	}
 }
 
 // --- JSON shapes ---

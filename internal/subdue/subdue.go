@@ -580,90 +580,6 @@ func (ev evaluator) value(sub *graph.Graph, instances int) float64 {
 	}
 }
 
-// Compress replaces every non-overlapping instance of sub in g with a
-// single supervertex carrying the given label; edges between an
-// instance and the rest of the graph re-attach to the supervertex.
-// It returns the compact compressed graph and the instance count.
-// This is the step SUBDUE repeats to build a hierarchical description
-// of the graph's regularities.
-func Compress(g *graph.Graph, sub *graph.Graph, label string, maxInstances, maxSteps int) (*graph.Graph, int) {
-	insts := iso.FindNonOverlapping(sub, g, maxInstances, maxSteps)
-	n := insts.Len()
-	if n == 0 {
-		c, _ := g.Compact()
-		return c, 0
-	}
-	// Map each covered target vertex to its instance index.
-	owner := make(map[graph.VertexID]int)
-	coveredEdge := make(map[graph.EdgeID]bool)
-	for i := range n {
-		emb := insts.At(i)
-		for _, tv := range emb.Verts {
-			owner[graph.VertexID(tv)] = i
-		}
-		for _, te := range emb.Edges {
-			coveredEdge[graph.EdgeID(te)] = true
-		}
-	}
-	out := graph.New(g.Name + "+compressed")
-	remap := make(map[graph.VertexID]graph.VertexID)
-	super := make([]graph.VertexID, n)
-	for i := range super {
-		super[i] = out.AddVertex(label)
-	}
-	for _, v := range g.Vertices() {
-		if i, ok := owner[v]; ok {
-			remap[v] = super[i]
-			continue
-		}
-		remap[v] = out.AddVertex(g.Vertex(v).Label)
-	}
-	for _, e := range g.Edges() {
-		if coveredEdge[e] {
-			continue
-		}
-		ed := g.Edge(e)
-		from, to := remap[ed.From], remap[ed.To]
-		if from == to {
-			// Edge internal to one instance that the pattern did not
-			// cover (parallel duplicate): drop it, compression keeps
-			// the description minimal.
-			continue
-		}
-		out.AddEdge(from, to, ed.Label)
-	}
-	return out, n
-}
-
-// HierarchyLevel is one pass of hierarchical discovery.
-type HierarchyLevel struct {
-	Sub        Substructure
-	Instances  int
-	GraphAfter *graph.Graph
-}
-
-// DiscoverHierarchy runs `passes` discovery+compression rounds,
-// labeling pass i's best substructure "SUB_i", the way SUBDUE builds
-// a hierarchical description of structural regularities.
-func DiscoverHierarchy(g *graph.Graph, opts Options, passes int) []HierarchyLevel {
-	var levels []HierarchyLevel
-	cur := g
-	for i := 0; i < passes; i++ {
-		res := Discover(cur, opts)
-		if len(res.Best) == 0 {
-			break
-		}
-		best := res.Best[0]
-		compressed, n := Compress(cur, best.Graph, fmt.Sprintf("SUB_%d", i+1), opts.MaxInstances, opts.MaxSteps)
-		if n < 2 {
-			break
-		}
-		levels = append(levels, HierarchyLevel{Sub: best, Instances: n, GraphAfter: compressed})
-		cur = compressed
-	}
-	return levels
-}
-
 // Render draws a substructure as an indented adjacency list, the
 // textual analogue of the paper's Figures 1–3.
 func Render(s Substructure) string {

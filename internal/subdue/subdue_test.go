@@ -141,79 +141,6 @@ func TestSizePrefersLargerPatterns(t *testing.T) {
 	}
 }
 
-func TestCompressReplacesInstances(t *testing.T) {
-	g := planted(5, 0, 2)
-	motif := graph.New("motif")
-	a := motif.AddVertex("*")
-	b := motif.AddVertex("*")
-	c := motif.AddVertex("*")
-	motif.AddEdge(a, b, "w1")
-	motif.AddEdge(a, c, "w1")
-	motif.AddEdge(b, c, "w2")
-	compressed, n := Compress(g, motif, "SUB_1", 0, 0)
-	if n != 5 {
-		t.Fatalf("compressed instances = %d, want 5", n)
-	}
-	if compressed.NumVertices() != 5 {
-		t.Fatalf("compressed vertices = %d, want 5 supervertices", compressed.NumVertices())
-	}
-	if compressed.NumEdges() != 0 {
-		t.Fatalf("compressed edges = %d, want 0", compressed.NumEdges())
-	}
-	for _, v := range compressed.Vertices() {
-		if compressed.Vertex(v).Label != "SUB_1" {
-			t.Fatalf("unexpected label %q", compressed.Vertex(v).Label)
-		}
-	}
-}
-
-func TestCompressKeepsCrossEdges(t *testing.T) {
-	g := graph.New("g")
-	a := g.AddVertex("*")
-	b := g.AddVertex("*")
-	c := g.AddVertex("*")
-	g.AddEdge(a, b, "in") // the instance
-	g.AddEdge(b, c, "out")
-	pat := graph.New("p")
-	pa := pat.AddVertex("*")
-	pb := pat.AddVertex("*")
-	pat.AddEdge(pa, pb, "in")
-	compressed, n := Compress(g, pat, "S", 0, 0)
-	if n != 1 {
-		t.Fatalf("instances = %d, want 1", n)
-	}
-	// Supervertex + c remain, with the "out" edge re-attached.
-	if compressed.NumVertices() != 2 || compressed.NumEdges() != 1 {
-		t.Fatalf("compressed = %s, want 2 vertices / 1 edge", compressed)
-	}
-	e := compressed.Edge(compressed.Edges()[0])
-	if e.Label != "out" {
-		t.Fatalf("surviving edge label = %q, want out", e.Label)
-	}
-	if compressed.Vertex(e.From).Label != "S" {
-		t.Fatalf("edge should leave the supervertex, leaves %q", compressed.Vertex(e.From).Label)
-	}
-}
-
-func TestDiscoverHierarchy(t *testing.T) {
-	g := planted(8, 3, 3)
-	levels := DiscoverHierarchy(g, Options{
-		Principle: MDL, BeamWidth: 4, MaxBest: 3,
-		MaxInstances: 100, MaxSteps: 100000,
-	}, 3)
-	if len(levels) == 0 {
-		t.Fatal("hierarchy has no levels")
-	}
-	prevSize := g.NumVertices() + g.NumEdges()
-	for i, l := range levels {
-		size := l.GraphAfter.NumVertices() + l.GraphAfter.NumEdges()
-		if size >= prevSize {
-			t.Errorf("level %d did not shrink the graph: %d -> %d", i, prevSize, size)
-		}
-		prevSize = size
-	}
-}
-
 func TestRender(t *testing.T) {
 	g := planted(2, 0, 4)
 	res := Discover(g, Options{Principle: MDL, BeamWidth: 4, MaxBest: 1, MaxInstances: 10, MaxSteps: 10000})
