@@ -1,10 +1,13 @@
-// Command tndingest is the crash-safe continuous-ingest daemon: it
-// watches <dir>/spool for JSON transaction batches (and accepts them
-// over POST /v1/ingest), appends each arrival to the current
-// generation's transactions and mines them afresh, publishes
-// generation N+1 via write-to-temp + fsync + atomic rename under a
-// journaled intent record, triggers tndserve's hot remount, and
-// garbage-collects generations older than -keep.
+// Command tndingest is the crash-safe continuous-ingest daemon and
+// the only producer of successor generations: it watches <dir>/spool
+// for JSON transaction batches (and accepts them over POST
+// /v1/ingest), appends each arrival to the current generation's
+// transactions and mines them afresh, publishes generation N+1 (its
+// store records the parent and generation number) via write-to-temp +
+// fsync + atomic rename under a journaled intent record, triggers
+// tndserve's hot remount, and garbage-collects generations older than
+// -keep. tndtemporal writes generation-0 stores only; -seed adopts
+// one as the chain's start.
 //
 // Usage:
 //
@@ -19,11 +22,11 @@
 // byte-identical to an uninterrupted run (see the ingest-crash-matrix
 // CI job).
 //
-// -window N turns the daemon from append-only into a true sliding
-// window over the last N ingest units (batches; an adopted seed store
-// counts as one unit): each fold retires the units that fall off the
-// front and appends the new batch, and every published generation is
-// a fresh mine of exactly the window's transactions. Retirement
+// -window N turns the daemon from append-only into the system's one
+// sliding window, over the last N ingest units (batches; an adopted
+// seed store counts as one unit): each fold retires the units that
+// fall off the front and appends the new batch, and every published
+// generation is a fresh mine of exactly the window's transactions. Retirement
 // publishes go through the same journal protocol as append folds, so
 // the crash guarantees above hold unchanged; `/v1/ingest/status`
 // reports the served window's bounds, unit count and last

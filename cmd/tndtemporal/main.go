@@ -5,26 +5,16 @@
 //
 // Usage:
 //
-//	tndtemporal [-scale 0.05] [-mine] [-blowup] [-parallelism N] [-maxembeddings N] [-days N] [-window N] [-store out.tnd] [-delta-from prev.tnd]
+//	tndtemporal [-scale 0.05] [-mine] [-blowup] [-parallelism N] [-maxembeddings N] [-days N] [-store out.tnd]
 //
 // -store persists the Figure 4 mine (patterns, TID lists, embeddings
 // and the per-day transactions) to an internal/store file that
 // cmd/tndserve can answer queries from.
 //
-// -delta-from names the previous generation prev.tnd; the run still
-// mines its days afresh, and the store written by -store records
-// prev.tnd as its parent with the next generation number. prev.tnd's
-// transactions must be an exact slice of this run's days. -days
-// limits the run to the earliest N calendar days, which is how a
-// generation sequence is simulated from a fixed dataset: mine -days K
-// -store a.tnd, then -days K+1 -delta-from a.tnd -store b.tnd.
-//
-// -window N mines only the most recent N calendar days (a sliding
-// window; support is computed over the window's transactions).
-// Combined with -delta-from, the run is a window *slide*: its store
-// also records how many of the parent's transactions fell off the
-// front. The window only moves forward: widening it, or dropping
-// -window against a windowed store, is refused.
+// -days limits the run to the earliest N calendar days. A -days K
+// store is generation 0: tndingest -seed adopts it and builds every
+// successor generation (and every sliding window) from batches, e.g.
+// the per-day batches tndingest -make-batches cuts from days K+1..N.
 //
 // -progress streams one line to stderr per mined level as the level
 // completes (candidates, frequent, embeddings, elapsed), so a long
@@ -62,21 +52,14 @@ func main() {
 	parallelism := flag.Int("parallelism", 0, "mining worker count (0 = all CPUs, 1 = serial)")
 	maxEmbeddings := flag.Int("maxembeddings", 0, "per-level FSG embedding budget (0 = default, -1 = unlimited); over budget the incremental support counter falls back to full isomorphism")
 	days := flag.Int("days", 0, "limit the run to the earliest N calendar days (0 = all); a -days K run's transactions are an exact prefix of the -days K+1 run's")
-	window := flag.Int("window", 0, "mine only the most recent N calendar days (0 = all); with -delta-from, the window may only move forward from the parent's")
 	storePath := flag.String("store", "", "persist the Figure 4 mine (patterns + embeddings + per-day transactions) to this store file (serve with tndserve)")
-	deltaFrom := flag.String("delta-from", "", "record this previously mined store as the parent generation (its days must be a slice of this run's; patterns are mined afresh)")
 	progress := flag.Bool("progress", false, "stream one line per mined level to stderr while mining (stdout stays byte-identical)")
 	flag.Parse()
-	// Both store paths pre-flight at flag time, so a mistyped path
+	// The store path pre-flights at flag time, so a mistyped path
 	// fails in milliseconds instead of after the dataset is built and
 	// partitioned.
 	if *storePath != "" {
 		if err := store.CheckWritable(*storePath); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *deltaFrom != "" {
-		if err := checkDeltaSource(*deltaFrom); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -85,9 +68,7 @@ func main() {
 	p.Parallelism = *parallelism
 	p.MaxEmbeddings = *maxEmbeddings
 	p.Days = *days
-	p.Window = *window
 	p.StorePath = *storePath
-	p.DeltaFrom = *deltaFrom
 	if *progress {
 		p.Progress = progressLine
 	}
@@ -102,18 +83,4 @@ func main() {
 		fmt.Println()
 		fmt.Print(experiments.RunSection8(p, 0))
 	}
-}
-
-// checkDeltaSource validates a -delta-from store at flag time: it
-// must open as a store (header + footer only — milliseconds) and
-// pass the shared delta-source checks for a transaction-set store.
-// Everything else (prefix match against the freshly partitioned
-// days) is verified before mining starts.
-func checkDeltaSource(path string) error {
-	r, err := store.Open(path)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	return r.ValidateDeltaSource()
 }

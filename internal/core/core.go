@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"sort"
 
 	"tnkd/internal/bin"
@@ -252,24 +251,6 @@ func (u *structuralUnion) sorted() []StructuralPattern {
 	return out
 }
 
-// distinctPaths rejects a delta run whose source and destination are
-// the same file: publishing the new generation would replace its own
-// parent, leaving a store whose Parent names itself.
-func distinctPaths(deltaFrom, storePath string) error {
-	if storePath == "" {
-		return nil
-	}
-	a, errA := filepath.Abs(deltaFrom)
-	b, errB := filepath.Abs(storePath)
-	if errA != nil || errB != nil {
-		a, b = filepath.Clean(deltaFrom), filepath.Clean(storePath)
-	}
-	if a == b {
-		return fmt.Errorf("core: -delta-from and -store name the same file %s — the delta must write a new store", storePath)
-	}
-	return nil
-}
-
 // writeStructuralStore persists an Algorithm 1 run: the transaction
 // set is every repetition's partitioning concatenated, and each
 // repetition's frequent patterns are written with their TIDs offset
@@ -346,25 +327,6 @@ type TemporalMineOptions struct {
 	// StorePath only when the mine succeeds; a run that fails or dies
 	// leaves whatever was there before. cmd/tndserve serves the file.
 	StorePath string
-	// DeltaFrom, when non-empty, names the parent generation this run
-	// succeeds. It is lineage only: the window is always mined afresh.
-	// The parent's transactions must be an exact slice of this run's
-	// partition (verified byte-for-byte) and the window may only move
-	// forward, so the new store records a true successor — Parent,
-	// Generation = the parent's + 1, and Retired, the parent's
-	// transactions that fell off the window's front.
-	DeltaFrom string
-	// Window, when > 0, mines only the most recent Window days of the
-	// partition (1-based days winStart..winEnd, recorded in the store
-	// as Meta.WindowStart/WindowEnd): the sliding-window regime of the
-	// temporal pipeline. The absolute support threshold is computed
-	// over the window's transactions only. Combined with DeltaFrom the
-	// run is a window *slide*: a store of the slid window whose
-	// lineage names the parent. The window only moves forward: a slide
-	// that would need days the parent already retired (a widened
-	// window, or Window=0 against a windowed parent) fails; mine it
-	// without DeltaFrom instead. 0 mines every day.
-	Window int
 	// Progress is handed to the miner (fsg.Options.Progress): one
 	// event per completed Apriori level, emitted while the mine runs.
 	Progress func(fsg.LevelProgress)
@@ -390,14 +352,6 @@ type TemporalMineResult struct {
 	Stats     graph.TransactionStats
 	Support   int // absolute support used
 	Mining    *fsg.Result
-	// WindowStart/WindowEnd are the 1-based day bounds actually mined:
-	// 1..len(Partition.DayStarts) for a full run, the trailing
-	// Options.Window days for a windowed one.
-	WindowStart, WindowEnd int
-	// Mined is the number of transactions inside the window — the
-	// population Support was computed over (every partition
-	// transaction for a full run).
-	Mined int
 }
 
 // MineTemporal partitions by day and mines the repeated routes.
@@ -410,14 +364,7 @@ func MineTemporal(d *dataset.Dataset, opts TemporalMineOptions) (*TemporalMineRe
 	}
 	part := partition.Temporal(d, opts.Partition)
 	stats := part.Stats()
-	nDays := len(part.DayStarts)
-	winStart, winEnd := 1, nDays
-	if opts.Window > 0 && nDays > opts.Window {
-		winStart = nDays - opts.Window + 1
-	}
-	lo, _ := part.WindowRange(winStart, winEnd)
-	windowTxns := part.Transactions[lo:]
-	support := fsg.MinSupportFraction(len(windowTxns), opts.SupportFraction)
+	support := fsg.MinSupportFraction(len(part.Transactions), opts.SupportFraction)
 	fsgOpts := fsg.Options{
 		MinSupport:    support,
 		MaxEdges:      opts.MaxEdges,
@@ -427,67 +374,20 @@ func MineTemporal(d *dataset.Dataset, opts TemporalMineOptions) (*TemporalMineRe
 		Progress:      opts.Progress,
 	}
 
-	// Lineage: check the parent is a true predecessor of this window
-	// and count the parent transactions that slid out of it.
-	retireCount := 0
-	generation := 0
-	if opts.DeltaFrom != "" {
-		if err := distinctPaths(opts.DeltaFrom, opts.StorePath); err != nil {
-			return nil, err
-		}
-		r, err := store.Open(opts.DeltaFrom)
-		if err != nil {
-			return nil, err
-		}
-		defer r.Close()
-		if err := r.ValidateDeltaSource(); err != nil {
-			return nil, err
-		}
-		m := r.Meta()
-		// The parent covers days priorStart..(wherever its transaction
-		// count ends); its slice of this partition must match
-		// byte-for-byte. Pre-window stores read back WindowStart 0 and
-		// anchor at day 1.
-		priorStart := m.WindowStart
-		if priorStart == 0 {
-			priorStart = 1
-		}
-		if priorStart > nDays {
-			return nil, fmt.Errorf("core: delta source starts at day %d but the partition has only %d days (different dataset, scale or partition options?)", priorStart, nDays)
-		}
-		priorLo, _ := part.WindowRange(priorStart, nDays)
-		if err := r.VerifyPrefix(part.Transactions[priorLo:]); err != nil {
-			return nil, fmt.Errorf("core: delta source mismatch (different dataset, scale or partition options?): %w", err)
-		}
-		if lo < priorLo {
-			return nil, fmt.Errorf("core: window start day %d precedes the delta source's day %d — retired days cannot re-enter the window; re-mine without -delta-from", winStart, priorStart)
-		}
-		// A window that starts past the parent's end retires
-		// everything the parent held.
-		retireCount = min(lo-priorLo, r.NumTransactions())
-		generation = m.Generation + 1
-	}
-
 	var w *store.Writer
 	if opts.StorePath != "" {
 		meta := store.Meta{
 			Name:       "OD/daily",
 			Kind:       "temporal",
 			MinSupport: support,
-			Parent:     opts.DeltaFrom,
-			Generation: generation,
-			Note:       fmt.Sprintf("Section 6 per-day transactions (%d days)", nDays),
-		}
-		if opts.Window > 0 && nDays > 0 {
-			meta.WindowStart, meta.WindowEnd, meta.Retired = winStart, winEnd, retireCount
-			meta.Note = fmt.Sprintf("Section 6 per-day transactions (window days %d..%d of %d)", winStart, winEnd, nDays)
+			Note:       fmt.Sprintf("Section 6 per-day transactions (%d days)", len(part.DayStarts)),
 		}
 		var err error
 		w, err = store.Create(opts.StorePath, meta)
 		if err != nil {
 			return nil, err
 		}
-		if err := w.WriteTransactions(windowTxns); err != nil {
+		if err := w.WriteTransactions(part.Transactions); err != nil {
 			w.Abort()
 			return nil, err
 		}
@@ -495,7 +395,7 @@ func MineTemporal(d *dataset.Dataset, opts TemporalMineOptions) (*TemporalMineRe
 			return w.WriteLevel(lv.Edges, pats)
 		}
 	}
-	mined, err := fsg.Mine(windowTxns, fsgOpts)
+	mined, err := fsg.Mine(part.Transactions, fsgOpts)
 	if err != nil {
 		if w != nil {
 			w.Abort()
@@ -508,13 +408,10 @@ func MineTemporal(d *dataset.Dataset, opts TemporalMineOptions) (*TemporalMineRe
 		}
 	}
 	return &TemporalMineResult{
-		Partition:   part,
-		Stats:       stats,
-		Support:     support,
-		Mining:      mined,
-		WindowStart: winStart,
-		WindowEnd:   winEnd,
-		Mined:       len(windowTxns),
+		Partition: part,
+		Stats:     stats,
+		Support:   support,
+		Mining:    mined,
 	}, nil
 }
 

@@ -65,26 +65,14 @@ type Params struct {
 	// an internal/store file at exactly this path, for cmd/tndserve
 	// to serve. Sweep, recall and blow-up runners never write stores.
 	StorePath string
-	// DeltaFrom, when non-empty, names the persisted temporal store
-	// RunFigure4 succeeds: it mines its window afresh and records the
-	// store as its parent generation (core
-	// TemporalMineOptions.DeltaFrom). Results are identical to the
-	// corresponding full mine. The structural runners ignore it.
-	DeltaFrom string
 	// Days, when > 0, limits the temporal runners to the earliest
 	// Days calendar days (partition.TemporalOptions.MaxDays) — the
-	// arrival-simulation knob the delta end-to-end checks use to mine
-	// days 1..k, then days 1..k+1 as the next generation. The Table 3 vertex-label cap
-	// is still computed over the full dataset, so a day-limited run's
-	// transactions stay an exact prefix of the next day's.
+	// arrival-simulation knob: a -days k run is the seed of an ingest
+	// chain and a -days N run its one-shot reference. The Table 3
+	// vertex-label cap is still computed over the full dataset, so a
+	// day-limited run's transactions stay an exact prefix of the next
+	// day's.
 	Days int
-	// Window, when > 0, restricts RunFigure4 to the most recent
-	// Window days of the (possibly Days-limited) partition — the
-	// sliding-window regime (core TemporalMineOptions.Window).
-	// Combined with DeltaFrom the run is a window slide: the new
-	// store is a fresh mine of the window whose lineage names the
-	// stored run and counts the transactions that fell off its front.
-	Window int
 	// Progress, when non-nil, receives one event per completed
 	// Apriori level of the headline figure miners (RunFigure2/3's
 	// structural repetitions, RunFigure4's temporal mine), tagged

@@ -66,8 +66,9 @@ func labelCap(p Params) int {
 	}
 	// Deliberately not day-limited (p.Days): the cap must be the same
 	// number for every prefix of the day sequence, or a day-k run's
-	// transactions would stop being a prefix of the day-k+1 run's and
-	// the -delta-from prefix check would refuse the successor.
+	// transactions would stop being a prefix of the day-k+1 run's, and
+	// a tndingest chain fed -make-batches days onto a -days k seed
+	// would no longer converge to the one-shot -days N mine.
 	dayOpts := partition.DefaultTemporalOptions()
 	dayOpts.SplitComponents = false
 	dayOpts.DropSingleEdge = false
@@ -148,15 +149,13 @@ func RunFigure4(p Params) *Figure4Result {
 	opts.Parallelism = p.Parallelism
 	opts.MaxEmbeddings = p.MaxEmbeddings
 	opts.StorePath = p.StorePath
-	opts.DeltaFrom = p.DeltaFrom
-	opts.Window = p.Window
 	opts.Progress = p.stageProgress("figure4")
 	res, err := core.MineTemporal(p.Data, opts)
 	if err != nil {
 		panic(err)
 	}
 	out := &Figure4Result{
-		Transactions: res.Mined,
+		Transactions: len(res.Partition.Transactions),
 		Support:      res.Support,
 		NumPatterns:  len(res.Mining.Patterns),
 	}

@@ -45,10 +45,24 @@ type Batch struct {
 	Transactions []GraphJSON `json:"transactions"`
 }
 
+// maxBatchValues caps the JSON values one batch may hold, counted as
+// the objects, arrays and commas outside strings (an upper bound on
+// every array element and object member). Decoding costs a few
+// hundred bytes per value — a three-byte `{},` edge becomes an
+// EdgeJSON and a graph edge — so without the cap a 64 MiB body of
+// empty edges would make the daemon allocate about 12 GB. A batch of
+// real transactions holds about five values per edge.
+const maxBatchValues = 1 << 18
+
 // DecodeBatch parses and validates batch JSON into graph
 // transactions. Vertex IDs are remapped to densely assigned ones in
-// listed order; edges must reference listed vertices.
+// listed order; edges must reference listed vertices. A batch of more
+// than maxBatchValues JSON values is refused before anything is
+// decoded.
 func DecodeBatch(data []byte) (*Batch, []*graph.Graph, error) {
+	if n := jsonValues(data); n > maxBatchValues {
+		return nil, nil, fmt.Errorf("ingest: batch holds more than %d JSON values (counted %d); split it", maxBatchValues, n)
+	}
 	var b Batch
 	if err := json.Unmarshal(data, &b); err != nil {
 		return nil, nil, fmt.Errorf("ingest: batch JSON: %w", err)
@@ -84,6 +98,32 @@ func DecodeBatch(data []byte) (*Batch, []*graph.Graph, error) {
 		txns = append(txns, g)
 	}
 	return &b, txns, nil
+}
+
+// jsonValues counts the '{', '[' and ',' bytes of data that lie
+// outside string literals. It allocates nothing; malformed input gets
+// some count and is refused by the decoder that follows.
+func jsonValues(data []byte) int {
+	n := 0
+	inString, escaped := false, false
+	for _, c := range data {
+		switch {
+		case escaped:
+			escaped = false
+		case inString:
+			switch c {
+			case '\\':
+				escaped = true
+			case '"':
+				inString = false
+			}
+		case c == '"':
+			inString = true
+		case c == '{' || c == '[' || c == ',':
+			n++
+		}
+	}
+	return n
 }
 
 // EncodeBatch renders transactions as batch JSON — the inverse of

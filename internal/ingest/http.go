@@ -11,7 +11,8 @@ import (
 )
 
 // maxBatchBytes caps a POSTed batch body; spool files written by hand
-// are not limited.
+// are not limited in bytes. Both are limited in JSON values
+// (maxBatchValues, checked by DecodeBatch).
 const maxBatchBytes = 64 << 20
 
 // Handler returns the daemon's HTTP surface:

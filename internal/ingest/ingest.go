@@ -490,9 +490,12 @@ func (d *Daemon) adoptSeed() error {
 	if err != nil {
 		return fmt.Errorf("ingest: open seed: %w", err)
 	}
-	if err := r.ValidateDeltaSource(); err != nil {
+	// Only transaction-set stores (fsg/temporal) have successors: a
+	// different repetition count of an Algorithm 1 store is a fresh
+	// mine, not a successor.
+	if r.Meta().Kind == "structural" {
 		r.Close() //nolint:errcheck
-		return fmt.Errorf("ingest: seed cannot start a generation chain: %w", err)
+		return fmt.Errorf("ingest: seed cannot start a generation chain: %s is an Algorithm 1 store (one record per repetition) — structural stores have no successor; re-mine with more repetitions instead", d.opts.Seed)
 	}
 	name := genName(r.Meta().Generation)
 	data, err := os.ReadFile(d.opts.Seed)

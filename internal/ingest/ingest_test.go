@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -645,6 +646,72 @@ func TestBatchRoundTrip(t *testing.T) {
 		if _, _, err := DecodeBatch([]byte(body)); err == nil {
 			t.Errorf("%s: DecodeBatch accepted invalid batch", name)
 		}
+	}
+}
+
+// emptyEdgeBatch is the densest batch JSON per byte: one transaction
+// with one vertex and n empty "{}" edges, each a self-loop on it.
+func emptyEdgeBatch(n int) []byte {
+	var b bytes.Buffer
+	b.Grow(3*n + 128) // room for the caller's padding too
+	b.WriteString(`{"transactions":[{"vertices":[{}],"edges":[`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString("{}")
+	}
+	b.WriteString(`]}]}`)
+	return b.Bytes()
+}
+
+// TestBatchDecodeBounded: a body of empty edges at the POST byte cap
+// is refused before anything is decoded, over HTTP with a 400, and the
+// densest batch under the value cap decodes within a fixed absolute
+// bound, so no accepted batch can make the daemon allocate more.
+func TestBatchDecodeBounded(t *testing.T) {
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	atCap := emptyEdgeBatch((maxBatchBytes - 64) / 3)
+	atCap = append(atCap, bytes.Repeat([]byte{' '}, maxBatchBytes-len(atCap))...)
+	var err error
+	alloc := allocated(func() { _, _, err = DecodeBatch(atCap) })
+	if err == nil || !strings.Contains(err.Error(), "JSON values") {
+		t.Fatalf("%d-byte batch of empty edges: err = %v, want the value-cap refusal", len(atCap), err)
+	}
+	if alloc > 1<<20 {
+		t.Fatalf("refusing a %d-byte batch allocated %d bytes (bound 1 MiB)", len(atCap), alloc)
+	}
+	atCap = nil
+
+	over := emptyEdgeBatch(maxBatchValues / 2)
+	d, _ := newTestDaemon(t, nil)
+	rec := httptest.NewRecorder()
+	d.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(over)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("POST of %d values = %d, want 400: %s", jsonValues(over), rec.Code, rec.Body)
+	}
+
+	// The densest accepted batch: the cap less the six containers and
+	// one separator around the edge list, two values per edge.
+	densest := emptyEdgeBatch((maxBatchValues - 6) / 2)
+	if n := jsonValues(densest); n > maxBatchValues {
+		t.Fatalf("densest fixture holds %d values, over the cap", n)
+	}
+	var txns []*graph.Graph
+	alloc = allocated(func() { _, txns, err = DecodeBatch(densest) })
+	if err != nil {
+		t.Fatalf("densest batch under the cap refused: %v", err)
+	}
+	t.Logf("densest accepted batch: %d bytes, %d edges, %d bytes allocated", len(densest), txns[0].NumEdges(), alloc)
+	if alloc > 96<<20 {
+		t.Fatalf("decoding the densest accepted batch allocated %d bytes (bound 96 MiB)", alloc)
 	}
 }
 

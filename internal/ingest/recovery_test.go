@@ -324,8 +324,8 @@ func TestJournalCheckpointBoundsReplay(t *testing.T) {
 }
 
 // TestStructuralSeedRefused: an Algorithm 1 store has no successor, so
-// a daemon seeded with one must fail at start with the shared
-// delta-source refusal and leave no CURRENT pointer behind.
+// a daemon seeded with one must fail at start with the seed
+// refusal and leave no CURRENT pointer behind.
 func TestStructuralSeedRefused(t *testing.T) {
 	dir := t.TempDir()
 	seed := filepath.Join(dir, "structural.tnd")

@@ -35,8 +35,9 @@ type TemporalOptions struct {
 	// Because days are processed in calendar order and each day's
 	// transactions depend on nothing outside the day, a MaxDays=k run
 	// produces a transaction list that is an exact prefix of the
-	// MaxDays=k+1 run's — the arrival simulation knob delta mining's
-	// end-to-end checks fold forward over. 0 keeps every day.
+	// MaxDays=k+1 run's — the arrival simulation knob: a MaxDays=k
+	// store seeds an ingest chain whose per-day batches converge to
+	// the MaxDays=N mine. 0 keeps every day.
 	MaxDays int
 	// Parallelism is the worker count for building the ~180 per-day
 	// transaction batches (graph build, dedup, filtering, component
@@ -68,7 +69,7 @@ type TemporalResult struct {
 	// were all filtered away still has an entry (an empty range).
 	// Because a MaxDays=k run is an exact prefix of a MaxDays=k+1
 	// run, DayStarts is how arrival streams slice a fixed dataset
-	// into the per-day batches an incremental fold consumes.
+	// into the per-day batches tndingest consumes.
 	DayStarts []int
 	// DaysTotal is the number of calendar days with at least one
 	// active OD pair (before any filtering).
@@ -81,30 +82,6 @@ type TemporalResult struct {
 	// FilteredByVertexLabels counts transactions removed by the
 	// MaxVertexLabels filter.
 	FilteredByVertexLabels int
-}
-
-// WindowRange returns the transaction index range [lo, hi) covered by
-// the 1-based day window firstDay..lastDay — the day→TID translation
-// a sliding-window mine retires and re-thresholds by. Both bounds are
-// clamped to the processed days, so WindowRange(1, len(DayStarts))
-// spans every transaction; an inverted or out-of-range window yields
-// an empty range.
-func (r *TemporalResult) WindowRange(firstDay, lastDay int) (lo, hi int) {
-	n := len(r.DayStarts)
-	if firstDay < 1 {
-		firstDay = 1
-	}
-	if lastDay > n {
-		lastDay = n
-	}
-	if firstDay > lastDay {
-		return 0, 0
-	}
-	lo = r.DayStarts[firstDay-1]
-	if lastDay == n {
-		return lo, len(r.Transactions)
-	}
-	return lo, r.DayStarts[lastDay]
 }
 
 // Stats summarises the surviving transactions in Table 2/3 form.

@@ -34,7 +34,7 @@ type RemountResult struct {
 }
 
 // validateLineage checks a candidate reader against the mounted one.
-// The generation must strictly increase (PR 5's delta miner stamps
+// The generation must strictly increase (every ingest publish stamps
 // Generation = parent+1), and the candidate must descend from the
 // mounted lineage: its Meta.Parent names the mounted path (directly
 // or by base name — tndingest stamps Parent relative to its -dir

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"testing"
 
 	"tnkd/internal/obs"
@@ -19,7 +21,13 @@ import (
 // object, a missing path, a nonexistent path, an unknown store name
 // and trailing garbage; the seeds added here name the mounted file
 // itself (a stale generation) with no mount name, its own mount name
-// and an unknown one, so the lineage and no-such-store branches run.
+// and an unknown one, so the lineage and no-such-store branches run,
+// plus a 20 KB path and a 20 KB mount name.
+//
+// One request may allocate at most 1 MiB + 64 bytes per input byte:
+// a request that opens the mounted file allocates about 400 KB
+// whatever its size, and the long path and name add about 16 bytes
+// per byte.
 func FuzzRemountBody(f *testing.F) {
 	fx := newMinedFixtureOpts(f, Options{Parallelism: 2, Metrics: obs.NewRegistry()})
 	h := fx.srv.Handler()
@@ -28,6 +36,8 @@ func FuzzRemountBody(f *testing.F) {
 		{"path": fx.path},
 		{"store": "mined", "path": fx.path},
 		{"store": "other", "path": fx.path},
+		{"path": strings.Repeat("a/", 10000)},
+		{"store": strings.Repeat("a", 20000), "path": fx.path},
 	} {
 		seed, err := json.Marshal(body)
 		if err != nil {
@@ -37,7 +47,14 @@ func FuzzRemountBody(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/admin/remount", bytes.NewReader(body)))
+		req := httptest.NewRequest(http.MethodPost, "/v1/admin/remount", bytes.NewReader(body))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+64*len(body)); alloc > bound {
+			t.Fatalf("a %d-byte body allocated %d bytes (bound %d)", len(body), alloc, bound)
+		}
 		if rec.Code >= 500 {
 			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
 		}

@@ -246,6 +246,30 @@ func TestRemountValidation(t *testing.T) {
 	if len(sup.Matches) != 1 || sup.Matches[0].Support != 101 {
 		t.Fatalf("post-remount support: %+v", sup.Matches)
 	}
+
+	// An ingest generation names its parent by the daemon's own copy
+	// (store/gen-000000.tnd), never the mounted path: it is accepted on
+	// the same Kind/Name with an advancing generation, both by name and
+	// by path alone.
+	for i, remount := range []func(string) (RemountResult, error){
+		func(p string) (RemountResult, error) { return srv.Remount("lineage", p) },
+		srv.RemountAuto,
+	} {
+		gen := 2 + i
+		ingested := filepath.Join(dir, fmt.Sprintf("ingested%d.tnd", gen))
+		writeGenStore(t, ingested, gen, filepath.Join("data", "store", "gen-000000.tnd"))
+		res, err := remount(ingested)
+		if err != nil {
+			t.Fatalf("ingest-lineage remount %d: %v", i, err)
+		}
+		if res.Store != "lineage" || res.OldGeneration != gen-1 || res.NewGeneration != gen {
+			t.Fatalf("ingest-lineage remount %d: %+v", i, res)
+		}
+	}
+	getJSON(t, ts, "/v1/patterns/genpat/support", &sup)
+	if len(sup.Matches) != 1 || sup.Matches[0].Support != 103 {
+		t.Fatalf("post-ingest-remount support: %+v", sup.Matches)
+	}
 }
 
 // postBatch posts codes to /v1/patterns:batch and decodes the

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -452,47 +451,6 @@ func (r *Reader) AllLevelPatterns() (map[int][]pattern.Pattern, error) {
 		out[lv.edges] = pats
 	}
 	return out, nil
-}
-
-// ValidateDeltaSource checks that an opened store can be the parent
-// of a new generation, in one place so the flag-time pre-flight
-// (cmd/tndtemporal), core.MineTemporal and the ingest seed cannot
-// drift. Only transaction-set stores (fsg/temporal) have successors:
-// an Algorithm 1 store is refused, because a different repetition
-// count is a fresh mine, not a successor. Deeper validation (prefix
-// match, window order) needs the run's own inputs and stays with the
-// pipelines.
-func (r *Reader) ValidateDeltaSource() error {
-	if r.meta.Kind == "structural" {
-		return fmt.Errorf("store: delta source %s is an Algorithm 1 store (one record per repetition) — structural stores have no successor; re-mine with more repetitions instead", r.path)
-	}
-	return nil
-}
-
-// VerifyPrefix checks that this store's transaction set is exactly
-// the first NumTransactions entries of txns, byte-for-byte under the
-// store codec. A -delta-from run records this store as its parent
-// only when the new transaction list extends the stored one — a
-// reordered partition, a different dataset or a mismatched filter
-// all fail here with the first offending TID instead of recording a
-// false lineage.
-func (r *Reader) VerifyPrefix(txns []*graph.Graph) error {
-	if len(txns) < len(r.txnSpan) {
-		return fmt.Errorf("store: %s holds %d transactions but only %d were supplied — the new transaction set must extend the stored one", r.path, len(r.txnSpan), len(txns))
-	}
-	var e enc
-	for tid := range r.txnSpan {
-		stored, err := r.readSpan(r.txnSpan[tid])
-		if err != nil {
-			return err
-		}
-		e.buf = e.buf[:0]
-		encodeGraph(&e, txns[tid])
-		if !bytes.Equal(stored, e.buf) {
-			return fmt.Errorf("store: %s transaction %d differs from the supplied transaction set — not a prefix, cannot delta-mine from this store", r.path, tid)
-		}
-	}
-	return nil
 }
 
 // Transaction decodes transaction tid, caching the result; repeated

@@ -12,7 +12,7 @@ import (
 )
 
 // TestRehydrationRoundTrip writes a randomised store and reads it
-// back through the bulk rehydration path delta mining uses —
+// back through the bulk rehydration path —
 // Transactions, LevelPatterns, AllLevelPatterns — asserting
 // element-for-element equality with what was written.
 func TestRehydrationRoundTrip(t *testing.T) {
@@ -62,34 +62,6 @@ func TestRehydrationRoundTrip(t *testing.T) {
 	}
 	if got, err := r.LevelPatterns(99); err != nil || len(got) != 0 {
 		t.Fatalf("absent level: %v patterns, err %v", got, err)
-	}
-}
-
-// TestVerifyPrefix pins the delta pre-condition check: the stored
-// transactions must be an exact byte prefix of the supplied list.
-func TestVerifyPrefix(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	txns := []*graph.Graph{randGraph(rng, "a"), randGraph(rng, "b"), randGraph(rng, "c")}
-	path := tmpStore(t)
-	writeStore(t, path, Meta{Kind: "fsg"}, txns[:2], nil)
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	if err := r.VerifyPrefix(txns); err != nil {
-		t.Fatalf("true prefix rejected: %v", err)
-	}
-	if err := r.VerifyPrefix(txns[:2]); err != nil {
-		t.Fatalf("exact match rejected: %v", err)
-	}
-	if err := r.VerifyPrefix(txns[:1]); err == nil || !strings.Contains(err.Error(), "must extend") {
-		t.Fatalf("shorter list accepted: %v", err)
-	}
-	reordered := []*graph.Graph{txns[1], txns[0], txns[2]}
-	if err := r.VerifyPrefix(reordered); err == nil || !strings.Contains(err.Error(), "not a prefix") {
-		t.Fatalf("reordered list accepted: %v", err)
 	}
 }
 

@@ -102,9 +102,8 @@ type Meta struct {
 	// reasons, ...).
 	Note string `json:"note,omitempty"`
 
-	// Lineage. A store that succeeds a previous generation (temporal
-	// DeltaFrom runs, every ingest publish) records its parent chain
-	// here; a first generation leaves both zero. Meta is JSON in the
+	// Lineage. A store that succeeds a previous generation (every
+	// ingest publish) records its parent chain here; a first generation leaves both zero. Meta is JSON in the
 	// index block, so these fields read back as zero values from
 	// stores written before they existed — no format-version bump.
 
@@ -124,15 +123,14 @@ type Meta struct {
 	SourceBatch string `json:"source_batch,omitempty"`
 	SourceSHA   string `json:"source_sha,omitempty"`
 
-	// Window provenance. A store of a sliding window (core Window
-	// runs, ingest with Options.Window) records which stretch of the
-	// source stream its transactions cover; append-only and full-mine stores
+	// Window provenance. A store of a sliding window (ingest with
+	// Options.Window) records which stretch of the source stream its
+	// transactions cover; append-only and full-mine stores
 	// leave all of these zero. Like the lineage fields, they read back
 	// as zero values from older stores — no format-version bump.
 
 	// WindowStart/WindowEnd bound the window as 1-based ordinals of
-	// the pipeline's slide unit (days for the temporal pipeline,
-	// ingest batches for the daemon; the seed store is unit 1). Both
+	// the slide unit, an ingest batch (the seed store is unit 1). Both
 	// zero = not a windowed store; WindowStart 1 with WindowEnd set =
 	// a windowed run that has not yet retired anything.
 	WindowStart int `json:"window_start,omitempty"`
