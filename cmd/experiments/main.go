@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	experiments [-scale 0.05] [-parallelism N] [-maxembeddings N] [-store prefix]
+//	experiments [-scale 0.05] [-parallelism N] [-store prefix]
 //
 // -store persists the three headline mining runs to store files
 // <prefix>_figure2.tnd, <prefix>_figure3.tnd and <prefix>_figure4.tnd
@@ -27,14 +27,12 @@ import (
 func main() {
 	scale := flag.Float64("scale", 0.05, "synthetic dataset scale in (0, 1]")
 	parallelism := flag.Int("parallelism", 0, "mining worker count (0 = all CPUs, 1 = serial)")
-	maxEmbeddings := flag.Int("maxembeddings", 0, "per-level FSG embedding budget (0 = default, -1 = unlimited); over budget the incremental support counter falls back to full isomorphism")
 	storePrefix := flag.String("store", "", "persist the figure 2/3/4 mines to <prefix>_figure{2,3,4}.tnd store files (serve with tndserve)")
 	flag.Parse()
 
 	start := time.Now()
 	p := experiments.NewParams(*scale)
 	p.Parallelism = *parallelism
-	p.MaxEmbeddings = *maxEmbeddings
 	// withStore copies the shared params with the per-figure store
 	// path (empty prefix = no persistence anywhere).
 	withStore := func(figure string) experiments.Params {

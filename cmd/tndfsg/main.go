@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	tndfsg [-scale 0.05] [-strategy bf|df] [-sweep] [-recall] [-parallelism N] [-maxembeddings N] [-store out.tnd]
+//	tndfsg [-scale 0.05] [-strategy bf|df] [-sweep] [-recall] [-parallelism N] [-store out.tnd]
 //
 // -store persists the headline structural mine (patterns, TID lists,
 // embeddings and the partitioned transactions) to an internal/store
@@ -46,7 +46,6 @@ func main() {
 	sweep := flag.Bool("sweep", false, "run the partition-size sweep (Section 5.2.2)")
 	recall := flag.Bool("recall", false, "run the planted-pattern recall study (footnote 2)")
 	parallelism := flag.Int("parallelism", 0, "mining worker count (0 = all CPUs, 1 = serial)")
-	maxEmbeddings := flag.Int("maxembeddings", 0, "per-level FSG embedding budget (0 = default, -1 = unlimited); over budget the incremental support counter falls back to full isomorphism")
 	storePath := flag.String("store", "", "persist the mined patterns + embeddings to this store file (serve with tndserve)")
 	progress := flag.Bool("progress", false, "stream one line per mined level to stderr while mining (stdout stays byte-identical)")
 	flag.Parse()
@@ -60,7 +59,6 @@ func main() {
 
 	p := experiments.NewParams(*scale)
 	p.Parallelism = *parallelism
-	p.MaxEmbeddings = *maxEmbeddings
 	p.StorePath = *storePath
 	if *progress {
 		p.Progress = progressLine

@@ -85,7 +85,6 @@ func main() {
 	maxAttempts := flag.Int("max-attempts", 5, "fold attempts before a failing batch is quarantined to poison/")
 	poll := flag.Duration("poll", 500*time.Millisecond, "spool scan interval")
 	parallelism := flag.Int("parallelism", 0, "fold worker count (0 = all CPUs, 1 = serial)")
-	maxEmbeddings := flag.Int("maxembeddings", 0, "per-level FSG embedding budget (0 = default, -1 = unlimited)")
 	accessLog := flag.Bool("access-log", true, "log one JSON line per event on stderr")
 
 	makeBatches := flag.String("make-batches", "", "write per-day batch files to this directory instead of running the daemon")
@@ -129,7 +128,6 @@ func main() {
 		MaxAttempts:     *maxAttempts,
 		PollInterval:    *poll,
 		Parallelism:     *parallelism,
-		MaxEmbeddings:   *maxEmbeddings,
 		Logger:          logger,
 	}
 	if *remountURL != "" {

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	tndtemporal [-scale 0.05] [-mine] [-blowup] [-parallelism N] [-maxembeddings N] [-days N] [-store out.tnd]
+//	tndtemporal [-scale 0.05] [-mine] [-blowup] [-parallelism N] [-days N] [-store out.tnd]
 //
 // -store persists the Figure 4 mine (patterns, TID lists, embeddings
 // and the per-day transactions) to an internal/store file that
@@ -50,7 +50,6 @@ func main() {
 	mine := flag.Bool("mine", true, "run frequent-pattern mining (Figure 4)")
 	blowup := flag.Bool("blowup", false, "run the Section 8 candidate blow-up study")
 	parallelism := flag.Int("parallelism", 0, "mining worker count (0 = all CPUs, 1 = serial)")
-	maxEmbeddings := flag.Int("maxembeddings", 0, "per-level FSG embedding budget (0 = default, -1 = unlimited); over budget the incremental support counter falls back to full isomorphism")
 	days := flag.Int("days", 0, "limit the run to the earliest N calendar days (0 = all); a -days K run's transactions are an exact prefix of the -days K+1 run's")
 	storePath := flag.String("store", "", "persist the Figure 4 mine (patterns + embeddings + per-day transactions) to this store file (serve with tndserve)")
 	progress := flag.Bool("progress", false, "stream one line per mined level to stderr while mining (stdout stays byte-identical)")
@@ -66,7 +65,6 @@ func main() {
 
 	p := experiments.NewParams(*scale)
 	p.Parallelism = *parallelism
-	p.MaxEmbeddings = *maxEmbeddings
 	p.Days = *days
 	p.StorePath = *storePath
 	if *progress {

@@ -46,10 +46,6 @@ type StructuralOptions struct {
 	MaxEdges int
 	// MaxSteps bounds individual isomorphism tests.
 	MaxSteps int
-	// MaxEmbeddings bounds the per-level embedding lists of FSG's
-	// incremental support counter (0 = the fsg default, negative =
-	// unlimited); see fsg.Options.MaxEmbeddings.
-	MaxEmbeddings int
 	// Seed drives the random partitionings.
 	Seed int64
 	// Parallelism is the worker count: the m repetitions mine
@@ -186,11 +182,10 @@ func mineRepetitionSet(partitionings [][]*graph.Graph, opts StructuralOptions) (
 	return engine.MapCtx(context.Background(), outer, len(partitionings),
 		func(_ context.Context, rep int) (*fsg.Result, error) {
 			fo := fsg.Options{
-				MinSupport:    opts.Support,
-				MaxEdges:      opts.MaxEdges,
-				MaxSteps:      opts.MaxSteps,
-				MaxEmbeddings: opts.MaxEmbeddings,
-				Parallelism:   inner,
+				MinSupport:  opts.Support,
+				MaxEdges:    opts.MaxEdges,
+				MaxSteps:    opts.MaxSteps,
+				Parallelism: inner,
 			}
 			if opts.Progress != nil {
 				fo.Progress = func(ev fsg.LevelProgress) { opts.Progress(rep, ev) }
@@ -310,10 +305,6 @@ type TemporalMineOptions struct {
 	SupportFraction float64
 	MaxEdges        int
 	MaxSteps        int
-	// MaxEmbeddings bounds the per-level embedding lists of FSG's
-	// incremental support counter (0 = the fsg default, negative =
-	// unlimited).
-	MaxEmbeddings int
 	// Parallelism is the worker count for both the per-day partition
 	// build and the cross-day support counting. <= 0 selects
 	// GOMAXPROCS; 1 runs fully serial. Results are identical for
@@ -366,12 +357,11 @@ func MineTemporal(d *dataset.Dataset, opts TemporalMineOptions) (*TemporalMineRe
 	stats := part.Stats()
 	support := fsg.MinSupportFraction(len(part.Transactions), opts.SupportFraction)
 	fsgOpts := fsg.Options{
-		MinSupport:    support,
-		MaxEdges:      opts.MaxEdges,
-		MaxSteps:      opts.MaxSteps,
-		MaxEmbeddings: opts.MaxEmbeddings,
-		Parallelism:   opts.Parallelism,
-		Progress:      opts.Progress,
+		MinSupport:  support,
+		MaxEdges:    opts.MaxEdges,
+		MaxSteps:    opts.MaxSteps,
+		Parallelism: opts.Parallelism,
+		Progress:    opts.Progress,
 	}
 
 	var w *store.Writer

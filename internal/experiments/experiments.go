@@ -52,13 +52,6 @@ type Params struct {
 	// (<= 0 selects GOMAXPROCS, 1 is fully serial). Mining results
 	// are identical for every value; only wall-clock time changes.
 	Parallelism int
-	// MaxEmbeddings is the per-level embedding budget handed to every
-	// FSG run (0 = the fsg default, negative = unlimited); see
-	// fsg.Options.MaxEmbeddings. While no isomorphism search aborts
-	// on its step budget (true of the stock configs), mining results
-	// are identical for every value — only the incremental/seeded/
-	// full-matching split of the support counter changes.
-	MaxEmbeddings int
 	// StorePath, when non-empty, persists the headline mining run of
 	// the figure runners (RunFigure2's BF structural mine,
 	// RunFigure3's DF structural mine, RunFigure4's temporal mine) to

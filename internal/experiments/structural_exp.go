@@ -35,17 +35,16 @@ func RunFigure2(p Params) *Figure2Result {
 	support := p.scaled(240, 3)
 	partitions := p.scaled(800, 8)
 	res, err := core.MineStructural(g, core.StructuralOptions{
-		Strategy:      partition.BreadthFirst,
-		Partitions:    partitions,
-		Repetitions:   2,
-		Support:       support,
-		MaxEdges:      5,
-		MaxSteps:      50000,
-		MaxEmbeddings: p.MaxEmbeddings,
-		Seed:          p.Seed,
-		Parallelism:   p.Parallelism,
-		StorePath:     p.StorePath,
-		Progress:      p.repProgress("figure2"),
+		Strategy:    partition.BreadthFirst,
+		Partitions:  partitions,
+		Repetitions: 2,
+		Support:     support,
+		MaxEdges:    5,
+		MaxSteps:    50000,
+		Seed:        p.Seed,
+		Parallelism: p.Parallelism,
+		StorePath:   p.StorePath,
+		Progress:    p.repProgress("figure2"),
 	})
 	if err != nil {
 		panic(err) // options are internally consistent
@@ -105,17 +104,16 @@ func RunFigure3(p Params) *Figure3Result {
 	partitions := p.scaled(800, 8)
 	run := func(strat partition.Strategy, storePath string) *core.StructuralResult {
 		res, err := core.MineStructural(g, core.StructuralOptions{
-			Strategy:      strat,
-			Partitions:    partitions,
-			Repetitions:   2,
-			Support:       support,
-			MaxEdges:      5,
-			MaxSteps:      50000,
-			MaxEmbeddings: p.MaxEmbeddings,
-			Seed:          p.Seed,
-			Parallelism:   p.Parallelism,
-			StorePath:     storePath,
-			Progress:      p.repProgress("figure3 " + strat.String()),
+			Strategy:    strat,
+			Partitions:  partitions,
+			Repetitions: 2,
+			Support:     support,
+			MaxEdges:    5,
+			MaxSteps:    50000,
+			Seed:        p.Seed,
+			Parallelism: p.Parallelism,
+			StorePath:   storePath,
+			Progress:    p.repProgress("figure3 " + strat.String()),
 		})
 		if err != nil {
 			panic(err)
@@ -194,15 +192,14 @@ func RunSection522Sweep(p Params) *Section522SweepResult {
 		}
 		for _, k := range sizes {
 			res, err := core.MineStructural(g, core.StructuralOptions{
-				Strategy:      strat,
-				Partitions:    k,
-				Repetitions:   1,
-				Support:       support,
-				MaxEdges:      3,
-				MaxSteps:      50000,
-				MaxEmbeddings: p.MaxEmbeddings,
-				Seed:          p.Seed + int64(k),
-				Parallelism:   p.Parallelism,
+				Strategy:    strat,
+				Partitions:  k,
+				Repetitions: 1,
+				Support:     support,
+				MaxEdges:    3,
+				MaxSteps:    50000,
+				Seed:        p.Seed + int64(k),
+				Parallelism: p.Parallelism,
 			})
 			if err != nil {
 				panic(err)
@@ -300,8 +297,7 @@ func RunFootnote2(p Params) *Footnote2Result {
 			}
 			mined, err := fsg.Mine(parts, fsg.Options{
 				MinSupport: support, MaxEdges: 4, MaxSteps: 100000,
-				MaxEmbeddings: p.MaxEmbeddings,
-				Parallelism:   p.Parallelism,
+				Parallelism: p.Parallelism,
 			})
 			if err != nil {
 				panic(err)

@@ -147,7 +147,6 @@ func RunFigure4(p Params) *Figure4Result {
 	opts.Partition.MaxVertexLabels = labelCap(p)
 	opts.Partition.MaxDays = p.Days
 	opts.Parallelism = p.Parallelism
-	opts.MaxEmbeddings = p.MaxEmbeddings
 	opts.StorePath = p.StorePath
 	opts.Progress = p.stageProgress("figure4")
 	res, err := core.MineTemporal(p.Data, opts)
@@ -246,7 +245,6 @@ func RunSection8(p Params, budget int) *Section8Result {
 			MaxEdges:      2,
 			MaxSteps:      20000,
 			MaxCandidates: budget,
-			MaxEmbeddings: p.MaxEmbeddings,
 			Parallelism:   p.Parallelism,
 		})
 		if err != nil {

@@ -10,9 +10,9 @@ import (
 	"strings"
 )
 
-// maxBatchBytes caps a POSTed batch body; spool files written by hand
-// are not limited in bytes. Both are limited in JSON values
-// (maxBatchValues, checked by DecodeBatch).
+// maxBatchBytes caps a batch in bytes: a POSTed body is refused with
+// 413, a spool file is quarantined unread. Both are also limited in
+// JSON values (maxBatchValues, checked by DecodeBatch).
 const maxBatchBytes = 64 << 20
 
 // Handler returns the daemon's HTTP surface:
@@ -43,7 +43,11 @@ func (d *Daemon) Handler() http.Handler {
 // waiting in the spool is a 409 — silently renaming over a pending
 // batch would discard it.
 func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBytes+1))
+	if r.ContentLength > maxBatchBytes {
+		httpError(w, http.StatusRequestEntityTooLarge, "batch exceeds %d bytes", maxBatchBytes)
+		return
+	}
+	data, err := readBody(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "read body: %v", err)
 		return
@@ -98,6 +102,20 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 		"batch":        name,
 		"transactions": len(txns),
 	})
+}
+
+// readBody reads a request body of at most maxBatchBytes+1 bytes. A
+// declared Content-Length (already checked against the cap) sizes one
+// buffer up front; a chunked body grows one as it arrives.
+func readBody(r *http.Request) ([]byte, error) {
+	if r.ContentLength < 0 {
+		return io.ReadAll(io.LimitReader(r.Body, maxBatchBytes+1))
+	}
+	data := make([]byte, r.ContentLength)
+	if _, err := io.ReadFull(r.Body, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // sanitizeBatchName reduces a client-supplied name to a safe spool

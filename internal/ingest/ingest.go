@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"log/slog"
 	"math/rand"
@@ -108,15 +109,14 @@ type Options struct {
 	// MinSupport is a fixed absolute support threshold (used when
 	// SupportFraction is 0; 0 = inherit the store's Meta.MinSupport).
 	MinSupport int
-	// MaxEdges/MaxSteps/MaxEmbeddings/Parallelism are the fsg.Options
-	// knobs for each fold; zero values keep fsg defaults, except
+	// MaxEdges/MaxSteps/Parallelism are the fsg.Options knobs for
+	// each fold; zero values keep fsg defaults, except
 	// MaxEdges/MaxSteps which default to the temporal pipeline's
 	// 8/200000 so an ingest fold chain matches cmd/tndtemporal's
 	// one-shot results.
-	MaxEdges      int
-	MaxSteps      int
-	MaxEmbeddings int
-	Parallelism   int
+	MaxEdges    int
+	MaxSteps    int
+	Parallelism int
 
 	// Window, when > 0, caps the store at the most recent Window
 	// ingest units (batches; whatever the adopted seed store held
@@ -718,6 +718,35 @@ func (d *Daemon) listSpool() ([]string, error) {
 	return names, nil
 }
 
+// readSpoolFile reads a spool file whole and returns its size and
+// SHA-256. A file over maxBatchBytes, the POST cap, is only hashed by
+// streaming and comes back without data: it is quarantined unread.
+func readSpoolFile(path string) (data []byte, size int64, sum [sha256.Size]byte, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, sum, err
+	}
+	defer f.Close() //nolint:errcheck // read-only
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, sum, err
+	}
+	size = fi.Size()
+	if size > maxBatchBytes {
+		h := sha256.New()
+		if _, err := io.Copy(h, f); err != nil {
+			return nil, 0, sum, err
+		}
+		h.Sum(sum[:0])
+		return nil, size, sum, nil
+	}
+	data = make([]byte, size)
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, 0, sum, err
+	}
+	return data, size, sha256.Sum256(data), nil
+}
+
 func (d *Daemon) processSpool() error {
 	names, err := d.listSpool()
 	if err != nil {
@@ -725,11 +754,10 @@ func (d *Daemon) processSpool() error {
 		return nil
 	}
 	for _, name := range names {
-		data, err := os.ReadFile(d.path(spoolDir, name))
+		data, size, sum, err := readSpoolFile(d.path(spoolDir, name))
 		if err != nil {
 			continue // raced away
 		}
-		sum := sha256.Sum256(data)
 		key := name + "@" + hex.EncodeToString(sum[:8])
 		if _, done := d.published[key]; done {
 			// Already folded in a previous life (the crash hit after
@@ -750,7 +778,11 @@ func (d *Daemon) processSpool() error {
 		if at := d.attempts[key]; at != nil && d.now().Before(at.next) {
 			continue
 		}
-		err = d.applyBatch(name, key, hex.EncodeToString(sum[:8]), data)
+		if size > maxBatchBytes {
+			err = fmt.Errorf("%w: %d-byte file exceeds the %d-byte batch cap", errBadBatch, size, maxBatchBytes)
+		} else {
+			err = d.applyBatch(name, key, hex.EncodeToString(sum[:8]), data)
+		}
 		switch {
 		case err == nil:
 			delete(d.attempts, key)
@@ -900,11 +932,10 @@ func (d *Daemon) applyBatch(name, key, sha string, data []byte) error {
 		return err
 	}
 	fsgOpts := fsg.Options{
-		MinSupport:    support,
-		MaxEdges:      d.opts.MaxEdges,
-		MaxSteps:      d.opts.MaxSteps,
-		MaxEmbeddings: d.opts.MaxEmbeddings,
-		Parallelism:   d.opts.Parallelism,
+		MinSupport:  support,
+		MaxEdges:    d.opts.MaxEdges,
+		MaxSteps:    d.opts.MaxSteps,
+		Parallelism: d.opts.Parallelism,
 		Checkpoint: func(lv fsg.LevelStats, pats []fsg.Pattern) error {
 			return w.WriteLevel(lv.Edges, pats)
 		},

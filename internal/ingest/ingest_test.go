@@ -665,21 +665,29 @@ func emptyEdgeBatch(n int) []byte {
 	return b.Bytes()
 }
 
+// allocated reports the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// batchAtCap is emptyEdgeBatch padded with spaces to exactly
+// maxBatchBytes: the largest body the byte cap admits, and over the
+// value cap.
+func batchAtCap() []byte {
+	b := emptyEdgeBatch((maxBatchBytes - 64) / 3)
+	return append(b, bytes.Repeat([]byte{' '}, maxBatchBytes-len(b))...)
+}
+
 // TestBatchDecodeBounded: a body of empty edges at the POST byte cap
 // is refused before anything is decoded, over HTTP with a 400, and the
 // densest batch under the value cap decodes within a fixed absolute
 // bound, so no accepted batch can make the daemon allocate more.
 func TestBatchDecodeBounded(t *testing.T) {
-	allocated := func(f func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-
-	atCap := emptyEdgeBatch((maxBatchBytes - 64) / 3)
-	atCap = append(atCap, bytes.Repeat([]byte{' '}, maxBatchBytes-len(atCap))...)
+	atCap := batchAtCap()
 	var err error
 	alloc := allocated(func() { _, _, err = DecodeBatch(atCap) })
 	if err == nil || !strings.Contains(err.Error(), "JSON values") {
@@ -712,6 +720,97 @@ func TestBatchDecodeBounded(t *testing.T) {
 	t.Logf("densest accepted batch: %d bytes, %d edges, %d bytes allocated", len(densest), txns[0].NumEdges(), alloc)
 	if alloc > 96<<20 {
 		t.Fatalf("decoding the densest accepted batch allocated %d bytes (bound 96 MiB)", alloc)
+	}
+}
+
+// TestPostBodyBounded: reading a POST body allocates one buffer of
+// its declared length, a declared length over the cap is refused
+// before the body is read, and a chunked body still goes through.
+func TestPostBodyBounded(t *testing.T) {
+	d, _ := newTestDaemon(t, nil)
+	h := d.Handler()
+
+	atCap := batchAtCap()
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(atCap))
+	alloc := allocated(func() { h.ServeHTTP(rec, req) })
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "JSON values") {
+		t.Fatalf("POST of a %d-byte batch of empty edges = %d %s, want the 400 value-cap refusal", len(atCap), rec.Code, rec.Body)
+	}
+	if limit := uint64(len(atCap)) * 11 / 10; alloc > limit {
+		t.Fatalf("POST of a %d-byte body allocated %d bytes (bound %d, 1.1x the body)", len(atCap), alloc, limit)
+	}
+	atCap = nil
+
+	unread := &countingReader{}
+	req = httptest.NewRequest(http.MethodPost, "/v1/ingest", unread)
+	req.ContentLength = maxBatchBytes + 1
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("POST declaring %d bytes = %d %s, want 413", req.ContentLength, rec.Code, rec.Body)
+	}
+	if unread.n != 0 {
+		t.Fatalf("refusing an oversized POST read %d body bytes, want 0", unread.n)
+	}
+
+	body, err := EncodeBatch("chunked.json", testTxns(4, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req = httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body))
+	req.ContentLength = -1
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("chunked POST = %d %s, want 202", rec.Code, rec.Body)
+	}
+}
+
+// countingReader counts the bytes read from an endless body.
+type countingReader struct{ n int }
+
+func (r *countingReader) Read(p []byte) (int, error) {
+	r.n += len(p)
+	return len(p), nil
+}
+
+// TestSpoolFileOverCap: a spool file over the POST byte cap is
+// quarantined as a bad batch, with a reason naming the cap, without
+// being read whole.
+func TestSpoolFileOverCap(t *testing.T) {
+	d, opts := newTestDaemon(t, nil)
+	path := filepath.Join(opts.Dir, spoolDir, "huge.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(maxBatchBytes + 1); err != nil { // sparse: no disk blocks
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var tickErr error
+	alloc := allocated(func() { tickErr = d.Tick() })
+	if tickErr != nil {
+		t.Fatalf("Tick: %v", tickErr)
+	}
+	if alloc > 4<<20 {
+		t.Fatalf("quarantining a %d-byte spool file allocated %d bytes (bound 4 MiB)", maxBatchBytes+1, alloc)
+	}
+	if _, err := os.Stat(filepath.Join(opts.Dir, poisonDir, "huge.json")); err != nil {
+		t.Fatalf("oversized spool file not quarantined: %v", err)
+	}
+	reason, err := os.ReadFile(filepath.Join(opts.Dir, poisonDir, "huge.json.reason.json"))
+	if err != nil {
+		t.Fatalf("no quarantine reason: %v", err)
+	}
+	if want := fmt.Sprintf("exceeds the %d-byte batch cap", maxBatchBytes); !strings.Contains(string(reason), want) {
+		t.Fatalf("quarantine reason %s does not name the cap (%q)", reason, want)
+	}
+	if st := d.Status(); st.Quarantines != 1 || st.Generation != 0 || st.SpoolBacklog != 0 {
+		t.Fatalf("status after quarantine = %+v", st)
 	}
 }
 

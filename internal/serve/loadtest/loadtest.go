@@ -2,9 +2,10 @@
 // workload load generator for a running tndserve daemon. It drives
 // the point-pattern, batch, support, location and store endpoints
 // from concurrent workers for a fixed duration and reports per-class
-// latency percentiles and throughput — the numbers the CI load job
-// gates on (zero failures under remount, batch beating point queries
-// on codes resolved per second).
+// latency percentiles and throughput. Result.Gate holds the rules the
+// CI load job gates on (zero failures under remount, an exact
+// client/server cross-check, batch beating point queries on codes
+// resolved per second, a point p99 ceiling).
 //
 // It lives under internal/serve so the in-process tests can hammer
 // an httptest server with the exact client the CI job uses.
@@ -99,6 +100,58 @@ type ServerCheck struct {
 	// first divergence when it did not.
 	Match  bool   `json:"match"`
 	Detail string `json:"detail,omitempty"`
+}
+
+// The serve-load gate's limits (see Gate).
+const (
+	// minBatchSpeedup is the least ratio of batch to point codes
+	// resolved per second.
+	minBatchSpeedup = 2.0
+	// maxPointP99Millis is a generous point-query p99 ceiling: only
+	// pathological stalls (a blocked remount, a lost reader) reach it.
+	maxPointP99Millis = 500.0
+)
+
+// Consistent reports the broken rules among those that hold whatever
+// the load shape: no request failed, the run sent point and batch
+// requests, and the server's own /metrics counters agree exactly with
+// the client tallies (no request lost or double-counted, no 5xx).
+func (r Result) Consistent() error {
+	var errs []error
+	if r.Failures != 0 {
+		errs = append(errs, fmt.Errorf("%d of %d requests failed", r.Failures, r.Requests))
+	}
+	if r.Requests == 0 || r.Class("point").Requests == 0 || r.Class("batch").Requests == 0 {
+		errs = append(errs, fmt.Errorf("run sent %d requests, %d point and %d batch; want all three > 0",
+			r.Requests, r.Class("point").Requests, r.Class("batch").Requests))
+	}
+	switch srv := r.Server; {
+	case srv == nil:
+		errs = append(errs, errors.New("no server cross-check: /metrics was not scraped"))
+	case !srv.Match:
+		errs = append(errs, fmt.Errorf("client/server cross-check failed: %s", srv.Detail))
+	case srv.FailedDelta != 0:
+		errs = append(errs, fmt.Errorf("server counted %d failed (5xx) responses", srv.FailedDelta))
+	case srv.RequestsDelta != int64(r.Requests):
+		errs = append(errs, fmt.Errorf("server saw %d requests, client sent %d", srv.RequestsDelta, r.Requests))
+	}
+	return errors.Join(errs...)
+}
+
+// Gate reports every serve-load rule r breaks: the Consistent rules,
+// batch requests resolving at least minBatchSpeedup times the codes
+// per second of point requests, and a point p99 under
+// maxPointP99Millis. tndload exits non-zero when it fails.
+func (r Result) Gate() error {
+	errs := []error{r.Consistent()}
+	point, batch := r.Class("point"), r.Class("batch")
+	if ratio := batch.CodesPerSec / point.CodesPerSec; !(ratio >= minBatchSpeedup) {
+		errs = append(errs, fmt.Errorf("batch resolved %.2fx the codes/s of point (want >= %.1fx)", ratio, minBatchSpeedup))
+	}
+	if point.P99Millis >= maxPointP99Millis {
+		errs = append(errs, fmt.Errorf("point p99 %.2f ms (want < %.0f ms)", point.P99Millis, maxPointP99Millis))
+	}
+	return errors.Join(errs...)
 }
 
 // Class returns the named class stats (zero value if the class did

@@ -53,8 +53,9 @@ func writeGenStore(t *testing.T, path string, gen int, parent string) {
 
 // TestLoadUnderRemount runs the CI load scenario in-process: the
 // generator hammers a server that hot-swaps to a new generation
-// mid-run. The gates are the job's gates: zero failed requests, and
-// batch resolution beating point queries on codes per second.
+// mid-run. It requires Result.Consistent (zero failed requests, an
+// exact client/server cross-check) and batch resolution beating point
+// queries on codes per second.
 func TestLoadUnderRemount(t *testing.T) {
 	dir := t.TempDir()
 	gen0 := filepath.Join(dir, "gen0.tnd")
@@ -108,26 +109,13 @@ func TestLoadUnderRemount(t *testing.T) {
 		t.Fatalf("remount under load: %v", err)
 	}
 
-	if res.Failures != 0 {
-		t.Fatalf("%d of %d requests failed across the remount", res.Failures, res.Requests)
-	}
-	// The server's own /metrics counters must agree exactly with the
-	// client tallies: every request the client sent arrived, none was
-	// double-counted, and the server returned no 5xx.
-	if res.Server == nil {
-		t.Fatal("server cross-check missing — /metrics not scraped")
-	}
-	if !res.Server.Match {
-		t.Fatalf("client/server cross-check failed: %s (server %+v, client %d requests)",
-			res.Server.Detail, res.Server, res.Requests)
-	}
-	if res.Server.RequestsDelta != int64(res.Requests) {
-		t.Fatalf("server requests delta %d != client %d", res.Server.RequestsDelta, res.Requests)
+	// Zero failed requests across the swap and an exact client/server
+	// cross-check. The CI job's speedup and latency limits (the rest
+	// of Result.Gate) are set for its own 12 s run at batch size 32.
+	if err := res.Consistent(); err != nil {
+		t.Fatalf("load across the remount: %v", err)
 	}
 	point, batch := res.Class("point"), res.Class("batch")
-	if point.Requests == 0 || batch.Requests == 0 {
-		t.Fatalf("workload did not exercise both point (%d) and batch (%d)", point.Requests, batch.Requests)
-	}
 	if batch.CodesPerSec <= point.CodesPerSec {
 		t.Fatalf("batch resolved %.0f codes/s, point %.0f codes/s — batching buys nothing",
 			batch.CodesPerSec, point.CodesPerSec)

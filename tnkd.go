@@ -37,11 +37,12 @@
 // its parent's embeddings across the one new edge instead of
 // re-running a full subgraph-isomorphism search per transaction, and
 // SUBDUE's instance growth rides the same representation. Embedding
-// memory is metered by the MaxEmbeddings option of FSGOptions,
-// StructuralOptions and TemporalMineOptions (0 = default budget,
-// negative = unlimited): over-budget patterns keep warm-start seeds
-// and fall back to classic searches, reproducing the paper's
-// memory/speed trade-off as a controlled dial.
+// memory is metered by the MaxEmbeddings option of FSGOptions (0 =
+// default budget, negative = unlimited): over-budget patterns keep
+// warm-start seeds and fall back to classic searches, reproducing the
+// paper's memory/speed trade-off as a controlled dial. The pipelines
+// above fsg (StructuralOptions, TemporalMineOptions) always run at
+// the default budget.
 //
 // # Quick start
 //
