@@ -7,8 +7,13 @@
 // Usage:
 //
 //	{ go test -run '^$' -bench 'BenchmarkStructuralPipeline(Serial|Parallel)$' -benchtime=3x .
-//	  go test -run '^$' -bench '^BenchmarkCode$' -benchtime=200x ./internal/iso/
+//	  go test -run '^$' -bench '^BenchmarkCode$' -benchtime=200x -count=5 ./internal/iso/
 //	} | go run ./internal/benchgate
+//
+// A benchmark that appears on several lines (`-count=N`) is judged by
+// the median of its ns/op over those lines, so one run slowed by a
+// noisy neighbour does not decide the verdict; its pattern count must
+// be exact on every line.
 //
 // The parallel/serial limit follows the GOMAXPROCS the benchmarks ran
 // at, read from the name suffix `go test` adds (`-4`; none at
@@ -21,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -60,11 +66,35 @@ const (
 	pipelineParallel = "BenchmarkStructuralPipelineParallel"
 )
 
-// bench is one result line: the GOMAXPROCS it ran at and its metrics
-// by unit ("ns/op", "patterns", ...).
+// bench is the result lines of one benchmark: the GOMAXPROCS it ran at
+// and each metric's values, one per line, by unit ("ns/op",
+// "patterns", ...).
 type bench struct {
 	procs   int
-	metrics map[string]float64
+	metrics map[string][]float64
+}
+
+// median returns the median of b's values of unit (the mean of the two
+// middle values for an even count; 0 when there are none).
+func (b bench) median(unit string) float64 {
+	vs := slices.Clone(b.metrics[unit])
+	if len(vs) == 0 {
+		return 0
+	}
+	slices.Sort(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
+}
+
+// runs describes how many lines a benchmark's ns/op was read from.
+func (b bench) runs() string {
+	if n := len(b.metrics["ns/op"]); n > 1 {
+		return fmt.Sprintf(", median of %d runs", n)
+	}
+	return ""
 }
 
 func main() {
@@ -100,10 +130,10 @@ func run(in io.Reader, out io.Writer) error {
 			report(false, "%s missing", name)
 			return
 		}
-		ns := b.metrics["ns/op"]
+		ns := b.median("ns/op")
 		r := ns / baseline
-		report(r <= limit, "%s %.0f ns/op vs baseline %.0f (ratio %.2fx, limit %.2fx)",
-			name, ns, baseline, r, limit)
+		report(r <= limit, "%s %.0f ns/op vs baseline %.0f (ratio %.2fx, limit %.2fx%s)",
+			name, ns, baseline, r, limit, b.runs())
 	}
 
 	atMost("BenchmarkCode/star20", codeStar20NS, codeLimit)
@@ -113,8 +143,17 @@ func run(in io.Reader, out io.Writer) error {
 	atMost(pipelineSerial, pipelineSerialNS, pipelineLimit)
 	serial, sok := benches[pipelineSerial]
 	if sok {
-		n := serial.metrics["patterns"]
-		report(n == pipelinePatterns, "%s mined %v patterns (want exactly %d)", pipelineSerial, n, pipelinePatterns)
+		ns := serial.metrics["patterns"]
+		lo, hi := 0.0, 0.0
+		if len(ns) > 0 {
+			lo, hi = slices.Min(ns), slices.Max(ns)
+		}
+		mined := fmt.Sprint(lo)
+		if lo != hi {
+			mined = fmt.Sprintf("%v to %v", lo, hi)
+		}
+		report(lo == pipelinePatterns && hi == pipelinePatterns, "%s mined %s patterns (want exactly %d)",
+			pipelineSerial, mined, pipelinePatterns)
 	}
 	parallel, pok := benches[pipelineParallel]
 	switch {
@@ -129,7 +168,7 @@ func run(in io.Reader, out io.Writer) error {
 		if serial.procs == 1 {
 			limit = parallelLimitOneProc
 		}
-		r := parallel.metrics["ns/op"] / serial.metrics["ns/op"]
+		r := parallel.median("ns/op") / serial.median("ns/op")
 		report(r <= limit, "GOMAXPROCS=%d: parallel/serial = %.3f (limit %.2f)", serial.procs, r, limit)
 	}
 
@@ -140,8 +179,9 @@ func run(in io.Reader, out io.Writer) error {
 }
 
 // parse reads the result lines of `go test -bench` output, keyed by
-// benchmark name without its -GOMAXPROCS suffix. Other lines (goos,
-// pkg, PASS, ok, logs) are skipped.
+// benchmark name without its -GOMAXPROCS suffix; repeated lines of one
+// benchmark add values to its metrics. Other lines (goos, pkg, PASS,
+// ok, logs) are skipped.
 func parse(in io.Reader) (map[string]bench, error) {
 	benches := make(map[string]bench)
 	sc := bufio.NewScanner(in)
@@ -160,16 +200,18 @@ func parse(in io.Reader) (map[string]bench, error) {
 				name, procs = name[:i], n
 			}
 		}
-		b := bench{procs: procs, metrics: make(map[string]float64)}
+		b, seen := benches[name]
+		if !seen {
+			b = bench{procs: procs, metrics: make(map[string][]float64)}
+		} else if b.procs != procs {
+			return nil, fmt.Errorf("%s ran at GOMAXPROCS=%d and %d", name, b.procs, procs)
+		}
 		for i := 2; i < len(f); i += 2 {
 			v, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
 				return nil, fmt.Errorf("%s: metric %q: %v", f[0], f[i+1], err)
 			}
-			b.metrics[f[i+1]] = v
-		}
-		if _, dup := benches[name]; dup {
-			return nil, fmt.Errorf("%s appears twice", name)
+			b.metrics[f[i+1]] = append(b.metrics[f[i+1]], v)
 		}
 		benches[name] = b
 	}

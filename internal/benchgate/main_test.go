@@ -130,7 +130,7 @@ func TestGateUnusableInput(t *testing.T) {
 	for _, tc := range []struct{ name, input, want string }{
 		{"empty", "", "no benchmark lines"},
 		{"no result lines", "goos: linux\npkg: tnkd\n--- FAIL: BenchmarkStructuralPipelineSerial\nFAIL\ttnkd\t0.1s\n", "no benchmark lines"},
-		{"benchmark twice", fixture(1) + fixture(1), "appears twice"},
+		{"one benchmark at two GOMAXPROCS", fixture(1) + fixture(4), "BenchmarkStructuralPipelineSerial ran at GOMAXPROCS=1 and 4"},
 		{"unparsable value", fixture(1, "30526 ns/op", "3o526 ns/op"), `metric "ns/op"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -160,11 +160,59 @@ func TestParseProcsSuffix(t *testing.T) {
 		"BenchmarkCode/k-ary":  {1, 1},
 	} {
 		got, ok := benches[name]
-		if !ok || got.procs != want.procs || got.metrics["ns/op"] != want.ns {
+		if !ok || got.procs != want.procs || got.median("ns/op") != want.ns {
 			t.Errorf("%s: got %+v (present %v), want %+v", name, got, ok, want)
 		}
 	}
 	if len(benches) != 3 {
 		t.Errorf("parsed %d benchmarks, want 3: %v", len(benches), benches)
+	}
+}
+
+// repeat returns realOutput once per given BenchmarkCode/star20 ns/op
+// value, as `-count=N` repeats every benchmark.
+func repeat(procs int, ns ...string) string {
+	var b strings.Builder
+	for _, v := range ns {
+		b.WriteString(fixture(procs, "     30526 ns/op", " "+v+" ns/op"))
+	}
+	return b.String()
+}
+
+// TestGateRepeatedLines: with `-count=N` every gated benchmark prints N
+// lines; the gate reads the median of each one's ns/op and still
+// refuses a missing benchmark.
+func TestGateRepeatedLines(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		input string
+		fail  string // the FAIL line's start; "" = every check passes
+	}{
+		{"duplicate lines are aggregated", fixture(1) + fixture(1) + fixture(1), ""},
+		// Limit 41133: one slow run of five does not decide the verdict...
+		{"one slow run of five", repeat(4, "30526", "30100", "99999", "31000", "29800"), ""},
+		// ...but a slow median fails, however fast the other runs are.
+		{"slow median", repeat(4, "41134", "20000", "50000", "41200", "10000"), "BenchmarkCode/star20 41134 ns/op"},
+		{"slow median of an even count", repeat(1, "41000", "41300", "10", "99999"), "BenchmarkCode/star20 41150 ns/op"},
+		{"missing benchmark among repeats", strings.Repeat(fixture(4, "BenchmarkCode/star60", "BenchmarkCode/star61"), 5),
+			"BenchmarkCode/star60 missing"},
+		{"a repeat lost a pattern", fixture(1) + fixture(1, "645102722 ns/op	       722.0", "645102722 ns/op	       721.0"),
+			"BenchmarkStructuralPipelineSerial mined 721 to 722 patterns"},
+		{"parallel/serial compares medians", fixture(4) + fixture(4, "590720704", "645102723") + fixture(4, "590720704", "999999999"),
+			"GOMAXPROCS=4: parallel/serial = 1.000"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			err := run(strings.NewReader(tc.input), &out)
+			if tc.fail == "" {
+				if err != nil {
+					t.Fatalf("run = %v, want every check to pass:\n%s", err, out.String())
+				}
+				return
+			}
+			if err == nil || !strings.Contains(out.String(), "FAIL: "+tc.fail) {
+				t.Fatalf("run = %v, want a FAIL line starting %q:\n%s", err, tc.fail, out.String())
+			}
+		})
 	}
 }

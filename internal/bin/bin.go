@@ -26,6 +26,17 @@ type Binner interface {
 // LabelOf is a convenience that bins v and returns its interval label.
 func LabelOf(b Binner, v float64) string { return b.Label(b.Bin(v)) }
 
+// Labels returns every bin's interval label, indexed by bin, so a
+// caller labelling many values formats each label once:
+// Labels(b)[b.Bin(v)] == LabelOf(b, v).
+func Labels(b Binner) []string {
+	labels := make([]string, b.NumBins())
+	for i := range labels {
+		labels[i] = b.Label(i)
+	}
+	return labels
+}
+
 // EqualWidth divides [Lo, Hi] into N equal-width bins. Values below
 // Lo map to bin 0 and values at or above Hi map to bin N-1, so every
 // value has a bin.

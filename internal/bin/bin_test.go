@@ -115,6 +115,28 @@ func TestLabelOf(t *testing.T) {
 	}
 }
 
+// TestLabelsMatchLabelOf: the per-bin label table gives every value the
+// label LabelOf formats for it, clamped values included.
+func TestLabelsMatchLabelOf(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	sample := make([]float64, 500)
+	for i := range sample {
+		sample[i] = rng.ExpFloat64() * 40
+	}
+	for _, b := range []Binner{NewEqualWidth(0, 70, 7), NewEqualWidth(0, 1, 3), EqualFrequency(sample, 10)} {
+		labels := Labels(b)
+		if len(labels) != b.NumBins() {
+			t.Fatalf("%v: %d labels for %d bins", b, len(labels), b.NumBins())
+		}
+		for i := 0; i < 2000; i++ {
+			v := rng.Float64()*200 - 50
+			if got, want := labels[b.Bin(v)], LabelOf(b, v); got != want {
+				t.Fatalf("%v: Labels[Bin(%v)] = %q, LabelOf = %q", b, v, got, want)
+			}
+		}
+	}
+}
+
 func TestConstructorPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"zero bins":      func() { NewEqualWidth(0, 1, 0) },

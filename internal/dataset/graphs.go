@@ -93,6 +93,7 @@ type GraphOptions struct {
 // Attr.DefaultBinner().
 func (d *Dataset) BuildGraph(opts GraphOptions) *graph.Graph {
 	binner := opts.Attr.DefaultBinner()
+	labels := bin.Labels(binner)
 	g := graph.New(opts.Attr.String())
 	idx := make(map[LatLon]graph.VertexID)
 	vertexOf := func(p LatLon) graph.VertexID {
@@ -115,7 +116,7 @@ func (d *Dataset) BuildGraph(opts GraphOptions) *graph.Graph {
 		if opts.ExactLabels {
 			label = exactLabel(v)
 		} else {
-			label = bin.LabelOf(binner, v)
+			label = labels[binner.Bin(v)]
 		}
 		g.AddEdge(from, to, label)
 	}

@@ -182,13 +182,11 @@ func (x Extender) Extend(emb DenseEmbedding, limit int, out *EmbeddingList) {
 		// fixed, so the first unused target edge on that lane with the
 		// right label is the single witness.
 		tt := graph.VertexID(emb.Verts[x.to])
-		edges, heads := ix.Out(graph.VertexID(emb.Verts[x.from]), x.label)
-		for i, te := range edges {
-			if heads[i] != tt || emb.UsesEdge(te) {
-				continue
+		for _, te := range ix.Out(graph.VertexID(emb.Verts[x.from]), x.label).To(tt) {
+			if !emb.UsesEdge(graph.EdgeID(te)) {
+				out.appendExtended(emb, -1, graph.EdgeID(te))
+				break
 			}
-			out.appendExtended(emb, -1, te)
-			break
 		}
 	case !x.fromNew:
 		// New edge out of a mapped vertex to a new endpoint: one
@@ -196,48 +194,30 @@ func (x Extender) Extend(emb DenseEmbedding, limit int, out *EmbeddingList) {
 		// witness). A target edge into an unmapped vertex cannot
 		// already be used (used edges connect mapped vertices), so
 		// only injectivity and the endpoint label need checking.
-		edges, heads := ix.Out(graph.VertexID(emb.Verts[x.from]), x.label)
-		extendToNew(ix, edges, heads, x.far, emb, limit, out)
+		extendToNew(ix, ix.Out(graph.VertexID(emb.Verts[x.from]), x.label), x.far, emb, limit, out)
 	case !x.toNew:
 		// New edge into a mapped vertex from a new endpoint.
-		edges, tails := ix.In(graph.VertexID(emb.Verts[x.to]), x.label)
-		extendToNew(ix, edges, tails, x.far, emb, limit, out)
+		extendToNew(ix, ix.In(graph.VertexID(emb.Verts[x.to]), x.label), x.far, emb, limit, out)
 	}
 	// Both endpoints new would mean a disconnected extension; one-edge
 	// candidate generation never produces one.
 }
 
 // extendToNew appends to out one extension of emb per distinct far
-// endpoint among the given target edges that carries vertex label
-// want and is not yet mapped, witnessed by its first edge, stopping
-// once out holds limit embeddings (limit > 0).
-func extendToNew(ix *graph.Index, edges []graph.EdgeID, ends []graph.VertexID, want int32, emb DenseEmbedding, limit int, out *EmbeddingList) {
-	start := out.Len()
-	for i, te := range edges {
-		tv := ends[i]
-		if ix.VertexLabel(tv) != want || emb.UsesVertex(tv) || endpointSeen(out, start, tv) {
+// endpoint of run that carries vertex label want and is not yet
+// mapped, in the run's order and witnessed by its lowest-ID edge,
+// stopping once out holds limit embeddings (limit > 0).
+func extendToNew(ix *graph.Index, run graph.Run, want int32, emb DenseEmbedding, limit int, out *EmbeddingList) {
+	for i := range run.Len() {
+		tv := run.End(i)
+		if ix.VertexLabel(tv) != want || emb.UsesVertex(tv) {
 			continue
 		}
-		out.appendExtended(emb, tv, te)
+		out.appendExtended(emb, tv, graph.EdgeID(run.Edges(i)[0]))
 		if limit > 0 && out.Len() >= limit {
 			return
 		}
 	}
-}
-
-// endpointSeen reports whether one of out's embeddings from row start
-// on already maps the new pattern vertex (the last vertex slot) to tv
-// — deduping parallel target edges to the same endpoint. Extension
-// counts per embedding are degree-bounded and small, so a linear scan
-// beats a set.
-func endpointSeen(out *EmbeddingList, start int, tv graph.VertexID) bool {
-	s := out.Stride()
-	for i := (start+1)*s - out.NE - 1; i < len(out.IDs); i += s {
-		if graph.VertexID(out.IDs[i]) == tv {
-			return true
-		}
-	}
-	return false
 }
 
 // GreedyNonOverlap returns the size of a maximal prefix-greedy subset

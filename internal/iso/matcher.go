@@ -19,13 +19,12 @@ import (
 // target's CSR index (graph.Index): candidate generation, degree
 // filters and edge reservation are integer compares over dense arrays.
 //
-// The target-sized scratch (vertex/edge use marks, candidate dedup,
-// the restriction sets Reanchorer loads) is allocated once per
-// Matcher, grown when a larger target arrives, and returned to
-// all-false after every call in time proportional to what the call
-// touched, so a Matcher reused across a candidate's transactions
-// allocates nothing beyond the growth of the list its results are
-// appended to.
+// The target-sized scratch (vertex/edge use marks, the restriction
+// sets Reanchorer loads) is allocated once per Matcher, grown when a
+// larger target arrives, and returned to all-false after every call in
+// time proportional to what the call touched, so a Matcher reused
+// across a candidate's transactions allocates nothing beyond the
+// growth of the list its results are appended to.
 //
 // The search tree is the classic one of this package: at every depth
 // the same candidates are visited in the same order, the lowest-ID
@@ -59,7 +58,6 @@ type Matcher struct {
 	// Target-sized scratch, all clear between calls.
 	usedVertex []bool
 	usedEdge   []bool
-	candSeen   []bool
 	restrictV  idSet
 	restrictE  idSet
 	// hasRestrict* distinguish "no restriction" from an empty
@@ -68,7 +66,12 @@ type Matcher struct {
 
 	// candScratch[d] holds depth d's candidate list: an outer depth is
 	// still iterating its list while deeper levels build theirs.
-	candScratch [][]graph.VertexID
+	candScratch [][]candidate
+	// checkRuns[d][i] is the target run that levels[d].checks[i]
+	// reserves from, looked up once per search node (unused for
+	// self-loops, whose run depends on the candidate). The anchoring
+	// check's run is the one candidates are drawn from.
+	checkRuns [][]graph.Run
 
 	limit    int
 	maxSteps int
@@ -85,16 +88,19 @@ type level struct {
 	pv            graph.VertexID
 	vlabel        int // index into vLabels
 	outDeg, inDeg int
-	// anchor is a placed pattern neighbour of pv whose labeled target
-	// adjacency supplies pv's candidates (-1: scan by label). The
-	// anchoring edge runs pv -> anchor when anchorOut (candidates are
-	// tails of the anchor's in-edges), else anchor -> pv.
-	anchor      graph.VertexID
-	anchorOut   bool
-	anchorLabel int // index into eLabels
 	// checks are the pattern edges between pv and placed vertices
-	// (self-loops included), in reservation order.
-	checks []edgeCheck
+	// (self-loops included), in reservation order. checks[anchorCheck]
+	// (-1: none, scan by label) anchors pv: the placed neighbour's
+	// labeled target adjacency along it supplies pv's candidates.
+	checks      []edgeCheck
+	anchorCheck int
+}
+
+// candidate is a target vertex that may take a level's pattern vertex,
+// with its group in the anchoring check's run (-1 without an anchor).
+type candidate struct {
+	tv    graph.VertexID
+	group int
 }
 
 // edgeCheck is one pattern edge reserved when its level places pv.
@@ -170,26 +176,27 @@ func NewMatcher(pattern *graph.Graph) *Matcher {
 	m.levels = make([]level, len(m.order))
 	for d, pv := range m.order {
 		lv := level{
-			pv:     pv,
-			vlabel: internV(pattern.Vertex(pv).Label),
-			outDeg: pattern.OutDegree(pv),
-			inDeg:  pattern.InDegree(pv),
-			anchor: -1,
+			pv:          pv,
+			vlabel:      internV(pattern.Vertex(pv).Label),
+			outDeg:      pattern.OutDegree(pv),
+			inDeg:       pattern.InDegree(pv),
+			anchorCheck: -1,
 		}
 		outs, ins := pattern.OutEdges(pv), pattern.InEdges(pv)
 		// The anchor is the first out-edge (ascending ID) to a placed
 		// vertex, else the first such in-edge; a self-loop never
 		// anchors, since pv itself is not yet placed.
+		anchorEdge := graph.EdgeID(-1)
 		for _, pe := range outs {
-			if ed := pattern.Edge(pe); placed[ed.To] {
-				lv.anchor, lv.anchorOut, lv.anchorLabel = ed.To, true, internE(ed.Label)
+			if placed[pattern.Edge(pe).To] {
+				anchorEdge = pe
 				break
 			}
 		}
-		if lv.anchor < 0 {
+		if anchorEdge < 0 {
 			for _, pe := range ins {
-				if ed := pattern.Edge(pe); placed[ed.From] {
-					lv.anchor, lv.anchorOut, lv.anchorLabel = ed.From, false, internE(ed.Label)
+				if placed[pattern.Edge(pe).From] {
+					anchorEdge = pe
 					break
 				}
 			}
@@ -207,12 +214,21 @@ func NewMatcher(pattern *graph.Graph) *Matcher {
 				lv.checks = append(lv.checks, edgeCheck{pe: pe, other: ed.From, label: internE(ed.Label)})
 			}
 		}
+		for i, c := range lv.checks {
+			if c.pe == anchorEdge {
+				lv.anchorCheck = i
+			}
+		}
 		m.levels[d] = lv
 		placed[pv] = true
 	}
 	m.vLab = make([]int32, len(m.vLabels))
 	m.eLab = make([]int32, len(m.eLabels))
-	m.candScratch = make([][]graph.VertexID, len(m.order))
+	m.candScratch = make([][]candidate, len(m.order))
+	m.checkRuns = make([][]graph.Run, len(m.order))
+	for d := range m.levels {
+		m.checkRuns[d] = make([]graph.Run, len(m.levels[d].checks))
+	}
 	return m
 }
 
@@ -309,7 +325,6 @@ func (m *Matcher) bind(target *graph.Graph) {
 	}
 	if nv := target.VertexCap(); len(m.usedVertex) < nv {
 		m.usedVertex = make([]bool, nv)
-		m.candSeen = make([]bool, nv)
 	}
 	if ne := target.EdgeCap(); len(m.usedEdge) < ne {
 		m.usedEdge = make([]bool, ne)
@@ -376,11 +391,26 @@ func (m *Matcher) search(depth int) bool {
 		return m.limit > 0 && m.found >= m.limit
 	}
 	lv := &m.levels[depth]
-	for _, tv := range m.candidates(depth, lv) {
+	runs := m.checkRuns[depth]
+	if lv.anchorCheck >= 0 {
+		c := &lv.checks[lv.anchorCheck]
+		runs[lv.anchorCheck] = m.placedRun(c, m.assigned[c.other])
+	}
+	cands := m.candidates(depth, lv, runs)
+	if len(cands) == 0 {
+		return false
+	}
+	for i := range lv.checks {
+		if c := &lv.checks[i]; i != lv.anchorCheck && c.other != lv.pv {
+			runs[i] = m.placedRun(c, m.assigned[c.other])
+		}
+	}
+	for _, cand := range cands {
+		tv := cand.tv
 		if m.usedVertex[tv] || (m.hasRestrictV && !m.restrictV.on[tv]) {
 			continue
 		}
-		if !m.reserve(lv, tv) {
+		if !m.reserve(lv, runs, cand) {
 			continue
 		}
 		m.assigned[lv.pv] = tv
@@ -397,61 +427,66 @@ func (m *Matcher) search(depth int) bool {
 
 // candidates returns the target vertices that may take lv's pattern
 // vertex, in visiting order: the distinct far endpoints of the
-// anchor's target edges carrying the anchoring label (first occurrence
-// order), or every target vertex with the right label when the level
-// has no anchor — each filtered by label and by live in/out degree at
+// anchor's target edges carrying the anchoring label (the endpoints of
+// the anchoring check's run in runs, in order of their lowest edge
+// ID), or every target vertex with the right label when the level has
+// no anchor — each filtered by label and by live in/out degree at
 // least the pattern vertex's. The slice is the depth's scratch buffer,
 // valid until the next call at the same depth.
-func (m *Matcher) candidates(depth int, lv *level) []graph.VertexID {
+func (m *Matcher) candidates(depth int, lv *level, runs []graph.Run) []candidate {
 	ix := m.ix
 	want := m.vLab[lv.vlabel]
 	res := m.candScratch[depth][:0]
-	if lv.anchor < 0 {
+	if lv.anchorCheck < 0 {
 		for _, tv := range ix.WithLabel(want) {
 			if ix.OutDegree(tv) >= lv.outDeg && ix.InDegree(tv) >= lv.inDeg {
-				res = append(res, tv)
+				res = append(res, candidate{tv, -1})
 			}
 		}
 		m.candScratch[depth] = res
 		return res
 	}
-	at, l := m.assigned[lv.anchor], m.eLab[lv.anchorLabel]
-	var ends []graph.VertexID
-	if lv.anchorOut {
-		_, ends = ix.In(at, l)
-	} else {
-		_, ends = ix.Out(at, l)
-	}
-	for _, tv := range ends {
-		if m.candSeen[tv] || ix.VertexLabel(tv) != want ||
-			ix.OutDegree(tv) < lv.outDeg || ix.InDegree(tv) < lv.inDeg {
-			continue
+	run := runs[lv.anchorCheck]
+	for i := range run.Len() {
+		tv := run.End(i)
+		if ix.VertexLabel(tv) == want && ix.OutDegree(tv) >= lv.outDeg && ix.InDegree(tv) >= lv.inDeg {
+			res = append(res, candidate{tv, i})
 		}
-		m.candSeen[tv] = true
-		res = append(res, tv)
-	}
-	for _, tv := range res {
-		m.candSeen[tv] = false
 	}
 	m.candScratch[depth] = res
 	return res
 }
 
-// reserve verifies lv's pattern edges for pv -> tv, reserving for each
-// the lowest-ID unused compatible target edge; on failure it releases
-// what it reserved and reports false.
-func (m *Matcher) reserve(lv *level, tv graph.VertexID) bool {
+// placedRun returns the run check c reserves from when its far end is
+// the placed target vertex other: the edges between other and the
+// candidate are one group of it, and every candidate at the depth
+// reads the same run.
+func (m *Matcher) placedRun(c *edgeCheck, other graph.VertexID) graph.Run {
+	if c.out {
+		return m.ix.In(other, m.eLab[c.label])
+	}
+	return m.ix.Out(other, m.eLab[c.label])
+}
+
+// reserve verifies lv's pattern edges for pv -> cand.tv, reserving
+// for each the lowest-ID unused compatible target edge: the first
+// usable edge of cand's group for the anchoring check, else of tv's
+// group in the check's run in runs (a self-loop's run is tv's own).
+// On failure it releases what it reserved and reports false.
+func (m *Matcher) reserve(lv *level, runs []graph.Run, cand candidate) bool {
+	tv := cand.tv
 	for i := range lv.checks {
 		c := &lv.checks[i]
-		other := tv
-		if c.other != lv.pv {
-			other = m.assigned[c.other]
+		var edges []int32
+		switch {
+		case i == lv.anchorCheck:
+			edges = runs[i].Edges(cand.group)
+		case c.other == lv.pv:
+			edges = m.placedRun(c, tv).To(tv)
+		default:
+			edges = runs[i].To(tv)
 		}
-		from, to := tv, other
-		if !c.out {
-			from, to = other, tv
-		}
-		if !m.reserveEdge(c.pe, from, to, m.eLab[c.label]) {
+		if !m.reserveEdge(c.pe, edges) {
 			m.release(lv.checks[:i])
 			return false
 		}
@@ -459,16 +494,15 @@ func (m *Matcher) reserve(lv *level, tv graph.VertexID) bool {
 	return true
 }
 
-// reserveEdge maps pattern edge pe onto the lowest-ID unused,
-// permitted target edge from -> to with label l.
-func (m *Matcher) reserveEdge(pe graph.EdgeID, from, to graph.VertexID, l int32) bool {
-	edges, heads := m.ix.Out(from, l)
-	for i, te := range edges {
-		if heads[i] != to || m.usedEdge[te] || (m.hasRestrictE && !m.restrictE.on[te]) {
+// reserveEdge maps pattern edge pe onto the first unused, permitted
+// target edge of edges (ascending IDs).
+func (m *Matcher) reserveEdge(pe graph.EdgeID, edges []int32) bool {
+	for _, te := range edges {
+		if m.usedEdge[te] || (m.hasRestrictE && !m.restrictE.on[te]) {
 			continue
 		}
 		m.usedEdge[te] = true
-		m.edgeMap[pe] = te
+		m.edgeMap[pe] = graph.EdgeID(te)
 		return true
 	}
 	return false

@@ -169,6 +169,7 @@ func Temporal(d *dataset.Dataset, opts TemporalOptions) *TemporalResult {
 // lat-lon vertex labels.
 func buildDayGraph(day string, txns []dataset.Transaction, attr dataset.EdgeAttr, binner bin.Binner) *graph.Graph {
 	g := graph.New(fmt.Sprintf("day/%s", day))
+	labels := bin.Labels(binner)
 	idx := make(map[dataset.LatLon]graph.VertexID)
 	vertexOf := func(p dataset.LatLon) graph.VertexID {
 		if id, ok := idx[p]; ok {
@@ -181,7 +182,7 @@ func buildDayGraph(day string, txns []dataset.Transaction, attr dataset.EdgeAttr
 	for _, t := range txns {
 		from := vertexOf(t.Origin)
 		to := vertexOf(t.Dest)
-		g.AddEdge(from, to, bin.LabelOf(binner, attr.Value(t)))
+		g.AddEdge(from, to, labels[binner.Bin(attr.Value(t))])
 	}
 	return g
 }

@@ -55,7 +55,7 @@ func writeGenStore(t *testing.T, path string, gen int, parent string) {
 // generator hammers a server that hot-swaps to a new generation
 // mid-run. It requires Result.Consistent (zero failed requests, an
 // exact client/server cross-check) and batch resolution beating point
-// queries on codes per second.
+// queries on codes per busy second.
 func TestLoadUnderRemount(t *testing.T) {
 	dir := t.TempDir()
 	gen0 := filepath.Join(dir, "gen0.tnd")
@@ -116,9 +116,9 @@ func TestLoadUnderRemount(t *testing.T) {
 		t.Fatalf("load across the remount: %v", err)
 	}
 	point, batch := res.Class("point"), res.Class("batch")
-	if batch.CodesPerSec <= point.CodesPerSec {
-		t.Fatalf("batch resolved %.0f codes/s, point %.0f codes/s — batching buys nothing",
-			batch.CodesPerSec, point.CodesPerSec)
+	if batch.CodesPerBusySec <= point.CodesPerBusySec {
+		t.Fatalf("batch resolved %.0f codes per busy second, point %.0f — batching buys nothing",
+			batch.CodesPerBusySec, point.CodesPerBusySec)
 	}
 	if res.Class("stores").Requests == 0 || res.Class("support").Requests == 0 {
 		t.Fatal("mixed workload skipped a class")
