@@ -445,16 +445,18 @@ func DefaultDiscretizeConfig() DiscretizeConfig {
 func Discretize(d *dataset.Dataset, cfg DiscretizeConfig) (attrs []string, rows [][]string) {
 	cfg.fit(d)
 	attrs = RelationalSchema
+	lat, lon := bin.Labels(cfg.observedLat), bin.Labels(cfg.observedLon)
+	dist, wt, hrs := bin.Labels(cfg.observedDist), bin.Labels(cfg.observedWt), bin.Labels(cfg.observedHrs)
 	rows = make([][]string, 0, len(d.Transactions))
 	for _, t := range d.Transactions {
 		rows = append(rows, []string{
-			bin.LabelOf(cfg.observedLat, t.Origin.Lat),
-			bin.LabelOf(cfg.observedLon, t.Origin.Lon),
-			bin.LabelOf(cfg.observedLat, t.Dest.Lat),
-			bin.LabelOf(cfg.observedLon, t.Dest.Lon),
-			bin.LabelOf(cfg.observedDist, t.Distance),
-			bin.LabelOf(cfg.observedWt, t.GrossWeight),
-			bin.LabelOf(cfg.observedHrs, t.TransitHours),
+			lat[cfg.observedLat.Bin(t.Origin.Lat)],
+			lon[cfg.observedLon.Bin(t.Origin.Lon)],
+			lat[cfg.observedLat.Bin(t.Dest.Lat)],
+			lon[cfg.observedLon.Bin(t.Dest.Lon)],
+			dist[cfg.observedDist.Bin(t.Distance)],
+			wt[cfg.observedWt.Bin(t.GrossWeight)],
+			hrs[cfg.observedHrs.Bin(t.TransitHours)],
 			string(t.Mode),
 		})
 	}

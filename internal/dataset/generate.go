@@ -205,8 +205,11 @@ type generator struct {
 	destCovered   map[LatLon]bool
 	outDeg        map[LatLon]int
 
-	// near is randomDest's candidate buffer, reused across calls.
-	near []LatLon
+	// nearDests holds, for each origin, the indices into dests of the
+	// destinations in randomDest's box around it, in dests order.
+	nearDests map[LatLon][]int32
+	// near is randomDest's shuffle buffer, reused across calls.
+	near []int32
 }
 
 func (g *generator) buildLocations() {
@@ -249,6 +252,28 @@ func (g *generator) buildLocations() {
 	g.locs = locs
 	g.origins = locs[:cfg.NumOrigins]
 	g.dests = locs[cfg.NumLocations-cfg.NumDestinations:]
+	g.buildNearDests()
+}
+
+// randomDestBox is the half-width, in degrees, of the box randomDest
+// draws regional destinations from.
+const randomDestBox = 10.0
+
+// buildNearDests lists randomDest's candidates for every origin once,
+// so each of its calls copies a list instead of scanning every
+// destination. It draws nothing from rng.
+func (g *generator) buildNearDests() {
+	g.nearDests = make(map[LatLon][]int32, len(g.origins))
+	var buf []int32
+	for _, o := range g.origins {
+		buf = buf[:0]
+		for j, d := range g.dests {
+			if inBox(d, o, randomDestBox) {
+				buf = append(buf, int32(j))
+			}
+		}
+		g.nearDests[o] = append([]int32(nil), buf...)
+	}
 }
 
 func (g *generator) pickRegion() region {
@@ -315,7 +340,7 @@ func (g *generator) buildLanes() {
 			continue
 		}
 		fanout := cfg.HubFanoutMin + g.rng.Intn(cfg.HubFanoutMax-cfg.HubFanoutMin+1)
-		spokes := g.nearbyDests(nil, hub, 4.0, fanout)
+		spokes := g.nearbyDests(hub, 4.0, fanout)
 		sched := g.weeklySchedule(14) // bi-weekly distribution days
 		for j, d := range spokes {
 			ln, ok := g.addLane(hub, d, laneHubSpoke)
@@ -438,7 +463,7 @@ func (g *generator) buildLanes() {
 			continue
 		}
 		fanout := 2 + g.rng.Intn(cfg.WeekendHubFanout)
-		spokes := g.nearbyDests(nil, hub, 4.0, fanout)
+		spokes := g.nearbyDests(hub, 4.0, fanout)
 		sched := g.weekendSchedule()
 		for j, d := range spokes {
 			ln, ok := g.addLane(hub, d, laneHubSpoke)
@@ -595,12 +620,16 @@ func (g *generator) sampleIndex(cum []float64) int {
 
 // randomDest picks a destination for origin o: usually one within a
 // 10-degree box (regional freight), otherwise uniform nationwide,
-// never Honolulu (Hawaii traffic is air freight only).
+// never Honolulu (Hawaii traffic is air freight only). The regional
+// pick shuffles o's whole candidate list, as nearbyDests would, so
+// the draws from rng depend only on the list's length.
 func (g *generator) randomDest(o LatLon) LatLon {
 	if g.rng.Float64() < 0.7 {
-		g.near = g.nearbyDests(g.near[:0], o, 10.0, 1)
-		if len(g.near) > 0 {
-			return g.near[0]
+		if near := g.nearDests[o]; len(near) > 0 {
+			g.near = append(g.near[:0], near...)
+			buf := g.near
+			g.rng.Shuffle(len(buf), func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
+			return g.dests[buf[0]]
 		}
 	}
 	for {
@@ -612,14 +641,11 @@ func (g *generator) randomDest(o LatLon) LatLon {
 }
 
 // nearbyDests returns up to n destinations within a deg-degree box of
-// p (excluding p itself), randomly sampled, appended to cands, which
-// must be empty (nil, or a reused buffer cut to length 0).
-func (g *generator) nearbyDests(cands []LatLon, p LatLon, deg float64, n int) []LatLon {
+// p (excluding p itself), randomly sampled.
+func (g *generator) nearbyDests(p LatLon, deg float64, n int) []LatLon {
+	var cands []LatLon
 	for _, d := range g.dests {
-		if d == p || d == locHonolulu || d == locChicago {
-			continue
-		}
-		if math.Abs(d.Lat-p.Lat) <= deg && math.Abs(d.Lon-p.Lon) <= deg {
+		if inBox(d, p, deg) {
 			cands = append(cands, d)
 		}
 	}
@@ -628,6 +654,16 @@ func (g *generator) nearbyDests(cands []LatLon, p LatLon, deg float64, n int) []
 	}
 	g.rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 	return cands[:n]
+}
+
+// inBox reports whether destination d lies within a deg-degree box of
+// p, is not p, and is neither of the two destinations reserved for
+// their motifs (Honolulu, Chicago).
+func inBox(d, p LatLon, deg float64) bool {
+	if d == p || d == locHonolulu || d == locChicago {
+		return false
+	}
+	return math.Abs(d.Lat-p.Lat) <= deg && math.Abs(d.Lon-p.Lon) <= deg
 }
 
 // nearbyFrom returns a random member of pool within deg degrees of p,

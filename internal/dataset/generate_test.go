@@ -23,3 +23,13 @@ func TestRandomDestAllocs(t *testing.T) {
 		t.Fatalf("randomDest allocated %.1f times per 200 calls, want 0", allocs)
 	}
 }
+
+// BenchmarkGenerate times the calibrated generator at a quarter of
+// full scale (about 24.6k transactions).
+func BenchmarkGenerate(b *testing.B) {
+	cfg := DefaultConfig().Scaled(0.25)
+	b.ReportAllocs()
+	for b.Loop() {
+		Generate(cfg)
+	}
+}

@@ -61,14 +61,16 @@ func FromDataset(d *dataset.Dataset, attr dataset.EdgeAttr, binner bin.Binner) *
 			base = t.ReqPickup
 		}
 	}
+	locs := dataset.NewLocationTable(d)
+	labels := bin.Labels(binner)
 	g := &Graph{byFrom: make(map[string][]int)}
-	for _, t := range d.Transactions {
+	for i, t := range d.Transactions {
 		start := int(t.ReqPickup.Sub(base).Hours() / 24)
 		end := int(t.ReqDelivery.Sub(base).Hours() / 24)
 		e := Edge{
-			From:  t.Origin.String(),
-			To:    t.Dest.String(),
-			Label: bin.LabelOf(binner, attr.Value(t)),
+			From:  locs.Label(locs.Origins[i]),
+			To:    locs.Label(locs.Dests[i]),
+			Label: labels[binner.Bin(attr.Value(t))],
 			Start: start,
 			End:   end,
 		}

@@ -59,7 +59,10 @@ type Table3Result struct {
 // roughly the smallest sixty transactions survive — matching the
 // shape of the paper's filtered set (53 transactions, at most 9
 // vertices each), which is what made FSG tractable and the 5% support
-// threshold land at 3 transactions.
+// threshold land at 3 transactions. The cap is one more than the 30th
+// percentile of the per-day distinct-vertex-label counts, which
+// partition.DayVertexLabelCounts reads off the day bucketing without
+// building a graph.
 func labelCap(p Params) int {
 	if p.Scale >= 0.99 {
 		return 200
@@ -69,17 +72,9 @@ func labelCap(p Params) int {
 	// transactions would stop being a prefix of the day-k+1 run's, and
 	// a tndingest chain fed -make-batches days onto a -days k seed
 	// would no longer converge to the one-shot -days N mine.
-	dayOpts := partition.DefaultTemporalOptions()
-	dayOpts.SplitComponents = false
-	dayOpts.DropSingleEdge = false
-	dayOpts.Parallelism = p.Parallelism
-	res := partition.Temporal(p.Data, dayOpts)
-	if len(res.Transactions) == 0 {
+	counts := partition.DayVertexLabelCounts(p.Data)
+	if len(counts) == 0 {
 		return 8
-	}
-	counts := make([]int, 0, len(res.Transactions))
-	for _, t := range res.Transactions {
-		counts = append(counts, len(t.VertexLabels()))
 	}
 	sort.Ints(counts)
 	cap := counts[len(counts)*30/100] + 1

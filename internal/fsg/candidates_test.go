@@ -139,13 +139,7 @@ func temporalFixture() ([]*graph.Graph, Options) {
 	d := dataset.Generate(dataset.DefaultConfig().Scaled(0.04))
 	// The vertex-label cap is the 30th percentile of the unfiltered
 	// per-day label counts, plus one (experiments.labelCap).
-	dayOpts := partition.DefaultTemporalOptions()
-	dayOpts.SplitComponents = false
-	dayOpts.DropSingleEdge = false
-	counts := []int{}
-	for _, t := range partition.Temporal(d, dayOpts).Transactions {
-		counts = append(counts, len(t.VertexLabels()))
-	}
+	counts := partition.DayVertexLabelCounts(d)
 	sort.Ints(counts)
 	opts := partition.DefaultTemporalOptions()
 	opts.MaxVertexLabels = max(counts[len(counts)*30/100]+1, 4)
@@ -167,8 +161,13 @@ func structuralFixture() ([]*graph.Graph, Options) {
 
 // selfLoopTxns is a synthetic set over two vertex and two edge labels
 // with self-loops, which support no pattern: mining it checks that
-// loop-bearing transactions count only their loop-free edges.
+// loop-bearing transactions count only their loop-free edges. Each
+// transaction keeps the first of any repeated (from, to, label) edges.
 func selfLoopTxns(n int, seed int64) []*graph.Graph {
+	type edge struct {
+		from, to graph.VertexID
+		label    string
+	}
 	rng := rand.New(rand.NewSource(seed))
 	txns := make([]*graph.Graph, n)
 	for i := range txns {
@@ -176,10 +175,15 @@ func selfLoopTxns(n int, seed int64) []*graph.Graph {
 		for j := 0; j < 5; j++ {
 			g.AddVertex([]string{"a", "b"}[rng.Intn(2)])
 		}
+		seen := make(map[edge]bool)
 		for j := 0; j < 7; j++ {
-			g.AddEdge(graph.VertexID(rng.Intn(5)), graph.VertexID(rng.Intn(5)), []string{"x", "y"}[rng.Intn(2)])
+			e := edge{graph.VertexID(rng.Intn(5)), graph.VertexID(rng.Intn(5)), []string{"x", "y"}[rng.Intn(2)]}
+			if !seen[e] {
+				seen[e] = true
+				g.AddEdge(e.from, e.to, e.label)
+			}
 		}
-		txns[i], _ = g.DedupEdges()
+		txns[i] = g
 	}
 	return txns
 }

@@ -6,23 +6,33 @@ import "sort"
 // weakly connected components (treating every edge as undirected) and
 // returns each component as a sorted vertex-ID slice, largest first.
 func (g *Graph) WeaklyConnectedComponents() [][]VertexID {
-	visited := make(map[VertexID]bool, g.numVertices)
+	visited := make([]bool, len(g.vertices))
 	var comps [][]VertexID
-	for _, start := range g.Vertices() {
-		if visited[start] {
+	var stack []VertexID
+	visit := func(v VertexID) {
+		if !visited[v] {
+			visited[v] = true
+			stack = append(stack, v)
+		}
+	}
+	for start, alive := range g.vertexAlive {
+		if !alive || visited[start] {
 			continue
 		}
 		comp := []VertexID{}
-		stack := []VertexID{start}
-		visited[start] = true
+		visit(VertexID(start))
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			comp = append(comp, v)
-			for _, u := range g.Neighbors(v) {
-				if !visited[u] {
-					visited[u] = true
-					stack = append(stack, u)
+			for _, id := range g.out[v] {
+				if g.edgeAlive[id] {
+					visit(g.edges[id].To)
+				}
+			}
+			for _, id := range g.in[v] {
+				if g.edgeAlive[id] {
+					visit(g.edges[id].From)
 				}
 			}
 		}
@@ -39,18 +49,33 @@ func (g *Graph) WeaklyConnectedComponents() [][]VertexID {
 }
 
 // SplitComponents returns one compact graph per weakly connected
-// component of g. Section 6 of the paper breaks each disconnected
-// per-day graph transaction into multiple connected graph
-// transactions before handing them to FSG.
+// component of g, each equal to g.InducedSubgraph of the component.
+// Section 6 of the paper breaks each disconnected per-day graph
+// transaction into multiple connected graph transactions before
+// handing them to FSG. One pass over the edges hands each to its
+// component's graph.
 func (g *Graph) SplitComponents() []*Graph {
 	comps := g.WeaklyConnectedComponents()
-	graphs := make([]*Graph, 0, len(comps))
+	graphs := make([]*Graph, len(comps))
+	compOf := make([]int, len(g.vertices))
+	newID := make([]VertexID, len(g.vertices))
 	for i, comp := range comps {
 		name := g.Name
 		if len(comps) > 1 {
 			name = g.Name + "/" + itoa(i)
 		}
-		graphs = append(graphs, g.InducedSubgraph(name, comp))
+		sub := New(name)
+		for _, v := range comp {
+			compOf[v] = i
+			newID[v] = sub.AddVertex(g.vertices[v].Label)
+		}
+		graphs[i] = sub
+	}
+	for id, alive := range g.edgeAlive {
+		if alive {
+			e := g.edges[id]
+			graphs[compOf[e.From]].AddEdge(newID[e.From], newID[e.To], e.Label)
+		}
 	}
 	return graphs
 }

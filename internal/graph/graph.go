@@ -340,36 +340,6 @@ func (g *Graph) Neighbors(v VertexID) []VertexID {
 	return res
 }
 
-// DedupEdges returns a compact copy of g in which at most one edge
-// with a given (from, to, label) triple is retained. Section 6 of the
-// paper requires this before running FSG, which operates on graphs,
-// not multigraphs. The second result is the number of duplicate edges
-// dropped.
-func (g *Graph) DedupEdges() (*Graph, int) {
-	type key struct {
-		from, to VertexID
-		label    string
-	}
-	c := New(g.Name)
-	remap := make(map[VertexID]VertexID, g.numVertices)
-	for _, v := range g.Vertices() {
-		remap[v] = c.AddVertex(g.vertices[v].Label)
-	}
-	seen := make(map[key]bool)
-	dropped := 0
-	for _, e := range g.Edges() {
-		ed := g.edges[e]
-		k := key{remap[ed.From], remap[ed.To], ed.Label}
-		if seen[k] {
-			dropped++
-			continue
-		}
-		seen[k] = true
-		c.AddEdge(k.from, k.to, ed.Label)
-	}
-	return c, dropped
-}
-
 // VertexLabels returns the distinct vertex labels in g.
 func (g *Graph) VertexLabels() []string {
 	set := make(map[string]bool)

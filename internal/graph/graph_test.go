@@ -112,17 +112,6 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 }
 
-func TestDedupEdges(t *testing.T) {
-	g, _, _ := build(t)
-	deduped, dropped := g.DedupEdges()
-	if dropped != 1 {
-		t.Errorf("dropped = %d, want 1", dropped)
-	}
-	if deduped.NumEdges() != 2 {
-		t.Errorf("edges = %d, want 2", deduped.NumEdges())
-	}
-}
-
 func TestLabels(t *testing.T) {
 	g, _, _ := build(t)
 	if got := g.VertexLabels(); len(got) != 3 || got[0] != "a" {

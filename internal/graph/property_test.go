@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -110,5 +112,77 @@ func TestPropertyOpSequence(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 60}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSplitComponentsMatchesInducedSubgraph: on random labelled
+// multigraphs with self-loops, isolated vertices and removed vertices
+// and edges, the components are those a Neighbors search finds, and
+// each split graph equals InducedSubgraph of its component, vertex
+// for vertex and edge for edge.
+func TestSplitComponentsMatchesInducedSubgraph(t *testing.T) {
+	full := func(g *Graph) string {
+		s := g.Dump()
+		for _, v := range g.Vertices() {
+			s += fmt.Sprintf("v%d(%s)\n", v, g.Vertex(v).Label)
+		}
+		return s
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := New(fmt.Sprintf("g%d", seed))
+		n := 1 + rng.Intn(12)
+		for i := 0; i < n; i++ {
+			g.AddVertex([]string{"a", "b", "c"}[rng.Intn(3)])
+		}
+		for i := rng.Intn(2 * n); i > 0; i-- {
+			g.AddEdge(VertexID(rng.Intn(n)), VertexID(rng.Intn(n)), []string{"x", "y"}[rng.Intn(2)])
+		}
+		for i := rng.Intn(3); i > 0; i-- {
+			g.RemoveEdge(EdgeID(rng.Intn(g.EdgeCap() + 1)))
+			g.RemoveVertex(VertexID(rng.Intn(n)))
+		}
+
+		// Reference components: search over Neighbors from each
+		// unvisited vertex, then the same order as the method's.
+		seen := map[VertexID]bool{}
+		var want [][]VertexID
+		for _, s := range g.Vertices() {
+			if seen[s] {
+				continue
+			}
+			seen[s] = true
+			comp := []VertexID{}
+			for queue := []VertexID{s}; len(queue) > 0; queue = queue[1:] {
+				comp = append(comp, queue[0])
+				for _, u := range g.Neighbors(queue[0]) {
+					if !seen[u] {
+						seen[u] = true
+						queue = append(queue, u)
+					}
+				}
+			}
+			slices.Sort(comp)
+			want = append(want, comp)
+		}
+		slices.SortStableFunc(want, func(a, b []VertexID) int {
+			if len(a) != len(b) {
+				return len(b) - len(a)
+			}
+			return int(a[0] - b[0])
+		})
+		comps := g.WeaklyConnectedComponents()
+		if fmt.Sprint(comps) != fmt.Sprint(want) {
+			t.Fatalf("seed %d: components %v, want %v", seed, comps, want)
+		}
+		split := g.SplitComponents()
+		if len(split) != len(comps) {
+			t.Fatalf("seed %d: %d split graphs for %d components", seed, len(split), len(comps))
+		}
+		for i, comp := range comps {
+			if got, want := full(split[i]), full(g.InducedSubgraph(split[i].Name, comp)); got != want {
+				t.Fatalf("seed %d component %d:\n%s\nwant\n%s", seed, i, got, want)
+			}
+		}
 	}
 }

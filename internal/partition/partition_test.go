@@ -277,3 +277,16 @@ func TestTemporalComponentSplit(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkTemporal times the Section 6 partition of a quarter-scale
+// dataset (about 24.6k transactions) with the paper's options before
+// the Table 3 cap, so every day's graph is built, deduped, split into
+// components and filtered. The dataset is generated outside the timer.
+func BenchmarkTemporal(b *testing.B) {
+	d := dataset.Generate(dataset.DefaultConfig().Scaled(0.25))
+	opts := DefaultTemporalOptions()
+	b.ReportAllocs()
+	for b.Loop() {
+		Temporal(d, opts)
+	}
+}

@@ -1,8 +1,8 @@
 package partition
 
 import (
-	"fmt"
-	"sort"
+	"math"
+	"time"
 
 	"tnkd/internal/bin"
 	"tnkd/internal/dataset"
@@ -95,28 +95,17 @@ func (r *TemporalResult) Stats() graph.TransactionStats {
 // Vertices carry unique lat-lon labels so patterns are tied to
 // locations across days (Section 6).
 func Temporal(d *dataset.Dataset, opts TemporalOptions) *TemporalResult {
-	binner := opts.Attr.DefaultBinner()
-
-	// Bucket transactions by active day.
-	byDay := make(map[string][]dataset.Transaction)
-	for _, t := range d.Transactions {
-		for day := t.ReqPickup; !day.After(t.ReqDelivery); day = day.AddDate(0, 0, 1) {
-			key := day.Format("2006-01-02")
-			byDay[key] = append(byDay[key], t)
-		}
+	days := bucketDays(d)
+	if opts.MaxDays > 0 && len(days.names) > opts.MaxDays {
+		days.names = days.names[:opts.MaxDays]
+		days.txns = days.txns[:opts.MaxDays]
 	}
-	days := make([]string, 0, len(byDay))
-	for day := range byDay {
-		days = append(days, day)
-	}
-	sort.Strings(days)
-	if opts.MaxDays > 0 && len(days) > opts.MaxDays {
-		days = days[:opts.MaxDays]
-	}
+	locs := dataset.NewLocationTable(d)
+	edgeIDs, edgeLabels := binEdges(d, opts.Attr)
 
-	res := &TemporalResult{DaysTotal: len(days)}
+	res := &TemporalResult{DaysTotal: len(days.names)}
 
-	// Each day's batch — graph build, dedup, vertex-label filter,
+	// Each day's batch — dedup, vertex-label filter, graph build,
 	// component split, single-edge filter — is independent of every
 	// other day, so the ~180 batches fan out across the engine pool.
 	// The merge walks days in calendar order, keeping transactions
@@ -127,26 +116,25 @@ func Temporal(d *dataset.Dataset, opts TemporalOptions) *TemporalResult {
 		filteredByLabels int
 		singleDropped    int
 	}
-	batches := engine.Map(opts.Parallelism, len(days), func(i int) dayBatch {
-		day := days[i]
-		g := buildDayGraph(day, byDay[day], opts.Attr, binner)
+	batches := engine.Map(opts.Parallelism, len(days.names), func(i int) dayBatch {
 		var b dayBatch
+		txns := days.txns[i]
 		if opts.DedupEdges {
-			deduped, dropped := g.DedupEdges()
-			b.duplicateDropped = dropped
-			g = deduped
+			txns, b.duplicateDropped = dedupDay(locs, edgeIDs, txns)
 		}
-		if opts.MaxVertexLabels > 0 && len(g.VertexLabels()) >= opts.MaxVertexLabels {
+		if opts.MaxVertexLabels > 0 &&
+			distinctLabels(locs, txns, make([]bool, len(locs.Labels))) >= opts.MaxVertexLabels {
 			b.filteredByLabels = 1
 			return b
 		}
-		var txns []*graph.Graph
+		g := buildDayGraph(days.names[i], txns, locs, edgeIDs, edgeLabels)
+		var gs []*graph.Graph
 		if opts.SplitComponents {
-			txns = g.SplitComponents()
+			gs = g.SplitComponents()
 		} else {
-			txns = []*graph.Graph{g}
+			gs = []*graph.Graph{g}
 		}
-		for _, txn := range txns {
+		for _, txn := range gs {
 			if opts.DropSingleEdge && txn.NumEdges() <= 1 {
 				b.singleDropped++
 				continue
@@ -165,24 +153,175 @@ func Temporal(d *dataset.Dataset, opts TemporalOptions) *TemporalResult {
 	return res
 }
 
-// buildDayGraph assembles one day's active-edge graph with unique
-// lat-lon vertex labels.
-func buildDayGraph(day string, txns []dataset.Transaction, attr dataset.EdgeAttr, binner bin.Binner) *graph.Graph {
-	g := graph.New(fmt.Sprintf("day/%s", day))
-	labels := bin.Labels(binner)
-	idx := make(map[dataset.LatLon]graph.VertexID)
-	vertexOf := func(p dataset.LatLon) graph.VertexID {
-		if id, ok := idx[p]; ok {
-			return id
-		}
-		id := g.AddVertex(p.String())
-		idx[p] = id
-		return id
+// DayVertexLabelCounts returns, for every calendar day with at least
+// one active OD pair, in calendar order, the number of distinct vertex
+// labels of that day's graph: the number Temporal's MaxVertexLabels
+// filter compares. It builds no graph.
+func DayVertexLabelCounts(d *dataset.Dataset) []int {
+	days := bucketDays(d)
+	locs := dataset.NewLocationTable(d)
+	mark := make([]bool, len(locs.Labels))
+	counts := make([]int, len(days.txns))
+	for i, txns := range days.txns {
+		counts[i] = distinctLabels(locs, txns, mark)
 	}
-	for _, t := range txns {
-		from := vertexOf(t.Origin)
-		to := vertexOf(t.Dest)
-		g.AddEdge(from, to, labels[binner.Bin(attr.Value(t))])
+	return counts
+}
+
+// dayBuckets is a dataset grouped by active calendar day.
+type dayBuckets struct {
+	// names are the days with at least one active transaction, as
+	// "2006-01-02", in calendar order.
+	names []string
+	// txns[i] lists the indices of the transactions active on day i,
+	// in dataset order.
+	txns [][]int32
+}
+
+// bucketDays groups d's transactions by the calendar days they are
+// active on: from the requested pickup date through the last day whose
+// pickup time of day is not after the requested delivery. Days are
+// dates in the pickup's own location.
+func bucketDays(d *dataset.Dataset) dayBuckets {
+	n := len(d.Transactions)
+	first, last := make([]int, n), make([]int, n)
+	lo, hi := math.MaxInt, math.MinInt
+	for i := range d.Transactions {
+		t := &d.Transactions[i]
+		first[i] = dayNumber(t.ReqPickup)
+		last[i] = dayNumber(t.ReqDelivery.In(t.ReqPickup.Location()))
+		if last[i] >= first[i] && t.ReqPickup.AddDate(0, 0, last[i]-first[i]).After(t.ReqDelivery) {
+			last[i]--
+		}
+		if first[i] <= last[i] {
+			lo, hi = min(lo, first[i]), max(hi, last[i])
+		}
+	}
+	if lo > hi {
+		return dayBuckets{}
+	}
+	// Counting sort by day. ends[k+1] first counts day lo+k's
+	// transactions; after the prefix sum ends[k] is where day lo+k
+	// starts in flat, and placing its transactions moves it to where
+	// the day ends.
+	ends := make([]int, hi-lo+2)
+	for i := range first {
+		for day := first[i]; day <= last[i]; day++ {
+			ends[day-lo+1]++
+		}
+	}
+	for k := 1; k < len(ends); k++ {
+		ends[k] += ends[k-1]
+	}
+	flat := make([]int32, ends[len(ends)-1])
+	for i := range first {
+		for day := first[i]; day <= last[i]; day++ {
+			flat[ends[day-lo]] = int32(i)
+			ends[day-lo]++
+		}
+	}
+	var days dayBuckets
+	start := 0
+	for k := 0; k <= hi-lo; k++ {
+		if ends[k] > start {
+			days.names = append(days.names, time.Unix(int64(lo+k)*secondsPerDay, 0).UTC().Format("2006-01-02"))
+			days.txns = append(days.txns, flat[start:ends[k]:ends[k]])
+		}
+		start = ends[k]
+	}
+	return days
+}
+
+const secondsPerDay = 24 * 60 * 60
+
+// dayNumber numbers t's calendar date (in t's location) as days since
+// 1970-01-01.
+func dayNumber(t time.Time) int {
+	y, m, d := t.Date()
+	return int(time.Date(y, m, d, 0, 0, 0, 0, time.UTC).Unix() / secondsPerDay)
+}
+
+// binEdges labels every transaction's edge once: ids[i] is the edge
+// label ID of d.Transactions[i] under attr's default binning, and
+// labels maps an ID to its string. Bins whose labels are equal share
+// an ID.
+func binEdges(d *dataset.Dataset, attr dataset.EdgeAttr) (ids []int32, labels []string) {
+	binner := attr.DefaultBinner()
+	byBin := make([]int32, binner.NumBins())
+	seen := make(map[string]int32)
+	for b, l := range bin.Labels(binner) {
+		id, ok := seen[l]
+		if !ok {
+			id = int32(len(labels))
+			seen[l] = id
+			labels = append(labels, l)
+		}
+		byBin[b] = id
+	}
+	ids = make([]int32, len(d.Transactions))
+	for i := range d.Transactions {
+		ids[i] = byBin[binner.Bin(attr.Value(d.Transactions[i]))]
+	}
+	return ids, labels
+}
+
+// dedupDay drops every transaction of txns whose (origin, destination,
+// edge label) repeats an earlier one's, since FSG mines graphs, not
+// multigraphs. It returns the kept transactions, in order, and the
+// number dropped.
+func dedupDay(locs *dataset.LocationTable, edgeIDs []int32, txns []int32) ([]int32, int) {
+	type edge struct{ from, to, label int32 }
+	seen := make(map[edge]struct{}, len(txns))
+	kept := make([]int32, 0, len(txns))
+	for _, i := range txns {
+		e := edge{locs.Origins[i], locs.Dests[i], edgeIDs[i]}
+		if _, dup := seen[e]; dup {
+			continue
+		}
+		seen[e] = struct{}{}
+		kept = append(kept, i)
+	}
+	return kept, len(txns) - len(kept)
+}
+
+// distinctLabels counts the distinct vertex labels of the day whose
+// transactions are txns. mark is indexed by label ID; it must
+// be all false, and is left so.
+func distinctLabels(locs *dataset.LocationTable, txns []int32, mark []bool) int {
+	n := 0
+	visit := func(loc int32) {
+		if l := locs.LabelIDs[loc]; !mark[l] {
+			mark[l] = true
+			n++
+		}
+	}
+	for _, i := range txns {
+		visit(locs.Origins[i])
+		visit(locs.Dests[i])
+	}
+	for _, i := range txns {
+		mark[locs.LabelIDs[locs.Origins[i]]] = false
+		mark[locs.LabelIDs[locs.Dests[i]]] = false
+	}
+	return n
+}
+
+// buildDayGraph assembles one day's active-edge graph, one edge per
+// transaction of txns, with one vertex per location labelled by its
+// lat-lon.
+func buildDayGraph(day string, txns []int32, locs *dataset.LocationTable, edgeIDs []int32, edgeLabels []string) *graph.Graph {
+	g := graph.New("day/" + day)
+	vertex := make([]graph.VertexID, len(locs.LabelIDs)) // location ID -> vertex ID + 1
+	vertexOf := func(loc int32) graph.VertexID {
+		if vertex[loc] == 0 {
+			vertex[loc] = g.AddVertex(locs.Label(loc)) + 1
+		}
+		return vertex[loc] - 1
+	}
+	for _, i := range txns {
+		from := vertexOf(locs.Origins[i])
+		to := vertexOf(locs.Dests[i])
+		g.AddEdge(from, to, edgeLabels[edgeIDs[i]])
 	}
 	return g
 }
