@@ -371,7 +371,7 @@ func benchmarkTemporalPipeline(b *testing.B, parallelism int) {
 	var res *TemporalMineResult
 	for i := 0; i < b.N; i++ {
 		opts := DefaultTemporalMineOptions()
-		opts.Parallelism = parallelism
+		opts.Partition.Parallelism = parallelism
 		var err error
 		res, err = MineTemporal(data, opts)
 		if err != nil {

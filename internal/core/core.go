@@ -300,17 +300,14 @@ func writeStructuralStore(path, name string, partitionings [][]*graph.Graph, run
 
 // TemporalMineOptions configures the Section 6 pipeline.
 type TemporalMineOptions struct {
+	// Partition configures the per-day partition. Its Parallelism is
+	// the worker count of both the partition build and the cross-day
+	// support counting.
 	Partition partition.TemporalOptions
 	// SupportFraction is FSG's relative support (paper: 0.05).
 	SupportFraction float64
 	MaxEdges        int
 	MaxSteps        int
-	// Parallelism is the worker count for both the per-day partition
-	// build and the cross-day support counting. <= 0 selects
-	// GOMAXPROCS; 1 runs fully serial. Results are identical for
-	// every value. A non-zero Partition.Parallelism takes precedence
-	// for the partitioning stage.
-	Parallelism int
 	// StorePath, when non-empty, persists the run to an
 	// internal/store file: the per-day transactions are written up
 	// front and each Apriori level streams into the writer as it
@@ -350,9 +347,6 @@ func MineTemporal(d *dataset.Dataset, opts TemporalMineOptions) (*TemporalMineRe
 	if opts.SupportFraction <= 0 || opts.SupportFraction > 1 {
 		return nil, fmt.Errorf("core: SupportFraction %f out of (0, 1]", opts.SupportFraction)
 	}
-	if opts.Partition.Parallelism == 0 {
-		opts.Partition.Parallelism = opts.Parallelism
-	}
 	part := partition.Temporal(d, opts.Partition)
 	stats := part.Stats()
 	support := fsg.MinSupportFraction(len(part.Transactions), opts.SupportFraction)
@@ -360,7 +354,7 @@ func MineTemporal(d *dataset.Dataset, opts TemporalMineOptions) (*TemporalMineRe
 		MinSupport:  support,
 		MaxEdges:    opts.MaxEdges,
 		MaxSteps:    opts.MaxSteps,
-		Parallelism: opts.Parallelism,
+		Parallelism: opts.Partition.Parallelism,
 		Progress:    opts.Progress,
 	}
 

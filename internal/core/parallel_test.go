@@ -85,8 +85,7 @@ func TestMineTemporalDeterministicAcrossParallelism(t *testing.T) {
 	opts.Partition.MaxVertexLabels = 12
 	var want string
 	for _, p := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		opts.Parallelism = p
-		opts.Partition.Parallelism = 0 // let MineTemporal propagate
+		opts.Partition.Parallelism = p
 		res, err := MineTemporal(data, opts)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", p, err)

@@ -90,7 +90,7 @@ func sortedRows(l iso.EmbeddingList) [][]int32 {
 // invalidEmbedding describes what makes emb not an embedding of p in
 // txn, or returns "".
 func invalidEmbedding(p, txn *graph.Graph, emb iso.DenseEmbedding) string {
-	if len(emb.Verts) != p.VertexCap() || len(emb.Edges) != p.EdgeCap() {
+	if len(emb.Verts) != p.NumVertices() || len(emb.Edges) != p.NumEdges() {
 		return "row width differs from the pattern's"
 	}
 	seenV := map[int32]bool{}

@@ -20,8 +20,7 @@ import (
 // 100-vertex / 561-edge slice.
 func truncatedSubgraph(g *graph.Graph, numVertices int) *graph.Graph {
 	if numVertices >= g.NumVertices() {
-		c, _ := g.Compact()
-		return c
+		return g.Clone()
 	}
 	// Start from the highest-degree vertex.
 	var start graph.VertexID

@@ -141,7 +141,7 @@ func RunFigure4(p Params) *Figure4Result {
 	opts := core.DefaultTemporalMineOptions()
 	opts.Partition.MaxVertexLabels = labelCap(p)
 	opts.Partition.MaxDays = p.Days
-	opts.Parallelism = p.Parallelism
+	opts.Partition.Parallelism = p.Parallelism
 	opts.StorePath = p.StorePath
 	opts.Progress = p.stageProgress("figure4")
 	res, err := core.MineTemporal(p.Data, opts)

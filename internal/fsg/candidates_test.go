@@ -127,10 +127,32 @@ func referenceClosure(cand *graph.Graph, newEdge graph.EdgeID, freqCodes map[str
 // referenceConnected reports whether g minus edge skip, orphans
 // dropped, is connected and non-empty, by materialising it.
 func referenceConnected(g *graph.Graph, skip graph.EdgeID) bool {
-	c := g.Clone()
-	c.RemoveEdge(skip)
-	c.RemoveOrphans()
+	c := withoutEdge(g, skip)
 	return c.NumVertices() > 0 && c.IsConnected()
+}
+
+// withoutEdge materialises g minus edge skip with every vertex left
+// without an edge dropped, the rest renumbered in ascending ID order.
+func withoutEdge(g *graph.Graph, skip graph.EdgeID) *graph.Graph {
+	keep := make([]bool, g.NumVertices())
+	for _, e := range g.Edges() {
+		if e != skip {
+			keep[g.Edge(e).From], keep[g.Edge(e).To] = true, true
+		}
+	}
+	sub := graph.New(g.Name)
+	newID := make([]graph.VertexID, g.NumVertices())
+	for _, v := range g.Vertices() {
+		if keep[v] {
+			newID[v] = sub.AddVertex(g.Vertex(v).Label)
+		}
+	}
+	for _, e := range g.Edges() {
+		if ed := g.Edge(e); e != skip {
+			sub.AddEdge(newID[ed.From], newID[ed.To], ed.Label)
+		}
+	}
+	return sub
 }
 
 // temporalFixture is the transaction set of tndtemporal -scale 0.04

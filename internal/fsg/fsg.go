@@ -526,7 +526,7 @@ func newKeyCheck(g *graph.Graph, keys []uint64, freqKeys map[uint64]bool) *keyCh
 		keys:     keys,
 		sum:      sumKeys(keys),
 		ends:     overlayEnds(g, iso.Extension{}),
-		uf:       make([]graph.VertexID, g.VertexCap()+1),
+		uf:       make([]graph.VertexID, g.NumVertices()+1),
 	}
 }
 
@@ -714,7 +714,7 @@ func (m *miner) candidates(current []Pattern, k int) []*candidate {
 // the triples with an endpoint label it has, in triple order.
 func (m *miner) extensions(p *graph.Graph) []codedExt {
 	vs := p.Vertices()
-	lab := make([]int32, p.VertexCap())
+	lab := make([]int32, p.NumVertices())
 	for i := range lab {
 		lab[i] = -1
 	}
@@ -743,7 +743,7 @@ func (m *miner) extensions(p *graph.Graph) []codedExt {
 	}
 
 	var exts []codedExt
-	newV := graph.VertexID(p.VertexCap())
+	newV := graph.VertexID(p.NumVertices())
 	for _, ti := range visit {
 		tr, ends := m.frequentTriples[ti], m.tripleLabels[ti]
 		// New edge between existing vertices.
@@ -789,7 +789,7 @@ func (m *miner) extensions(p *graph.Graph) []codedExt {
 func passesClosure(c *candidate, freqCodes map[string]bool) bool {
 	g := c.parent.Graph
 	ends := overlayEnds(g, c.ext)
-	uf := make([]graph.VertexID, g.VertexCap()+1)
+	uf := make([]graph.VertexID, g.NumVertices()+1)
 	for i, e := range g.Edges() {
 		if !connectedWithout(ends, i, uf) {
 			// Deleting this edge disconnects the pattern; the

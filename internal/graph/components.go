@@ -2,7 +2,7 @@ package graph
 
 import "sort"
 
-// WeaklyConnectedComponents partitions the live vertices of g into
+// WeaklyConnectedComponents partitions the vertices of g into
 // weakly connected components (treating every edge as undirected) and
 // returns each component as a sorted vertex-ID slice, largest first.
 func (g *Graph) WeaklyConnectedComponents() [][]VertexID {
@@ -15,8 +15,8 @@ func (g *Graph) WeaklyConnectedComponents() [][]VertexID {
 			stack = append(stack, v)
 		}
 	}
-	for start, alive := range g.vertexAlive {
-		if !alive || visited[start] {
+	for start := range g.vertices {
+		if visited[start] {
 			continue
 		}
 		comp := []VertexID{}
@@ -26,14 +26,10 @@ func (g *Graph) WeaklyConnectedComponents() [][]VertexID {
 			stack = stack[:len(stack)-1]
 			comp = append(comp, v)
 			for _, id := range g.out[v] {
-				if g.edgeAlive[id] {
-					visit(g.edges[id].To)
-				}
+				visit(g.edges[id].To)
 			}
 			for _, id := range g.in[v] {
-				if g.edgeAlive[id] {
-					visit(g.edges[id].From)
-				}
+				visit(g.edges[id].From)
 			}
 		}
 		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
@@ -48,7 +44,7 @@ func (g *Graph) WeaklyConnectedComponents() [][]VertexID {
 	return comps
 }
 
-// SplitComponents returns one compact graph per weakly connected
+// SplitComponents returns one graph per weakly connected
 // component of g, each equal to g.InducedSubgraph of the component.
 // Section 6 of the paper breaks each disconnected per-day graph
 // transaction into multiple connected graph transactions before
@@ -71,18 +67,15 @@ func (g *Graph) SplitComponents() []*Graph {
 		}
 		graphs[i] = sub
 	}
-	for id, alive := range g.edgeAlive {
-		if alive {
-			e := g.edges[id]
-			graphs[compOf[e.From]].AddEdge(newID[e.From], newID[e.To], e.Label)
-		}
+	for _, e := range g.edges {
+		graphs[compOf[e.From]].AddEdge(newID[e.From], newID[e.To], e.Label)
 	}
 	return graphs
 }
 
 // IsConnected reports whether g is weakly connected (and non-empty).
 func (g *Graph) IsConnected() bool {
-	if g.numVertices == 0 {
+	if len(g.vertices) == 0 {
 		return false
 	}
 	return len(g.WeaklyConnectedComponents()) == 1

@@ -39,65 +39,15 @@ func TestAddAndQuery(t *testing.T) {
 	}
 }
 
-func TestRemoveEdgeAndOrphans(t *testing.T) {
-	g, vs, es := build(t)
-	g.RemoveEdge(es[1])
-	if g.NumEdges() != 2 {
-		t.Fatalf("edges = %d, want 2", g.NumEdges())
-	}
-	if g.HasEdge(es[1]) {
-		t.Error("edge should be gone")
-	}
-	g.RemoveEdge(es[1]) // idempotent
-	if g.NumEdges() != 2 {
-		t.Error("double removal changed count")
-	}
-	removed := g.RemoveOrphans()
-	if removed != 1 || g.HasVertex(vs[2]) {
-		t.Errorf("orphan removal: removed=%d hasV2=%v", removed, g.HasVertex(vs[2]))
-	}
-}
-
-func TestRemoveVertexCascades(t *testing.T) {
-	g, vs, _ := build(t)
-	g.RemoveVertex(vs[1])
-	if g.NumVertices() != 2 {
-		t.Errorf("vertices = %d, want 2", g.NumVertices())
-	}
-	if g.NumEdges() != 0 {
-		t.Errorf("edges = %d, want 0 (all incident on v1)", g.NumEdges())
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	g, vs, _ := build(t)
 	c := g.Clone()
-	c.RemoveVertex(vs[0])
-	if g.NumVertices() != 3 {
+	c.AddEdge(vs[2], c.AddVertex("d"), "z")
+	if g.NumVertices() != 3 || g.NumEdges() != 3 || g.OutDegree(vs[2]) != 0 {
 		t.Error("clone mutation affected original")
 	}
-	if c.NumVertices() != 2 {
-		t.Error("clone removal failed")
-	}
-}
-
-func TestCompactRenumbers(t *testing.T) {
-	g, vs, es := build(t)
-	g.RemoveEdge(es[0])
-	g.RemoveEdge(es[2])
-	g.RemoveVertex(vs[0])
-	c, remap := g.Compact()
-	if c.NumVertices() != 2 || c.NumEdges() != 1 {
-		t.Fatalf("compact = %s", c)
-	}
-	if _, ok := remap[vs[0]]; ok {
-		t.Error("dead vertex in remap")
-	}
-	// IDs must be dense.
-	for i, v := range c.Vertices() {
-		if int(v) != i {
-			t.Errorf("vertex IDs not dense: %v", c.Vertices())
-		}
+	if c.NumVertices() != 4 || c.NumEdges() != 4 || c.OutDegree(vs[2]) != 1 {
+		t.Error("clone addition failed")
 	}
 }
 

@@ -1,13 +1,13 @@
 package graph
 
-// Index is the integer-label CSR view of a graph's live vertices and
+// Index is the integer-label CSR view of a graph's vertices and
 // edges, the form the subgraph matcher searches over. Vertex and edge
 // labels are interned to dense int32 IDs (per graph, in order of first
 // appearance by ascending vertex/edge ID), so a label test is an
-// integer compare. A vertex's label ID and live in/out degrees sit
+// integer compare. A vertex's label ID and in/out degrees sit
 // side by side, so a candidate filter reads one cache line.
 //
-// In each direction, the live edges of vertex v carrying label l form
+// In each direction, the edges of vertex v carrying label l form
 // a Run, found in O(1) through a small open-addressed label table of
 // v's own. A run is grouped by far endpoint: each distinct endpoint
 // once, in order of its lowest edge ID, with its parallel edges in
@@ -16,19 +16,18 @@ package graph
 // vertices without scanning edges to other vertices. Memory is
 // O(V+E) whatever the number of labels.
 //
-// An Index is built lazily by Graph.Index and dropped on any mutation;
+// An Index is built lazily by Graph.Index and dropped on any addition;
 // it is immutable once built and safe for concurrent readers. Every
 // slice it returns is shared and must not be modified.
 type Index struct {
 	vertexLabels map[string]int32
 	edgeLabels   map[string]int32
 	verts        []vertexInfo // by vertex ID
-	byLabel      [][]VertexID // vertex label ID -> live vertices, ascending
+	byLabel      [][]VertexID // vertex label ID -> vertices, ascending
 	out, in      adjacency
 }
 
-// vertexInfo is one vertex's label ID (NoLabel when tombstoned) and
-// live degrees.
+// vertexInfo is one vertex's label ID and degrees.
 type vertexInfo struct {
 	label, out, in int32
 }
@@ -62,7 +61,7 @@ type group struct {
 	far, lo, hi int32
 }
 
-// Run is the live edges of one vertex with one label in one
+// Run is the edges of one vertex with one label in one
 // direction, grouped by far endpoint. The zero Run is empty.
 type Run struct {
 	a      *adjacency
@@ -103,35 +102,27 @@ func (g *Graph) Index() *Index {
 		edgeLabels:   make(map[string]int32),
 		verts:        make([]vertexInfo, len(g.vertices)),
 	}
-	for i, alive := range g.vertexAlive {
-		if !alive {
-			ix.verts[i].label = NoLabel
-			continue
-		}
-		l := intern(ix.vertexLabels, g.vertices[i].Label)
+	for i, v := range g.vertices {
+		l := intern(ix.vertexLabels, v.Label)
 		if int(l) == len(ix.byLabel) {
 			ix.byLabel = append(ix.byLabel, nil)
 		}
 		ix.verts[i].label = l
 		ix.byLabel[l] = append(ix.byLabel[l], VertexID(i))
 	}
-	live := make([]EdgeID, 0, g.numEdges)
 	elabel := make([]int32, len(g.edges))
-	for i, alive := range g.edgeAlive {
-		if alive {
-			live = append(live, EdgeID(i))
-			elabel[i] = intern(ix.edgeLabels, g.edges[i].Label)
-			ix.verts[g.edges[i].From].out++
-			ix.verts[g.edges[i].To].in++
-		}
+	for i, e := range g.edges {
+		elabel[i] = intern(ix.edgeLabels, e.Label)
+		ix.verts[e.From].out++
+		ix.verts[e.To].in++
 	}
-	ix.out = g.buildAdjacency(ix.verts, len(ix.edgeLabels), live, elabel, true)
-	ix.in = g.buildAdjacency(ix.verts, len(ix.edgeLabels), live, elabel, false)
+	ix.out = g.buildAdjacency(ix.verts, len(ix.edgeLabels), elabel, true)
+	ix.in = g.buildAdjacency(ix.verts, len(ix.edgeLabels), elabel, false)
 	g.idx.Store(ix)
 	return ix
 }
 
-// invalidateIdx drops the cached index after a mutation. It loads
+// invalidateIdx drops the cached index after an addition. It loads
 // first so graphs that never built an index (the common case while a
 // graph is being constructed) skip the write-barriered pointer store.
 func (g *Graph) invalidateIdx() {
@@ -149,13 +140,13 @@ func intern(ids map[string]int32, label string) int32 {
 	return id
 }
 
-// buildAdjacency lays out the out (or in) direction over the live
-// edges. Two stable counting sorts — by edge label, then by owning
-// vertex — leave each vertex's edges grouped by label ID and ascending
-// by edge ID within a label; each such (vertex, label) run is then
-// regrouped by far endpoint in first-occurrence order, which keeps
-// every group ascending.
-func (g *Graph) buildAdjacency(verts []vertexInfo, nl int, live []EdgeID, elabel []int32, out bool) adjacency {
+// buildAdjacency lays out the out (or in) direction over the edges.
+// Two stable counting sorts — by edge label, then by owning vertex —
+// leave each vertex's edges grouped by label ID and ascending by edge
+// ID within a label; each such (vertex, label) run is then regrouped
+// by far endpoint in first-occurrence order, which keeps every group
+// ascending.
+func (g *Graph) buildAdjacency(verts []vertexInfo, nl int, elabel []int32, out bool) adjacency {
 	ends := func(e EdgeID) (owner, far VertexID) {
 		if out {
 			return g.edges[e].From, g.edges[e].To
@@ -164,16 +155,16 @@ func (g *Graph) buildAdjacency(verts []vertexInfo, nl int, live []EdgeID, elabel
 	}
 	nv := len(verts)
 	pos := make([]int32, nl+1)
-	for _, e := range live {
-		pos[elabel[e]+1]++
+	for _, l := range elabel {
+		pos[l+1]++
 	}
 	for l := 1; l <= nl; l++ {
 		pos[l] += pos[l-1]
 	}
-	byLabel := make([]EdgeID, len(live))
-	for _, e := range live {
-		byLabel[pos[elabel[e]]] = e
-		pos[elabel[e]]++
+	byLabel := make([]EdgeID, len(elabel))
+	for e, l := range elabel {
+		byLabel[pos[l]] = EdgeID(e)
+		pos[l]++
 	}
 	start := make([]int32, nv+1)
 	for v, vi := range verts {
@@ -184,7 +175,7 @@ func (g *Graph) buildAdjacency(verts []vertexInfo, nl int, live []EdgeID, elabel
 		start[v+1] = start[v] + deg
 	}
 	fill := append([]int32(nil), start[:nv]...)
-	sorted := make([]EdgeID, len(live))
+	sorted := make([]EdgeID, len(elabel))
 	for _, e := range byLabel {
 		v, _ := ends(e)
 		sorted[fill[v]] = e
@@ -239,7 +230,7 @@ func (g *Graph) buildAdjacency(verts []vertexInfo, nl int, live []EdgeID, elabel
 		table:  table,
 		slots:  make([]runSlot, table[nv]),
 		groups: make([]group, 0, ngroups),
-		edges:  make([]int32, len(live)),
+		edges:  make([]int32, len(elabel)),
 	}
 	// next[k] is where the current run's k-th group packs its next edge.
 	var next []int32
@@ -311,7 +302,7 @@ func (a *adjacency) run(v VertexID, l int32) Run {
 }
 
 // VertexLabelID returns the interned ID of a vertex label, or NoLabel
-// when no live vertex carries it.
+// when no vertex carries it.
 func (ix *Index) VertexLabelID(label string) int32 {
 	if id, ok := ix.vertexLabels[label]; ok {
 		return id
@@ -320,7 +311,7 @@ func (ix *Index) VertexLabelID(label string) int32 {
 }
 
 // EdgeLabelID returns the interned ID of an edge label, or NoLabel
-// when no live edge carries it.
+// when no edge carries it.
 func (ix *Index) EdgeLabelID(label string) int32 {
 	if id, ok := ix.edgeLabels[label]; ok {
 		return id
@@ -328,10 +319,10 @@ func (ix *Index) EdgeLabelID(label string) int32 {
 	return NoLabel
 }
 
-// VertexLabel returns the label ID of live vertex v.
+// VertexLabel returns the label ID of vertex v.
 func (ix *Index) VertexLabel(v VertexID) int32 { return ix.verts[v].label }
 
-// WithLabel returns the live vertices with label ID l, ascending.
+// WithLabel returns the vertices with label ID l, ascending.
 func (ix *Index) WithLabel(l int32) []VertexID {
 	if l < 0 || int(l) >= len(ix.byLabel) {
 		return nil
@@ -339,16 +330,16 @@ func (ix *Index) WithLabel(l int32) []VertexID {
 	return ix.byLabel[l]
 }
 
-// Out returns the run of v's live outgoing edges with label ID l,
+// Out returns the run of v's outgoing edges with label ID l,
 // grouped by head.
 func (ix *Index) Out(v VertexID, l int32) Run { return ix.out.run(v, l) }
 
-// In returns the run of v's live incoming edges with label ID l,
+// In returns the run of v's incoming edges with label ID l,
 // grouped by tail.
 func (ix *Index) In(v VertexID, l int32) Run { return ix.in.run(v, l) }
 
-// OutDegree returns the number of live outgoing edges of v.
+// OutDegree returns the number of outgoing edges of v.
 func (ix *Index) OutDegree(v VertexID) int { return int(ix.verts[v].out) }
 
-// InDegree returns the number of live incoming edges of v.
+// InDegree returns the number of incoming edges of v.
 func (ix *Index) InDegree(v VertexID) int { return int(ix.verts[v].in) }

@@ -15,94 +15,40 @@ func TestPropertyOpSequence(t *testing.T) {
 	f := func(seed int64, opsRaw []byte) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := New("prop")
-		type refEdge struct {
-			from, to VertexID
-			alive    bool
-		}
-		var refVerts []bool
+		type refEdge struct{ from, to VertexID }
+		nv := 0
 		var refEdges []refEdge
-
-		aliveVertices := func() []VertexID {
-			var vs []VertexID
-			for i, alive := range refVerts {
-				if alive {
-					vs = append(vs, VertexID(i))
-				}
-			}
-			return vs
-		}
-
 		for _, op := range opsRaw {
-			switch op % 4 {
-			case 0: // add vertex
+			if op%2 == 0 || nv < 2 {
 				g.AddVertex("*")
-				refVerts = append(refVerts, true)
-			case 1: // add edge
-				vs := aliveVertices()
-				if len(vs) < 2 {
-					continue
-				}
-				a := vs[rng.Intn(len(vs))]
-				b := vs[rng.Intn(len(vs))]
-				g.AddEdge(a, b, "e")
-				refEdges = append(refEdges, refEdge{a, b, true})
-			case 2: // remove edge
-				if len(refEdges) == 0 {
-					continue
-				}
-				i := rng.Intn(len(refEdges))
-				g.RemoveEdge(EdgeID(i))
-				refEdges[i].alive = false
-			case 3: // remove vertex
-				vs := aliveVertices()
-				if len(vs) == 0 {
-					continue
-				}
-				v := vs[rng.Intn(len(vs))]
-				g.RemoveVertex(v)
-				refVerts[v] = false
-				for i := range refEdges {
-					if refEdges[i].alive && (refEdges[i].from == v || refEdges[i].to == v) {
-						refEdges[i].alive = false
-					}
-				}
+				nv++
+				continue
 			}
+			a := VertexID(rng.Intn(nv))
+			b := VertexID(rng.Intn(nv))
+			g.AddEdge(a, b, "e")
+			refEdges = append(refEdges, refEdge{a, b})
 		}
 
 		// Invariants.
-		nv, ne := 0, 0
-		for _, alive := range refVerts {
-			if alive {
-				nv++
-			}
-		}
 		outDeg := map[VertexID]int{}
 		inDeg := map[VertexID]int{}
 		for _, e := range refEdges {
-			if e.alive {
-				ne++
-				outDeg[e.from]++
-				inDeg[e.to]++
-			}
+			outDeg[e.from]++
+			inDeg[e.to]++
 		}
-		if g.NumVertices() != nv || g.NumEdges() != ne {
+		if g.NumVertices() != nv || g.NumEdges() != len(refEdges) {
 			return false
 		}
-		for i, alive := range refVerts {
-			v := VertexID(i)
-			if g.HasVertex(v) != alive {
-				return false
-			}
-			if alive && (g.OutDegree(v) != outDeg[v] || g.InDegree(v) != inDeg[v]) {
+		for v := VertexID(0); int(v) < nv; v++ {
+			if !g.HasVertex(v) || g.OutDegree(v) != outDeg[v] || g.InDegree(v) != inDeg[v] {
 				return false
 			}
 		}
-		// Compact preserves counts.
-		c, _ := g.Compact()
-		if c.NumVertices() != nv || c.NumEdges() != ne {
+		if g.HasVertex(VertexID(nv)) || g.HasVertex(-1) {
 			return false
 		}
-		// Component vertex sets partition the live vertices.
+		// Component vertex sets partition the vertices.
 		total := 0
 		for _, comp := range g.WeaklyConnectedComponents() {
 			total += len(comp)
@@ -116,8 +62,7 @@ func TestPropertyOpSequence(t *testing.T) {
 }
 
 // TestSplitComponentsMatchesInducedSubgraph: on random labelled
-// multigraphs with self-loops, isolated vertices and removed vertices
-// and edges, the components are those a Neighbors search finds, and
+// multigraphs with self-loops and isolated vertices, the components are those a Neighbors search finds, and
 // each split graph equals InducedSubgraph of its component, vertex
 // for vertex and edge for edge.
 func TestSplitComponentsMatchesInducedSubgraph(t *testing.T) {
@@ -137,10 +82,6 @@ func TestSplitComponentsMatchesInducedSubgraph(t *testing.T) {
 		}
 		for i := rng.Intn(2 * n); i > 0; i-- {
 			g.AddEdge(VertexID(rng.Intn(n)), VertexID(rng.Intn(n)), []string{"x", "y"}[rng.Intn(2)])
-		}
-		for i := rng.Intn(3); i > 0; i-- {
-			g.RemoveEdge(EdgeID(rng.Intn(g.EdgeCap() + 1)))
-			g.RemoveVertex(VertexID(rng.Intn(n)))
 		}
 
 		// Reference components: search over Neighbors from each

@@ -14,7 +14,7 @@ type DegreeStats struct {
 	AvgOut, AvgIn  float64
 }
 
-// Degrees computes DegreeStats over the live vertices of g. Vertices
+// Degrees computes DegreeStats over the vertices of g. Vertices
 // with zero out-degree are excluded from the out-degree minimum (the
 // paper computes degree statistics over vertices that act as origins
 // or destinations respectively), and symmetrically for in-degree.

@@ -8,31 +8,9 @@ import (
 )
 
 // Batch JSON is the spool file / POST /v1/ingest wire format: a named
-// list of graph transactions in the same adjacency shape the serving
-// layer emits (vertices {id,label}, edges {id,from,to,label}), so a
-// client can round-trip graphs between the two daemons without a
-// translation layer.
-
-// VertexJSON is one transaction vertex.
-type VertexJSON struct {
-	ID    int    `json:"id"`
-	Label string `json:"label"`
-}
-
-// EdgeJSON is one directed labeled transaction edge.
-type EdgeJSON struct {
-	ID    int    `json:"id"`
-	From  int    `json:"from"`
-	To    int    `json:"to"`
-	Label string `json:"label"`
-}
-
-// GraphJSON is one transaction in adjacency form.
-type GraphJSON struct {
-	Name     string       `json:"name,omitempty"`
-	Vertices []VertexJSON `json:"vertices"`
-	Edges    []EdgeJSON   `json:"edges"`
-}
+// list of graph transactions in the shape the serving layer emits
+// pattern graphs in (graph.JSON), so a client can round-trip graphs
+// between the two daemons without a translation layer.
 
 // Batch is one ingest unit: the transactions one generation appends
 // to the served window before the window is mined afresh.
@@ -42,14 +20,14 @@ type Batch struct {
 	Name string `json:"name,omitempty"`
 	// Transactions are appended in listed order; their TIDs continue
 	// the surviving window's transaction numbering.
-	Transactions []GraphJSON `json:"transactions"`
+	Transactions []graph.JSON `json:"transactions"`
 }
 
 // maxBatchValues caps the JSON values one batch may hold, counted as
 // the objects, arrays and commas outside strings (an upper bound on
 // every array element and object member). Decoding costs a few
-// hundred bytes per value — a three-byte `{},` edge becomes an
-// EdgeJSON and a graph edge — so without the cap a 64 MiB body of
+// hundred bytes per value — a three-byte `{},` edge becomes a
+// graph.EdgeJSON and a graph edge — so without the cap a 64 MiB body of
 // empty edges would make the daemon allocate about 12 GB. A batch of
 // real transactions holds about five values per edge.
 const maxBatchValues = 1 << 18
@@ -129,17 +107,9 @@ func jsonValues(data []byte) int {
 // EncodeBatch renders transactions as batch JSON — the inverse of
 // DecodeBatch, used by the arrival-stream generator and tests.
 func EncodeBatch(name string, txns []*graph.Graph) ([]byte, error) {
-	b := Batch{Name: name, Transactions: make([]GraphJSON, 0, len(txns))}
-	for _, g := range txns {
-		gj := GraphJSON{Name: g.Name, Vertices: []VertexJSON{}, Edges: []EdgeJSON{}}
-		for _, v := range g.Vertices() {
-			gj.Vertices = append(gj.Vertices, VertexJSON{ID: int(v), Label: g.Vertex(v).Label})
-		}
-		for _, e := range g.Edges() {
-			ed := g.Edge(e)
-			gj.Edges = append(gj.Edges, EdgeJSON{ID: int(e), From: int(ed.From), To: int(ed.To), Label: ed.Label})
-		}
-		b.Transactions = append(b.Transactions, gj)
+	b := Batch{Name: name, Transactions: make([]graph.JSON, len(txns))}
+	for i, g := range txns {
+		b.Transactions[i] = g.JSON()
 	}
 	return json.MarshalIndent(&b, "", " ")
 }

@@ -17,9 +17,10 @@ import (
 //
 // The pipeline per graph:
 //
-//  1. Build a dense integer view: live vertices renumbered 0..n-1,
-//     vertex and edge labels interned to ranks of their sorted
-//     distinct values, adjacency flattened into one CSR arc array.
+//  1. Build a dense integer view: vertices (in a masked view, those
+//     left with an edge) renumbered 0..n-1, vertex and edge labels
+//     interned to ranks of their sorted distinct values, adjacency
+//     flattened into one CSR arc array.
 //     No strings are touched after this point.
 //  2. Equitable refinement: vertices are partitioned by iterated
 //     Weisfeiler–Leman-style splitting on (color, sorted multiset of
@@ -75,7 +76,7 @@ func CodeMasked(g *graph.Graph, skip graph.EdgeID) string {
 
 // Extension describes a one-edge extension of a graph g without
 // materialising it: g plus an edge From→To labelled Label. An
-// endpoint equal to g.VertexCap() is a new vertex labelled NewLabel
+// endpoint equal to g.NumVertices() is a new vertex labelled NewLabel
 // (at most one endpoint may be new); otherwise NewLabel is unused.
 // It is the dual of CodeMasked's one-edge deletion: the candidates of
 // level-wise mining are coded as extensions of their parent and
@@ -87,11 +88,11 @@ type Extension struct {
 }
 
 // Apply materialises the extension: a clone of g (IDs preserved) with
-// the new vertex, if any, at ID g.VertexCap() and the new edge, whose
-// ID it returns, at g.EdgeCap().
+// the new vertex, if any, at ID g.NumVertices() and the new edge, whose
+// ID it returns, at g.NumEdges().
 func (x Extension) Apply(g *graph.Graph) (*graph.Graph, graph.EdgeID) {
 	c := g.Clone()
-	if newV := graph.VertexID(g.VertexCap()); x.From == newV || x.To == newV {
+	if newV := graph.VertexID(g.NumVertices()); x.From == newV || x.To == newV {
 		c.AddVertex(x.NewLabel)
 	}
 	return c, c.AddEdge(x.From, x.To, x.Label)
@@ -101,7 +102,7 @@ func (x Extension) Apply(g *graph.Graph) (*graph.Graph, graph.EdgeID) {
 // coded on an overlay view without cloning g. With skip < 0 it equals
 // Code(ext.Apply(g)); with skip >= 0 it equals CodeMasked of the
 // materialised graph minus edge skip, where the extension edge's ID
-// is g.EdgeCap() — so the one-edge-deleted subpatterns of a candidate
+// is g.NumEdges() — so the one-edge-deleted subpatterns of a candidate
 // are coded without materialising the candidate either.
 func CodeExtended(g *graph.Graph, ext Extension, skip graph.EdgeID) string {
 	l := labelerPool.Get().(*labeler)
@@ -199,24 +200,24 @@ func (l *labeler) canonicalForm(g *graph.Graph, ext *Extension, skip graph.EdgeI
 }
 
 // build constructs the dense integer view of g, overlaid with ext
-// when non-nil: the extension edge takes ID g.EdgeCap() and a new
-// endpoint ID g.VertexCap(), exactly as ext.Apply would number them.
+// when non-nil: the extension edge takes ID g.NumEdges() and a new
+// endpoint ID g.NumVertices(), exactly as ext.Apply would number them.
 func (l *labeler) build(g *graph.Graph, ext *Extension, skip graph.EdgeID, masked bool) {
-	vcap, ecap := g.VertexCap(), g.EdgeCap()
+	nv, ne := g.NumVertices(), g.NumEdges()
 	newV := graph.VertexID(-1)
-	if ext != nil && (ext.From == graph.VertexID(vcap) || ext.To == graph.VertexID(vcap)) {
-		newV = graph.VertexID(vcap)
-		vcap++
+	if ext != nil && (ext.From == graph.VertexID(nv) || ext.To == graph.VertexID(nv)) {
+		newV = graph.VertexID(nv)
+		nv++
 	}
-	l.denseOf = resizeI32(l.denseOf, vcap)
+	l.denseOf = resizeI32(l.denseOf, nv)
 	for i := range l.denseOf {
 		l.denseOf[i] = -1
 	}
-	// One pass over the edge space: collect endpoints (graph IDs for
+	// One pass over the edges: collect endpoints (graph IDs for
 	// now), labels and degrees. Degrees under the mask decide which
 	// vertices the masked view keeps; the unmasked view keeps every
-	// live vertex.
-	l.cellCnt = resizeI32(l.cellCnt, vcap) // reused as degree scratch
+	// vertex.
+	l.cellCnt = resizeI32(l.cellCnt, nv) // reused as degree scratch
 	deg := l.cellCnt
 	for i := range deg {
 		deg[i] = 0
@@ -224,9 +225,9 @@ func (l *labeler) build(g *graph.Graph, ext *Extension, skip graph.EdgeID, maske
 	l.eFrom = l.eFrom[:0]
 	l.eTo = l.eTo[:0]
 	l.labScratch = l.labScratch[:0]
-	for id := 0; id < ecap; id++ {
+	for id := 0; id < ne; id++ {
 		e := graph.EdgeID(id)
-		if e == skip || !g.HasEdge(e) {
+		if e == skip {
 			continue
 		}
 		ed := g.Edge(e)
@@ -236,7 +237,7 @@ func (l *labeler) build(g *graph.Graph, ext *Extension, skip graph.EdgeID, maske
 		deg[ed.From]++
 		deg[ed.To]++
 	}
-	if ext != nil && skip != graph.EdgeID(ecap) {
+	if ext != nil && skip != graph.EdgeID(ne) {
 		l.eFrom = append(l.eFrom, int32(ext.From))
 		l.eTo = append(l.eTo, int32(ext.To))
 		l.labScratch = append(l.labScratch, ext.Label)
@@ -246,9 +247,9 @@ func (l *labeler) build(g *graph.Graph, ext *Extension, skip graph.EdgeID, maske
 	m := len(l.eFrom)
 	n := 0
 	l.vlabScratch = l.vlabScratch[:0]
-	for id := 0; id < vcap; id++ {
+	for id := 0; id < nv; id++ {
 		v := graph.VertexID(id)
-		if (v != newV && !g.HasVertex(v)) || (masked && deg[id] == 0) {
+		if masked && deg[id] == 0 {
 			continue
 		}
 		l.denseOf[id] = int32(n)

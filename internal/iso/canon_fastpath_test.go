@@ -191,7 +191,7 @@ func decodeShapedGraph(data []byte) *graph.Graph {
 	}
 	g := graph.New("shaped")
 	add := func() graph.VertexID {
-		v := g.AddVertex([]string{"a", "b"}[at(2)>>(g.VertexCap()%8)&1])
+		v := g.AddVertex([]string{"a", "b"}[at(2)>>(g.NumVertices()%8)&1])
 		if flags&8 != 0 {
 			g.AddEdge(v, v, "s")
 		}
@@ -233,7 +233,7 @@ func decodeShapedGraph(data []byte) *graph.Graph {
 			}
 		}
 	}
-	nv := g.VertexCap()
+	nv := g.NumVertices()
 	for i, pos := 0, 3; i < 4 && pos+2 < len(data); i, pos = i+1, pos+3 {
 		g.AddEdge(graph.VertexID(at(pos)%nv), graph.VertexID(at(pos+1)%nv), []string{"x", "y"}[at(pos+2)%2])
 	}

@@ -26,7 +26,7 @@ type EmbeddingList struct {
 
 // NewEmbeddingList returns an empty list for embeddings of pattern.
 func NewEmbeddingList(pattern *graph.Graph) EmbeddingList {
-	return EmbeddingList{NV: pattern.VertexCap(), NE: pattern.EdgeCap()}
+	return EmbeddingList{NV: pattern.NumVertices(), NE: pattern.NumEdges()}
 }
 
 // Stride is the number of IDs in one row.

@@ -55,7 +55,7 @@ func decodeFuzzExtension(data []byte) (*graph.Graph, Extension, []graph.VertexID
 // added in reverse order, plus ext mapped onto it (the new vertex
 // keeps ID nv).
 func permuted(g *graph.Graph, ext Extension, perm []graph.VertexID) (*graph.Graph, Extension) {
-	nv := g.VertexCap()
+	nv := g.NumVertices()
 	inv := make([]graph.VertexID, nv)
 	for i, p := range perm {
 		inv[p] = graph.VertexID(i)
@@ -91,8 +91,8 @@ func FuzzCodeExtended(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, ext, perm := decodeFuzzExtension(data)
 		mat, newEdge := ext.Apply(g)
-		if newEdge != graph.EdgeID(g.EdgeCap()) {
-			t.Fatalf("Apply put the new edge at %d, want %d", newEdge, g.EdgeCap())
+		if newEdge != graph.EdgeID(g.NumEdges()) {
+			t.Fatalf("Apply put the new edge at %d, want %d", newEdge, g.NumEdges())
 		}
 		code := CodeExtended(g, ext, -1)
 		if want := Code(mat); code != want {
@@ -132,7 +132,7 @@ func TestCodeExtendedShapes(t *testing.T) {
 			if CodeExtended(g, ext, -1) != Code(mat) {
 				t.Errorf("%s %+v: CodeExtended != Code(materialised)", name, ext)
 			}
-			for _, e := range []graph.EdgeID{0, graph.EdgeID(g.EdgeCap())} {
+			for _, e := range []graph.EdgeID{0, graph.EdgeID(g.NumEdges())} {
 				if CodeExtended(g, ext, e) != CodeMasked(mat, e) {
 					t.Errorf("%s %+v skip %d: CodeExtended != CodeMasked", name, ext, e)
 				}
@@ -145,7 +145,7 @@ func TestCodeExtendedShapes(t *testing.T) {
 // first two vertices, a new-vertex head on vertex 0, and a new-vertex
 // tail on vertex 1.
 func benchExtensions(g *graph.Graph) []Extension {
-	newV := graph.VertexID(g.VertexCap())
+	newV := graph.VertexID(g.NumVertices())
 	return []Extension{
 		{From: 1, To: 0, Label: "w"},
 		{From: 0, To: newV, Label: "w", NewLabel: "*"},

@@ -54,7 +54,7 @@ func FuzzCodeIsomorphic(f *testing.F) {
 		a, pos := decodeFuzzGraph(data, 1)
 		var b *graph.Graph
 		if data[0]&1 == 1 {
-			nv := a.VertexCap()
+			nv := a.NumVertices()
 			perm := make([]graph.VertexID, nv)
 			for i := range perm {
 				perm[i] = graph.VertexID((nv - 1 - i + int(data[0]>>1)) % nv)

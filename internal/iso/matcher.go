@@ -146,8 +146,8 @@ func NewMatcher(pattern *graph.Graph) *Matcher {
 		pattern:  pattern,
 		order:    searchOrder(pattern),
 		pEdges:   pattern.Edges(),
-		assigned: make([]graph.VertexID, pattern.VertexCap()),
-		edgeMap:  make([]graph.EdgeID, pattern.EdgeCap()),
+		assigned: make([]graph.VertexID, pattern.NumVertices()),
+		edgeMap:  make([]graph.EdgeID, pattern.NumEdges()),
 	}
 	for i := range m.assigned {
 		m.assigned[i] = -1
@@ -172,7 +172,7 @@ func NewMatcher(pattern *graph.Graph) *Matcher {
 		m.eLabels = append(m.eLabels, l)
 		return eIdx[l]
 	}
-	placed := make([]bool, pattern.VertexCap())
+	placed := make([]bool, pattern.NumVertices())
 	m.levels = make([]level, len(m.order))
 	for d, pv := range m.order {
 		lv := level{
@@ -323,14 +323,14 @@ func (m *Matcher) bind(target *graph.Graph) {
 	for i, l := range m.eLabels {
 		m.eLab[i] = ix.EdgeLabelID(l)
 	}
-	if nv := target.VertexCap(); len(m.usedVertex) < nv {
+	if nv := target.NumVertices(); len(m.usedVertex) < nv {
 		m.usedVertex = make([]bool, nv)
 	}
-	if ne := target.EdgeCap(); len(m.usedEdge) < ne {
+	if ne := target.NumEdges(); len(m.usedEdge) < ne {
 		m.usedEdge = make([]bool, ne)
 	}
-	m.restrictV.grow(target.VertexCap())
-	m.restrictE.grow(target.EdgeCap())
+	m.restrictV.grow(target.NumVertices())
+	m.restrictE.grow(target.NumEdges())
 }
 
 // begin prepares one call against target: binds it, loads opts' limit

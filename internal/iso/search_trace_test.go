@@ -27,8 +27,9 @@ var updateTrace = flag.Bool("update-trace", false, "rewrite testdata/search_trac
 
 // searchTraceDraws is the number of cases drawn from the seed. Draws
 // that would load an exclusion set (a matcher feature since removed)
-// are skipped but still drawn, so every kept case keeps its inputs and
-// its case number.
+// or remove edges and vertices from the target (graphs are append-only
+// now) are skipped but still drawn, so every kept case keeps its inputs
+// and its case number.
 const searchTraceDraws = 300
 
 // traceGraph builds a random graph with dense IDs from rng alone.
@@ -128,11 +129,9 @@ type traceCase struct {
 	opts            traceOpts
 }
 
-// traceCases derives the golden's cases from one seed. Targets are
-// sometimes mutated after construction (edges and vertices removed) so
-// the label index's live-only view is exercised; patterns are either
-// extracted from the target (positive instances) or random (mostly
-// negative, sometimes disconnected).
+// traceCases derives the golden's cases from one seed. Patterns are
+// either extracted from the target (positive instances) or random
+// (mostly negative, sometimes disconnected).
 func traceCases() []traceCase {
 	rng := rand.New(rand.NewSource(20050405))
 	var cases []traceCase
@@ -152,18 +151,12 @@ func traceCases() []traceCase {
 			pat = traceGraph(rng, 1+rng.Intn(4), rng.Intn(6), vl, el, loops)
 		}
 
-		if rng.Intn(4) == 0 {
-			for i, n := 0, 1+rng.Intn(3); i < n; i++ {
-				if e := graph.EdgeID(rng.Intn(target.EdgeCap() + 1)); target.HasEdge(e) {
-					target.RemoveEdge(e)
-				}
-			}
-			if rng.Intn(2) == 0 {
-				target.RemoveVertex(graph.VertexID(rng.Intn(target.VertexCap())))
-			}
-			if rng.Intn(2) == 0 {
-				target.RemoveOrphans()
-			}
+		// The draws of the former target mutations. The loops below
+		// draw once per vertex and edge the mutation would have left.
+		mutated := rng.Intn(4) == 0
+		nv, ne = target.NumVertices(), target.NumEdges()
+		if mutated {
+			nv, ne = survivors(rng, target)
 		}
 
 		opts := traceOpts{Options: Options{Limit: []int{0, 1, 1, 3}[rng.Intn(4)]}}
@@ -179,37 +172,79 @@ func traceCases() []traceCase {
 		excluded := false
 		if rng.Intn(5) == 0 {
 			excluded = true
-			for range target.Edges() {
+			for range ne {
 				rng.Intn(4)
 			}
 		}
 		if rng.Intn(6) == 0 {
 			excluded = true
-			for range target.Vertices() {
+			for range nv {
 				rng.Intn(5)
 			}
 		}
 		if rng.Intn(6) == 0 {
 			opts.restrictV = map[graph.VertexID]bool{}
-			for _, v := range target.Vertices() {
+			for v := range nv {
 				if rng.Intn(3) > 0 {
-					opts.restrictV[v] = true
+					opts.restrictV[graph.VertexID(v)] = true
 				}
 			}
 		}
 		if rng.Intn(6) == 0 {
 			opts.restrictE = map[graph.EdgeID]bool{}
-			for _, e := range target.Edges() {
+			for e := range ne {
 				if rng.Intn(3) > 0 {
-					opts.restrictE[e] = true
+					opts.restrictE[graph.EdgeID(e)] = true
 				}
 			}
 		}
-		if !excluded {
+		if !excluded && !mutated {
 			cases = append(cases, traceCase{id: id, pattern: pat, target: target, opts: opts})
 		}
 	}
 	return cases
+}
+
+// survivors replays the draws of a former target mutation and counts
+// the vertices and edges it would have left: one to three draws of an
+// edge ID (the edge count itself removing nothing), maybe a vertex
+// removed with its edges, then maybe every vertex left without an edge.
+func survivors(rng *rand.Rand, target *graph.Graph) (nv, ne int) {
+	deadV := make([]bool, target.NumVertices())
+	deadE := make([]bool, target.NumEdges())
+	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+		if e := rng.Intn(len(deadE) + 1); e < len(deadE) {
+			deadE[e] = true
+		}
+	}
+	if rng.Intn(2) == 0 {
+		v := graph.VertexID(rng.Intn(len(deadV)))
+		deadV[v] = true
+		for _, e := range append(target.OutEdges(v), target.InEdges(v)...) {
+			deadE[e] = true
+		}
+	}
+	if rng.Intn(2) == 0 {
+		for v := range deadV {
+			deadV[v] = true
+			for _, e := range append(target.OutEdges(graph.VertexID(v)), target.InEdges(graph.VertexID(v))...) {
+				if !deadE[e] {
+					deadV[v] = false
+				}
+			}
+		}
+	}
+	for _, dead := range deadV {
+		if !dead {
+			nv++
+		}
+	}
+	for _, dead := range deadE {
+		if !dead {
+			ne++
+		}
+	}
+	return nv, ne
 }
 
 // traceRun runs one search of m on target directly (no size

@@ -104,17 +104,17 @@ func SplitGraph(g *graph.Graph, opts SplitOptions) []*graph.Graph {
 // It reproduces the clone-and-mutate formulation exactly: a vertex's
 // next edge is its first live outgoing edge in ascending edge-ID
 // order, else its first live incoming one, and live lists the
-// vertices the random start draw indexes, in ascending ID order (the
-// input's live vertices, then after each extraction only those with a
-// live incident edge).
+// vertices the random start draw indexes, in ascending ID order (all
+// of the input's vertices, then after each extraction only those with
+// a live incident edge).
 type workSet struct {
-	edges    []graph.Edge // the input's live edges, densely renumbered in ascending ID order
-	alive    []bool       // per dense edge: not yet consumed
+	edges    []graph.Edge // the input's edges, indexed by edge ID
+	alive    []bool       // per edge: not yet consumed
 	numEdges int          // live edges left
 
 	vlabel        []string // per input vertex ID
 	outOff, inOff []int32  // CSR offsets, per input vertex ID (+1)
-	outAdj, inAdj []int32  // dense edge indices, ascending per vertex
+	outAdj, inAdj []int32  // edge IDs, ascending per vertex
 	outCur, inCur []int32  // first possibly-live position in each list
 	deg           []int32  // live in+out degree (a self-loop counts twice)
 	live          []graph.VertexID
@@ -128,7 +128,7 @@ type workSet struct {
 }
 
 func newWorkSet(g *graph.Graph) *workSet {
-	nv := g.VertexCap()
+	nv := g.NumVertices()
 	w := &workSet{
 		vlabel: make([]string, nv),
 		outOff: make([]int32, nv+1),
@@ -141,17 +141,17 @@ func newWorkSet(g *graph.Graph) *workSet {
 	for _, v := range w.live {
 		w.vlabel[v] = g.Vertex(v).Label
 	}
-	ids := g.Edges()
-	w.edges = make([]graph.Edge, len(ids))
-	w.alive = make([]bool, len(ids))
-	for i, id := range ids {
-		ed := g.Edge(id)
+	ne := g.NumEdges()
+	w.edges = make([]graph.Edge, ne)
+	w.alive = make([]bool, ne)
+	for i := range w.edges {
+		ed := g.Edge(graph.EdgeID(i))
 		w.edges[i] = ed
 		w.alive[i] = true
 		w.outOff[ed.From+1]++
 		w.inOff[ed.To+1]++
 	}
-	w.numEdges = len(ids)
+	w.numEdges = ne
 	for v := 0; v < nv; v++ {
 		w.deg[v] = w.outOff[v+1] + w.inOff[v+1]
 		w.outOff[v+1] += w.outOff[v]
@@ -159,8 +159,8 @@ func newWorkSet(g *graph.Graph) *workSet {
 	}
 	w.outCur = append([]int32(nil), w.outOff[:nv]...)
 	w.inCur = append([]int32(nil), w.inOff[:nv]...)
-	w.outAdj = make([]int32, len(ids))
-	w.inAdj = make([]int32, len(ids))
+	w.outAdj = make([]int32, ne)
+	w.inAdj = make([]int32, ne)
 	for i, ed := range w.edges {
 		w.outAdj[w.outCur[ed.From]] = int32(i)
 		w.outCur[ed.From]++
@@ -195,7 +195,7 @@ func (w *workSet) firstIncident(v graph.VertexID) (int32, bool) {
 	return 0, false
 }
 
-// consume marks dense edge e taken.
+// consume marks edge e taken.
 func (w *workSet) consume(e int32) {
 	w.alive[e] = false
 	w.numEdges--

@@ -313,27 +313,6 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 
 // --- JSON shapes ---
 
-// VertexJSON is one pattern-graph vertex.
-type VertexJSON struct {
-	ID    int    `json:"id"`
-	Label string `json:"label"`
-}
-
-// EdgeJSON is one pattern-graph edge.
-type EdgeJSON struct {
-	ID    int    `json:"id"`
-	From  int    `json:"from"`
-	To    int    `json:"to"`
-	Label string `json:"label"`
-}
-
-// GraphJSON is a pattern graph in adjacency form.
-type GraphJSON struct {
-	Name     string       `json:"name,omitempty"`
-	Vertices []VertexJSON `json:"vertices"`
-	Edges    []EdgeJSON   `json:"edges"`
-}
-
 // PatternSummaryJSON is the record-index view of a pattern (no
 // record decode needed).
 type PatternSummaryJSON struct {
@@ -350,8 +329,8 @@ type PatternSummaryJSON struct {
 // PatternJSON is one fully decoded pattern record.
 type PatternJSON struct {
 	PatternSummaryJSON
-	Graph GraphJSON `json:"graph"`
-	TIDs  []int     `json:"tids"`
+	Graph graph.JSON `json:"graph"`
+	TIDs  []int      `json:"tids"`
 }
 
 // StoreJSON describes one mounted store.
@@ -599,7 +578,7 @@ func patternBody(mt match) (json.RawMessage, error) {
 	}
 	body, err := json.Marshal(PatternJSON{
 		PatternSummaryJSON: summaryJSON(mt.e.m.Name, rd.Info(mt.index)),
-		Graph:              graphJSON(p.Graph),
+		Graph:              p.Graph.JSON(),
 		TIDs:               p.TIDs.Slice(),
 	})
 	if err != nil {
@@ -690,18 +669,6 @@ func (s *Server) handleBatch(st *state, w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, http.StatusOK, map[string]any{
 		"codes": len(req.Codes), "found": found, "results": results,
 	})
-}
-
-func graphJSON(g *graph.Graph) GraphJSON {
-	out := GraphJSON{Name: g.Name, Vertices: []VertexJSON{}, Edges: []EdgeJSON{}}
-	for _, v := range g.Vertices() {
-		out.Vertices = append(out.Vertices, VertexJSON{ID: int(v), Label: g.Vertex(v).Label})
-	}
-	for _, e := range g.Edges() {
-		ed := g.Edge(e)
-		out.Edges = append(out.Edges, EdgeJSON{ID: int(e), From: int(ed.From), To: int(ed.To), Label: ed.Label})
-	}
-	return out
 }
 
 func (s *Server) handleSupport(st *state, w http.ResponseWriter, r *http.Request) {

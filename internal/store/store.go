@@ -36,6 +36,12 @@
 //	trailer  index offset (uint64) | index length (uint64) |
 //	         index CRC-32 (uint32) | end magic "TNDSTEND"
 //
+// A graph record (a transaction, or a pattern's graph) lists its
+// vertices and edges in ID order, each opened by a marker byte that is
+// always 1. The byte once flagged removed slots; no producer since
+// version 4 writes another value, and decode refuses one as a corrupt
+// record.
+//
 // A pattern record holds the graph, its exact canonical code
 // (iso.Code: equal code ⟺ isomorphic pattern), support, flags, a TID
 // column (a kind byte, always 0, then a uvarint count and the
@@ -336,85 +342,66 @@ func (d *dec) ids(dst []int32, want int, what string) []int32 {
 
 // --- graph codec ---
 
-// encodeGraph serialises g with its ID space intact: tombstoned
-// vertex and edge slots are preserved as dead markers, so decoded
-// graphs carry identical IDs and stored embeddings (which reference
-// transaction vertex/edge IDs) stay valid.
+// encodeGraph serialises g with its IDs intact, so stored embeddings
+// (which reference transaction vertex/edge IDs) stay valid: the name,
+// then each vertex and each edge in ID order, each opened by the live
+// marker byte (see liveSlot).
 func encodeGraph(e *enc, g *graph.Graph) {
 	e.str(g.Name)
-	vcap := g.VertexCap()
-	e.uvarint(uint64(vcap))
-	for id := 0; id < vcap; id++ {
-		if g.HasVertex(graph.VertexID(id)) {
-			e.byte(1)
-			e.str(g.Vertex(graph.VertexID(id)).Label)
-		} else {
-			e.byte(0)
-		}
+	e.uvarint(uint64(g.NumVertices()))
+	for id := 0; id < g.NumVertices(); id++ {
+		e.byte(liveSlot)
+		e.str(g.Vertex(graph.VertexID(id)).Label)
 	}
-	ecap := g.EdgeCap()
-	e.uvarint(uint64(ecap))
-	for id := 0; id < ecap; id++ {
-		if g.HasEdge(graph.EdgeID(id)) {
-			ed := g.Edge(graph.EdgeID(id))
-			e.byte(1)
-			e.uvarint(uint64(ed.From))
-			e.uvarint(uint64(ed.To))
-			e.str(ed.Label)
-		} else {
-			e.byte(0)
-		}
+	e.uvarint(uint64(g.NumEdges()))
+	for id := 0; id < g.NumEdges(); id++ {
+		ed := g.Edge(graph.EdgeID(id))
+		e.byte(liveSlot)
+		e.uvarint(uint64(ed.From))
+		e.uvarint(uint64(ed.To))
+		e.str(ed.Label)
 	}
 }
 
-// decodeGraph rebuilds a graph slot by slot. Dead slots are recreated
-// by adding a placeholder and removing it, which reproduces the
-// original dense ID assignment exactly; a dead edge's endpoints are
-// unobservable through the graph API, so the placeholder wiring is
-// semantically identical to the original.
+// liveSlot is the marker byte opening every stored vertex and edge
+// (see the package doc).
+const liveSlot = 1
+
+// decodeGraph rebuilds a graph vertex by vertex and edge by edge,
+// which reproduces the stored IDs exactly.
 func decodeGraph(d *dec) *graph.Graph {
 	g := graph.New(d.str())
-	vcap := d.count()
-	var deadV []graph.VertexID
-	for i := 0; i < vcap; i++ {
-		if d.byte() == 1 {
-			g.AddVertex(d.str())
-		} else {
-			deadV = append(deadV, g.AddVertex(""))
-		}
+	nv := d.count()
+	for i := 0; i < nv; i++ {
+		d.slot("vertex", i)
+		g.AddVertex(d.str())
 		if d.err != nil {
 			return nil
 		}
 	}
-	ecap := d.count()
-	var deadE []graph.EdgeID
-	for i := 0; i < ecap; i++ {
-		if d.byte() == 1 {
-			from, to := int(d.uvarint()), int(d.uvarint())
-			label := d.str()
-			if d.err != nil {
-				return nil
-			}
-			if from >= vcap || to >= vcap {
-				d.fail("store: corrupt graph record (edge endpoint %d/%d beyond %d vertices)", from, to, vcap)
-				return nil
-			}
-			g.AddEdge(graph.VertexID(from), graph.VertexID(to), label)
-		} else {
-			if vcap == 0 {
-				d.fail("store: corrupt graph record (dead edge slot in vertex-less graph)")
-				return nil
-			}
-			deadE = append(deadE, g.AddEdge(0, 0, ""))
+	ne := d.count()
+	for i := 0; i < ne; i++ {
+		d.slot("edge", i)
+		from, to := d.uvarint(), d.uvarint()
+		label := d.str()
+		if d.err != nil {
+			return nil
 		}
-	}
-	for _, id := range deadE {
-		g.RemoveEdge(id)
-	}
-	for _, id := range deadV {
-		g.RemoveVertex(id)
+		if from >= uint64(nv) || to >= uint64(nv) {
+			d.fail("store: corrupt graph record (edge endpoint %d/%d beyond %d vertices)", from, to, nv)
+			return nil
+		}
+		g.AddEdge(graph.VertexID(from), graph.VertexID(to), label)
 	}
 	return g
+}
+
+// slot reads the marker byte of a graph's i-th vertex or edge,
+// failing the decode unless it is liveSlot.
+func (d *dec) slot(what string, i int) {
+	if m := d.byte(); d.err == nil && m != liveSlot {
+		d.fail("store: corrupt graph record (%s %d has slot marker %d, want %d)", what, i, m, liveSlot)
+	}
 }
 
 // --- TID column codec ---

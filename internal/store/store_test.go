@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -86,20 +87,20 @@ func randPattern(rng *rand.Rand, edges int, txns []*graph.Graph) pattern.Pattern
 }
 
 // randEmbs builds one embedding list per TID, drawing vertex IDs from
-// the live vertices of that TID's transaction, and the offset column
-// over them.
+// the vertices of that TID's transaction, and the offset column over
+// them.
 func randEmbs(rng *rand.Rand, txns []*graph.Graph, tids []int, nv, ne int, allowEmpty bool) (iso.EmbeddingList, []int32) {
 	out := iso.EmbeddingList{NV: nv, NE: ne}
 	offs := []int32{0}
 	for _, tid := range tids {
-		live := txns[tid].Vertices()
+		vs := txns[tid].Vertices()
 		cnt := rng.Intn(4)
 		if !allowEmpty && cnt == 0 {
 			cnt = 1
 		}
 		for j := 0; j < cnt; j++ {
 			for k := 0; k < nv; k++ {
-				out.IDs = append(out.IDs, int32(live[rng.Intn(len(live))]))
+				out.IDs = append(out.IDs, int32(vs[rng.Intn(len(vs))]))
 			}
 			for k := 0; k < ne; k++ {
 				out.IDs = append(out.IDs, int32(rng.Intn(80)))
@@ -111,30 +112,24 @@ func randEmbs(rng *rand.Rand, txns []*graph.Graph, tids []int, nv, ne int, allow
 }
 
 // sameGraphBytes compares two graphs by full observable state: name,
-// caps, live sets, labels and wiring.
+// sizes, labels and wiring.
 func sameGraphBytes(t *testing.T, want, got *graph.Graph) {
 	t.Helper()
 	if want.Name != got.Name {
 		t.Fatalf("graph name %q != %q", got.Name, want.Name)
 	}
-	if want.VertexCap() != got.VertexCap() || want.EdgeCap() != got.EdgeCap() {
-		t.Fatalf("caps (%d,%d) != (%d,%d)", got.VertexCap(), got.EdgeCap(), want.VertexCap(), want.EdgeCap())
+	if want.NumVertices() != got.NumVertices() || want.NumEdges() != got.NumEdges() {
+		t.Fatalf("sizes (%d,%d) != (%d,%d)", got.NumVertices(), got.NumEdges(), want.NumVertices(), want.NumEdges())
 	}
-	for id := 0; id < want.VertexCap(); id++ {
+	for id := 0; id < want.NumVertices(); id++ {
 		v := graph.VertexID(id)
-		if want.HasVertex(v) != got.HasVertex(v) {
-			t.Fatalf("vertex %d liveness mismatch", id)
-		}
-		if want.HasVertex(v) && want.Vertex(v).Label != got.Vertex(v).Label {
+		if want.Vertex(v).Label != got.Vertex(v).Label {
 			t.Fatalf("vertex %d label %q != %q", id, got.Vertex(v).Label, want.Vertex(v).Label)
 		}
 	}
-	for id := 0; id < want.EdgeCap(); id++ {
+	for id := 0; id < want.NumEdges(); id++ {
 		e := graph.EdgeID(id)
-		if want.HasEdge(e) != got.HasEdge(e) {
-			t.Fatalf("edge %d liveness mismatch", id)
-		}
-		if want.HasEdge(e) && want.Edge(e) != got.Edge(e) {
+		if want.Edge(e) != got.Edge(e) {
 			t.Fatalf("edge %d %+v != %+v", id, got.Edge(e), want.Edge(e))
 		}
 	}
@@ -292,34 +287,69 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestRoundTripTombstonedGraph checks that graphs with removed
-// vertices and edges (tombstoned ID slots) survive the codec with
-// their ID space intact — the property stored embeddings depend on.
-func TestRoundTripTombstonedGraph(t *testing.T) {
-	g := graph.New("tomb")
-	a := g.AddVertex("A")
-	b := g.AddVertex("B")
-	c := g.AddVertex("C")
-	e0 := g.AddEdge(a, b, "x")
-	g.AddEdge(b, c, "y")
-	g.AddEdge(c, a, "z")
-	g.RemoveEdge(e0)
-	g.RemoveVertex(a) // also tombstones edge c->a
-	path := tmpStore(t)
+// TestRejectRemovedSlot: a graph record whose vertex or edge opens
+// with slot marker 0 (a removed slot, which no producer writes) fails
+// with a corrupt-record error, never a panic.
+func TestRejectRemovedSlot(t *testing.T) {
+	for _, what := range []string{"vertex", "edge"} {
+		path := tmpStore(t)
+		if err := os.WriteFile(path, removedSlotStore(t, what), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(path)
+		if err == nil {
+			_, err = r.Transaction(0)
+			r.Close()
+		}
+		if want := fmt.Sprintf("corrupt graph record (%s 0 has slot marker 0", what); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s marker 0: error %v, want one containing %q", what, err, want)
+		}
+	}
+}
+
+// TestRejectEndpointOverflow: an edge endpoint too large for an int
+// fails decode as a corrupt record, never a panic.
+func TestRejectEndpointOverflow(t *testing.T) {
+	e := &enc{}
+	e.str("t")
+	e.uvarint(1)
+	e.byte(liveSlot)
+	e.str("A")
+	e.uvarint(1)
+	e.byte(liveSlot)
+	e.uvarint(1 << 63)
+	e.uvarint(0)
+	e.str("x")
+	d := &dec{buf: e.buf}
+	if g := decodeGraph(d); g != nil || d.err == nil || !strings.Contains(d.err.Error(), "beyond 1 vertices") {
+		t.Fatalf("decoded %v, error %v; want a corrupt-record error", g, d.err)
+	}
+}
+
+// removedSlotStore returns the bytes of a store holding one
+// transaction, a vertex with a self-loop, whose vertex ("vertex") or
+// edge ("edge") slot marker is set to 0.
+func removedSlotStore(t *testing.T, what string) []byte {
+	g := graph.New("t")
+	v := g.AddVertex("slot-vertex")
+	g.AddEdge(v, v, "slot-edge")
+	path := filepath.Join(t.TempDir(), "slot.tnd")
 	writeStore(t, path, Meta{}, []*graph.Graph{g}, nil)
-	r, err := Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	got, err := r.Transaction(0)
-	if err != nil {
-		t.Fatal(err)
+	// The marker precedes the label's length byte, and for an edge
+	// also its two one-byte endpoints.
+	at := bytes.Index(data, []byte("slot-"+what)) - 2
+	if what == "edge" {
+		at -= 2
 	}
-	sameGraphBytes(t, g, got)
-	if got.Dump() != g.Dump() {
-		t.Fatalf("dump mismatch:\n%s\nvs\n%s", got.Dump(), g.Dump())
+	if data[at] != liveSlot {
+		t.Fatalf("byte %d is %d, not the %s's slot marker", at, data[at], what)
 	}
+	data[at] = 0
+	return data
 }
 
 // TestEmptyStore: a store with no transactions and no levels is valid.

@@ -237,9 +237,9 @@ func validatePattern(p *pattern.Pattern, edges, numTxns int) error {
 		if len(p.Offsets) != p.TIDs.Len()+1 {
 			return fmt.Errorf("store: pattern %q has %d embedding lists for %d TIDs", p.Code, len(p.Offsets)-1, p.TIDs.Len())
 		}
-		if p.Embs.NV != p.Graph.VertexCap() || p.Embs.NE != p.Graph.EdgeCap() {
+		if p.Embs.NV != p.Graph.NumVertices() || p.Embs.NE != p.Graph.NumEdges() {
 			return fmt.Errorf("store: pattern %q: %w (%d+%d IDs per embedding for %d+%d)",
-				p.Code, ErrEmbeddingWidth, p.Embs.NV, p.Embs.NE, p.Graph.VertexCap(), p.Graph.EdgeCap())
+				p.Code, ErrEmbeddingWidth, p.Embs.NV, p.Embs.NE, p.Graph.NumVertices(), p.Graph.NumEdges())
 		}
 		if p.Offsets[0] != 0 || int(p.Offsets[len(p.Offsets)-1]) != p.Embs.Len() || !slices.IsSorted(p.Offsets) {
 			return fmt.Errorf("store: pattern %q has a malformed offset column for %d embeddings", p.Code, p.Embs.Len())

@@ -29,7 +29,8 @@
 // Algorithm 1's repeated partitionings and the per-day temporal
 // batches all fan out across CPUs, controlled by the Parallelism
 // field of the corresponding Options struct (0 = all CPUs, 1 =
-// serial). Mining results are bit-identical at every worker count.
+// serial; TemporalMineOptions has one, in Partition, for both of its
+// stages). Mining results are bit-identical at every worker count.
 //
 // Both miners share a pattern-with-embeddings store
 // (internal/pattern): frequent patterns carry per-transaction
@@ -98,7 +99,9 @@ type (
 	StructuralOptions = core.StructuralOptions
 	// StructuralResult is Algorithm 1's output.
 	StructuralResult = core.StructuralResult
-	// TemporalMineOptions configures the Section 6 pipeline.
+	// TemporalMineOptions configures the Section 6 pipeline; its
+	// Partition.Parallelism is the worker count of both the per-day
+	// partition and the mining.
 	TemporalMineOptions = core.TemporalMineOptions
 	// TemporalMineResult is the Section 6 output.
 	TemporalMineResult = core.TemporalMineResult
