@@ -8,19 +8,24 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"tnkd"
 	"tnkd/internal/graph"
 	"tnkd/internal/subdue"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run writes the example's report to w.
+func run(w io.Writer) {
 	data := tnkd.GenerateDataset(tnkd.ScaledConfig(0.025))
 	g := tnkd.BuildGraph(data, tnkd.GraphOptions{
 		Attr:     tnkd.GrossWeight,
 		Vertices: tnkd.UniformLabels,
 	})
-	fmt.Println("graph:", g)
+	fmt.Fprintln(w, "graph:", g)
 
 	// Discover substructures with the MDL principle, as in the
 	// paper's Figure 1 run (beam 4, best 3). The expansion limit is
@@ -32,15 +37,15 @@ func main() {
 	opts.MaxSteps = 50000
 	res := tnkd.Subdue(g, opts)
 
-	fmt.Printf("substructures expanded: %d\n\n", res.Considered)
+	fmt.Fprintf(w, "substructures expanded: %d\n\n", res.Considered)
 	for i, s := range res.Best {
-		fmt.Printf("--- best %d ---\n%s", i+1, subdue.Render(s))
+		fmt.Fprintf(w, "--- best %d ---\n%s", i+1, subdue.Render(s))
 		if chainLen := chainLength(s.Graph); chainLen >= 2 {
-			fmt.Printf("  ^ a %d-hop one-way chain: candidate deadhead corridor —\n", chainLen)
-			fmt.Println("    heavy flow down the chain with no return edge; consider")
-			fmt.Println("    discounted backhaul pricing on the reverse lanes.")
+			fmt.Fprintf(w, "  ^ a %d-hop one-way chain: candidate deadhead corridor —\n", chainLen)
+			fmt.Fprintln(w, "    heavy flow down the chain with no return edge; consider")
+			fmt.Fprintln(w, "    discounted backhaul pricing on the reverse lanes.")
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }
 

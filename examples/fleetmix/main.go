@@ -10,7 +10,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"tnkd"
 	"tnkd/internal/core"
@@ -20,8 +22,15 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's report to w.
+func run(w io.Writer) error {
 	data := tnkd.GenerateDataset(tnkd.ScaledConfig(0.025))
-	fmt.Println("dataset:", data.Summarize())
+	fmt.Fprintln(w, "dataset:", data.Summarize())
 
 	// 1. Mode classification (Section 7.2).
 	attrs, raw := core.Discretize(data, core.DefaultDiscretizeConfig())
@@ -31,9 +40,9 @@ func main() {
 	}
 	tree, err := dtree.Train(attrs, rows, "TRANS_MODE", dtree.Options{MinLeaf: 2})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nTRANS_MODE tree: root=%s depth=%d leaves=%d training accuracy=%.1f%%\n",
+	fmt.Fprintf(w, "\nTRANS_MODE tree: root=%s depth=%d leaves=%d training accuracy=%.1f%%\n",
 		tree.RootAttr(), tree.Depth(), tree.NumLeaves(), tree.Accuracy(rows)*100)
 
 	// 2. Geography rules (Section 7.1, Experiment 2).
@@ -46,14 +55,14 @@ func main() {
 	}
 	rules, err := apriori.Mine(items, apriori.Options{MinSupport: 0.1, MinConfidence: 0.75, MaxLen: 2})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\ntop origin-geography rules:")
+	fmt.Fprintln(w, "\ntop origin-geography rules:")
 	for i, r := range rules.Rules {
 		if i == 3 {
 			break
 		}
-		fmt.Println(" ", r)
+		fmt.Fprintln(w, " ", r)
 	}
 
 	// 3. Service tiers (Section 7.3 / Figures 5-6).
@@ -61,11 +70,11 @@ func main() {
 	opts := emcluster.DefaultOptions()
 	model, asg, err := emcluster.Fit(numAttrs, matrix, opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	dist, _ := model.ClusterMeans("TOTAL_DISTANCE")
 	hours, _ := model.ClusterMeans("MOVE_TRANSIT_HOURS")
-	fmt.Printf("\nEM clusters (k=%d):\n", model.K)
+	fmt.Fprintf(w, "\nEM clusters (k=%d):\n", model.K)
 	for k := 0; k < model.K; k++ {
 		if asg.Sizes[k] == 0 {
 			continue
@@ -77,7 +86,8 @@ func main() {
 		case dist[k] >= 600:
 			tier = "long-haul"
 		}
-		fmt.Printf("  cluster %d: n=%-5d mean distance %6.0f mi, transit %5.1f h  -> %s\n",
+		fmt.Fprintf(w, "  cluster %d: n=%-5d mean distance %6.0f mi, transit %5.1f h  -> %s\n",
 			k, asg.Sizes[k], dist[k], hours[k], tier)
 	}
+	return nil
 }

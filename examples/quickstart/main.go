@@ -5,15 +5,24 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"tnkd"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's report to w.
+func run(w io.Writer) error {
 	// 1. Data: a 2.5%-scale synthetic six-month OD dataset.
 	data := tnkd.GenerateDataset(tnkd.ScaledConfig(0.025))
-	fmt.Println("dataset:", data.Summarize())
+	fmt.Fprintln(w, "dataset:", data.Summarize())
 
 	// 2. Graph: one vertex per location, one edge per shipment, edge
 	// labels = binned transit hours, all vertices labeled alike so
@@ -22,7 +31,7 @@ func main() {
 		Attr:     tnkd.TransitHours,
 		Vertices: tnkd.UniformLabels,
 	})
-	fmt.Println("graph:", g)
+	fmt.Fprintln(w, "graph:", g)
 
 	// 3. Mine: Algorithm 1 — partition the single graph into
 	// transactions, run frequent-subgraph discovery, repeat with
@@ -34,20 +43,21 @@ func main() {
 	opts.MaxEdges = 4
 	res, err := tnkd.MineStructural(g, opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("frequent structural patterns: %d\n", len(res.Patterns))
+	fmt.Fprintf(w, "frequent structural patterns: %d\n", len(res.Patterns))
 	for i, p := range res.Patterns {
 		if i == 5 {
-			fmt.Println("  ...")
+			fmt.Fprintln(w, "  ...")
 			break
 		}
-		fmt.Printf("pattern %d: %d edges, support %d (found in %d/%d runs)\n",
+		fmt.Fprintf(w, "pattern %d: %d edges, support %d (found in %d/%d runs)\n",
 			i+1, p.Graph.NumEdges(), p.Support, p.Runs, opts.Repetitions)
 	}
 	if best := res.MaxPattern(); best != nil {
-		fmt.Println("largest pattern:")
-		fmt.Print(best.Graph.Dump())
+		fmt.Fprintln(w, "largest pattern:")
+		fmt.Fprint(w, best.Graph.Dump())
 	}
+	return nil
 }

@@ -7,12 +7,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"tnkd"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's report to w.
+func run(w io.Writer) error {
 	data := tnkd.GenerateDataset(tnkd.ScaledConfig(0.025))
 
 	opts := tnkd.DefaultTemporalMineOptions()
@@ -20,32 +29,33 @@ func main() {
 	opts.MaxEdges = 4
 	res, err := tnkd.MineTemporal(data, opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("temporally partitioned transactions (Table 2/3 style):")
-	fmt.Print(res.Stats)
+	fmt.Fprintln(w, "temporally partitioned transactions (Table 2/3 style):")
+	fmt.Fprint(w, res.Stats)
 
-	fmt.Printf("\nfrequent repeated routes at support %d (%d patterns):\n\n",
+	fmt.Fprintf(w, "\nfrequent repeated routes at support %d (%d patterns):\n\n",
 		res.Support, len(res.Mining.Patterns))
 	shown := 0
 	for _, p := range res.Mining.Patterns {
 		if p.Graph.NumEdges() < 2 {
 			continue // single recurring lanes are common; show shapes
 		}
-		fmt.Printf("pattern repeated on %d days:\n%s\n", p.Support, p.Graph.Dump())
+		fmt.Fprintf(w, "pattern repeated on %d days:\n%s\n", p.Support, p.Graph.Dump())
 		shown++
 		if shown == 5 {
 			break
 		}
 	}
 	if shown == 0 {
-		fmt.Println("(only single-lane repeats at this scale; raise -scale for richer shapes)")
+		fmt.Fprintln(w, "(only single-lane repeats at this scale; raise -scale for richer shapes)")
 		for i, p := range res.Mining.Patterns {
 			if i == 3 {
 				break
 			}
-			fmt.Printf("lane repeated on %d days:\n%s\n", p.Support, p.Graph.Dump())
+			fmt.Fprintf(w, "lane repeated on %d days:\n%s\n", p.Support, p.Graph.Dump())
 		}
 	}
+	return nil
 }

@@ -8,15 +8,20 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"tnkd"
 	"tnkd/internal/dynamic"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run writes the example's report to w.
+func run(w io.Writer) {
 	data := tnkd.GenerateDataset(tnkd.ScaledConfig(0.025))
 	g := dynamic.FromDataset(data, tnkd.GrossWeight, nil)
-	fmt.Printf("dynamic graph: %d timed edges over %d days\n\n", len(g.Edges), g.Days)
+	fmt.Fprintf(w, "dynamic graph: %d timed edges over %d days\n\n", len(g.Edges), g.Days)
 
 	// Multi-leg tours: consecutive legs at most two days apart, whole
 	// tour inside a week, repeated at least four separate times.
@@ -27,32 +32,32 @@ func main() {
 		Window:  7,
 		Support: 4,
 	})
-	fmt.Printf("repeated multi-leg tours: %d\n", len(tours))
+	fmt.Fprintf(w, "repeated multi-leg tours: %d\n", len(tours))
 	for i, tour := range tours {
 		if i == 5 {
-			fmt.Println("  ...")
+			fmt.Fprintln(w, "  ...")
 			break
 		}
 		first := tour.Occurrences[0]
-		fmt.Printf("  %s — %d runs, first on day %d\n",
+		fmt.Fprintf(w, "  %s — %d runs, first on day %d\n",
 			tour, len(tour.Occurrences), first.Starts[0])
 	}
 
 	// Dedicated-lane candidates: pickups with a near-weekly cadence.
-	fmt.Println("\nweekly dedicated-lane candidates:")
+	fmt.Fprintln(w, "\nweekly dedicated-lane candidates:")
 	lanes := dynamic.DetectPeriodicity(g, 8, 0.7)
 	shown := 0
 	for _, lane := range lanes {
 		if lane.Period < 6 || lane.Period > 15 {
 			continue // only near-weekly cadences
 		}
-		fmt.Printf("  %s\n", lane)
+		fmt.Fprintf(w, "  %s\n", lane)
 		shown++
 		if shown == 6 {
 			break
 		}
 	}
 	if shown == 0 {
-		fmt.Println("  (none at this scale; raise -scale)")
+		fmt.Fprintln(w, "  (none at this scale; raise -scale)")
 	}
 }
