@@ -22,21 +22,10 @@ import (
 	"fmt"
 	"log"
 	"strings"
-	"time"
 
 	"tnkd/internal/experiments"
-	"tnkd/internal/fsg"
 	"tnkd/internal/store"
 )
-
-// progressLine renders one completed mining level for -progress,
-// writing to stderr so the stdout tables CI diffs are untouched.
-func progressLine(stage string, ev fsg.LevelProgress) {
-	line := fmt.Sprintf("%s: level %d: candidates=%d frequent=%d embeddings=%d iso_tests=%d budgeted=%d patterns=%d elapsed=%s",
-		stage, ev.Edges, ev.Candidates, ev.Frequent, ev.Embeddings, ev.IsoTests, ev.BudgetedTests, ev.Patterns,
-		ev.Elapsed.Round(time.Millisecond))
-	log.Print(line)
-}
 
 func main() {
 	log.SetFlags(0)
@@ -61,7 +50,7 @@ func main() {
 	p.Parallelism = *parallelism
 	p.StorePath = *storePath
 	if *progress {
-		p.Progress = progressLine
+		p.Progress = experiments.LogProgress
 	}
 	switch strings.ToLower(*strategy) {
 	case "bf":

@@ -26,22 +26,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"time"
 
 	"tnkd/internal/experiments"
-	"tnkd/internal/fsg"
 	"tnkd/internal/store"
 )
-
-// progressLine renders one completed mining level for -progress. It
-// writes through the stderr logger, so stdout (the experiment tables
-// CI diffs) is untouched.
-func progressLine(stage string, ev fsg.LevelProgress) {
-	line := fmt.Sprintf("%s: level %d: candidates=%d frequent=%d embeddings=%d iso_tests=%d budgeted=%d patterns=%d elapsed=%s",
-		stage, ev.Edges, ev.Candidates, ev.Frequent, ev.Embeddings, ev.IsoTests, ev.BudgetedTests, ev.Patterns,
-		ev.Elapsed.Round(time.Millisecond))
-	log.Print(line)
-}
 
 func main() {
 	log.SetFlags(0)
@@ -68,7 +56,7 @@ func main() {
 	p.Days = *days
 	p.StorePath = *storePath
 	if *progress {
-		p.Progress = progressLine
+		p.Progress = experiments.LogProgress
 	}
 	fmt.Print(experiments.RunTable2(p))
 	fmt.Println()

@@ -52,7 +52,7 @@ func run(w io.Writer) {
 // chainLength returns k when g is a directed path with k edges, else 0.
 func chainLength(g *graph.Graph) int {
 	starts, ends, mids := 0, 0, 0
-	for _, v := range g.Vertices() {
+	for v := range graph.VertexID(g.NumVertices()) {
 		in, out := g.InDegree(v), g.OutDegree(v)
 		switch {
 		case in == 0 && out == 1:

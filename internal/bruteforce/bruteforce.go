@@ -50,7 +50,6 @@ func Mine(txns []*graph.Graph, minSupport, maxEdges int) []Pattern {
 // code. Distinctness is per transaction: each isomorphism class
 // counts once regardless of how many embeddings exist.
 func connectedSubgraphs(t *graph.Graph, maxEdges int) map[string]*graph.Graph {
-	edges := t.Edges()
 	found := make(map[string]*graph.Graph)
 	// Grow connected edge sets from every starting edge; dedup edge
 	// sets via a bitmask-ish key over sorted edge ids.
@@ -78,7 +77,7 @@ func connectedSubgraphs(t *graph.Graph, maxEdges int) map[string]*graph.Graph {
 		}
 	}
 	var queue []state
-	for _, e := range edges {
+	for e := range graph.EdgeID(t.NumEdges()) {
 		s := state{set: []graph.EdgeID{e}}
 		k := setKey(s.set)
 		if !seenSet[k] {

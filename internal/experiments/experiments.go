@@ -12,7 +12,9 @@ package experiments
 
 import (
 	"fmt"
+	"log"
 	"math"
+	"time"
 
 	"tnkd/internal/dataset"
 	"tnkd/internal/fsg"
@@ -74,6 +76,15 @@ type Params struct {
 	// cmd/tndfsg and cmd/tndtemporal. Structural repetitions mine
 	// concurrently, so the callback must be safe for concurrent use.
 	Progress func(stage string, ev fsg.LevelProgress)
+}
+
+// LogProgress is the Progress callback of the -progress flags: one
+// line per completed level through the standard logger (stderr), so
+// stdout stays byte-identical with or without it.
+func LogProgress(stage string, ev fsg.LevelProgress) {
+	log.Printf("%s: level %d: candidates=%d frequent=%d embeddings=%d iso_tests=%d budgeted=%d patterns=%d elapsed=%s",
+		stage, ev.Edges, ev.Candidates, ev.Frequent, ev.Embeddings, ev.IsoTests, ev.BudgetedTests, ev.Patterns,
+		ev.Elapsed.Round(time.Millisecond))
 }
 
 // NewParams generates a dataset at the given scale and returns ready

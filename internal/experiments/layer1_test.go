@@ -95,12 +95,12 @@ func digestTemporal(h hash.Hash, res *partition.TemporalResult) {
 
 func digestGraph(h hash.Hash, g *graph.Graph) {
 	fmt.Fprintf(h, "graph %q\n", g.Name)
-	for _, v := range g.Vertices() {
+	for v := range graph.VertexID(g.NumVertices()) {
 		fmt.Fprintf(h, "v %d %q\n", v, g.Vertex(v).Label)
 	}
-	for _, id := range g.Edges() {
+	for id := range graph.EdgeID(g.NumEdges()) {
 		e := g.Edge(id)
-		fmt.Fprintf(h, "e %d %d %d %q\n", e.ID, e.From, e.To, e.Label)
+		fmt.Fprintf(h, "e %d %d %d %q\n", id, e.From, e.To, e.Label)
 	}
 }
 

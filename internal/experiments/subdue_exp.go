@@ -25,7 +25,7 @@ func truncatedSubgraph(g *graph.Graph, numVertices int) *graph.Graph {
 	// Start from the highest-degree vertex.
 	var start graph.VertexID
 	bestDeg := -1
-	for _, v := range g.Vertices() {
+	for v := range graph.VertexID(g.NumVertices()) {
 		if d := g.Degree(v); d > bestDeg {
 			start, bestDeg = v, d
 		}
@@ -103,7 +103,7 @@ func isChain(g *graph.Graph) bool {
 		return false
 	}
 	starts, ends := 0, 0
-	for _, v := range g.Vertices() {
+	for v := range graph.VertexID(g.NumVertices()) {
 		in, out := g.InDegree(v), g.OutDegree(v)
 		switch {
 		case in == 0 && out == 1:
@@ -125,7 +125,7 @@ func isHub(g *graph.Graph) bool {
 		return false
 	}
 	hubs := 0
-	for _, v := range g.Vertices() {
+	for v := range graph.VertexID(g.NumVertices()) {
 		in, out := g.InDegree(v), g.OutDegree(v)
 		switch {
 		case in == 0 && out == g.NumVertices()-1:

@@ -63,7 +63,7 @@ func minedLanguage(p *graph.Graph) bool {
 		label    string
 	}
 	seen := make(map[sig]bool)
-	for _, e := range p.Edges() {
+	for e := range graph.EdgeID(p.NumEdges()) {
 		ed := p.Edge(e)
 		s := sig{ed.From, ed.To, ed.Label}
 		if ed.From == ed.To || seen[s] {

@@ -68,7 +68,7 @@ func referenceCandidates(m *miner, current []Pattern, k int) []*candidate {
 // every frequent triple with string label compares.
 func referenceExtensions(m *miner, p *graph.Graph) []*graph.Graph {
 	var exts []*graph.Graph
-	vs := p.Vertices()
+	nv := graph.VertexID(p.NumVertices())
 	hasEdge := func(from, to graph.VertexID, label string) bool {
 		for _, e := range p.OutEdges(from) {
 			if ed := p.Edge(e); ed.To == to && ed.Label == label {
@@ -78,11 +78,11 @@ func referenceExtensions(m *miner, p *graph.Graph) []*graph.Graph {
 		return false
 	}
 	for _, tr := range m.frequentTriples {
-		for _, u := range vs {
+		for u := range nv {
 			if p.Vertex(u).Label != tr.fromLabel {
 				continue
 			}
-			for _, v := range vs {
+			for v := range nv {
 				if u == v || p.Vertex(v).Label != tr.toLabel || hasEdge(u, v, tr.edgeLabel) {
 					continue
 				}
@@ -91,7 +91,7 @@ func referenceExtensions(m *miner, p *graph.Graph) []*graph.Graph {
 				exts = append(exts, ext)
 			}
 		}
-		for _, u := range vs {
+		for u := range nv {
 			if p.Vertex(u).Label == tr.fromLabel {
 				ext := p.Clone()
 				w := ext.AddVertex(tr.toLabel)
@@ -113,7 +113,7 @@ func referenceExtensions(m *miner, p *graph.Graph) []*graph.Graph {
 // subpattern of the materialised candidate, other than the parent,
 // to be frequent.
 func referenceClosure(cand *graph.Graph, newEdge graph.EdgeID, freqCodes map[string]bool) bool {
-	for _, e := range cand.Edges() {
+	for e := range graph.EdgeID(cand.NumEdges()) {
 		if e == newEdge || !referenceConnected(cand, e) {
 			continue
 		}
@@ -128,26 +128,26 @@ func referenceClosure(cand *graph.Graph, newEdge graph.EdgeID, freqCodes map[str
 // dropped, is connected and non-empty, by materialising it.
 func referenceConnected(g *graph.Graph, skip graph.EdgeID) bool {
 	c := withoutEdge(g, skip)
-	return c.NumVertices() > 0 && c.IsConnected()
+	return len(c.WeaklyConnectedComponents()) == 1
 }
 
 // withoutEdge materialises g minus edge skip with every vertex left
 // without an edge dropped, the rest renumbered in ascending ID order.
 func withoutEdge(g *graph.Graph, skip graph.EdgeID) *graph.Graph {
 	keep := make([]bool, g.NumVertices())
-	for _, e := range g.Edges() {
+	for e := range graph.EdgeID(g.NumEdges()) {
 		if e != skip {
 			keep[g.Edge(e).From], keep[g.Edge(e).To] = true, true
 		}
 	}
 	sub := graph.New(g.Name)
 	newID := make([]graph.VertexID, g.NumVertices())
-	for _, v := range g.Vertices() {
+	for v := range graph.VertexID(g.NumVertices()) {
 		if keep[v] {
 			newID[v] = sub.AddVertex(g.Vertex(v).Label)
 		}
 	}
-	for _, e := range g.Edges() {
+	for e := range graph.EdgeID(g.NumEdges()) {
 		if ed := g.Edge(e); e != skip {
 			sub.AddEdge(newID[ed.From], newID[ed.To], ed.Label)
 		}
@@ -382,5 +382,38 @@ func TestKeyRejectedNeverSurvive(t *testing.T) {
 				t.Fatal("the key check rejected nothing; the fixture exercises nothing")
 			}
 		})
+	}
+}
+
+// TestExtensionsClosureAllocs bounds what extending one fixed parent
+// and closure-checking one of its candidates allocate: the extension
+// list, the checks' scratch and codes, with no slice of the parent's
+// IDs.
+func TestExtensionsClosureAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	m := &miner{frequentTriples: []edgeTriple{{"a", "x", "b"}, {"b", "y", "a"}, {"b", "x", "c"}}}
+	m.indexTriples()
+	pg := graph.New("p")
+	a, b, c := pg.AddVertex("a"), pg.AddVertex("b"), pg.AddVertex("c")
+	pg.AddEdge(a, b, "x")
+	pg.AddEdge(b, a, "y")
+	pg.AddEdge(b, c, "x")
+	cand := &candidate{parent: &Pattern{Graph: pg}, ext: iso.Extension{From: b, To: 3, Label: "y", NewLabel: "a"}}
+	freqCodes := map[string]bool{}
+	for e := range graph.EdgeID(pg.NumEdges()) {
+		freqCodes[iso.CodeExtended(pg, cand.ext, e)] = true
+	}
+	if !passesClosure(cand, freqCodes) {
+		t.Fatal("candidate fails closure over its own subpattern codes")
+	}
+	const want = 15
+	allocs := testing.AllocsPerRun(20, func() {
+		m.extensions(pg)
+		passesClosure(cand, freqCodes)
+	})
+	if allocs > want {
+		t.Fatalf("extensions + passesClosure allocated %.0f times, want <= %d", allocs, want)
 	}
 }

@@ -318,7 +318,7 @@ func (m *miner) mineSingleEdges() []Pattern {
 	generated := 0
 	for ti, t := range m.txns {
 		seenPair := make(map[pairOcc]bool)
-		for _, e := range t.Edges() {
+		for e := range graph.EdgeID(t.NumEdges()) {
 			ed := t.Edge(e)
 			if ed.From == ed.To {
 				continue
@@ -476,13 +476,12 @@ func tripleKey(i int32) uint64 {
 	return x ^ x>>31
 }
 
-// edgeKeys returns the triple key of each edge of g, in Edges() order.
+// edgeKeys returns the triple key of each edge of g, in edge ID order.
 // Every edge of a frequent pattern is a frequent triple.
 func (m *miner) edgeKeys(g *graph.Graph) []uint64 {
-	edges := g.Edges()
-	keys := make([]uint64, len(edges))
-	for i, e := range edges {
-		ed := g.Edge(e)
+	keys := make([]uint64, g.NumEdges())
+	for i := range keys {
+		ed := g.Edge(graph.EdgeID(i))
 		keys[i] = tripleKey(m.tripleIndex[edgeTriple{g.Vertex(ed.From).Label, ed.Label, g.Vertex(ed.To).Label}])
 	}
 	return keys
@@ -510,7 +509,7 @@ func (m *miner) levelKeys(level []Pattern) ([][]uint64, map[uint64]bool) {
 // extensions of different parents are all rejected or all kept.
 type keyCheck struct {
 	freqKeys map[uint64]bool
-	keys     []uint64 // the parent's edge keys, in Edges() order
+	keys     []uint64 // the parent's edge keys, in edge ID order
 	sum      uint64   // the parent's key
 	// ends holds the parent's edge endpoints and, in its last slot,
 	// the extension's; uf is connectedWithout's scratch.
@@ -713,13 +712,13 @@ func (m *miner) candidates(current []Pattern, k int) []*candidate {
 // triple cannot be frequent, by downward closure), and p visits only
 // the triples with an endpoint label it has, in triple order.
 func (m *miner) extensions(p *graph.Graph) []codedExt {
-	vs := p.Vertices()
-	lab := make([]int32, p.NumVertices())
+	nv := graph.VertexID(p.NumVertices())
+	lab := make([]int32, nv)
 	for i := range lab {
 		lab[i] = -1
 	}
 	var visit []int32
-	for _, v := range vs {
+	for v := range nv {
 		id, ok := m.labelID[p.Vertex(v).Label]
 		if !ok {
 			id = -1 // no frequent triple touches this label
@@ -732,10 +731,9 @@ func (m *miner) extensions(p *graph.Graph) []codedExt {
 	slices.Sort(visit)
 	visit = slices.Compact(visit)
 
-	edges := p.Edges()
 	hasEdge := func(from, to graph.VertexID, label string) bool {
-		for _, e := range edges {
-			if ed := p.Edge(e); ed.From == from && ed.To == to && ed.Label == label {
+		for _, e := range p.OutEdges(from) {
+			if ed := p.Edge(e); ed.To == to && ed.Label == label {
 				return true
 			}
 		}
@@ -743,15 +741,14 @@ func (m *miner) extensions(p *graph.Graph) []codedExt {
 	}
 
 	var exts []codedExt
-	newV := graph.VertexID(p.NumVertices())
 	for _, ti := range visit {
 		tr, ends := m.frequentTriples[ti], m.tripleLabels[ti]
 		// New edge between existing vertices.
-		for _, u := range vs {
+		for u := range nv {
 			if lab[u] != ends[0] {
 				continue
 			}
-			for _, v := range vs {
+			for v := range nv {
 				if u == v || lab[v] != ends[1] {
 					continue
 				}
@@ -764,12 +761,12 @@ func (m *miner) extensions(p *graph.Graph) []codedExt {
 			}
 		}
 		// New vertex attached to an existing one.
-		for _, u := range vs {
+		for u := range nv {
 			if lab[u] == ends[0] {
-				exts = append(exts, codedExt{ext: iso.Extension{From: u, To: newV, Label: tr.edgeLabel, NewLabel: tr.toLabel}, triple: ti})
+				exts = append(exts, codedExt{ext: iso.Extension{From: u, To: nv, Label: tr.edgeLabel, NewLabel: tr.toLabel}, triple: ti})
 			}
 			if lab[u] == ends[1] {
-				exts = append(exts, codedExt{ext: iso.Extension{From: newV, To: u, Label: tr.edgeLabel, NewLabel: tr.fromLabel}, triple: ti})
+				exts = append(exts, codedExt{ext: iso.Extension{From: nv, To: u, Label: tr.edgeLabel, NewLabel: tr.fromLabel}, triple: ti})
 			}
 		}
 	}
@@ -790,8 +787,8 @@ func passesClosure(c *candidate, freqCodes map[string]bool) bool {
 	g := c.parent.Graph
 	ends := overlayEnds(g, c.ext)
 	uf := make([]graph.VertexID, g.NumVertices()+1)
-	for i, e := range g.Edges() {
-		if !connectedWithout(ends, i, uf) {
+	for e := range graph.EdgeID(g.NumEdges()) {
+		if !connectedWithout(ends, int(e), uf) {
 			// Deleting this edge disconnects the pattern; the
 			// disconnected remainder is not a connected subpattern,
 			// so closure does not constrain it.
@@ -805,11 +802,10 @@ func passesClosure(c *candidate, freqCodes map[string]bool) bool {
 }
 
 // overlayEnds returns the edge endpoints of the overlay g + ext: g's
-// edges in Edges() order, then the extension's.
+// edges in ID order, then the extension's.
 func overlayEnds(g *graph.Graph, ext iso.Extension) [][2]graph.VertexID {
-	edges := g.Edges()
-	ends := make([][2]graph.VertexID, 0, len(edges)+1)
-	for _, e := range edges {
+	ends := make([][2]graph.VertexID, 0, g.NumEdges()+1)
+	for e := range graph.EdgeID(g.NumEdges()) {
 		ed := g.Edge(e)
 		ends = append(ends, [2]graph.VertexID{ed.From, ed.To})
 	}

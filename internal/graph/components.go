@@ -73,14 +73,6 @@ func (g *Graph) SplitComponents() []*Graph {
 	return graphs
 }
 
-// IsConnected reports whether g is weakly connected (and non-empty).
-func (g *Graph) IsConnected() bool {
-	if len(g.vertices) == 0 {
-		return false
-	}
-	return len(g.WeaklyConnectedComponents()) == 1
-}
-
 func itoa(i int) string {
 	if i == 0 {
 		return "0"

@@ -18,23 +18,22 @@ import (
 	"sync/atomic"
 )
 
-// VertexID identifies a vertex within a Graph. IDs are assigned
-// densely from zero in insertion order: a graph's vertex IDs are
-// exactly 0..NumVertices()-1.
+// VertexID identifies a vertex within a Graph: its position in
+// insertion order, so a graph's vertex IDs are exactly
+// 0..NumVertices()-1 and ranging over VertexID(g.NumVertices()) visits
+// every vertex.
 type VertexID int
 
-// EdgeID identifies an edge within a Graph, assigned like VertexIDs.
+// EdgeID identifies an edge within a Graph, a position like VertexID.
 type EdgeID int
 
 // Vertex is a labeled graph vertex.
 type Vertex struct {
-	ID    VertexID
 	Label string
 }
 
 // Edge is a labeled directed edge from From to To.
 type Edge struct {
-	ID    EdgeID
 	From  VertexID
 	To    VertexID
 	Label string
@@ -69,7 +68,7 @@ func New(name string) *Graph {
 // AddVertex adds a vertex with the given label and returns its ID.
 func (g *Graph) AddVertex(label string) VertexID {
 	id := VertexID(len(g.vertices))
-	g.vertices = append(g.vertices, Vertex{ID: id, Label: label})
+	g.vertices = append(g.vertices, Vertex{Label: label})
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
 	g.invalidateIdx()
@@ -83,7 +82,7 @@ func (g *Graph) AddEdge(from, to VertexID, label string) EdgeID {
 		panic(fmt.Sprintf("graph: AddEdge(%d, %d) with missing endpoint", from, to))
 	}
 	id := EdgeID(len(g.edges))
-	g.edges = append(g.edges, Edge{ID: id, From: from, To: to, Label: label})
+	g.edges = append(g.edges, Edge{From: from, To: to, Label: label})
 	g.out[from] = append(g.out[from], id)
 	g.in[to] = append(g.in[to], id)
 	g.invalidateIdx()
@@ -113,24 +112,6 @@ func (g *Graph) NumVertices() int { return len(g.vertices) }
 
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return len(g.edges) }
-
-// Vertices returns the IDs of all vertices in ascending order.
-func (g *Graph) Vertices() []VertexID {
-	ids := make([]VertexID, len(g.vertices))
-	for i := range ids {
-		ids[i] = VertexID(i)
-	}
-	return ids
-}
-
-// Edges returns the IDs of all edges in ascending order.
-func (g *Graph) Edges() []EdgeID {
-	ids := make([]EdgeID, len(g.edges))
-	for i := range ids {
-		ids[i] = EdgeID(i)
-	}
-	return ids
-}
 
 // OutEdges returns the outgoing edge IDs of v in ascending order. The
 // slice is shared and must not be modified.
@@ -185,8 +166,7 @@ func (g *Graph) InducedSubgraph(name string, vs []VertexID) *Graph {
 	for _, v := range sorted {
 		remap[v] = sub.AddVertex(g.vertices[v].Label)
 	}
-	for _, e := range g.Edges() {
-		ed := g.edges[e]
+	for _, ed := range g.edges {
 		if keep[ed.From] && keep[ed.To] {
 			sub.AddEdge(remap[ed.From], remap[ed.To], ed.Label)
 		}
@@ -216,8 +196,8 @@ func (g *Graph) Neighbors(v VertexID) []VertexID {
 // VertexLabels returns the distinct vertex labels in g.
 func (g *Graph) VertexLabels() []string {
 	set := make(map[string]bool)
-	for _, v := range g.Vertices() {
-		set[g.vertices[v].Label] = true
+	for _, v := range g.vertices {
+		set[v.Label] = true
 	}
 	return sortedKeys(set)
 }
@@ -225,8 +205,8 @@ func (g *Graph) VertexLabels() []string {
 // EdgeLabels returns the distinct edge labels in g.
 func (g *Graph) EdgeLabels() []string {
 	set := make(map[string]bool)
-	for _, e := range g.Edges() {
-		set[g.edges[e].Label] = true
+	for _, e := range g.edges {
+		set[e.Label] = true
 	}
 	return sortedKeys(set)
 }
@@ -251,8 +231,7 @@ func (g *Graph) String() string {
 func (g *Graph) Dump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "graph %s: %d vertices, %d edges\n", g.Name, len(g.vertices), len(g.edges))
-	for _, e := range g.Edges() {
-		ed := g.edges[e]
+	for _, ed := range g.edges {
 		fmt.Fprintf(&b, "  v%d(%s) -[%s]-> v%d(%s)\n",
 			ed.From, g.vertices[ed.From].Label, ed.Label, ed.To, g.vertices[ed.To].Label)
 	}

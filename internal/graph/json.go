@@ -27,10 +27,10 @@ type JSON struct {
 func (g *Graph) JSON() JSON {
 	out := JSON{Name: g.Name, Vertices: make([]VertexJSON, len(g.vertices)), Edges: make([]EdgeJSON, len(g.edges))}
 	for i, v := range g.vertices {
-		out.Vertices[i] = VertexJSON{ID: int(v.ID), Label: v.Label}
+		out.Vertices[i] = VertexJSON{ID: i, Label: v.Label}
 	}
 	for i, e := range g.edges {
-		out.Edges[i] = EdgeJSON{ID: int(e.ID), From: int(e.From), To: int(e.To), Label: e.Label}
+		out.Edges[i] = EdgeJSON{ID: i, From: int(e.From), To: int(e.To), Label: e.Label}
 	}
 	return out
 }

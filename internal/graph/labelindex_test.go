@@ -157,8 +157,8 @@ func TestLabelIndexConcurrentReads(t *testing.T) {
 // split by far endpoint in order of each endpoint's lowest edge ID.
 func refGroups(g *Graph, v VertexID, label string, out bool) (ends []VertexID, groups [][]EdgeID) {
 	at := map[VertexID]int{}
-	for e := 0; e < g.NumEdges(); e++ {
-		ed := g.Edge(EdgeID(e))
+	for e := range EdgeID(g.NumEdges()) {
+		ed := g.Edge(e)
 		owner, far := ed.From, ed.To
 		if !out {
 			owner, far = ed.To, ed.From
@@ -173,7 +173,7 @@ func refGroups(g *Graph, v VertexID, label string, out bool) (ends []VertexID, g
 			ends = append(ends, far)
 			groups = append(groups, nil)
 		}
-		groups[i] = append(groups[i], EdgeID(e))
+		groups[i] = append(groups[i], e)
 	}
 	return ends, groups
 }
@@ -205,7 +205,7 @@ func TestIndexMatchesAdjacency(t *testing.T) {
 			}
 		}
 		ix := g.Index()
-		for v := VertexID(0); int(v) < g.NumVertices(); v++ {
+		for v := range VertexID(g.NumVertices()) {
 			if ix.OutDegree(v) != g.OutDegree(v) || ix.InDegree(v) != g.InDegree(v) {
 				t.Fatalf("trial %d: degrees of v%d differ", trial, v)
 			}
@@ -224,7 +224,7 @@ func TestIndexMatchesAdjacency(t *testing.T) {
 						t.Fatalf("trial %d: v%d %s out=%v: ends %v groups %v, want %v %v",
 							trial, v, label, out, ends, groups, wantEnds, wantGroups)
 					}
-					for w := VertexID(0); int(w) < g.NumVertices(); w++ {
+					for w := range VertexID(g.NumVertices()) {
 						var want []EdgeID
 						for i, end := range wantEnds {
 							if end == w {
@@ -245,7 +245,7 @@ func TestIndexMatchesAdjacency(t *testing.T) {
 		}
 		for _, l := range append(g.VertexLabels(), "missing") {
 			var want []VertexID
-			for _, v := range g.Vertices() {
+			for v := range VertexID(g.NumVertices()) {
 				if g.Vertex(v).Label == l {
 					want = append(want, v)
 				}

@@ -40,7 +40,7 @@ func TestPropertyOpSequence(t *testing.T) {
 		if g.NumVertices() != nv || g.NumEdges() != len(refEdges) {
 			return false
 		}
-		for v := VertexID(0); int(v) < nv; v++ {
+		for v := range VertexID(nv) {
 			if !g.HasVertex(v) || g.OutDegree(v) != outDeg[v] || g.InDegree(v) != inDeg[v] {
 				return false
 			}
@@ -68,7 +68,7 @@ func TestPropertyOpSequence(t *testing.T) {
 func TestSplitComponentsMatchesInducedSubgraph(t *testing.T) {
 	full := func(g *Graph) string {
 		s := g.Dump()
-		for _, v := range g.Vertices() {
+		for v := range VertexID(g.NumVertices()) {
 			s += fmt.Sprintf("v%d(%s)\n", v, g.Vertex(v).Label)
 		}
 		return s
@@ -88,7 +88,7 @@ func TestSplitComponentsMatchesInducedSubgraph(t *testing.T) {
 		// unvisited vertex, then the same order as the method's.
 		seen := map[VertexID]bool{}
 		var want [][]VertexID
-		for _, s := range g.Vertices() {
+		for s := range VertexID(g.NumVertices()) {
 			if seen[s] {
 				continue
 			}

@@ -22,9 +22,8 @@ func (g *Graph) Degrees() DegreeStats {
 	s := DegreeStats{MinOut: -1, MinIn: -1}
 	totalOut, totalIn := 0, 0
 	nOut, nIn := 0, 0
-	for _, v := range g.Vertices() {
-		out := g.OutDegree(v)
-		in := g.InDegree(v)
+	for v := range g.vertices {
+		out, in := len(g.out[v]), len(g.in[v])
 		if out > 0 {
 			nOut++
 			totalOut += out

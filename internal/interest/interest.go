@@ -68,7 +68,7 @@ func Rank(res *fsg.Result, txns []*graph.Graph, opts Options) []Score {
 	prob := make(map[triple]float64)
 	for _, t := range txns {
 		seen := make(map[triple]bool)
-		for _, e := range t.Edges() {
+		for e := range graph.EdgeID(t.NumEdges()) {
 			ed := t.Edge(e)
 			tr := triple{t.Vertex(ed.From).Label, ed.Label, t.Vertex(ed.To).Label}
 			if !seen[tr] {
@@ -82,7 +82,7 @@ func Rank(res *fsg.Result, txns []*graph.Graph, opts Options) []Score {
 	for i := range res.Patterns {
 		p := &res.Patterns[i]
 		expected := float64(n)
-		for _, e := range p.Graph.Edges() {
+		for e := range graph.EdgeID(p.Graph.NumEdges()) {
 			ed := p.Graph.Edge(e)
 			tr := triple{p.Graph.Vertex(ed.From).Label, ed.Label, p.Graph.Vertex(ed.To).Label}
 			pe := prob[tr]

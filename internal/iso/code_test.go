@@ -143,19 +143,19 @@ func TestCodeMaskedEqualsCompactedSubgraph(t *testing.T) {
 // the subgraph a masked code must equal the code of.
 func withoutEdge(g *graph.Graph, skip graph.EdgeID) *graph.Graph {
 	keep := make([]bool, g.NumVertices())
-	for _, e := range g.Edges() {
+	for e := range graph.EdgeID(g.NumEdges()) {
 		if e != skip {
 			keep[g.Edge(e).From], keep[g.Edge(e).To] = true, true
 		}
 	}
 	sub := graph.New(g.Name)
 	newID := make([]graph.VertexID, g.NumVertices())
-	for _, v := range g.Vertices() {
+	for v := range graph.VertexID(g.NumVertices()) {
 		if keep[v] {
 			newID[v] = sub.AddVertex(g.Vertex(v).Label)
 		}
 	}
-	for _, e := range g.Edges() {
+	for e := range graph.EdgeID(g.NumEdges()) {
 		if ed := g.Edge(e); e != skip {
 			sub.AddEdge(newID[ed.From], newID[ed.To], ed.Label)
 		}

@@ -4,15 +4,14 @@ import (
 	"tnkd/internal/graph"
 )
 
-// EmbeddingList holds embeddings of one dense-ID pattern (every vertex
-// ID in [0, NV) and every edge ID in [0, NE), which holds for all
-// pattern graphs built by Clone+AddVertex+AddEdge) inside a target
-// graph, stride-packed in one pointer-free []int32. Row i is
-// IDs[i*s:(i+1)*s] with s = NV+NE: its first NV entries are the
-// target vertices matched by pattern vertices 0..NV-1, the remaining
-// NE the target edges matched by pattern edges 0..NE-1. The vertex
-// map is injective and the edge map edge-injective, so multigraph
-// instances consume distinct parallel edges.
+// EmbeddingList holds embeddings of one pattern with NV vertices and
+// NE edges inside a target graph, stride-packed in one pointer-free
+// []int32. Row i is IDs[i*s:(i+1)*s] with s = NV+NE: its first NV
+// entries are the target vertices matched by pattern vertices
+// 0..NV-1, the remaining NE the target edges matched by pattern edges
+// 0..NE-1. The vertex map is injective and the edge map
+// edge-injective, so multigraph instances consume distinct parallel
+// edges.
 //
 // It is the storage format of every embedding list (the matcher's
 // results, one-edge extensions, the per-pattern lists of
@@ -107,11 +106,10 @@ func (e DenseEmbedding) UsesEdge(te graph.EdgeID) bool {
 }
 
 // Embeddings enumerates the embeddings of pattern into target. The
-// pattern must have dense IDs. The second result reports whether the
-// search ran to completion (false when Options.MaxSteps aborted it, in
-// which case the list may be incomplete). Callers searching one
-// pattern against many targets should compile it once with NewMatcher
-// instead.
+// second result reports whether the search ran to completion (false
+// when Options.MaxSteps aborted it, in which case the list may be
+// incomplete). Callers searching one pattern against many targets
+// should compile it once with NewMatcher instead.
 func Embeddings(target, pattern *graph.Graph, opts Options) (EmbeddingList, bool) {
 	out := NewEmbeddingList(pattern)
 	completed := NewMatcher(pattern).Embeddings(target, opts, &out)

@@ -56,12 +56,12 @@ func TestExtendEmbeddingComplete(t *testing.T) {
 		// Build a child by one random extension: new edge between
 		// existing vertices, or a new vertex attached by one edge.
 		child := parent.Clone()
-		vs := child.Vertices()
-		u := vs[rng.Intn(len(vs))]
+		nv := child.NumVertices()
+		u := graph.VertexID(rng.Intn(nv))
 		var newEdge graph.EdgeID
 		switch rng.Intn(3) {
 		case 0:
-			v := vs[rng.Intn(len(vs))]
+			v := graph.VertexID(rng.Intn(nv))
 			label := fmt.Sprintf("e%d", rng.Intn(2))
 			// The extension contract forbids duplicate (from, to,
 			// label) signatures, as in FSG candidate generation.

@@ -64,9 +64,8 @@ func permuted(g *graph.Graph, ext Extension, perm []graph.VertexID) (*graph.Grap
 	for j := 0; j < nv; j++ {
 		h.AddVertex(g.Vertex(inv[j]).Label)
 	}
-	edges := g.Edges()
-	for i := len(edges) - 1; i >= 0; i-- {
-		ed := g.Edge(edges[i])
+	for e := g.NumEdges() - 1; e >= 0; e-- {
+		ed := g.Edge(graph.EdgeID(e))
 		h.AddEdge(perm[ed.From], perm[ed.To], ed.Label)
 	}
 	mapV := func(v graph.VertexID) graph.VertexID {
@@ -98,7 +97,7 @@ func FuzzCodeExtended(f *testing.F) {
 		if want := Code(mat); code != want {
 			t.Fatalf("CodeExtended != Code(materialised)\n%s", mat.Dump())
 		}
-		for _, e := range mat.Edges() {
+		for e := range graph.EdgeID(mat.NumEdges()) {
 			if got, want := CodeExtended(g, ext, e), CodeMasked(mat, e); got != want {
 				t.Fatalf("CodeExtended(skip %d) != CodeMasked\n%s", e, mat.Dump())
 			}

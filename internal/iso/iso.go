@@ -9,10 +9,8 @@
 // matching relation, used by both the FSG reimplementation (support
 // counting, candidate deduplication) and the SUBDUE reimplementation
 // (instance discovery). Every match it returns is a row of an
-// EmbeddingList, indexed by the pattern's dense vertex and edge IDs
-// and read as a DenseEmbedding view; the entry points that return
-// matches (Embeddings, Matcher.Embeddings, Reanchorer.Reanchor,
-// Extender.Extend) therefore need patterns with dense IDs.
+// EmbeddingList, indexed by the pattern's vertex and edge IDs and read
+// as a DenseEmbedding view.
 package iso
 
 import (
@@ -87,7 +85,7 @@ func NewReanchorer(pattern, target *graph.Graph, maxSteps int) *Reanchorer {
 // Reanchor maps the pattern onto exactly the target vertices and
 // edges covered by emb (an embedding of some isomorphic construction
 // of the pattern), returning an embedding keyed to the pattern's own
-// dense IDs. The result is a view valid until the next Reanchor call.
+// IDs. The result is a view valid until the next Reanchor call.
 func (r *Reanchorer) Reanchor(emb DenseEmbedding) (DenseEmbedding, bool) {
 	m := r.m
 	if m.pattern.NumVertices() != len(emb.Verts) {

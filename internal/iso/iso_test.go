@@ -156,7 +156,7 @@ func TestCodeIsomorphismInvariant(t *testing.T) {
 			l    string
 		}
 		var edges []edge
-		for _, e := range g.Edges() {
+		for e := range graph.EdgeID(g.NumEdges()) {
 			ed := g.Edge(e)
 			edges = append(edges, edge{perm[ed.From], perm[ed.To], ed.Label})
 		}
@@ -258,5 +258,20 @@ func BenchmarkContains100Vertices(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Contains(g, pat)
+	}
+}
+
+// TestNewMatcherAllocs bounds what compiling a fixed 5-edge pattern
+// allocates: the plan itself, with no slice of the pattern's IDs.
+func TestNewMatcherAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	p := buildGraph(t, []string{"a", "b", "a", "c"}, [][3]interface{}{
+		{0, 1, "x"}, {1, 2, "y"}, {2, 0, "x"}, {2, 3, "z"}, {3, 1, "y"},
+	})
+	const want = 28
+	if allocs := testing.AllocsPerRun(20, func() { NewMatcher(p) }); allocs > want {
+		t.Fatalf("NewMatcher allocated %.0f times, want <= %d", allocs, want)
 	}
 }

@@ -1,7 +1,7 @@
 package iso
 
 import (
-	"sort"
+	"slices"
 
 	"tnkd/internal/graph"
 )
@@ -39,7 +39,6 @@ type Matcher struct {
 
 	// The compiled plan (immutable after NewMatcher).
 	order   []graph.VertexID // pattern vertex assignment order
-	pEdges  []graph.EdgeID   // live pattern edges, ascending
 	levels  []level          // levels[d] places order[d]
 	vLabels []string         // distinct pattern vertex labels
 	eLabels []string         // distinct pattern edge labels
@@ -145,7 +144,6 @@ func NewMatcher(pattern *graph.Graph) *Matcher {
 	m := &Matcher{
 		pattern:  pattern,
 		order:    searchOrder(pattern),
-		pEdges:   pattern.Edges(),
 		assigned: make([]graph.VertexID, pattern.NumVertices()),
 		edgeMap:  make([]graph.EdgeID, pattern.NumEdges()),
 	}
@@ -237,35 +235,41 @@ func NewMatcher(pattern *graph.Graph) *Matcher {
 // (connected patterns then never branch on disconnected candidates).
 // Ties break toward higher degree for earlier pruning.
 func searchOrder(p *graph.Graph) []graph.VertexID {
-	vs := p.Vertices()
+	vs := make([]graph.VertexID, p.NumVertices())
 	if len(vs) == 0 {
 		return nil
 	}
-	sort.Slice(vs, func(i, j int) bool {
-		di, dj := p.Degree(vs[i]), p.Degree(vs[j])
-		if di != dj {
-			return di > dj
+	for i := range vs {
+		vs[i] = graph.VertexID(i)
+	}
+	slices.SortFunc(vs, func(a, b graph.VertexID) int {
+		if da, db := p.Degree(a), p.Degree(b); da != db {
+			return db - da
 		}
-		return vs[i] < vs[j]
+		return int(a - b)
 	})
 	order := []graph.VertexID{vs[0]}
-	placed := map[graph.VertexID]bool{vs[0]: true}
+	placed := make([]bool, len(vs))
+	placed[vs[0]] = true
+	adjacent := func(v graph.VertexID) bool {
+		for _, e := range p.OutEdges(v) {
+			if placed[p.Edge(e).To] {
+				return true
+			}
+		}
+		for _, e := range p.InEdges(v) {
+			if placed[p.Edge(e).From] {
+				return true
+			}
+		}
+		return false
+	}
 	for len(order) < len(vs) {
 		best := graph.VertexID(-1)
 		bestDeg := -1
 		// Prefer vertices adjacent to the placed set.
 		for _, v := range vs {
-			if placed[v] {
-				continue
-			}
-			adj := false
-			for _, u := range p.Neighbors(v) {
-				if placed[u] {
-					adj = true
-					break
-				}
-			}
-			if adj && p.Degree(v) > bestDeg {
+			if !placed[v] && adjacent(v) && p.Degree(v) > bestDeg {
 				best, bestDeg = v, p.Degree(v)
 			}
 		}
@@ -293,11 +297,10 @@ func (m *Matcher) fits(target *graph.Graph) bool {
 }
 
 // Embeddings appends the embeddings of the compiled pattern into
-// target to out, a list for the pattern (the pattern must have dense
-// IDs; opts.Limit counts this call's embeddings, not out's). It
-// reports whether the search ran to completion (false when
-// opts.MaxSteps aborted it, in which case the appended embeddings may
-// be incomplete).
+// target to out, a list for the pattern (opts.Limit counts this
+// call's embeddings, not out's). It reports whether the search ran to
+// completion (false when opts.MaxSteps aborted it, in which case the
+// appended embeddings may be incomplete).
 func (m *Matcher) Embeddings(target *graph.Graph, opts Options, out *EmbeddingList) bool {
 	if !m.fits(target) {
 		return true
@@ -364,8 +367,8 @@ func (m *Matcher) unassignAll() {
 			m.assigned[pv] = -1
 		}
 	}
-	for _, pe := range m.pEdges {
-		if te := m.edgeMap[pe]; te >= 0 {
+	for pe, te := range m.edgeMap {
+		if te >= 0 {
 			m.usedEdge[te] = false
 			m.edgeMap[pe] = -1
 		}
@@ -516,8 +519,7 @@ func (m *Matcher) release(checks []edgeCheck) {
 	}
 }
 
-// appendAssignment appends the current assignment to out as one row
-// (meaningful for dense-ID patterns, where every slot is assigned).
+// appendAssignment appends the current assignment to out as one row.
 func (m *Matcher) appendAssignment() {
 	ids := m.out.IDs
 	for _, tv := range m.assigned {

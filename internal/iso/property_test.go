@@ -29,11 +29,10 @@ func randGraph(rng *rand.Rand, maxV, maxE, vLabels, eLabels int) *graph.Graph {
 // randomConnectedSubgraph extracts a random connected subgraph of g
 // (guaranteed embeddable by construction).
 func randomConnectedSubgraph(rng *rand.Rand, g *graph.Graph, edges int) *graph.Graph {
-	all := g.Edges()
-	if len(all) == 0 {
+	if g.NumEdges() == 0 {
 		return nil
 	}
-	start := all[rng.Intn(len(all))]
+	start := graph.EdgeID(rng.Intn(g.NumEdges()))
 	chosen := map[graph.EdgeID]bool{start: true}
 	touched := map[graph.VertexID]bool{}
 	ed := g.Edge(start)
@@ -163,14 +162,16 @@ func TestPropertyIsomorphismEquivalence(t *testing.T) {
 // permuteGraph rebuilds g with vertices inserted in a random order
 // and edges shuffled — an isomorphic copy with a scrambled ID space.
 func permuteGraph(rng *rand.Rand, g *graph.Graph) *graph.Graph {
-	vs := g.Vertices()
-	perm := rng.Perm(len(vs))
+	perm := rng.Perm(g.NumVertices())
 	out := graph.New(g.Name + "#perm")
-	remap := make(map[graph.VertexID]graph.VertexID, len(vs))
+	remap := make(map[graph.VertexID]graph.VertexID, len(perm))
 	for _, i := range perm {
-		remap[vs[i]] = out.AddVertex(g.Vertex(vs[i]).Label)
+		remap[graph.VertexID(i)] = out.AddVertex(g.Vertex(graph.VertexID(i)).Label)
 	}
-	es := g.Edges()
+	es := make([]graph.EdgeID, g.NumEdges())
+	for i := range es {
+		es[i] = graph.EdgeID(i)
+	}
 	rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
 	for _, e := range es {
 		ed := g.Edge(e)
@@ -280,7 +281,7 @@ func TestPropertyMaskedCodeEqualsSubgraphCode(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 60; trial++ {
 		g := randGraph(rng, 7, 10, 2, 2)
-		for _, e := range g.Edges() {
+		for e := range graph.EdgeID(g.NumEdges()) {
 			if CodeMasked(g, e) != Code(withoutEdge(g, e)) {
 				t.Fatalf("trial %d: masked code for edge %d diverges\n%s", trial, e, g.Dump())
 			}

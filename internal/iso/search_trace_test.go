@@ -54,18 +54,18 @@ func traceGraph(rng *rand.Rand, nv, ne, vLabels, eLabels int, loops bool) *graph
 // over its edges (in ascending ID order, so the result depends on rng
 // only), renumbered densely in order of first touch.
 func traceSubgraph(rng *rand.Rand, g *graph.Graph, edges int) *graph.Graph {
-	all := g.Edges()
-	if len(all) == 0 {
+	ne := graph.EdgeID(g.NumEdges())
+	if ne == 0 {
 		return nil
 	}
-	chosen := []graph.EdgeID{all[rng.Intn(len(all))]}
+	chosen := []graph.EdgeID{graph.EdgeID(rng.Intn(int(ne)))}
 	in := map[graph.EdgeID]bool{chosen[0]: true}
 	touched := map[graph.VertexID]bool{}
 	ed := g.Edge(chosen[0])
 	touched[ed.From], touched[ed.To] = true, true
 	for len(chosen) < edges {
 		var frontier []graph.EdgeID
-		for _, e := range all {
+		for e := range ne {
 			eed := g.Edge(e)
 			if !in[e] && (touched[eed.From] || touched[eed.To]) {
 				frontier = append(frontier, e)

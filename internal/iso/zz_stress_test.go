@@ -44,7 +44,7 @@ func TestStressMaskedWithSelfLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 800; trial++ {
 		g := randGraphLoops(rng, 6, 9, 2, 2)
-		for _, e := range g.Edges() {
+		for e := range graph.EdgeID(g.NumEdges()) {
 			if CodeMasked(g, e) != Code(withoutEdge(g, e)) {
 				t.Fatalf("trial %d edge %d masked code diverges\n%s", trial, e, g.Dump())
 			}

@@ -66,7 +66,7 @@ func TestSplitGraphPreservesLabels(t *testing.T) {
 	if p.NumEdges() != 1 {
 		t.Fatal("edge missing")
 	}
-	e := p.Edge(p.Edges()[0])
+	e := p.Edge(0)
 	if p.Vertex(e.From).Label != "A" || p.Vertex(e.To).Label != "B" || e.Label != "x" {
 		t.Errorf("labels/direction corrupted: %s", p.Dump())
 	}
@@ -85,7 +85,7 @@ func TestSplitGraphBFPreservesHubs(t *testing.T) {
 	parts := SplitGraph(g, SplitOptions{K: 2, Strategy: BreadthFirst, Rand: rand.New(rand.NewSource(1))})
 	maxOut := 0
 	for _, p := range parts {
-		for _, v := range p.Vertices() {
+		for v := range graph.VertexID(p.NumVertices()) {
 			if d := p.OutDegree(v); d > maxOut {
 				maxOut = d
 			}
@@ -157,25 +157,23 @@ func temporalDataset() *dataset.Dataset {
 }
 
 func TestTemporalActiveWindows(t *testing.T) {
-	res := Temporal(temporalDataset(), TemporalOptions{
-		Attr: dataset.GrossWeight, SplitComponents: false, DedupEdges: false, DropSingleEdge: false,
-	})
+	res := Temporal(temporalDataset(), TemporalOptions{})
 	// Days: txn1 on d0,d1; txn2 d0; txn3 d1,d2; txn4 d1 => 3 days.
 	if res.DaysTotal != 3 {
 		t.Fatalf("days = %d, want 3", res.DaysTotal)
 	}
-	if len(res.Transactions) != 3 {
-		t.Fatalf("transactions = %d, want 3", len(res.Transactions))
+	// Day 0: txn1 + txn2 = 2 edges. Day 1: txn1 + txn3 + txn4, one
+	// lane and bin, so two duplicates drop and the single edge left
+	// drops too. Day 2: txn3 alone, a single edge.
+	if len(res.Transactions) != 1 || res.Transactions[0].NumEdges() != 2 {
+		t.Fatalf("transactions = %v, want day 0's 2-edge graph alone", res.Transactions)
 	}
-	// Day 0: txn1 + txn2 = 2 edges. Day 1: txn1 + txn3 + txn4 = 3.
-	if res.Transactions[0].NumEdges() != 2 {
-		t.Errorf("day0 edges = %d, want 2", res.Transactions[0].NumEdges())
+	if res.DuplicateEdgesDropped != 2 || res.SingleEdgeDropped != 2 {
+		t.Errorf("dropped %d duplicates and %d single edges, want 2 and 2",
+			res.DuplicateEdgesDropped, res.SingleEdgeDropped)
 	}
-	if res.Transactions[1].NumEdges() != 3 {
-		t.Errorf("day1 edges = %d, want 3", res.Transactions[1].NumEdges())
-	}
-	// One whole-day transaction per day: boundaries are 0,1,2.
-	if want := []int{0, 1, 2}; !slices.Equal(res.DayStarts, want) {
+	// One whole-day transaction on day 0, none on days 1 and 2.
+	if want := []int{0, 1, 1}; !slices.Equal(res.DayStarts, want) {
 		t.Errorf("DayStarts = %v, want %v", res.DayStarts, want)
 	}
 }
@@ -228,9 +226,7 @@ func TestTemporalDedupAndFilters(t *testing.T) {
 }
 
 func TestTemporalUniqueVertexLabels(t *testing.T) {
-	res := Temporal(temporalDataset(), TemporalOptions{
-		Attr: dataset.GrossWeight, SplitComponents: false, DedupEdges: false, DropSingleEdge: false,
-	})
+	res := Temporal(temporalDataset(), TemporalOptions{})
 	g := res.Transactions[0]
 	labels := g.VertexLabels()
 	if len(labels) != g.NumVertices() {
@@ -248,15 +244,14 @@ func TestTemporalUniqueVertexLabels(t *testing.T) {
 }
 
 func TestTemporalVertexLabelCap(t *testing.T) {
-	res := Temporal(temporalDataset(), TemporalOptions{
-		Attr: dataset.GrossWeight, MaxVertexLabels: 3,
-		SplitComponents: false, DedupEdges: false, DropSingleEdge: false,
-	})
+	res := Temporal(temporalDataset(), TemporalOptions{MaxVertexLabels: 3})
 	// The cap keeps days with FEWER THAN 3 distinct labels (as the
 	// paper kept days with fewer than 200): day 0 has 3 locations ->
-	// filtered; days 1 and 2 have 2 -> kept.
-	if res.FilteredByVertexLabels != 1 {
-		t.Errorf("filtered = %d, want 1", res.FilteredByVertexLabels)
+	// filtered; days 1 and 2 have 2 -> kept (then dropped as single
+	// edges).
+	if res.FilteredByVertexLabels != 1 || res.SingleEdgeDropped != 2 {
+		t.Errorf("filtered %d days and dropped %d single edges, want 1 and 2",
+			res.FilteredByVertexLabels, res.SingleEdgeDropped)
 	}
 	for _, g := range res.Transactions {
 		if len(g.VertexLabels()) >= 3 {
@@ -266,13 +261,11 @@ func TestTemporalVertexLabelCap(t *testing.T) {
 }
 
 func TestTemporalComponentSplit(t *testing.T) {
-	res := Temporal(temporalDataset(), TemporalOptions{
-		Attr: dataset.GrossWeight, SplitComponents: true, DedupEdges: true, DropSingleEdge: false,
-	})
+	res := Temporal(temporalDataset(), TemporalOptions{SplitComponents: true})
 	// Day 0's graph a->b, a->c is one connected component; every
 	// transaction must be connected after splitting.
 	for _, g := range res.Transactions {
-		if !g.IsConnected() {
+		if len(g.WeaklyConnectedComponents()) != 1 {
 			t.Errorf("disconnected transaction survived: %s", g)
 		}
 	}

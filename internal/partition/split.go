@@ -134,12 +134,13 @@ func newWorkSet(g *graph.Graph) *workSet {
 		outOff: make([]int32, nv+1),
 		inOff:  make([]int32, nv+1),
 		deg:    make([]int32, nv),
-		live:   g.Vertices(),
+		live:   make([]graph.VertexID, nv),
 		stamp:  make([]uint32, nv),
 		partID: make([]graph.VertexID, nv),
 	}
-	for _, v := range w.live {
-		w.vlabel[v] = g.Vertex(v).Label
+	for v := range w.live {
+		w.live[v] = graph.VertexID(v)
+		w.vlabel[v] = g.Vertex(graph.VertexID(v)).Label
 	}
 	ne := g.NumEdges()
 	w.edges = make([]graph.Edge, ne)

@@ -82,7 +82,7 @@ func (w *refWork) degree(v graph.VertexID) int {
 // vertices returns the vertices not dropped, ascending.
 func (w *refWork) vertices() []graph.VertexID {
 	var vs []graph.VertexID
-	for _, v := range w.g.Vertices() {
+	for v := range graph.VertexID(w.g.NumVertices()) {
 		if !w.dropped[v] {
 			vs = append(vs, v)
 		}

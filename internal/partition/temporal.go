@@ -11,20 +11,16 @@ import (
 )
 
 // TemporalOptions configures the Section 6 temporal partitioning.
+// The paper's fixed steps always run: edges are labelled by gross
+// weight range, duplicate (from, to, label) edges within a day are
+// dropped (FSG mines graphs, not multigraphs), and transactions with
+// only one edge, which cannot produce interesting patterns, are
+// dropped.
 type TemporalOptions struct {
-	// Attr labels edges, binned by Attr.DefaultBinner() (the paper's
-	// temporal experiment uses gross weight ranges).
-	Attr dataset.EdgeAttr
 	// SplitComponents breaks each disconnected daily transaction
 	// into one transaction per connected component (the paper does
 	// this; FSG's results are unaffected but transactions shrink).
 	SplitComponents bool
-	// DropSingleEdge removes transactions with only one edge, which
-	// cannot produce interesting patterns (the paper drops them).
-	DropSingleEdge bool
-	// DedupEdges removes duplicate (from, to, label) edges within a
-	// transaction, since FSG operates on graphs, not multigraphs.
-	DedupEdges bool
 	// MaxVertexLabels, when > 0, keeps only DAYS whose whole graph
 	// has fewer than this many distinct vertex labels, before any
 	// component splitting — the paper's final run was "limited to
@@ -50,12 +46,7 @@ type TemporalOptions struct {
 // DefaultTemporalOptions mirrors the paper's Section 6 pipeline
 // (before the Table 3 size filter).
 func DefaultTemporalOptions() TemporalOptions {
-	return TemporalOptions{
-		Attr:            dataset.GrossWeight,
-		SplitComponents: true,
-		DropSingleEdge:  true,
-		DedupEdges:      true,
-	}
+	return TemporalOptions{SplitComponents: true}
 }
 
 // TemporalResult carries the per-day graph transactions plus the
@@ -101,7 +92,7 @@ func Temporal(d *dataset.Dataset, opts TemporalOptions) *TemporalResult {
 		days.txns = days.txns[:opts.MaxDays]
 	}
 	locs := dataset.NewLocationTable(d)
-	edgeIDs, edgeLabels := binEdges(d, opts.Attr)
+	edgeIDs, edgeLabels := binEdges(d, dataset.GrossWeight)
 
 	res := &TemporalResult{DaysTotal: len(days.names)}
 
@@ -117,11 +108,8 @@ func Temporal(d *dataset.Dataset, opts TemporalOptions) *TemporalResult {
 		singleDropped    int
 	}
 	batches := engine.Map(opts.Parallelism, len(days.names), func(i int) dayBatch {
-		var b dayBatch
-		txns := days.txns[i]
-		if opts.DedupEdges {
-			txns, b.duplicateDropped = dedupDay(locs, edgeIDs, txns)
-		}
+		txns, dropped := dedupDay(locs, edgeIDs, days.txns[i])
+		b := dayBatch{duplicateDropped: dropped}
 		if opts.MaxVertexLabels > 0 &&
 			distinctLabels(locs, txns, make([]bool, len(locs.Labels))) >= opts.MaxVertexLabels {
 			b.filteredByLabels = 1
@@ -135,7 +123,7 @@ func Temporal(d *dataset.Dataset, opts TemporalOptions) *TemporalResult {
 			gs = []*graph.Graph{g}
 		}
 		for _, txn := range gs {
-			if opts.DropSingleEdge && txn.NumEdges() <= 1 {
+			if txn.NumEdges() <= 1 {
 				b.singleDropped++
 				continue
 			}

@@ -15,10 +15,10 @@ import (
 // referenceDays builds every day's graph the direct way: bucket
 // transaction copies under their formatted active dates, give each
 // distinct LatLon of a day a vertex labelled LatLon.String(), add one
-// edge per transaction, then copy the graph without its repeated
-// (from, to, label) edges. It returns the deduped graphs in calendar
-// order and the number of edges dropped per day.
-func referenceDays(d *dataset.Dataset, attr dataset.EdgeAttr) ([]*graph.Graph, []int) {
+// gross-weight edge per transaction, then copy the graph without its
+// repeated (from, to, label) edges. It returns the deduped graphs in
+// calendar order and the number of edges dropped per day.
+func referenceDays(d *dataset.Dataset) ([]*graph.Graph, []int) {
 	byDay := make(map[string][]dataset.Transaction)
 	for _, t := range d.Transactions {
 		for day := t.ReqPickup; !day.After(t.ReqDelivery); day = day.AddDate(0, 0, 1) {
@@ -31,6 +31,7 @@ func referenceDays(d *dataset.Dataset, attr dataset.EdgeAttr) ([]*graph.Graph, [
 		days = append(days, day)
 	}
 	sort.Strings(days)
+	attr := dataset.GrossWeight
 	binner := attr.DefaultBinner()
 	var graphs []*graph.Graph
 	var dropped []int
@@ -64,12 +65,12 @@ func referenceDedup(g *graph.Graph) (*graph.Graph, int) {
 		label    string
 	}
 	c := graph.New(g.Name)
-	for _, v := range g.Vertices() {
+	for v := range graph.VertexID(g.NumVertices()) {
 		c.AddVertex(g.Vertex(v).Label)
 	}
 	seen := make(map[key]bool)
 	dropped := 0
-	for _, id := range g.Edges() {
+	for id := range graph.EdgeID(g.NumEdges()) {
 		e := g.Edge(id)
 		k := key{e.From, e.To, e.Label}
 		if seen[k] {
@@ -114,7 +115,7 @@ func TestDayVertexLabelCountsMatchGraphs(t *testing.T) {
 		"TestConfig":  dataset.Generate(dataset.TestConfig()),
 		"sharedLabel": sharedLabelDataset(),
 	} {
-		ref, _ := referenceDays(d, dataset.GrossWeight)
+		ref, _ := referenceDays(d)
 		counts := DayVertexLabelCounts(d)
 		if len(counts) != len(ref) {
 			t.Fatalf("%s: %d day counts, reference has %d days", name, len(counts), len(ref))
@@ -131,30 +132,34 @@ func TestDayVertexLabelCountsMatchGraphs(t *testing.T) {
 }
 
 // TestTemporalMatchesReference: whole-day Temporal graphs equal the
-// reference day graphs vertex for vertex and edge for edge, with the
-// same dedup counts.
+// reference day graphs with more than one edge, vertex for vertex and
+// edge for edge, with the same dedup and single-edge counts.
 func TestTemporalMatchesReference(t *testing.T) {
 	for name, d := range map[string]*dataset.Dataset{
 		"TestConfig":  dataset.Generate(dataset.TestConfig()),
 		"sharedLabel": sharedLabelDataset(),
 	} {
-		for _, attr := range []dataset.EdgeAttr{dataset.GrossWeight, dataset.TransitHours} {
-			ref, dropped := referenceDays(d, attr)
-			res := Temporal(d, TemporalOptions{Attr: attr, DedupEdges: true})
-			if len(res.Transactions) != len(ref) || res.DaysTotal != len(ref) {
-				t.Fatalf("%s/%v: %d graphs over %d days, reference has %d days",
-					name, attr, len(res.Transactions), res.DaysTotal, len(ref))
+		ref, dropped := referenceDays(d)
+		res := Temporal(d, TemporalOptions{})
+		var want []*graph.Graph
+		total := 0
+		for i, g := range ref {
+			if g.NumEdges() > 1 {
+				want = append(want, g)
 			}
-			total := 0
-			for i, want := range ref {
-				if got := res.Transactions[i]; got.Dump() != want.Dump() {
-					t.Errorf("%s/%v: day %d graph\n%s\nwant\n%s", name, attr, i, got.Dump(), want.Dump())
-				}
-				total += dropped[i]
+			total += dropped[i]
+		}
+		if res.DaysTotal != len(ref) || len(res.Transactions) != len(want) || res.SingleEdgeDropped != len(ref)-len(want) {
+			t.Fatalf("%s: %d graphs over %d days, %d single-edge days dropped; reference has %d days, %d with more than one edge",
+				name, len(res.Transactions), res.DaysTotal, res.SingleEdgeDropped, len(ref), len(want))
+		}
+		for i, g := range want {
+			if got := res.Transactions[i]; got.Dump() != g.Dump() {
+				t.Errorf("%s: graph %d\n%s\nwant\n%s", name, i, got.Dump(), g.Dump())
 			}
-			if res.DuplicateEdgesDropped != total {
-				t.Errorf("%s/%v: %d duplicates dropped, reference drops %d", name, attr, res.DuplicateEdgesDropped, total)
-			}
+		}
+		if res.DuplicateEdgesDropped != total {
+			t.Errorf("%s: %d duplicates dropped, reference drops %d", name, res.DuplicateEdgesDropped, total)
 		}
 	}
 }

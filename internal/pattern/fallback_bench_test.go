@@ -44,7 +44,7 @@ func fallbackFixture() ([]*graph.Graph, []*graph.Graph) {
 // growPattern grows a connected pattern of exactly n edges from a
 // random edge of g, adding random incident edges, with dense IDs.
 func growPattern(rng *rand.Rand, g *graph.Graph, n int) *graph.Graph {
-	all := g.Edges()
+	ne := graph.EdgeID(g.NumEdges())
 	in := map[graph.EdgeID]bool{}
 	touched := map[graph.VertexID]bool{}
 	var chosen []graph.EdgeID
@@ -54,10 +54,10 @@ func growPattern(rng *rand.Rand, g *graph.Graph, n int) *graph.Graph {
 		ed := g.Edge(e)
 		touched[ed.From], touched[ed.To] = true, true
 	}
-	add(all[rng.Intn(len(all))])
+	add(graph.EdgeID(rng.Intn(int(ne))))
 	for len(chosen) < n {
 		var frontier []graph.EdgeID
-		for _, e := range all {
+		for e := range ne {
 			if ed := g.Edge(e); !in[e] && (touched[ed.From] || touched[ed.To]) {
 				frontier = append(frontier, e)
 			}

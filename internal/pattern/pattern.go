@@ -41,9 +41,7 @@ import (
 )
 
 // Pattern couples a pattern graph with its code, support and
-// embeddings. The Graph must have dense IDs (true of every graph
-// built by Clone+AddVertex+AddEdge), because embeddings are stored in
-// dense form.
+// embeddings.
 type Pattern struct {
 	Graph *graph.Graph
 	// Code is the exact canonical code of Graph (iso.Code): equal
@@ -126,9 +124,6 @@ func (p *Pattern) NumEmbeddings() int { return p.Embs.Len() }
 // the unit the MaxEmbeddings meter budgets. Seeds (the Partial TIDs'
 // lists) sit outside the meter by design.
 func (p *Pattern) retainedEmbeddings() int {
-	if p.Offsets == nil {
-		return 0
-	}
 	if !p.Overflowed {
 		return p.NumEmbeddings()
 	}
@@ -149,9 +144,6 @@ func (p *Pattern) retainedEmbeddings() int {
 // dropped ones are freed.
 func (p *Pattern) DemoteToSeeds() {
 	p.Overflowed = true
-	if p.Offsets == nil {
-		return
-	}
 	p.Partial = p.TIDs.Clone()
 	n := 0
 	for pi := range len(p.Offsets) - 1 {
@@ -212,7 +204,7 @@ type CountStats struct {
 
 // CountExtension computes the support of child — parent.Graph plus
 // the single edge newEdge (IDs preserved) — over txns, incrementally
-// when it can. Three tiers, degrading gracefully:
+// when it can. Two tiers, degrading gracefully:
 //
 //   - Complete parent: each parent embedding is extended across
 //     newEdge, so a transaction supports child iff at least one
@@ -228,9 +220,6 @@ type CountStats struct {
 //     embedding), and only when every seed misses does a classic
 //     budgeted search decide — harvesting one embedding as the
 //     child's seed when it succeeds.
-//   - Untracked parent (no lists at all): the classic budgeted
-//     containment test per transaction, exactly the pre-embedding
-//     counter's cost profile.
 //
 // The tiers apply per transaction: an overflowed parent with per-TID
 // partial retention still counts its complete-list TIDs in the first
@@ -279,15 +268,8 @@ func CountExtension(txns []*graph.Graph, parent *Pattern, child *graph.Graph, co
 		if !fcur.Contains(tid) {
 			continue
 		}
-		// An untracked parent (no lists at all) behaves as a seeded
-		// parent with zero seeds: every transaction decides by
-		// search, at exactly the classic counter's cost.
-		var pembs iso.EmbeddingList
-		if parent.Offsets != nil {
-			pembs = parent.EmbsAt(pi)
-		}
-		parentComplete := parent.Offsets != nil &&
-			(!parent.Overflowed || !pcur.Contains(tid))
+		pembs := parent.EmbsAt(pi)
+		parentComplete := !parent.Overflowed || !pcur.Contains(tid)
 		txn := txns[tid]
 
 		// Extend the parent's embeddings (all of them when the

@@ -123,7 +123,14 @@ func TestCountExtensionIncrementalAndFallback(t *testing.T) {
 		t.Fatalf("incremental: isoTests=%d embeddings=%d", st.IsoTests, got.NumEmbeddings())
 	}
 
-	parent.Embs, parent.Offsets, parent.Overflowed = iso.EmbeddingList{}, nil, true
+	// A seeded parent whose seeds do not extend falls back to search:
+	// each transaction gains a second v0-e->v1 lane with no f edge,
+	// and that lane is the parent's only seed.
+	for _, g := range txns {
+		g.AddEdge(g.AddVertex("v0"), g.AddVertex("v1"), "e")
+	}
+	parent.Embs.IDs = []int32{3, 4, 2, 3, 4, 2}
+	parent.Overflowed, parent.Partial = true, parent.TIDs.Clone()
 	got, st = CountExtension(txns, parent, child, "c", ne, parent.TIDs, CountOptions{})
 	if got.Support != 2 || st.IsoTests != 2 {
 		t.Fatalf("fallback: support %d isoTests %d", got.Support, st.IsoTests)

@@ -18,7 +18,7 @@ import (
 // query from the index persisted in the footer.
 func BenchmarkLocationsColdPersisted(b *testing.B) {
 	fx := newMinedFixture(b)
-	label := fx.txns[0].Vertex(fx.txns[0].Vertices()[0]).Label
+	label := fx.txns[0].Vertex(0).Label
 	target := "/v1/locations/" + url.PathEscape(label) + "/patterns"
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -41,7 +41,7 @@ func BenchmarkLocationsColdPersisted(b *testing.B) {
 
 func BenchmarkLocationsWarm(b *testing.B) {
 	fx := newMinedFixture(b)
-	label := fx.txns[0].Vertex(fx.txns[0].Vertices()[0]).Label
+	label := fx.txns[0].Vertex(0).Label
 	target := "/v1/locations/" + url.PathEscape(label) + "/patterns"
 	h := fx.srv.Handler()
 	b.ReportAllocs()

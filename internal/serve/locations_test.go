@@ -113,7 +113,7 @@ func TestLocationsMatchReference(t *testing.T) {
 
 	labels := map[string]bool{}
 	for _, txn := range fx.txns {
-		for _, v := range txn.Vertices() {
+		for v := range graph.VertexID(txn.NumVertices()) {
 			labels[txn.Vertex(v).Label] = true
 		}
 	}

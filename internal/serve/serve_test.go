@@ -221,7 +221,7 @@ func TestServeMatchesMiningExactly(t *testing.T) {
 func TestServeLocationQuery(t *testing.T) {
 	fx := newMinedFixture(t)
 	// Pick the first vertex label of the first transaction.
-	label := fx.txns[0].Vertex(fx.txns[0].Vertices()[0]).Label
+	label := fx.txns[0].Vertex(0).Label
 
 	var resp LocationJSON
 	getJSON(t, fx.ts, "/v1/locations/"+url.PathEscape(label)+"/patterns", &resp)
@@ -275,14 +275,14 @@ func TestServeLocationIndexMemoized(t *testing.T) {
 	fx := newMinedFixture(t)
 	labels := map[string]bool{}
 	for _, txn := range fx.txns {
-		for _, v := range txn.Vertices() {
+		for v := range graph.VertexID(txn.NumVertices()) {
 			labels[txn.Vertex(v).Label] = true
 		}
 	}
 
 	// Concurrent cold start: every first query must see the same
 	// fully built index (sync.Once), not a partial one.
-	label0 := fx.txns[0].Vertex(fx.txns[0].Vertices()[0]).Label
+	label0 := fx.txns[0].Vertex(0).Label
 	const racers = 8
 	cold := make([]LocationJSON, racers)
 	var wg sync.WaitGroup
@@ -347,7 +347,7 @@ func TestServeErrors(t *testing.T) {
 // the daemon's concurrent request handling.
 func TestServeConcurrentRequests(t *testing.T) {
 	fx := newMinedFixture(t)
-	label := fx.txns[0].Vertex(fx.txns[0].Vertices()[0]).Label
+	label := fx.txns[0].Vertex(0).Label
 	paths := []string{
 		"/healthz",
 		"/v1/stores",

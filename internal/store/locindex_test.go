@@ -46,10 +46,10 @@ func locatablePattern(rng *rand.Rand, edges int, txns []*graph.Graph) pattern.Pa
 	}
 	p.Embs, p.Offsets = iso.NewEmbeddingList(g), []int32{0}
 	for _, tid := range tids {
-		live := txns[tid].Vertices()
+		n := txns[tid].NumVertices()
 		for j := 0; j < rng.Intn(3)+1; j++ {
 			for k := 0; k < nv; k++ {
-				p.Embs.IDs = append(p.Embs.IDs, int32(live[rng.Intn(len(live))]))
+				p.Embs.IDs = append(p.Embs.IDs, int32(rng.Intn(n)))
 			}
 			for k := 0; k < edges; k++ {
 				p.Embs.IDs = append(p.Embs.IDs, int32(rng.Intn(8)))

@@ -349,13 +349,13 @@ func (d *dec) ids(dst []int32, want int, what string) []int32 {
 func encodeGraph(e *enc, g *graph.Graph) {
 	e.str(g.Name)
 	e.uvarint(uint64(g.NumVertices()))
-	for id := 0; id < g.NumVertices(); id++ {
+	for v := range graph.VertexID(g.NumVertices()) {
 		e.byte(liveSlot)
-		e.str(g.Vertex(graph.VertexID(id)).Label)
+		e.str(g.Vertex(v).Label)
 	}
 	e.uvarint(uint64(g.NumEdges()))
-	for id := 0; id < g.NumEdges(); id++ {
-		ed := g.Edge(graph.EdgeID(id))
+	for id := range graph.EdgeID(g.NumEdges()) {
+		ed := g.Edge(id)
 		e.byte(liveSlot)
 		e.uvarint(uint64(ed.From))
 		e.uvarint(uint64(ed.To))

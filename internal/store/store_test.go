@@ -93,14 +93,14 @@ func randEmbs(rng *rand.Rand, txns []*graph.Graph, tids []int, nv, ne int, allow
 	out := iso.EmbeddingList{NV: nv, NE: ne}
 	offs := []int32{0}
 	for _, tid := range tids {
-		vs := txns[tid].Vertices()
+		n := txns[tid].NumVertices()
 		cnt := rng.Intn(4)
 		if !allowEmpty && cnt == 0 {
 			cnt = 1
 		}
 		for j := 0; j < cnt; j++ {
 			for k := 0; k < nv; k++ {
-				out.IDs = append(out.IDs, int32(vs[rng.Intn(len(vs))]))
+				out.IDs = append(out.IDs, int32(rng.Intn(n)))
 			}
 			for k := 0; k < ne; k++ {
 				out.IDs = append(out.IDs, int32(rng.Intn(80)))
@@ -121,16 +121,14 @@ func sameGraphBytes(t *testing.T, want, got *graph.Graph) {
 	if want.NumVertices() != got.NumVertices() || want.NumEdges() != got.NumEdges() {
 		t.Fatalf("sizes (%d,%d) != (%d,%d)", got.NumVertices(), got.NumEdges(), want.NumVertices(), want.NumEdges())
 	}
-	for id := 0; id < want.NumVertices(); id++ {
-		v := graph.VertexID(id)
+	for v := range graph.VertexID(want.NumVertices()) {
 		if want.Vertex(v).Label != got.Vertex(v).Label {
-			t.Fatalf("vertex %d label %q != %q", id, got.Vertex(v).Label, want.Vertex(v).Label)
+			t.Fatalf("vertex %d label %q != %q", v, got.Vertex(v).Label, want.Vertex(v).Label)
 		}
 	}
-	for id := 0; id < want.NumEdges(); id++ {
-		e := graph.EdgeID(id)
+	for e := range graph.EdgeID(want.NumEdges()) {
 		if want.Edge(e) != got.Edge(e) {
-			t.Fatalf("edge %d %+v != %+v", id, got.Edge(e), want.Edge(e))
+			t.Fatalf("edge %d %+v != %+v", e, got.Edge(e), want.Edge(e))
 		}
 	}
 }

@@ -224,7 +224,7 @@ func (d *discoverer) initialSubstructures() []Substructure {
 		pg := graph.New("sub")
 		pg.AddVertex(label)
 		embs := iso.NewEmbeddingList(pg)
-		for _, v := range d.g.Vertices() {
+		for v := range graph.VertexID(d.g.NumVertices()) {
 			if d.g.Vertex(v).Label != label {
 				continue
 			}
@@ -352,13 +352,11 @@ func (d *discoverer) extend(sub *Substructure) []rawCand {
 		return info
 	}
 
-	// Pattern vertices in ascending ID order: instance vertex maps
-	// are walked in a fixed order because the order here decides
-	// instance insertion order, fingerprint first-seen order and the
-	// MaxInstances cutoff, all of which must be deterministic. Dense
-	// embeddings are indexed by pattern vertex ID, so ascending ID
-	// order is simply slice order.
-	pvs := sub.Graph.Vertices()
+	// Pattern vertices are walked in ascending ID order, a fixed
+	// order because it decides instance insertion order, fingerprint
+	// first-seen order and the MaxInstances cutoff, all of which must
+	// be deterministic.
+	npv := graph.VertexID(sub.Graph.NumVertices())
 	insts := sub.pat.Embs
 	// newEmb is the scratch the extended instance is built in before
 	// it is copied into its candidate's list.
@@ -375,7 +373,7 @@ func (d *discoverer) extend(sub *Substructure) []rawCand {
 			usedEdges[graph.EdgeID(te)] = true
 		}
 		atVertexCap := d.opts.MaxVertices > 0 && sub.Graph.NumVertices() >= d.opts.MaxVertices
-		for _, pv := range pvs {
+		for pv := range npv {
 			tv := graph.VertexID(emb.Verts[pv])
 			for _, te := range append(d.g.OutEdges(tv), d.g.InEdges(tv)...) {
 				if usedEdges[te] {

@@ -22,10 +22,10 @@ func planted(n, noise int, seed int64) *graph.Graph {
 		g.AddEdge(a, c, "w1")
 		g.AddEdge(b, c, "w2")
 	}
-	vs := g.Vertices()
+	nv := g.NumVertices()
 	for i := 0; i < noise; i++ {
-		u := vs[rng.Intn(len(vs))]
-		v := vs[rng.Intn(len(vs))]
+		u := graph.VertexID(rng.Intn(nv))
+		v := graph.VertexID(rng.Intn(nv))
 		if u == v {
 			continue
 		}

@@ -51,23 +51,23 @@ func Plant(cfg PlantConfig) *Planted {
 	for _, pat := range cfg.Patterns {
 		for c := 0; c < cfg.CopiesPerPattern; c++ {
 			remap := make(map[graph.VertexID]graph.VertexID)
-			for _, v := range pat.Vertices() {
+			for v := range graph.VertexID(pat.NumVertices()) {
 				remap[v] = g.AddVertex(pat.Vertex(v).Label)
 			}
-			for _, e := range pat.Edges() {
+			for e := range graph.EdgeID(pat.NumEdges()) {
 				ed := pat.Edge(e)
 				g.AddEdge(remap[ed.From], remap[ed.To], ed.Label)
 			}
 		}
 	}
-	vs := g.Vertices()
+	n := g.NumVertices()
 	labels := cfg.NoiseLabels
 	if len(labels) == 0 {
 		labels = []string{"noise"}
 	}
-	for i := 0; i < cfg.JoinEdges+cfg.NoiseEdges && len(vs) >= 2; i++ {
-		u := vs[rng.Intn(len(vs))]
-		v := vs[rng.Intn(len(vs))]
+	for i := 0; i < cfg.JoinEdges+cfg.NoiseEdges && n >= 2; i++ {
+		u := graph.VertexID(rng.Intn(n))
+		v := graph.VertexID(rng.Intn(n))
 		if u == v {
 			continue
 		}

@@ -59,8 +59,8 @@ func TestDefaultPatternsShapes(t *testing.T) {
 		t.Fatalf("patterns = %d", len(pats))
 	}
 	for _, p := range pats {
-		if p.NumEdges() < 3 || !p.IsConnected() {
-			t.Errorf("pattern %s: edges=%d connected=%v", p.Name, p.NumEdges(), p.IsConnected())
+		if comps := len(p.WeaklyConnectedComponents()); p.NumEdges() < 3 || comps != 1 {
+			t.Errorf("pattern %s: edges=%d components=%d", p.Name, p.NumEdges(), comps)
 		}
 	}
 }
@@ -84,7 +84,7 @@ func TestLabelStressSharedLanes(t *testing.T) {
 	counts := map[triple]int{}
 	for _, g := range txns {
 		seen := map[triple]bool{}
-		for _, e := range g.Edges() {
+		for e := range graph.EdgeID(g.NumEdges()) {
 			ed := g.Edge(e)
 			tr := triple{g.Vertex(ed.From).Label, ed.Label, g.Vertex(ed.To).Label}
 			if !seen[tr] {
@@ -113,7 +113,7 @@ func TestLabelStressCardinalityGrowsTriples(t *testing.T) {
 		type triple struct{ f, e, to string }
 		set := map[triple]bool{}
 		for _, g := range txns {
-			for _, e := range g.Edges() {
+			for e := range graph.EdgeID(g.NumEdges()) {
 				ed := g.Edge(e)
 				set[triple{g.Vertex(ed.From).Label, ed.Label, g.Vertex(ed.To).Label}] = true
 			}
